@@ -1,5 +1,5 @@
 """Exact computation with affine pseudo-Anosov maps on half-translation
 surfaces: number fields, flat surfaces, saddle connections, veering
-triangulations, fixed-point counts, and annular coordinates."""
+triangulations, fixed-point counts, Lefschetz numbers and Markov bounds."""
 
 __version__ = "0.1.0"

@@ -2,11 +2,17 @@
 
 A field is described by an integer polynomial, irreducible over the
 rationals, together with a rational interval bracketing exactly one of its
-real roots.  Elements are polynomials in that root of degree less than the
-field degree, with rational coefficients.  All arithmetic is exact; the
-bracketing interval is only ever *refined* (by bisection) when a sign or a
-numerical enclosure is requested, so no decision ever depends on floating
-point.
+real roots g.  Elements are polynomials in g of degree less than the field
+degree d with rational coefficients, stored as d integer numerators over
+one positive integer denominator in lowest terms, so that equal elements
+have equal representations.
+
+Products reduce the powers g^d .. g^(2d-2) with an integer table over one
+common denominator (1 for a monic polynomial), and inverses solve a linear
+system fraction-free on the integer multiplication matrix.  The sign of an
+element is decided by interval Horner evaluation on integers over the root
+bracket; while the enclosure straddles zero, the bracket is *refined* by
+exact bisection.  No decision ever depends on floating point.
 
     >>> from pafix.exactnum import RealNumberField
     >>> K = RealNumberField.create([1, -3, 1], 2, 3)   # x^2 - 3x + 1, root ~2.618
@@ -15,6 +21,9 @@ point.
     True
     >>> (lam * lam - 3 * lam + 1).is_zero()
     True
+    >>> x = lam / 6
+    >>> x.num, x.den
+    ((0, 1), 6)
 
 Coefficient sequences are ascending: ``[c0, c1, ..., cd]`` stands for
 ``c0 + c1*x + ... + cd*x^d``.
@@ -42,6 +51,15 @@ Rat = Union[int, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Bisections of a new field's root bracket.
+_CREATE_BISECTIONS = 64
+# Bisections made each time an enclosure is too wide to decide.
+_ROUND_BISECTIONS = 16
+# Enclosure rounds a sign or an approximation may take before giving up.
+_MAX_ROUNDS = 300
+# Precision beyond which an element's root is not isolated any further.
+_MAX_ISOLATION_BITS = 2000
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over Fraction, ascending coefficient order
@@ -51,33 +69,6 @@ def _strip(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
-
-
-def _poly_scale(a: Sequence[Fraction], s: Fraction) -> list:
-    if s == 0:
-        return []
-    return [c * s for c in a]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _strip(out)
 
 
 def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
@@ -104,16 +95,6 @@ def _poly_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def _poly_eval_interval(a, lo: Fraction, hi: Fraction) -> tuple:
-    """Interval Horner: encloses {p(x) : x in [lo, hi]}."""
-    acc_lo = acc_hi = _ZERO
-    for c in reversed(a):
-        p1, p2, p3, p4 = acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi
-        acc_lo = min(p1, p2, p3, p4) + c
-        acc_hi = max(p1, p2, p3, p4) + c
-    return acc_lo, acc_hi
 
 
 def _sign_variations(values: Iterable[Fraction]) -> int:
@@ -152,6 +133,40 @@ def count_real_roots(coeffs: Sequence[Rat], lo: Rat, hi: Rat) -> int:
 
 
 # ---------------------------------------------------------------------------
+# integer helpers
+
+
+def _enclose(num: Sequence[int], a: int, b: int, q: int) -> tuple:
+    """Interval Horner on integers: (lo, hi) with lo <= q^(n-1) * p(x) <= hi
+    for every x in [a/q, b/q], where p has the n ascending integer
+    coefficients ``num`` and q > 0.  Exact when a == b."""
+    it = reversed(num)
+    lo = hi = next(it)
+    scale = 1
+    for c in it:
+        scale *= q
+        c *= scale
+        if lo == hi:
+            p1, p2 = lo * a, lo * b
+            if p1 > p2:
+                p1, p2 = p2, p1
+            lo, hi = p1 + c, p2 + c
+        else:
+            p = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(p) + c, max(p) + c
+    return lo, hi
+
+
+def _reduced(field: "RealNumberField", num: list, den: int) -> "FieldElement":
+    """The element num/den in lowest terms; den must be positive."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return FieldElement(field, tuple(num), den)
+
+
+# ---------------------------------------------------------------------------
 # rational intervals
 
 
@@ -177,9 +192,6 @@ class RationalInterval:
         return self.lo <= x <= self.hi
 
     __contains__ = contains
-
-    def intersects(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
@@ -248,16 +260,36 @@ def _is_irreducible(int_coeffs: tuple) -> bool:
     return bool(poly.is_irreducible)
 
 
+def _reduction_table(coeffs: tuple) -> tuple:
+    """Integer rows T and a denominator t with g^(d+j) = T[j] . (1, g, ..,
+    g^(d-1)) / t for j = 0 .. d-2, in lowest terms over the whole table."""
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    base = [-c for c in coeffs[:-1]]  # g^d = base / lead
+    rows, cur = [], base
+    for _ in range(d - 1):
+        rows.append(cur)
+        # g * cur: shift up, then replace g^d by base / lead
+        top = cur[-1]
+        cur = [top * b + lead * c for b, c in zip(base, [0] + cur[:-1])]
+    # row j has denominator lead^(j+1); bring all to lead^(d-1)
+    den = lead ** (d - 1)
+    rows = [[c * lead ** (d - 2 - j) for c in row] for j, row in enumerate(rows)]
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row) for row in rows), den // g
+
+
 class RealNumberField:
     """A real algebraic number field Q(g), g the unique root of the defining
     polynomial inside the bracketing interval.
 
-    Instances with the same defining polynomial and the same root compare
-    equal and interoperate; their elements can be mixed freely.
+    The bracket is kept as integers (a/q, b/q) with q > 0 and only ever
+    shrinks.  Instances with the same defining polynomial and the same root
+    compare equal and interoperate; their elements can be mixed freely.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_gpow", "_equal_ids",
-                 "declared_interval", "__weakref__")
+    __slots__ = ("minpoly", "_a", "_b", "_q", "_table", "_table_den",
+                 "_equal_ids", "declared_interval", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use RealNumberField.create(...)")
@@ -288,12 +320,12 @@ class RealNumberField:
             root = Fraction(-coeffs[0], coeffs[1])
             if not (lo < root < hi):
                 raise NoRootInInterval("root %s not in (%s, %s)" % (root, lo, hi))
-            self._lo = self._hi = root
+            self._a = self._b = root.numerator
+            self._q = root.denominator
         else:
             # irreducible of degree >= 2 has no rational roots, so rational
             # endpoints are never roots and open/closed does not matter
-            fr = [Fraction(c) for c in coeffs]
-            n = count_real_roots(fr, lo, hi)
+            n = count_real_roots(coeffs, lo, hi)
             if n == 0:
                 raise NoRootInInterval(
                     "no root of %s in (%s, %s)" % (format_poly(coeffs, "x"), lo, hi))
@@ -301,23 +333,11 @@ class RealNumberField:
                 raise MultipleRootsInInterval(
                     "%d roots of %s in (%s, %s)"
                     % (n, format_poly(coeffs, "x"), lo, hi))
-            self._lo, self._hi = lo, hi
-            self._refine(64)
+            q = math.lcm(lo.denominator, hi.denominator)
+            self._a, self._b, self._q = int(lo * q), int(hi * q), q
+            self._refine(_CREATE_BISECTIONS)
 
-        d = len(coeffs) - 1
-        # g^k for k = d .. 2d-2, reduced to degree < d
-        gpow = []
-        lead = Fraction(coeffs[-1])
-        base = [Fraction(-c, 1) / lead for c in coeffs[:-1]]  # g^d
-        cur = base
-        for _ in range(d - 1):
-            gpow.append(tuple(cur) + (_ZERO,) * (d - len(cur)))
-            nxt = [_ZERO] + list(cur)  # * g
-            if len(nxt) > d:
-                top = nxt.pop()
-                nxt = _poly_add(nxt, _poly_scale(base, top))
-            cur = nxt + [_ZERO] * (d - len(nxt))
-        self._gpow = tuple(gpow)
+        self._table, self._table_den = _reduction_table(coeffs)
         return self
 
     # -- basic data ---------------------------------------------------------
@@ -326,25 +346,42 @@ class RealNumberField:
     def degree(self) -> int:
         return len(self.minpoly) - 1
 
-    def root_interval(self) -> RationalInterval:
-        return RationalInterval(self._lo, self._hi)
+    def _bracket(self) -> tuple:
+        return Fraction(self._a, self._q), Fraction(self._b, self._q)
 
     def _refine(self, steps: int) -> None:
-        if self._lo == self._hi:
+        a, b, q = self._a, self._b, self._q
+        if a == b:
             return
         p = self.minpoly
-        sign_lo = 1 if _poly_eval(p, self._lo) > 0 else -1
-        lo, hi = self._lo, self._hi
+        positive_at_a = _enclose(p, a, a, q)[0] > 0
         for _ in range(steps):
-            mid = (lo + hi) / 2
-            v = _poly_eval(p, mid)
+            mid, q = a + b, 2 * q
+            v = _enclose(p, mid, mid, q)[0]
             if v == 0:
                 raise InternalCheckError("rational root of irreducible polynomial")
-            if (1 if v > 0 else -1) == sign_lo:
-                lo = mid
+            if (v > 0) == positive_at_a:
+                a, b = mid, 2 * b
             else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+                a, b = 2 * a, mid
+        self._a, self._b, self._q = a, b, q
+
+    def _mul_num(self, x: Sequence[int], y: Sequence[int]) -> list:
+        """Integer numerators of x*y over the denominator ``_table_den``,
+        for numerator tuples x and y of two elements."""
+        d = len(x)
+        raw = [0] * (2 * d - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y, i):
+                    raw[j] += xi * yj
+        t = self._table_den
+        out = raw[:d] if t == 1 else [c * t for c in raw[:d]]
+        for c, row in zip(raw[d:], self._table):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return out
 
     # -- element constructors -----------------------------------------------
 
@@ -354,10 +391,13 @@ class RealNumberField:
             raise ParseError(
                 "coefficient vector longer than field degree %d" % self.degree)
         vec += [_ZERO] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return _reduced(self, [c.numerator * (den // c.denominator) for c in vec], den)
 
     def rational(self, value: Rat) -> "FieldElement":
-        return self.element([Fraction(value)])
+        value = Fraction(value)
+        return FieldElement(self, (value.numerator,) + (0,) * (self.degree - 1),
+                            value.denominator)
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -367,7 +407,7 @@ class RealNumberField:
 
     def gen(self) -> "FieldElement":
         if self.degree == 1:
-            return self.rational(self._lo)
+            return self.rational(Fraction(self._a, self._q))
         return self.element([0, 1])
 
     def coerce(self, value) -> "FieldElement":
@@ -386,17 +426,17 @@ class RealNumberField:
             return True
         if not isinstance(other, RealNumberField) or other.minpoly != self.minpoly:
             return False
+        (s_lo, s_hi), (o_lo, o_hi) = self._bracket(), other._bracket()
         if self.degree == 1:
-            same = self._lo == other._lo
+            same = s_lo == o_lo
         else:
             # both intervals bracket exactly one root; same root iff the
             # overlap still holds one
-            if self._lo >= other._hi or other._lo >= self._hi:
+            if s_lo >= o_hi or o_lo >= s_hi:
                 same = False
             else:
-                lo, hi = max(self._lo, other._lo), min(self._hi, other._hi)
-                fr = [Fraction(c) for c in self.minpoly]
-                same = count_real_roots(fr, lo, hi) == 1
+                lo, hi = max(s_lo, o_lo), min(s_hi, o_hi)
+                same = count_real_roots(self.minpoly, lo, hi) == 1
         if same:
             self._equal_ids.add(id(other))
             other._equal_ids.add(id(self))
@@ -410,18 +450,40 @@ class RealNumberField:
 
     def __repr__(self):
         return "RealNumberField(%s, root in (%s, %s))" % (
-            format_poly(self.minpoly, "x"), self._lo, self._hi)
+            (format_poly(self.minpoly, "x"),) + self._bracket())
 
 
 class FieldElement:
-    """Immutable element of a RealNumberField."""
+    """Immutable element of a RealNumberField: sum(num[i] * g^i) / den.
 
-    __slots__ = ("field", "coeffs", "_fb")
+    ``num`` is a tuple of field-degree many ints and ``den`` a positive int
+    with gcd(den, *num) == 1, so equality is a tuple compare.  ``coeffs``
+    gives the same element as a tuple of Fractions, built on first use.
 
-    def __init__(self, field: RealNumberField, coeffs: tuple):
+    The sign comes from interval Horner on integers over the field's root
+    bracket a/q < g < b/q: it is decided once the enclosure of
+    q^(d-1) * sum(num[i] * g^i) excludes zero, and otherwise the bracket is
+    bisected further.
+    """
+
+    __slots__ = ("field", "num", "den", "_coeffs", "_fb")
+
+    def __init__(self, field: RealNumberField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._coeffs = None
         self._fb = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Fractions, ascending in g."""
+        c = self._coeffs
+        if c is None:
+            den = self.den
+            c = tuple(Fraction(n, den) for n in self.num)
+            self._coeffs = c
+        return c
 
     # -- coercion -----------------------------------------------------------
 
@@ -438,16 +500,16 @@ class FieldElement:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         """The exact rational value; raises ValueError if irrational."""
         if not self.is_rational():
             raise ValueError("element is not rational: %s" % self)
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations ------------------------------------------------------
 
@@ -455,20 +517,26 @@ class FieldElement:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field, [a + b for a, b in zip(self.num, o.num)], da)
+        return _reduced(self.field,
+                        [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.coeffs))
+        return FieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field, [a - b for a, b in zip(self.num, o.num)], da)
+        return _reduced(self.field,
+                        [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._pair(other)
@@ -480,47 +548,49 @@ class FieldElement:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        raw = [_ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        raw[i + j] += a * b
-        out = list(raw[:d])
-        gpow = self.field._gpow
-        for k in range(d, 2 * d - 1):
-            c = raw[k]
-            if c:
-                rep = gpow[k - d]
-                for i in range(d):
-                    out[i] += c * rep[i]
-        return FieldElement(self.field, tuple(out))
+        field = self.field
+        return _reduced(field, field._mul_num(self.num, o.num),
+                        self.den * o.den * field._table_den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
+        field, num, den = self.field, self.num, self.den
+        d = len(num)
         if self.is_rational():
-            return self.field.rational(1 / self.coeffs[0])
-        # extended euclid: s*self + t*minpoly = 1 in Q[x]
-        a = _strip(list(self.coeffs))
-        b = [Fraction(c) for c in self.field.minpoly]
-        s0, s1 = [_ONE], []
-        r0, r1 = a, b
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        # r0 = gcd, a nonzero constant because minpoly is irreducible
-        if len(r0) != 1:
-            raise InternalCheckError("gcd with irreducible polynomial not constant")
-        inv = _poly_scale(s0, 1 / r0[0])
-        d = self.field.degree
-        if len(inv) > d:
-            _, inv = _poly_divmod(inv, b)
-        return self.field.element(inv)
+            s = 1 if num[0] > 0 else -1
+            return FieldElement(field, (s * den,) + (0,) * (d - 1), s * num[0])
+        # Column j of the integer matrix M is t * num * g^j, t the table
+        # denominator, so M y = t * den * e_0 means y . (1, g, ..) * self
+        # = 1.  Fraction-free Gauss-Jordan elimination on [M | rhs] leaves
+        # the last pivot p = +-det(M) on the diagonal and p * y in the
+        # last column; every division in it is exact.
+        t = field._table_den
+        cols = [field._mul_num(num, (0,) * j + (1,) + (0,) * (d - 1 - j))
+                for j in range(d)]
+        rows = [[col[i] for col in cols] + [t * den if i == 0 else 0]
+                for i in range(d)]
+        prev = 1
+        for k in range(d):
+            sel = next((r for r in range(k, d) if rows[r][k]), None)
+            if sel is None:
+                raise InternalCheckError(
+                    "multiplication matrix of a nonzero element is singular")
+            rows[k], rows[sel] = rows[sel], rows[k]
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            for i in range(d):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(p * x - f * y) // prev
+                               for x, y in zip(rows[i], pivot_row)]
+            prev = p
+        out = [row[d] for row in rows]
+        if prev < 0:
+            out, prev = [-c for c in out], -prev
+        return _reduced(field, out, prev)
 
     def __truediv__(self, other):
         o = self._pair(other)
@@ -553,31 +623,35 @@ class FieldElement:
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
         if self.is_rational():
-            c = self.coeffs[0]
+            c = self.num[0]
             return (c > 0) - (c < 0)
         field = self.field
-        for _ in range(300):
-            lo, hi = _poly_eval_interval(self.coeffs, field._lo, field._hi)
+        for _ in range(_MAX_ROUNDS):
+            lo, hi = _enclose(self.num, field._a, field._b, field._q)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            field._refine(16)
-        raise InternalCheckError("sign of nonzero element did not resolve")
+            field._refine(_ROUND_BISECTIONS)
+        raise InternalCheckError(
+            "sign of nonzero element did not resolve within _MAX_ROUNDS = %d "
+            "rounds of %d bisections" % (_MAX_ROUNDS, _ROUND_BISECTIONS))
 
     def approx(self, bits: int = 53) -> RationalInterval:
         """Rational enclosure of width at most 2**-bits."""
-        target = Fraction(1, 2 ** bits)
         if self.is_rational():
-            c = self.coeffs[0]
+            c = Fraction(self.num[0], self.den)
             return RationalInterval(c, c)
         field = self.field
-        for _ in range(300):
-            lo, hi = _poly_eval_interval(self.coeffs, field._lo, field._hi)
-            if hi - lo <= target:
-                return RationalInterval(lo, hi)
-            field._refine(16)
-        raise InternalCheckError("enclosure did not converge")
+        for _ in range(_MAX_ROUNDS):
+            lo, hi = _enclose(self.num, field._a, field._b, field._q)
+            scale = self.den * field._q ** (len(self.num) - 1)
+            if (hi - lo) << bits <= scale:
+                return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+            field._refine(_ROUND_BISECTIONS)
+        raise InternalCheckError(
+            "enclosure did not reach 2**-%d within _MAX_ROUNDS = %d rounds of "
+            "%d bisections" % (bits, _MAX_ROUNDS, _ROUND_BISECTIONS))
 
     def float_bounds(self) -> tuple:
         """Cached conservative float enclosure (lo, hi), for prefilters only."""
@@ -597,7 +671,7 @@ class FieldElement:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -631,7 +705,9 @@ class FieldElement:
         return -self if self.sign() < 0 else self
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
+        # a Fraction with denominator 1 hashes like its int
+        key = self.num if self.den == 1 else self.coeffs
+        return hash((self.field.minpoly, key))
 
     def __repr__(self):
         return format_element(self)
@@ -694,8 +770,10 @@ def element_minimal_polynomial(el: FieldElement) -> tuple:
                         and count_real_roots(poly, lo, hi) == 1:
                     return poly, RationalInterval(lo, hi)
                 bits += 20
-                if bits > 2000:
-                    raise InternalCheckError("failed to isolate element root")
+                if bits > _MAX_ISOLATION_BITS:
+                    raise InternalCheckError(
+                        "failed to isolate element root within "
+                        "_MAX_ISOLATION_BITS = %d" % _MAX_ISOLATION_BITS)
     raise InternalCheckError("no minimal polynomial found")
 
 

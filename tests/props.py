@@ -1,10 +1,5 @@
-"""Shared property-test bodies.
-
-The per-module test files run these with a quick example budget; the
-acceptance suite reruns them at its own, larger budgets.  Keeping one body
-for both guarantees the acceptance run exercises exactly the checked
-properties.
-"""
+"""Shared property-test bodies and strategies for the per-module test
+files."""
 
 from fractions import Fraction
 

@@ -25,6 +25,7 @@ from pafix.exactnum import (
     parse_poly,
 )
 
+from fracref import RefField
 from props import check_ring_axioms, element_vectors
 
 
@@ -281,6 +282,73 @@ CUBIC_FIELD = RealNumberField.create([-2, 0, 0, 1], 1, 2)  # x^3 - 2
 @given(element_vectors(3), element_vectors(3), element_vectors(3))
 def test_ring_axioms_cubic(va, vb, vc):
     check_ring_axioms(CUBIC_FIELD, va, vb, vc)
+
+
+# (ascending minpoly, root bracket): monic and non-monic quadratics and
+# cubics, and a degree-one field
+REFERENCE_FIELDS = [
+    ((-1, -1, 1), 1, 2),  # golden x^2 - x - 1
+    ((1, -3, 1), 2, 3),  # trace 3 x^2 - 3x + 1
+    ((-1, -2, 2), 1, 2),  # non-monic 2x^2 - 2x - 1, root (1 + sqrt 3)/2
+    ((-2, 0, 0, 1), 1, 2),  # x^3 - 2
+    ((-1, -2, 0, 2), 1, 2),  # non-monic 2x^3 - 2x - 1
+    ((-3, 2), 1, 2),  # 2x - 3
+]
+
+
+def assert_matches_reference(ref, el, vec):
+    assert el.coeffs == vec
+    assert el.den > 0 and math.gcd(el.den, *el.num) == 1
+    assert el.num == tuple(c * el.den for c in vec)
+    assert hash(el) == ref.hash(vec)
+    assert el.sign() == ref.sign(vec)
+
+
+@pytest.mark.parametrize("poly, lo, hi", REFERENCE_FIELDS)
+def test_integer_arithmetic_matches_fraction_reference(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+    ref = RefField(poly, lo, hi)
+    d = K.degree
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_vectors(d), element_vectors(d))
+    def check(va, vb):
+        a, b = K.element(va), K.element(vb)
+        ra, rb = ref.vec(va), ref.vec(vb)
+        assert_matches_reference(ref, a, ra)
+        assert_matches_reference(ref, a + b, ref.add(ra, rb))
+        assert_matches_reference(ref, a - b, ref.sub(ra, rb))
+        assert_matches_reference(ref, -a, ref.sub(ref.vec([]), ra))
+        assert_matches_reference(ref, a * b, ref.mul(ra, rb))
+        assert_matches_reference(ref, a * a, ref.mul(ra, ra))
+        if any(rb):
+            assert_matches_reference(ref, b.inverse(), ref.inverse(rb))
+            assert_matches_reference(ref, a / b, ref.div(ra, rb))
+        assert (a == b) == (ra == rb)
+        assert (a == a + 0) and hash(a) == hash(a + 0)
+
+    check()
+
+
+@pytest.mark.parametrize("poly, lo, hi", REFERENCE_FIELDS[:-1])
+def test_sign_near_zero_matches_fraction_reference(poly, lo, hi):
+    # g - k/2^bits for the dyadic k/2^bits just below g, found by bisection
+    # on the reference: the sign must refine the bracket to that precision
+    K = RealNumberField.create(poly, lo, hi)
+    ref = RefField(poly, lo, hi)
+    for bits in (20, 60, 120):
+        k_lo, k_hi = lo << bits, hi << bits
+        while k_hi - k_lo > 1:
+            mid = (k_lo + k_hi) // 2
+            if ref.sign(ref.vec([-Fraction(mid, 2 ** bits), 1])) > 0:
+                k_lo = mid
+            else:
+                k_hi = mid
+        g = K.gen()
+        assert (g - Fraction(k_lo, 2 ** bits)).sign() == 1
+        assert (Fraction(k_hi, 2 ** bits) - g).sign() == 1
+        near = g * g - g * Fraction(k_lo, 2 ** bits)  # g (g - k/2^bits)
+        assert near.sign() == ref.sign(near.coeffs) == 1
 
 
 def test_docstrings():

@@ -224,3 +224,57 @@ def test_markov_interval_clears_the_stretch_factor(torus):
     assert lo <= hi
     shifted = 2 * hi - 3
     assert shifted >= 0 and shifted * shifted >= 5
+
+
+# records(), total, Lefschetz number and index sum, pinned as produced by
+# the tuple-of-Fractions field arithmetic; a change of representation must
+# neither reorder the points (sorted by repr of their keys) nor reformat
+# their coordinates
+GOLDEN_RECORDS = {
+    ((2, 1), (1, 1), 1): (1, -1, [
+        ('marked', 0, '0', '0', -1),
+    ]),
+    ((2, 1), (1, 1), 2): (5, -5, [
+        ('marked', 0, '0', '0', -1),
+        ('regular', 0, '1/5*g - 1/5', '1/5*g - 2/5', -1),
+        ('regular', 0, '2/5*g - 1/5', '2/5*g - 1', -1),
+        ('regular', 0, '2/5*g - 2/5', '2/5*g - 4/5', -1),
+        ('regular', 0, '1/5*g', '1/5*g - 3/5', -1),
+    ]),
+    ((2, 1), (1, 1), 3): (16, -16, [
+        ('marked', 0, '0', '0', -1),
+        ('regular', 0, '1/10*g + 1/10', '1/10*g - 2/5', -1),
+        ('regular', 0, '1/20*g + 1/20', '1/20*g - 1/5', -1),
+        ('regular', 0, '3/20*g + 3/20', '3/20*g - 3/5', -1),
+        ('regular', 0, '2/5*g - 1/10', '2/5*g - 11/10', -1),
+        ('regular', 0, '1/2*g - 1/4', '1/2*g - 5/4', -1),
+        ('regular', 0, '3/10*g + 1/20', '3/10*g - 19/20', -1),
+        ('regular', 0, '3/20*g - 1/10', '3/20*g - 7/20', -1),
+        ('regular', 0, '1/5*g - 1/20', '1/5*g - 11/20', -1),
+        ('regular', 0, '1/4*g - 1/4', '1/4*g - 1/2', -1),
+        ('regular', 0, '3/10*g - 1/5', '3/10*g - 7/10', -1),
+        ('regular', 0, '7/20*g - 2/5', '7/20*g - 13/20', -1),
+        ('regular', 0, '9/20*g - 3/10', '9/20*g - 21/20', -1),
+        ('regular', 0, '7/20*g - 3/20', '7/20*g - 9/10', -1),
+        ('regular', 0, '2/5*g - 7/20', '2/5*g - 17/20', -1),
+        ('regular', 0, '1/4*g', '1/4*g - 3/4', -1),
+    ]),
+    ((3, 1), (2, 1), 1): (2, -2, [
+        ('marked', 0, '0', '0', -1),
+        ('regular', 0, '1/12*g + 1/12', '1/12*g - 5/12', -1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("row0, row1, n", sorted(GOLDEN_RECORDS))
+def test_golden_records(torus, row0, row1, n):
+    if (row0, row1) == ((2, 1), (1, 1)):
+        surface, f, cache = torus
+    else:
+        surface, f = torus_from_matrix([list(row0), list(row1)])
+        cache = EdgeCache()
+    g = f if n == 1 else f.power(n)
+    rep = count_fixed_points(g, cache)
+    total, lefschetz, records = GOLDEN_RECORDS[(row0, row1, n)]
+    assert repr(rep.records()) == repr(records)
+    assert (rep.total, rep.lefschetz, rep.index_sum) == (total, lefschetz, lefschetz)
