@@ -61,6 +61,8 @@ class PiecewiseAffineMap:
                  validate: bool = True):
         self.surface = surface
         self.pieces = list(pieces)
+        # threshold -> section, filled by veering.annular_avoiding_f_section
+        self._sections: dict = {}
         self._by_chart: List[list] = [[] for _ in surface.polygons]
         for piece in self.pieces:
             if not 0 <= piece.chart < len(surface.polygons):
@@ -173,8 +175,15 @@ class PiecewiseAffineMap:
     # -- evaluation -------------------------------------------------------------
 
     def piece_at(self, sp: SurfacePoint) -> Piece:
+        """The piece whose region holds sp: one holding it in its
+        interior, else the first holding it on its boundary.  Both float
+        boxes are conservative, so a piece skipped for a disjoint box is
+        one that does not contain sp."""
+        box = float_box((sp.pos,))
         best = None
         for piece in self._by_chart[sp.chart]:
+            if boxes_disjoint(box, piece.region.float_bbox()):
+                continue
             c = piece.region.contains(sp.pos)
             if c == 2:
                 return piece
@@ -313,6 +322,7 @@ class PowerAutomorphism(AffineAutomorphism):
         self.surface = base.surface
         self.lambda_ = base.lambda_ ** n
         self._materialized: Optional[PiecewiseAffineMap] = None
+        self._sections: dict = {}
         perm = {k: k for k in base.singularity_permutation}
         for _ in range(n):
             perm = {k: base.singularity_permutation[v] for k, v in perm.items()}

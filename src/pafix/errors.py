@@ -134,19 +134,6 @@ class NotFixed(InputError):
     """Point claimed fixed is not actually fixed by the map."""
 
 
-class NoEssentialCrossing(InputError):
-    """Curve misses every annulus crossing needed for a projection."""
-
-
-class NonStabilizing(InputError):
-    """Iterative projection failed to stabilize within the step cap."""
-
-
-class DegenerateCurve(InputError):
-    """Curve input is trivial or null-homotopic where a core curve is
-    required."""
-
-
 class NotCylinder(InputError):
     """Region claimed to be a flat cylinder is not one."""
 
@@ -158,7 +145,3 @@ class NotFilling(InputError):
 class UnsupportedSurface(InputError):
     """Operation is restricted to a subclass of surfaces (for example cone
     angles at least 2*pi) and the input falls outside it."""
-
-
-class CorruptDataFile(InputError):
-    """Bundled or user data file failed validation on load."""

@@ -34,7 +34,6 @@ from .saddle import (
     _place_key,
     _place_unapply,
     _wedge_contains,
-    is_veering_edge,
 )
 from .veering import (
     EdgeCache,
@@ -42,7 +41,7 @@ from .veering import (
     _derivative_matrix,
     _vertex_fan_positions,
     annular_avoiding_f_section,
-    apply_to_edge,
+    apply_to_edge,  # kept importable as fixcount.apply_to_edge
     f_section,
     section_size,
 )
@@ -212,12 +211,12 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection,
     Points are deduplicated by canonical coordinates."""
     cache = cache or EdgeCache()
     surface = sigma.surface
-    rect = is_veering_edge(sigma)
+    rect = cache.rect(sigma)
     if rect is None:
         raise NotVeering(
             "connection with holonomy (%s, %s) spans a singular rectangle"
             % (sigma.hol.x, sigma.hol.y))
-    image = apply_to_edge(f, sigma, cache)
+    image = cache.image(f, sigma)
     s = _image_sign(f, sigma, image)
     dmat = _derivative_matrix(f)
     d1 = dmat.a if s == 1 else -dmat.a
@@ -394,11 +393,13 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
 # ---------------------------------------------------------------------------
 # the main counter
 
-def count_fixed_points(f, cache: Optional[EdgeCache] = None) -> FixReport:
+def count_fixed_points(f) -> FixReport:
     """Exact Fix(f): rectangle solves over an annular-avoiding f-section,
-    deduplicated, plus the fixed singular and marked points."""
-    cache = cache or EdgeCache()
+    deduplicated, plus the fixed singular and marked points.  The
+    section and its EdgeCache are the ones the oracle and the Markov
+    bound get for the same map."""
     section = annular_avoiding_f_section(f)
+    cache = section.cache
     per_edge = {}
     seen: Dict[str, FixedPoint] = {}
     for e in section.edges:
@@ -407,7 +408,7 @@ def count_fixed_points(f, cache: Optional[EdgeCache] = None) -> FixReport:
         for fp in pts:
             seen.setdefault(repr(fp.key), fp)
     points = list(seen.values()) + _singular_fixed_points(f)
-    lef = lefschetz_number(f, section=section, cache=cache)
+    lef = lefschetz_number(f, section=section)
     return FixReport(points, per_edge, lef, "fundamental")
 
 
@@ -417,7 +418,7 @@ def max_edge(T: Section, f) -> SaddleConnection:
     best = None
     best_n = -1
     for e in T.edges:
-        image = apply_to_edge(f, e, T.cache)
+        image = T.cache.image(f, e)
         n = len(_crossing_data(e, image))
         if n > best_n:
             best, best_n = e, n
@@ -550,7 +551,7 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
     for face in T.triangles:
         tri, seeds = _face_development(face)
         cover = _cover_region(surface, seeds, tri)
-        images = tuple(apply_to_edge(f, r, cache) for r in face)
+        images = tuple(cache.image(f, r) for r in face)
         itri, iseeds = _face_development(images)
         icover = _cover_region(surface, iseeds, itri)
         s = _image_sign(f, face[0], images[0])
@@ -587,7 +588,7 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                     seen[repr(key)] = FixedPoint(
                         rep.chart, rep.pos, "regular", -1, key)
     points = list(seen.values()) + _singular_fixed_points(f)
-    lef = lefschetz_number(f, section=T, cache=cache)
+    lef = lefschetz_number(f, section=T)
     return FixReport(points, {}, lef, "oracle")
 
 
@@ -729,7 +730,7 @@ def lefschetz_number(f, section: Optional[Section] = None,
     ne = len(edges)
     phi = sympy.zeros(ne, ne)
     for j, e in enumerate(edges):
-        image = apply_to_edge(f, e, cache)
+        image = cache.image(f, e)
         for c, coeff in comb.chain_of(image).items():
             phi[idx[c], j] = coeff
     ends = {}
@@ -867,14 +868,14 @@ def markov_upper_bound(f, pair_budget: int = 200000) -> MarkovBound:
     each section rectangle by every image rectangle and scales its trace;
     otherwise falls back to the edge-image crossing numbers, which bound
     the per-rectangle branch counts from above."""
-    cache = EdgeCache()
     section = annular_avoiding_f_section(f)
+    cache = section.cache
     surface = section.surface
     chi = section_size(surface) // 3
     nsing = len(surface.cone_points)
     rects = [cache.rect(e) for e in section.edges]
-    images = [apply_to_edge(f, e, cache) for e in section.edges]
-    irects = [is_veering_edge(im) for im in images]
+    images = [cache.image(f, e) for e in section.edges]
+    irects = [cache.rect(im) for im in images]
     if any(r is None for r in irects):
         raise InternalCheckError("image of a veering edge is not veering")
     work = sum(len(r.placements) for r in rects) \

@@ -326,10 +326,6 @@ class FlatSurface:
             total = total + poly.area2()
         return total
 
-    def singular_classes(self):
-        """Cone points with angle != 2*pi (true singularities)."""
-        return [cp for cp in self.cone_points if cp.angle_pi != 2]
-
     def vertex_point(self, cls: int) -> SurfacePoint:
         p, v = sorted(self._class_corners[cls])[0]
         return SurfacePoint(p, self.polygons[p].vertices[v])
@@ -375,10 +371,6 @@ class FlatSurface:
 
     def same_point(self, a: SurfacePoint, b: SurfacePoint) -> bool:
         return self.canonical_point(a)[:2] == self.canonical_point(b)[:2]
-
-    def locate(self, sp: SurfacePoint) -> int:
-        """Containment class of the position in its chart (2/1/0)."""
-        return self.polygons[sp.chart].contains(sp.pos)
 
     def __repr__(self):
         return "FlatSurface(%d polygons, genus %d, %d cone points)" % (

@@ -329,18 +329,6 @@ class ConvexPolygon:
                 return None
         return poly
 
-    def centroid(self) -> Vec2:
-        vs = self.vertices
-        sx = vs[0].field.zero()
-        sy = vs[0].field.zero()
-        for v in vs:
-            sx = sx + v.x
-            sy = sy + v.y
-        n = len(vs)
-        from fractions import Fraction
-        inv = Fraction(1, n)
-        return Vec2(sx * inv, sy * inv)
-
     def __eq__(self, o):
         return isinstance(o, ConvexPolygon) and self.vertices == o.vertices
 

@@ -23,6 +23,14 @@ from .exactnum import FieldElement, format_element
 from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, boxes_disjoint, on_segment, segment_intersection
 
+# Node budgets of the unfolding searches; each overflow error names its own.
+# Nodes popped by one corner's visibility search in enumerate_saddles.
+_VISIBILITY_NODES = 200000
+# Placements popped while unfolding one spanning rectangle.
+_RECT_UNFOLD_NODES = 20000
+# Placements popped while developing one band beside a closed leaf.
+_BAND_NODES = 20000
+
 
 # ---------------------------------------------------------------------------
 # exact integer parts of field-element ratios
@@ -260,10 +268,6 @@ class SaddleConnection:
     def start_class(self) -> int:
         return self.surface.corner_class[self.start_corner]
 
-    @property
-    def end_class(self) -> int:
-        return self.surface.corner_class[self.end_corner]
-
     def length_sq(self) -> FieldElement:
         return self.hol.dot(self.hol)
 
@@ -296,10 +300,6 @@ class SaddleConnection:
         """Deterministic representative of the unoriented connection."""
         rev = self.reverse()
         return self if _key_less(self.sort_key(), rev.sort_key()) else rev
-
-    def unoriented_key(self):
-        a, b = self.sort_key(), self.reverse().sort_key()
-        return _freeze_key(a if _key_less(a, b) else b)
 
     def point_at(self, t) -> SurfacePoint:
         """Point at parameter t in (0, 1) along the connection."""
@@ -344,17 +344,6 @@ def _key_less(a, b) -> bool:
             continue
         return x < y
     return len(a) < len(b)
-
-
-def _freeze_key(key):
-    """Hashable form of a sort key (FieldElements by coefficient tuple)."""
-    out = []
-    for x in key:
-        if isinstance(x, FieldElement):
-            out.append(("el", x.coeffs))
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 class _OrderAdapter:
@@ -425,9 +414,10 @@ def _box_candidates(surface, corner, bx, by):
     while stack:
         (p, eps, shift), w1, w2, entry = stack.pop()
         popped += 1
-        if popped > 200000:
-            raise InternalCheckError("visibility search exploded; the "
-                                     "holonomy bound is too large")
+        if popped > _VISIBILITY_NODES:
+            raise InternalCheckError(
+                "visibility search exceeded _VISIBILITY_NODES = %d nodes; the "
+                "holonomy bound is too large" % _VISIBILITY_NODES)
         ppoly = surface.polygons[p]
         placed = [_place_apply(eps, shift, v) for v in ppoly.vertices]
         for w in placed:
@@ -615,8 +605,10 @@ def _develop_rect(surface, sc, bounds):
     while queue:
         chart, eps, shift = queue.pop()
         popped += 1
-        if popped > 20000:
-            raise InternalCheckError("rectangle unfolding exploded")
+        if popped > _RECT_UNFOLD_NODES:
+            raise InternalCheckError(
+                "rectangle unfolding exceeded _RECT_UNFOLD_NODES = %d "
+                "placements" % _RECT_UNFOLD_NODES)
         poly = surface.polygons[chart]
         placed = [_place_apply(eps, shift, v) for v in poly.vertices]
         for w in placed:
@@ -1041,8 +1033,10 @@ def _develop_band(surface, items, t_plane, d, side, ref):
             if (min_v - best_h).sign() >= 0:
                 continue
         popped += 1
-        if popped > 20000:
-            raise InternalCheckError("band development exploded")
+        if popped > _BAND_NODES:
+            raise InternalCheckError(
+                "band development exceeded _BAND_NODES = %d placements"
+                % _BAND_NODES)
         for idx, (w, v) in enumerate(zip(placed, vs)):
             if v.sign() > 0:
                 if best_h is None or (v - best_h).sign() < 0:

@@ -10,9 +10,12 @@ affine automorphism, cuts out the pocket between two crossing edges,
 and layers the automorphism's mapping torus into ideal tetrahedra, one
 per flip.
 
-All geometry is exact.  Most routines take or share an EdgeCache; on
-surfaces of any size the pairwise crossing numbers dominate the cost
-and the cache makes repeated sweeps affordable.
+All geometry is exact.  Most routines take or share an EdgeCache, which
+memoises reverses, canonical representatives, crossing numbers, spanning
+rectangles and edge images under a map; on surfaces of any size the
+pairwise crossing numbers dominate the cost and the cache makes repeated
+sweeps affordable.  annular_avoiding_f_section keeps its section on the
+map, so every counter run on one map shares one section and one cache.
 """
 
 from fractions import Fraction
@@ -88,17 +91,23 @@ def section_size(surface: FlatSurface) -> int:
 
 class EdgeCache:
     """Shared memo for reverses, canonical representatives, crossing
-    numbers, and spanning rectangles.
+    numbers, spanning rectangles, and edge images under maps.
 
     Crossing numbers are the expensive primitive; every sweep in this
     module hits the same pairs repeatedly, so one cache is threaded
-    through sections, flips, and order tests."""
+    through sections, flips, and order tests.  Rectangles are keyed by
+    the oriented edge, because a rectangle's bounds and placements live
+    in that orientation's walk frame.  Images are keyed by (map,
+    oriented edge) and hold the map itself, never its id, so one cache
+    may serve short-lived maps such as f.power(n) without confusing
+    them."""
 
     def __init__(self):
         self.rev: Dict[SaddleConnection, SaddleConnection] = {}
         self.canon: Dict[SaddleConnection, SaddleConnection] = {}
         self.cross: Dict[tuple, int] = {}
         self.rects: Dict[SaddleConnection, object] = {}
+        self.images: Dict[tuple, SaddleConnection] = {}
         self.boxes: Dict[tuple, tuple] = {}
 
     def box_candidates(self, surface, box: int):
@@ -153,12 +162,21 @@ class EdgeCache:
         return n
 
     def rect(self, sc: SaddleConnection):
-        """Spanning rectangle of the unoriented edge, or None when the
-        rectangle develops over a singularity (not a veering edge)."""
-        c = self.canonical(sc)
-        if c not in self.rects:
-            self.rects[c] = is_veering_edge(c)
-        return self.rects[c]
+        """is_veering_edge(sc): the spanning rectangle in sc's own walk
+        frame, or None when the rectangle develops over a singularity
+        (not a veering edge)."""
+        if sc not in self.rects:
+            self.rects[sc] = is_veering_edge(sc)
+        return self.rects[sc]
+
+    def image(self, f, sc: SaddleConnection) -> SaddleConnection:
+        """apply_to_edge(f, sc, self), computed once per (f, sc)."""
+        key = (f, sc)
+        im = self.images.get(key)
+        if im is None:
+            im = apply_to_edge(f, sc, self)
+            self.images[key] = im
+        return im
 
 
 def _slope_abs_less(a: Vec2, b: Vec2) -> int:
@@ -550,10 +568,10 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
         break
     if walked is None:
         raise InternalCheckError("no diagonal replaces the flipped edge")
-    if cache.rect(walked) is None:
+    new_c = cache.canonical(walked)
+    if cache.rect(new_c) is None:
         raise NotFlippable(
             "replacement diagonal spans a rectangle containing a singularity")
-    new_c = cache.canonical(walked)
     new_edges = [e for e in section.edges if e != c]
     new_edges.append(new_c)
     return Section(section.surface, new_edges, cache), new_c, walked
@@ -683,7 +701,7 @@ def apply_to_edge(f, sc: SaddleConnection,
 def apply_to_section(f, section: Section) -> Section:
     """Image section; validation re-checks that the automorphism sent
     veering edges to veering edges."""
-    images = [apply_to_edge(f, e, section.cache) for e in section.edges]
+    images = [section.cache.image(f, e) for e in section.edges]
     return Section(section.surface, images, section.cache)
 
 
@@ -701,8 +719,7 @@ def f_section(f, start: Optional[Section] = None) -> Section:
         start = complete_to_section(f.surface)
     cache = start.cache
     cur = start
-    images = {e: cache.canonical(apply_to_edge(f, e, cache))
-              for e in cur.edges}
+    images = {e: cache.canonical(cache.image(f, e)) for e in cur.edges}
     for _ in range(_SWEEP_CAP):
         offenders = []
         for e in cur.edges:
@@ -725,7 +742,7 @@ def f_section(f, start: Optional[Section] = None) -> Section:
             except NotFlippable:
                 continue
             del images[e]
-            images[new_c] = cache.canonical(apply_to_edge(f, new_c, cache))
+            images[new_c] = cache.canonical(cache.image(f, new_c))
             cur = nxt
             moved = True
             break
@@ -738,13 +755,22 @@ def f_section(f, start: Optional[Section] = None) -> Section:
 def annular_avoiding_f_section(f, threshold: int = _DEGREE_THRESHOLD) -> Section:
     """An f-section avoiding deep annular pockets: flip down through
     any cylinder certified by a spanning rectangle of degree >=
-    threshold, keeping the f-section property at every step."""
+    threshold, keeping the f-section property at every step.
+
+    The result is kept on the map (f._sections, one per threshold), so
+    repeated calls return the same Section and its EdgeCache, with the
+    images under f already filled in.  The section is shared: callers
+    must not mutate it or its cache's entries."""
+    memo = f._sections
+    if threshold in memo:
+        return memo[threshold]
     cur = f_section(f)
     cache = cur.cache
     for _ in range(_SWEEP_CAP):
         offenders = [e for e in cur.edges
                      if cache.rect(e).degree >= threshold]
         if not offenders:
+            memo[threshold] = cur
             return cur
         moved = False
         for e in offenders:
@@ -1198,7 +1224,7 @@ def mapping_torus_layering(f, section: Optional[Section] = None) -> MappingTorus
         cur = rot_i
         pos_map = (0, 1, 2)
         for _ in range(len(top_keys) + 1):
-            img = tuple(apply_to_edge(f, sc, cache) for sc in cur)
+            img = tuple(cache.image(f, sc) for sc in cur)
             img_rot = _face_key(img)
             offset = None
             for o in range(3):

@@ -2,10 +2,14 @@
 the rectangle counter against the clip-everything oracle, Lefschetz numbers
 against 2 - tr(M^n), sandwich inequalities, and the Markov bound."""
 
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pafix import fixcount, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
@@ -62,7 +66,7 @@ def test_count_summaries_small_powers(torus):
     surface, f, cache = torus
     for n in (1, 2, 3):
         g = f if n == 1 else f.power(n)
-        rep = count_fixed_points(g, cache)
+        rep = count_fixed_points(g)
         total = TRACES[n] - 2
         assert rep.total == total
         assert rep.singular_count == 1
@@ -74,7 +78,7 @@ def test_count_summaries_small_powers(torus):
 
 def test_marked_point_is_the_only_fix_at_n1(torus):
     surface, f, cache = torus
-    rep = count_fixed_points(f, cache)
+    rep = count_fixed_points(f)
     (p,) = rep.points
     assert p.kind == "marked"
     assert p.index == -1
@@ -93,7 +97,7 @@ def test_oracle_agrees_on_exact_point_sets(torus):
     surface, f, cache = torus
     for n in (1, 2, 3):
         g = f if n == 1 else f.power(n)
-        rep = count_fixed_points(g, cache)
+        rep = count_fixed_points(g)
         oracle = oracle_count_fixed_points(g, f_section(g))
         assert oracle.method == "oracle"
         assert oracle.point_keys() == rep.point_keys()
@@ -193,18 +197,18 @@ def test_moving_point_has_no_index(torus):
 
 def test_fixed_point_identity_and_order(torus):
     surface, f, cache = torus
-    rep = count_fixed_points(f.power(2), cache)
+    rep = count_fixed_points(f.power(2))
     pts = rep.points
     assert len(set(pts)) == len(pts)
     assert list(pts) == sorted(pts, key=lambda p: p.sort_key())
-    again = count_fixed_points(f.power(2), EdgeCache())
+    again = count_fixed_points(f.power(2))
     assert again.point_keys() == rep.point_keys()
 
 
 def test_markov_bound_dominates_total(torus):
     surface, f, cache = torus
     mb = markov_upper_bound(f)
-    rep = count_fixed_points(f, cache)
+    rep = count_fixed_points(f)
     assert mb.method == "rectangle"
     assert int(mb) == 55
     assert mb >= rep.total
@@ -224,6 +228,49 @@ def test_markov_interval_clears_the_stretch_factor(torus):
     assert lo <= hi
     shifted = 2 * hi - 3
     assert shifted >= 0 and shifted * shifted >= 5
+
+
+def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
+    built = []
+    images = Counter()
+    real_complete = veering.complete_to_section
+    real_apply = veering.apply_to_edge
+
+    def complete(*args, **kwargs):
+        built.append(args[0])
+        return real_complete(*args, **kwargs)
+
+    def apply(f, sc, cache=None):
+        images[(f, sc)] += 1
+        return real_apply(f, sc, cache)
+
+    monkeypatch.setattr(veering, "complete_to_section", complete)
+    monkeypatch.setattr(veering, "apply_to_edge", apply)
+    monkeypatch.setattr(fixcount, "apply_to_edge", apply)
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    maps = (f, f.power(2))
+    for g in maps:
+        rep = count_fixed_points(g)
+        section = annular_avoiding_f_section(g)
+        oracle = oracle_count_fixed_points(g, section)
+        bound = markov_upper_bound(g)
+        assert oracle.point_keys() == rep.point_keys()
+        assert bound >= rep.total
+        oriented = {sc for face in section.triangles for sc in face}
+        assert oriented <= {sc for (h, sc) in images if h is g}
+    assert len(built) == len(maps)
+    assert set(images.values()) == {1}
+
+
+def test_counted_map_is_collected():
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    count_fixed_points(f)
+    oracle_count_fixed_points(f, annular_avoiding_f_section(f))
+    markov_upper_bound(f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 # records(), total, Lefschetz number and index sum, pinned as produced by
@@ -272,9 +319,8 @@ def test_golden_records(torus, row0, row1, n):
         surface, f, cache = torus
     else:
         surface, f = torus_from_matrix([list(row0), list(row1)])
-        cache = EdgeCache()
     g = f if n == 1 else f.power(n)
-    rep = count_fixed_points(g, cache)
+    rep = count_fixed_points(g)
     total, lefschetz, records = GOLDEN_RECORDS[(row0, row1, n)]
     assert repr(rep.records()) == repr(records)
     assert (rep.total, rep.lefschetz, rep.index_sum) == (total, lefschetz, lefschetz)

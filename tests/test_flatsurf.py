@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pafix.errors import (
     Discontinuous,
@@ -320,6 +322,54 @@ class TestTorusFromMatrix:
         assert total == surf.area2()
         for p in f.pieces:
             assert p.image().area2() == p.region.area2()
+
+
+@pytest.fixture(scope="module")
+def cat_maps():
+    """Cat map f and its materialised 16-piece square."""
+    surf, f = torus_from_matrix([[2, 1], [1, 1]])
+    f2 = f.power(2)
+    assert len(f.pieces) == 4 and len(f2.pieces) == 16
+    return f, f2
+
+
+def _exact_piece_scan(m, sp):
+    """piece_at without the float-box prefilter: exact contains on every
+    piece of the chart."""
+    best = None
+    for piece in m._by_chart[sp.chart]:
+        c = piece.region.contains(sp.pos)
+        if c == 2:
+            return piece
+        if c == 1 and best is None:
+            best = piece
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from((0, 1)), piece_idx=st.integers(0, 15),
+       corner=st.integers(0, 7),
+       kind=st.sampled_from(("vertex", "edge", "interior")),
+       weights=st.lists(st.integers(1, 9), min_size=3, max_size=3))
+def test_piece_at_prefilter_keeps_the_exact_answer(cat_maps, which, piece_idx,
+                                                   corner, kind, weights):
+    m = cat_maps[which]
+    piece = m.pieces[piece_idx % len(m.pieces)]
+    vs = piece.region.vertices
+    n = len(vs)
+    a, b, c = vs[corner % n], vs[(corner + 1) % n], vs[(corner + 2) % n]
+    field = a.x.field
+    if kind == "vertex":
+        pos = a
+    elif kind == "edge":
+        t = field.rational(Fraction(weights[0], weights[0] + weights[1]))
+        pos = a + (b - a).scale(t)
+    else:
+        tot = sum(weights)
+        wa, wb, wc = (field.rational(Fraction(w, tot)) for w in weights)
+        pos = a.scale(wa) + b.scale(wb) + c.scale(wc)
+    sp = SurfacePoint(piece.chart, pos)
+    assert m.piece_at(sp) is _exact_piece_scan(m, sp)
 
 
 # ---------------------------------------------------------------------------

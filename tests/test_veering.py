@@ -18,7 +18,7 @@ from pafix.errors import (
 from pafix.exactnum import RealNumberField
 from pafix.flatsurf import FlatSurface
 from pafix.geom import ConvexPolygon, Vec2
-from pafix.saddle import SaddleConnection, _corner_for_ray
+from pafix.saddle import SaddleConnection, _corner_for_ray, is_veering_edge
 from pafix.veering import (
     EdgeCache,
     Section,
@@ -325,6 +325,54 @@ def test_mapping_torus_format(torus):
 def test_annular_avoiding_equals_f_section_on_torus(torus):
     surface, f, cache = torus
     assert annular_avoiding_f_section(f) == f_section(f)
+
+
+def test_annular_avoiding_section_is_kept_on_the_map():
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    T = annular_avoiding_f_section(f)
+    assert annular_avoiding_f_section(f) is T
+    # another map, even a power of the same one, gets its own section
+    assert annular_avoiding_f_section(f.power(2)) is not T
+
+
+def test_edge_cache_images_are_per_map(torus):
+    surface, f, _ = torus
+    cache = EdgeCache()
+    T = complete_to_section(surface, (), cache)
+    oriented = [sc for e in T.edges for sc in (e, cache.reverse(e))]
+    # power maps are rebuilt every round and dropped at once, so a cache
+    # keyed by id() would hand a new map the images of a dead one
+    for n in (1, 2, 3, 2, 1, 3, 2):
+        for sc in oriented:
+            im = cache.image(f.power(n), sc)
+            assert im == apply_to_edge(f.power(n), sc)
+    for sc in oriented:
+        g = f.power(2)
+        im = cache.image(g, sc)
+        assert cache.image(g, sc) is im
+        assert im != cache.image(f, sc)
+
+
+def _rect_data(rect):
+    return (rect.bounds, rect.placements, rect.degree, rect.width,
+            rect.height)
+
+
+def test_edge_cache_rect_is_in_the_oriented_frame(torus):
+    surface, f, _ = torus
+    cache = EdgeCache()
+    T = complete_to_section(surface, (), cache)
+    frames_differ = 0
+    for e in T.edges:
+        r = cache.reverse(e)
+        assert cache.canonical(r) is e and r != e
+        assert _rect_data(cache.rect(r)) == _rect_data(is_veering_edge(r))
+        assert _rect_data(cache.rect(e)) == _rect_data(is_veering_edge(e))
+        if cache.rect(r).bounds != cache.rect(e).bounds:
+            frames_differ += 1
+    # the two orientations of an edge span their rectangle in different
+    # frames, so a cache keyed by the unoriented edge would mix them up
+    assert frames_differ > 0
 
 
 def _square_torus():
