@@ -197,6 +197,10 @@ class PiecewiseAffineMap:
         piece = self.piece_at(sp)
         return SurfacePoint(piece.target, piece.map.apply(sp.pos))
 
+    def derivative_sign_at(self, sp: SurfacePoint) -> int:
+        """Sign of the horizontal derivative of the piece holding sp."""
+        return self.piece_at(sp).map.mat.a.sign()
+
     def compose_with(self, inner: "PiecewiseAffineMap",
                      validate: bool = False) -> "PiecewiseAffineMap":
         """self after inner, pieces refined by exact polygon intersection."""
@@ -292,10 +296,6 @@ class AffineAutomorphism(PiecewiseAffineMap):
 
     def compose(self, other: "PiecewiseAffineMap") -> PiecewiseAffineMap:
         return self.compose_with(other)
-
-    def derivative_sign_at(self, sp: SurfacePoint) -> int:
-        piece = self.piece_at(sp)
-        return piece.map.mat.a.sign()
 
     def __repr__(self):
         return "AffineAutomorphism(%d pieces, lambda = %s)" % (

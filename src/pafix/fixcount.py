@@ -16,24 +16,19 @@ Coordinates, indices and counts are exact; no step rounds.
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    InputError,
-    InternalCheckError,
-    NotFixed,
-    NotVeering,
-    OverlappingSegments,
-)
+from .errors import InputError, InternalCheckError, NotFixed, NotVeering
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
-from .geom import ConvexPolygon, Vec2, on_segment, segment_intersection
+from .geom import ConvexPolygon, Vec2
 from .saddle import (
     SaddleConnection,
     _corner_for_ray,
     _place_apply,
-    _place_cross,
-    _place_key,
     _place_unapply,
     _wedge_contains,
+    crossings,
+    intersection_number,
+    unfold,
 )
 from .veering import (
     EdgeCache,
@@ -59,7 +54,11 @@ __all__ = [
     "oracle_count_fixed_points",
 ]
 
+# Placements expanded while covering one developed triangle.
 _COVER_CAP = 200000
+# Largest rectangle-pair work (placements x image placements) for which
+# markov_upper_bound builds the full crossing matrix.
+_PAIR_BUDGET = 200000
 
 
 class FixedPoint:
@@ -140,8 +139,7 @@ class FixReport:
 
 def _param_along(sc: SaddleConnection, plane_point: Vec2):
     """Parameter t with plane_point = start + t*hol, in the walk frame."""
-    chart0, vidx0 = sc.start_corner
-    p0 = sc.surface.polygons[chart0].vertices[vidx0]
+    p0 = sc.start_point().pos
     if not sc.hol.x.is_zero():
         return (plane_point.x - p0.x) / sc.hol.x
     return (plane_point.y - p0.y) / sc.hol.y
@@ -154,38 +152,14 @@ def _crossing_data(s1: SaddleConnection, s2: SaddleConnection):
     the parameter along s_i, pos is in chart coordinates, place_i is the
     (eps, shift) placement of that chart in s_i's walk frame, and side is
     the sign of cross(dir1, dir2).  One record per surface point."""
-    if s1.surface is not s2.surface:
-        raise InputError("connections live on different surfaces")
-    surface = s1.surface
-    out = {}
-    for (c1, a, b), (_, e1, sh1) in zip(s1.pieces, s1.placements):
-        for (c2, c, d), (_, e2, sh2) in zip(s2.pieces, s2.placements):
-            if c1 != c2:
-                continue
-            r = segment_intersection(a, b, c, d)
-            if r[0] == "none":
-                continue
-            if r[0] == "overlap":
-                if r[1] == r[2]:
-                    continue
-                raise OverlappingSegments(
-                    "connections share a parallel subsegment")
-            side = (b - a).cross(d - c).sign()
-            if side == 0:
-                # collinear endpoint touch, resolved in an adjacent chart
-                continue
-            p = r[1]
-            kind, key, _ = surface.canonical_point(SurfacePoint(c1, p))
-            if kind == "vertex" or key in out:
-                continue
-            t1 = _param_along(s1, _place_apply(e1, sh1, p))
-            t2 = _param_along(s2, _place_apply(e2, sh2, p))
-            out[key] = (t1, t2, c1, p, (e1, sh1), (e2, sh2), side)
-    return list(out.values())
-
-
-def _same_point(surface: FlatSurface, a: SurfacePoint, b: SurfacePoint) -> bool:
-    return surface.canonical_point(a)[1] == surface.canonical_point(b)[1]
+    out = []
+    for chart, p, i, j, side in crossings(s1, s2):
+        _, e1, sh1 = s1.placements[i]
+        _, e2, sh2 = s2.placements[j]
+        t1 = _param_along(s1, _place_apply(e1, sh1, p))
+        t2 = _param_along(s2, _place_apply(e2, sh2, p))
+        out.append((t1, t2, chart, p, (e1, sh1), (e2, sh2), side))
+    return out
 
 
 def _image_sign(f, sc: SaddleConnection, image: SaddleConnection) -> int:
@@ -221,10 +195,8 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection,
     dmat = _derivative_matrix(f)
     d1 = dmat.a if s == 1 else -dmat.a
     d2 = dmat.d if s == 1 else -dmat.d
-    chart0, vidx0 = sigma.start_corner
-    p0 = surface.polygons[chart0].vertices[vidx0]
-    qchart, qvidx = image.start_corner
-    q0 = surface.polygons[qchart].vertices[qvidx]
+    p0 = sigma.start_point().pos
+    q0 = image.start_point().pos
     x0, x1, y0, y1 = rect.bounds
     one = surface.field.one()
     found: Dict[object, FixedPoint] = {}
@@ -253,7 +225,7 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection,
         if sp is None:
             raise InternalCheckError(
                 "rectangle point escapes the rectangle's own unfolding")
-        if not _same_point(surface, f.apply(sp), sp):
+        if not surface.same_point(f.apply(sp), sp):
             continue
         kind, key, rep = surface.canonical_point(sp)
         if kind == "vertex":
@@ -290,24 +262,10 @@ def _horizontal_germs(surface: FlatSurface, cone):
     return germs
 
 
-def _point_charts(surface: FlatSurface, sp: SurfacePoint):
-    """sp together with its twin on the other side of a glued edge."""
-    out = [sp]
-    poly = surface.polygons[sp.chart]
-    n = len(poly)
-    for e in range(n):
-        a = poly.vertices[e]
-        b = poly.vertices[(e + 1) % n]
-        if on_segment(sp.pos, a, b) and sp.pos != a and sp.pos != b:
-            out.append(surface.cross_edge((sp.chart, e), sp.pos))
-            break
-    return out
-
-
 def _match_horizontal(surface: FlatSurface, cone, sp: SurfacePoint):
     """Germ of the horizontal ray reaching sp from a vertex of the cone's
     class inside one chart, or None when no vertex lines up."""
-    for rep in _point_charts(surface, sp):
+    for rep in surface.representatives(sp):
         ipoly = surface.polygons[rep.chart]
         for vi in range(len(ipoly)):
             if surface.corner_class[(rep.chart, vi)] != cone.id:
@@ -362,7 +320,7 @@ def fixed_point_index(p: FixedPoint, f) -> int:
     when it fixes each of them."""
     surface = f.surface
     sp = SurfacePoint(p.chart, p.pos)
-    if not _same_point(surface, f.apply(sp), sp):
+    if not surface.same_point(f.apply(sp), sp):
         raise NotFixed("point %r moves under the map" % (p,))
     if p.kind == "regular":
         return -1
@@ -379,7 +337,7 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
         if f.singularity_permutation.get(cone.id) != cone.id:
             continue
         sp = surface.vertex_point(cone.id)
-        if not _same_point(surface, f.apply(sp), sp):
+        if not surface.same_point(f.apply(sp), sp):
             raise InternalCheckError(
                 "singularity permutation fixes class %d but the point moves"
                 % cone.id)
@@ -418,8 +376,7 @@ def max_edge(T: Section, f) -> SaddleConnection:
     best = None
     best_n = -1
     for e in T.edges:
-        image = T.cache.image(f, e)
-        n = len(_crossing_data(e, image))
+        n = intersection_number(e, T.cache.image(f, e))
         if n > best_n:
             best, best_n = e, n
     return best
@@ -427,11 +384,6 @@ def max_edge(T: Section, f) -> SaddleConnection:
 
 # ---------------------------------------------------------------------------
 # triangle development for the oracle
-
-def _start_coords(sc: SaddleConnection) -> Vec2:
-    chart, vidx = sc.start_corner
-    return sc.surface.polygons[chart].vertices[vidx]
-
 
 def _transport_places(sc: SaddleConnection, t: Vec2):
     """sc's chart placements pushed through the translation z -> z + t."""
@@ -449,13 +401,13 @@ def _face_development(face):
         raise InternalCheckError("face boundary does not close up")
     if r0.hol.cross(r1.hol).sign() <= 0:
         raise InternalCheckError("face development is not counterclockwise")
-    v0 = _start_coords(r0)
+    v0 = r0.start_point().pos
     v1 = v0 + r0.hol
     v2 = v1 + r1.hol
     tri = ConvexPolygon([v0, v1, v2])
     seeds = list(r0.placements)
-    seeds += _transport_places(r1, v1 - _start_coords(r1))
-    seeds += _transport_places(r2, v2 - _start_coords(r2))
+    seeds += _transport_places(r1, v1 - r1.start_point().pos)
+    seeds += _transport_places(r2, v2 - r2.start_point().pos)
     return tri, seeds
 
 
@@ -491,51 +443,25 @@ def _chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
     return region.contains(mid) >= 1
 
 
-def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon,
-                  allow_interior_vertices: bool = False):
+def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon):
     """Chart placements covering a developed convex region.
 
     Returns [(chart, eps, shift, piece)] with piece the chart-coordinate
     pullback of the region clipped to the placed polygon.  The search
     expands across every gluing whose edge meets the region."""
-    seen = {}
-    queue = []
-    for (chart, eps, shift) in seeds:
-        key = _place_key(chart, eps, shift)
-        if key not in seen:
-            seen[key] = None
-            queue.append((chart, eps, shift))
     out = []
-    popped = 0
-    while queue:
-        chart, eps, shift = queue.pop()
-        popped += 1
-        if popped > _COVER_CAP:
-            raise InternalCheckError("region unfolding exploded")
-        poly = surface.polygons[chart]
-        placed = [_place_apply(eps, shift, v) for v in poly.vertices]
-        if not allow_interior_vertices:
-            for w in placed:
-                if region.contains(w) == 2:
-                    raise InternalCheckError(
-                        "developed region covers a singular point")
+    for chart, eps, shift, placed in unfold(
+            surface, seeds, lambda a, b: _chord_in_region(region, a, b),
+            ("_COVER_CAP", _COVER_CAP)):
+        for w in placed:
+            if region.contains(w) == 2:
+                raise InternalCheckError(
+                    "developed region covers a singular point")
         clip = ConvexPolygon(placed).intersect(region)
         if clip is not None:
             piece = ConvexPolygon(
                 [_place_unapply(eps, shift, v) for v in clip.vertices])
             out.append((chart, eps, shift, piece))
-        m = len(poly)
-        for e in range(m):
-            a, b = placed[e], placed[(e + 1) % m]
-            if not _chord_in_region(region, a, b):
-                continue
-            tr = surface.transitions[(chart, e)]
-            eps2, shift2 = _place_cross(eps, shift, tr)
-            key = _place_key(tr.target[0], eps2, shift2)
-            if key in seen:
-                continue
-            seen[key] = None
-            queue.append((tr.target[0], eps2, shift2))
     return out
 
 
@@ -557,8 +483,8 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
         s = _image_sign(f, face[0], images[0])
         d1 = dmat.a if s == 1 else -dmat.a
         d2 = dmat.d if s == 1 else -dmat.d
-        p0 = _start_coords(face[0])
-        q0 = _start_coords(images[0])
+        p0 = face[0].start_point().pos
+        q0 = images[0].start_point().pos
         by_chart: Dict[int, list] = {}
         for (chart, eps, shift, piece) in icover:
             by_chart.setdefault(chart, []).append((eps, shift, piece))
@@ -579,7 +505,7 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                 if overlap.contains(z) == 0:
                     continue
                 sp = SurfacePoint(chart, z)
-                if not _same_point(surface, f.apply(sp), sp):
+                if not surface.same_point(f.apply(sp), sp):
                     continue
                 kind, key, rep = surface.canonical_point(sp)
                 if kind == "vertex":
@@ -714,15 +640,14 @@ class _Comb:
         return chain
 
 
-def lefschetz_number(f, section: Optional[Section] = None,
-                     cache: Optional[EdgeCache] = None) -> int:
+def lefschetz_number(f, section: Optional[Section] = None) -> int:
     """2 minus the trace of f on first homology of the closed surface,
     computed from the action on cycles of section edges."""
     import sympy
 
     if section is None:
         section = f_section(f)
-    cache = cache or section.cache
+    cache = section.cache
     surface = section.surface
     comb = _Comb(section)
     edges = section.edges
@@ -861,7 +786,7 @@ def _perron_interval(n_matrix) -> Tuple[Fraction, Fraction]:
     return (min(ratios) - 1, max(ratios) - 1)
 
 
-def markov_upper_bound(f, pair_budget: int = 200000) -> MarkovBound:
+def markov_upper_bound(f) -> MarkovBound:
     """Upper bound for the number of fixed points.
 
     When affordable, builds the full matrix of full-width crossings of
@@ -880,15 +805,14 @@ def markov_upper_bound(f, pair_budget: int = 200000) -> MarkovBound:
         raise InternalCheckError("image of a veering edge is not veering")
     work = sum(len(r.placements) for r in rects) \
         * sum(len(r.placements) for r in irects)
-    if work <= pair_budget:
+    if work <= _PAIR_BUDGET:
         n = len(rects)
         mat = [[_full_width_crossings(rects[i], irects[j]) for j in range(n)]
                for i in range(n)]
         trace = sum(mat[i][i] for i in range(n))
         bound = 9 * chi * trace + nsing
         return MarkovBound(bound, mat, _perron_interval(mat), "rectangle")
-    total = 0
-    for e, im in zip(section.edges, images):
-        total += len(_crossing_data(e, im))
+    total = sum(intersection_number(e, im)
+                for e, im in zip(section.edges, images))
     bound = 9 * chi * (total + 1) + nsing
     return MarkovBound(bound, None, None, "crossing-trace")

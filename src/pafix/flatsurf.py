@@ -372,6 +372,16 @@ class FlatSurface:
     def same_point(self, a: SurfacePoint, b: SurfacePoint) -> bool:
         return self.canonical_point(a)[:2] == self.canonical_point(b)[:2]
 
+    def representatives(self, sp: SurfacePoint) -> List[SurfacePoint]:
+        """The chart representatives of a non-vertex point: sp, and its
+        twin across the glued edge when sp lies inside a polygon edge."""
+        out = [sp]
+        for e, (a, b) in enumerate(self.polygons[sp.chart].edges()):
+            if on_segment(sp.pos, a, b) and sp.pos != a and sp.pos != b:
+                out.append(self.cross_edge((sp.chart, e), sp.pos))
+                break
+        return out
+
     def __repr__(self):
         return "FlatSurface(%d polygons, genus %d, %d cone points)" % (
             len(self.polygons), self.genus, len(self.cone_points))

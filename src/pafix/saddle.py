@@ -1,11 +1,12 @@
 """Saddle connections and their exact geometry.
 
-Everything here rides on one primitive: tracing a straight segment across
-the surface with exact field arithmetic.  On top of it sit saddle
-connection enumeration (polygon unfolding pruned by a holonomy box),
-spanning rectangles with certified immersion degree, transverse
-intersection numbers, and flat cylinders built by developing the band
-next to a closed leaf.
+Everything here rides on two primitives, both exact in the field: trace
+walks a straight segment across the surface, and unfold develops chart
+placements depth first across every gluing whose placed edge meets a
+region.  On top of them sit saddle connection enumeration (polygon
+unfolding pruned by a holonomy box), spanning rectangles with certified
+immersion degree, transverse crossings and intersection numbers, and
+flat cylinders built by developing the band next to a closed leaf.
 """
 
 import heapq
@@ -23,13 +24,21 @@ from .exactnum import FieldElement, format_element
 from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, boxes_disjoint, on_segment, segment_intersection
 
-# Node budgets of the unfolding searches; each overflow error names its own.
+# Search budgets; each overflow error names its own.
 # Nodes popped by one corner's visibility search in enumerate_saddles.
 _VISIBILITY_NODES = 200000
-# Placements popped while unfolding one spanning rectangle.
+# Placements expanded while unfolding one spanning rectangle.
 _RECT_UNFOLD_NODES = 20000
 # Placements popped while developing one band beside a closed leaf.
 _BAND_NODES = 20000
+# Glued edges one trace may cross.
+_TRACE_CROSSINGS = 200000
+# Length doublings of a leaf before cylinder_through gives up.
+_CYLINDER_DOUBLINGS = 48
+# Steps of one ray rotation around a vertex fan.
+_ROTATE_STEPS = 10000
+# Saddle connections of one boundary circle walk.
+_CIRCLE_STEPS = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +71,6 @@ def _strict_floor(num: FieldElement, den: FieldElement) -> int:
     return q
 
 
-def _abs(el: FieldElement) -> FieldElement:
-    return el if el.sign() >= 0 else -el
-
-
 # ---------------------------------------------------------------------------
 # plane placements of charts: maps x -> eps*x + shift with eps = +-1,
 # always realized by a composition of gluing transitions
@@ -91,6 +96,46 @@ def _place_key(chart: int, eps: int, shift: Vec2):
     return (chart, eps, shift.x, shift.y)
 
 
+def unfold(surface: FlatSurface, seeds, meets_edge, budget):
+    """Develop chart placements from seed placements (chart, eps, shift).
+
+    Yields (chart, eps, shift, placed vertices) once per placement, in
+    first-reached order, deduplicated by _place_key.  Expansion is depth
+    first, the last reached placement first, across every glued edge whose
+    placed endpoints a, b satisfy meets_edge(a, b).  A caller may stop
+    early by leaving the loop.  budget is (name, limit) of the constant
+    capping the expanded placements; the overflow error names it."""
+    name, limit = budget
+    seen = set()
+    stack = []
+    fresh = seeds
+    expanded = 0
+    while True:
+        for chart, eps, shift in fresh:
+            key = _place_key(chart, eps, shift)
+            if key in seen:
+                continue
+            seen.add(key)
+            placed = [_place_apply(eps, shift, v)
+                      for v in surface.polygons[chart].vertices]
+            yield chart, eps, shift, placed
+            stack.append((chart, eps, shift, placed))
+        if not stack:
+            return
+        chart, eps, shift, placed = stack.pop()
+        expanded += 1
+        if expanded > limit:
+            raise InternalCheckError(
+                "unfolding exceeded %s = %d placements" % (name, limit))
+        m = len(placed)
+        fresh = []
+        for e in range(m):
+            if meets_edge(placed[e], placed[(e + 1) % m]):
+                tr = surface.transitions[(chart, e)]
+                eps2, shift2 = _place_cross(eps, shift, tr)
+                fresh.append((tr.target[0], eps2, shift2))
+
+
 # ---------------------------------------------------------------------------
 # the straight-line trace
 
@@ -112,8 +157,8 @@ class TraceResult:
         self.sign = sign              # +-1, product of crossing flips
 
 
-def trace(surface: FlatSurface, chart: int, pos: Vec2, vec: Vec2,
-          max_crossings: int = 200000) -> TraceResult:
+def trace(surface: FlatSurface, chart: int, pos: Vec2,
+          vec: Vec2) -> TraceResult:
     """Walk the straight segment pos -> pos + vec across the surface.
 
     Stops early (status "vertex", consumed < 1) when the open segment runs
@@ -130,8 +175,10 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2, vec: Vec2,
     steps = 0
     while True:
         steps += 1
-        if steps > max_crossings:
-            raise InternalCheckError("trace exceeded its crossing budget")
+        if steps > _TRACE_CROSSINGS:
+            raise InternalCheckError(
+                "trace exceeded _TRACE_CROSSINGS = %d crossings"
+                % _TRACE_CROSSINGS)
         poly = surface.polygons[chart]
         n = len(poly)
         best_t = None
@@ -299,15 +346,13 @@ class SaddleConnection:
     def canonical(self) -> "SaddleConnection":
         """Deterministic representative of the unoriented connection."""
         rev = self.reverse()
-        return self if _key_less(self.sort_key(), rev.sort_key()) else rev
+        return self if self.sort_key() < rev.sort_key() else rev
 
     def point_at(self, t) -> SurfacePoint:
         """Point at parameter t in (0, 1) along the connection."""
         if not isinstance(t, FieldElement):
             t = self.surface.field.rational(t)
-        chart0, vidx0 = self.start_corner
-        p0 = self.surface.polygons[chart0].vertices[vidx0]
-        target = p0 + self.hol.scale(t)
+        target = self.start_point().pos + self.hol.scale(t)
         for (chart, a, b), (_, eps, shift) in zip(self.pieces, self.placements):
             pa = _place_apply(eps, shift, a)
             pb = _place_apply(eps, shift, b)
@@ -337,26 +382,6 @@ class SaddleConnection:
             self.start_corner, self.hol.x, self.hol.y)
 
 
-def _key_less(a, b) -> bool:
-    """Lexicographic compare of sort keys that may hold FieldElements."""
-    for x, y in zip(a, b):
-        if x == y:
-            continue
-        return x < y
-    return len(a) < len(b)
-
-
-class _OrderAdapter:
-    """Sort adapter: orders saddle connections by exact key value."""
-    __slots__ = ("key",)
-
-    def __init__(self, sc):
-        self.key = sc.sort_key()
-
-    def __lt__(self, other):
-        return _key_less(self.key, other.key)
-
-
 # ---------------------------------------------------------------------------
 # enumeration by box-pruned unfolding
 
@@ -383,7 +408,7 @@ def enumerate_saddles(surface: FlatSurface, bx, by) -> List[SaddleConnection]:
             sc = SaddleConnection.walk(surface, corner, cand)
             if sc is not None:
                 out.append(sc)
-    out.sort(key=_OrderAdapter)
+    out.sort(key=SaddleConnection.sort_key)
     return out
 
 
@@ -423,7 +448,7 @@ def _box_candidates(surface, corner, bx, by):
         for w in placed:
             if w.is_zero():
                 continue
-            if (bx - _abs(w.x)).sign() < 0 or (by - _abs(w.y)).sign() < 0:
+            if (bx - abs(w.x)).sign() < 0 or (by - abs(w.y)).sign() < 0:
                 continue
             if w1.cross(w).sign() >= 0 and w.cross(w2).sign() >= 0:
                 cands.append(w)
@@ -566,16 +591,15 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
         raise HorizontalOrVertical(
             "connection with holonomy (%s, %s) spans no rectangle"
             % (sc.hol.x, sc.hol.y))
-    chart0, vidx0 = sc.start_corner
-    p0 = surface.polygons[chart0].vertices[vidx0]
+    p0 = sc.start_point().pos
     x2 = p0.x + sc.hol.x
     y2 = p0.y + sc.hol.y
     bounds = (min(p0.x, x2), max(p0.x, x2), min(p0.y, y2), max(p0.y, y2))
-    placements, hit = _develop_rect(surface, sc, bounds)
-    if hit is not None:
+    placements = _develop_rect(surface, sc, bounds)
+    if placements is None:
         return None
-    width = _abs(sc.hol.x)
-    height = _abs(sc.hol.y)
+    width = abs(sc.hol.x)
+    height = abs(sc.hol.y)
     deg, witness, ambiguous, translation = _rect_degree(
         surface, sc, bounds, placements, width, height)
     return SpanningRectangle(sc, width, height, deg, witness, ambiguous,
@@ -591,43 +615,20 @@ def degree(rect: SpanningRectangle) -> int:
 def _develop_rect(surface, sc, bounds):
     """Unfold the open rectangle, seeded by the diagonal's own chain.
 
-    Returns (placements, hit) where hit is a placed singular vertex
-    strictly inside the rectangle (None when the interior is clean)."""
-    seen = {}
-    queue = []
-    for (chart, eps, shift) in sc.placements:
-        key = _place_key(chart, eps, shift)
-        if key not in seen:
-            seen[key] = (chart, eps, shift)
-            queue.append((chart, eps, shift))
+    Returns the placements in first-reached order, or None as soon as a
+    placed singular vertex lies strictly inside the rectangle."""
     x0, x1, y0, y1 = bounds
-    popped = 0
-    while queue:
-        chart, eps, shift = queue.pop()
-        popped += 1
-        if popped > _RECT_UNFOLD_NODES:
-            raise InternalCheckError(
-                "rectangle unfolding exceeded _RECT_UNFOLD_NODES = %d "
-                "placements" % _RECT_UNFOLD_NODES)
-        poly = surface.polygons[chart]
-        placed = [_place_apply(eps, shift, v) for v in poly.vertices]
+    placements = []
+    for chart, eps, shift, placed in unfold(
+            surface, sc.placements,
+            lambda a, b: _seg_meets_box(a, b, bounds, closed=False),
+            ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES)):
         for w in placed:
             if ((w.x - x0).sign() > 0 and (x1 - w.x).sign() > 0
                     and (w.y - y0).sign() > 0 and (y1 - w.y).sign() > 0):
-                return list(seen.values()), w
-        m = len(poly)
-        for e in range(m):
-            a, b = placed[e], placed[(e + 1) % m]
-            if not _seg_meets_box(a, b, bounds, closed=False):
-                continue
-            tr = surface.transitions[(chart, e)]
-            eps2, shift2 = _place_cross(eps, shift, tr)
-            key = _place_key(tr.target[0], eps2, shift2)
-            if key in seen:
-                continue
-            seen[key] = (tr.target[0], eps2, shift2)
-            queue.append(seen[key])
-    return list(seen.values()), None
+                return None
+        placements.append((chart, eps, shift))
+    return placements
 
 
 def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
@@ -707,9 +708,9 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
     if not ambiguous:
         stacks = []
         if not gen.x.is_zero():
-            stacks.append(_strict_floor(width, _abs(gen.x)))
+            stacks.append(_strict_floor(width, abs(gen.x)))
         if not gen.y.is_zero():
-            stacks.append(_strict_floor(height, _abs(gen.y)))
+            stacks.append(_strict_floor(height, abs(gen.y)))
         k_trans = 1 + min(stacks)
         if k_trans != deg:
             raise InternalCheckError(
@@ -724,9 +725,7 @@ def _degree_witness(surface, sc, gen: Vec2):
     through the edge's midpoint in the deck translation direction."""
     mid = sc.point_at(Fraction(1, 2))
     half = surface.field.rational(Fraction(1, 2))
-    chart0, vidx0 = sc.start_corner
-    p0 = surface.polygons[chart0].vertices[vidx0]
-    target = p0 + sc.hol.scale(half)
+    target = sc.start_point().pos + sc.hol.scale(half)
     for (chart, a, b), (_, eps, shift) in zip(sc.pieces, sc.placements):
         if chart != mid.chart:
             continue
@@ -741,17 +740,20 @@ def _degree_witness(surface, sc, gen: Vec2):
 # ---------------------------------------------------------------------------
 # intersection numbers
 
-def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
-    """Transverse interior intersections of two saddle connections.
+def crossings(s1: SaddleConnection, s2: SaddleConnection):
+    """Transverse interior crossings of two saddle connections, one per
+    surface point: yields (chart, pos, i, j, side) with pos in chart
+    coordinates on piece i of s1 and piece j of s2, and side the sign of
+    cross(dir1, dir2).
 
-    Meetings at endpoints or cone points count zero; a collinear overlap
+    Meetings at endpoints or cone points are skipped; a collinear overlap
     of positive length raises OverlappingSegments."""
     if s1.surface is not s2.surface:
         raise InputError("connections live on different surfaces")
     surface = s1.surface
-    points = set()
-    for (c1, a, b) in s1.pieces:
-        for (c2, c, d) in s2.pieces:
+    seen = set()
+    for i, (c1, a, b) in enumerate(s1.pieces):
+        for j, (c2, c, d) in enumerate(s2.pieces):
             if c1 != c2:
                 continue
             r = segment_intersection(a, b, c, d)
@@ -762,16 +764,22 @@ def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
                     continue
                 raise OverlappingSegments(
                     "connections share a parallel subsegment")
-            p = r[1]
-            if (b - a).cross(d - c).sign() == 0:
+            side = (b - a).cross(d - c).sign()
+            if side == 0:
                 # collinear endpoint touch; a genuine geodesic overlap
                 # surfaces as "overlap" in this or an adjacent chart pair
                 continue
-            kind, key, _ = surface.canonical_point(SurfacePoint(c1, p))
-            if kind == "vertex":
+            kind, key, _ = surface.canonical_point(SurfacePoint(c1, r[1]))
+            if kind == "vertex" or key in seen:
                 continue
-            points.add((kind, key))
-    return len(points)
+            seen.add(key)
+            yield c1, r[1], i, j, side
+
+
+def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
+    """Number of transverse interior intersections of two saddle
+    connections; see crossings."""
+    return sum(1 for _ in crossings(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -820,20 +828,8 @@ class Cylinder:
             self.circumference_sq, self.area)
 
 
-def _point_reps(surface, sp: SurfacePoint):
-    """All chart representatives of a non-vertex surface point."""
-    reps = [(sp.chart, sp.pos)]
-    poly = surface.polygons[sp.chart]
-    if poly.contains(sp.pos) == 1:
-        for e, (a, b) in enumerate(poly.edges()):
-            if on_segment(sp.pos, a, b):
-                other = surface.cross_edge((sp.chart, e), sp.pos)
-                reps.append((other.chart, other.pos))
-    return reps
-
-
-def cylinder_through(surface: FlatSurface, sp: SurfacePoint, d: Vec2,
-                     doublings: int = 48) -> Cylinder:
+def cylinder_through(surface: FlatSurface, sp: SurfacePoint,
+                     d: Vec2) -> Cylinder:
     """The maximal flat cylinder whose leaf passes through sp in direction
     d.  Raises NotCylinder when the leaf runs into a singularity or fails
     to close within the doubling budget."""
@@ -844,7 +840,7 @@ def cylinder_through(surface: FlatSurface, sp: SurfacePoint, d: Vec2,
         raise NotCylinder("leaf basepoint %r is a singular or marked point"
                           % (sp,))
     vec = d
-    for _ in range(doublings):
+    for _ in range(_CYLINDER_DOUBLINGS):
         res = trace(surface, sp.chart, sp.pos, vec)
         hit = _first_return(surface, sp, res)
         if hit is not None:
@@ -853,8 +849,9 @@ def cylinder_through(surface: FlatSurface, sp: SurfacePoint, d: Vec2,
             raise NotCylinder("leaf through %r runs into a singularity"
                               % (sp,))
         vec = vec + vec
-    raise NotCylinder("leaf through %r did not close within the budget"
-                      % (sp,))
+    raise NotCylinder("leaf through %r did not close within "
+                      "_CYLINDER_DOUBLINGS = %d doublings"
+                      % (sp, _CYLINDER_DOUBLINGS))
 
 
 def _first_return(surface, sp, res):
@@ -864,7 +861,7 @@ def _first_return(surface, sp, res):
     None when the trace never comes back.  Returns can happen strictly
     inside a piece, so every chart representative of the start point is
     tested against each piece."""
-    reps = _point_reps(surface, sp)
+    reps = surface.representatives(sp)
     if not res.pieces:
         return None
     p0 = res.placements[0]
@@ -874,9 +871,10 @@ def _first_return(surface, sp, res):
     for i, ((chart, a, b), plc) in enumerate(zip(res.pieces, res.placements)):
         ab = b - a
         best = None  # (distance key along the piece, position)
-        for (rchart, rpos) in reps:
-            if rchart != chart:
+        for rep in reps:
+            if rep.chart != chart:
                 continue
+            rpos = rep.pos
             if rpos == a:
                 if i == 0:
                     continue
@@ -914,7 +912,7 @@ def _build_cylinder(surface, sp, d, hit):
     dd = d.dot(d)
     height_sq = (h_total * h_total) / dd
     circumference_sq = t_plane.dot(t_plane)
-    area = h_total * _abs(t_plane.dot(d)) / dd
+    area = h_total * abs(t_plane.dot(d)) / dd
     low = _band_boundary(surface, down, d)
     high = _band_boundary(surface, up, d)
     core_sp, core_dir, core_pieces, core_hol = _core_leaf(
@@ -939,7 +937,7 @@ def _core_leaf(surface, sp, d, h_up, h_down, t_plane):
             raise InternalCheckError("path to the middle leaf is blocked")
         cur = SurfacePoint(res.end_chart, res.end_pos)
         cur_d = d if res.sign == 1 else -d
-    scale = _abs(t_plane.dot(d)) / dd
+    scale = abs(t_plane.dot(d)) / dd
     vec = cur_d.scale(scale)
     res = trace(surface, cur.chart, cur.pos, vec)
     if res.status == "vertex" and (res.consumed - field.one()).sign() < 0:
@@ -1187,8 +1185,10 @@ def _rotate_ray(surface, corner, d, half_turns: int):
     guard = 0
     while True:
         guard += 1
-        if guard > 10000:
-            raise InternalCheckError("ray rotation did not terminate")
+        if guard > _ROTATE_STEPS:
+            raise InternalCheckError(
+                "ray rotation exceeded _ROTATE_STEPS = %d steps"
+                % _ROTATE_STEPS)
         p, v = c
         poly = surface.polygons[p]
         n = len(poly)
@@ -1234,8 +1234,10 @@ def _boundary_circle(surface, sc, side, bound_sq):
     guard = 0
     while True:
         guard += 1
-        if guard > 10000:
-            raise InternalCheckError("boundary walk did not terminate")
+        if guard > _CIRCLE_STEPS:
+            raise InternalCheckError(
+                "boundary walk exceeded _CIRCLE_STEPS = %d saddle "
+                "connections" % _CIRCLE_STEPS)
         circle.append(cur)
         s = cur.hol.dot(d_plane).sign()
         run = run + (cur.hol if s > 0 else -cur.hol)
@@ -1271,12 +1273,11 @@ def _circle_line_items(surface, circle):
     saddle connection's start chart; items are the per-piece placements
     with their plane segments."""
     d_plane = circle[0].hol
-    chart0, vidx0 = circle[0].start_corner
-    ref = surface.polygons[chart0].vertices[vidx0]
+    ref = circle[0].start_point().pos
     cur_end = ref
     items = []
     for sc in circle:
-        p_i = surface.polygons[sc.start_corner[0]].vertices[sc.start_corner[1]]
+        p_i = sc.start_point().pos
         eps_i = 1 if sc.hol.dot(d_plane).sign() > 0 else -1
         delta_i = cur_end - (p_i if eps_i == 1 else -p_i)
         for (chart, a, b), (_, e, sh) in zip(sc.pieces, sc.placements):

@@ -35,13 +35,11 @@ from .errors import (
     UnsupportedSurface,
     WrongOrder,
 )
-from .flatsurf import FlatSurface, SurfacePoint
+from .flatsurf import FlatSurface
 from .geom import Mat2, Vec2, convex_hull_is_quad_strict
 from .saddle import (
     SaddleConnection,
-    _abs,
     _corner_for_ray,
-    _key_less,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -71,6 +69,8 @@ __all__ = [
     "mapping_torus_layering",
 ]
 
+# Steps of one section sweep: flips in _extremal, f_section,
+# annular_avoiding_f_section and flip_path.
 _SWEEP_CAP = 20000
 _BOX_DOUBLINGS = 4
 _DEGREE_THRESHOLD = 16
@@ -126,7 +126,7 @@ class EdgeCache:
                 if c not in seen:
                     seen.add(c)
                     out.append(c)
-            out.sort(key=_SortKey)
+            out.sort(key=SaddleConnection.sort_key)
             got = tuple(out)
             self.boxes[key] = got
         return got
@@ -143,7 +143,7 @@ class EdgeCache:
         c = self.canon.get(sc)
         if c is None:
             r = self.reverse(sc)
-            c = sc if _key_less(sc.sort_key(), r.sort_key()) else r
+            c = sc if sc.sort_key() < r.sort_key() else r
             self.canon[sc] = c
             self.canon[r] = c
         return c
@@ -152,7 +152,7 @@ class EdgeCache:
         ca, cb = self.canonical(a), self.canonical(b)
         if ca == cb:
             return 0
-        if _key_less(cb.sort_key(), ca.sort_key()):
+        if cb.sort_key() < ca.sort_key():
             ca, cb = cb, ca
         key = (ca, cb)
         n = self.cross.get(key)
@@ -181,8 +181,8 @@ class EdgeCache:
 
 def _slope_abs_less(a: Vec2, b: Vec2) -> int:
     """sign(|slope a| - |slope b|) via cross-multiplied exact compare."""
-    lhs = _abs(a.y * b.x)
-    rhs = _abs(b.y * a.x)
+    lhs = abs(a.y * b.x)
+    rhs = abs(b.y * a.x)
     return (lhs - rhs).sign()
 
 
@@ -290,10 +290,7 @@ def _trace_faces(surface, edges, cache):
     remaining = set(oriented)
     faces = []
     while remaining:
-        start = None
-        for sc in remaining:
-            if start is None or _key_less(sc.sort_key(), start.sort_key()):
-                start = sc
+        start = min(remaining, key=SaddleConnection.sort_key)
         cyc = [start]
         remaining.discard(start)
         cur = start
@@ -335,7 +332,7 @@ class Section:
             c = self.cache.canonical(e)
             if c not in canon:
                 canon.append(c)
-        canon.sort(key=_SortKey)
+        canon.sort(key=SaddleConnection.sort_key)
         self.edges: Tuple[SaddleConnection, ...] = tuple(canon)
         self.edge_set = frozenset(canon)
         self._faces = None
@@ -403,18 +400,6 @@ class Section:
 
     def __repr__(self):
         return "Section(%d edges)" % len(self.edges)
-
-
-class _SortKey:
-    """Adapter: sort SaddleConnections by sort_key under _key_less."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, sc):
-        self.key = sc.sort_key()
-
-    def __lt__(self, other):
-        return _key_less(self.key, other.key)
 
 
 def complete_to_section(surface: FlatSurface,
@@ -528,9 +513,9 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
     if c not in section.edge_set:
         raise InputError("flip edge is not in the section")
     H, apex_l, apex_r, fl_rot, fr_rot = _quad(section, c)
-    mine = _abs(H.x) if up else _abs(H.y)
+    mine = abs(H.x) if up else abs(H.y)
     for other in (fl_rot[1], fl_rot[2], fr_rot[1], fr_rot[2]):
-        val = _abs(other.hol.x) if up else _abs(other.hol.y)
+        val = abs(other.hol.x) if up else abs(other.hol.y)
         if (mine - val).sign() <= 0:
             raise NotFlippable(
                 "edge with holonomy (%s, %s) is not the strictly %s edge of "
@@ -628,7 +613,8 @@ def _extremal(edge, section, cache, up):
                 continue
         if not moved:
             return cur
-    raise InternalCheckError("extremal-section sweep did not terminate")
+    raise InternalCheckError(
+        "extremal-section sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
 
 
 def section_leq(lower: Section, upper: Section) -> bool:
@@ -654,18 +640,12 @@ def _derivative_matrix(f) -> Mat2:
     return Mat2.diagonal(lam, lam.inverse())
 
 
-def _derivative_sign(f, sp: SurfacePoint) -> int:
-    if hasattr(f, "derivative_sign_at"):
-        return f.derivative_sign_at(sp)
-    return f.piece_at(sp).map.mat.a.sign()
-
-
 def _sign_along(f, sc: SaddleConnection) -> int:
     """Derivative sign along the open edge.  Constant there (a sign
     jump inside the segment would fold its image), so sample three
     interior parameters and take the majority to dodge piece-corner
     ties."""
-    votes = [_derivative_sign(f, sc.point_at(t))
+    votes = [f.derivative_sign_at(sc.point_at(t))
              for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))]
     return 1 if votes.count(1) >= 2 else -1
 
@@ -749,7 +729,8 @@ def f_section(f, start: Optional[Section] = None) -> Section:
         if not moved:
             raise InternalCheckError(
                 "no edge below the image section is up-flippable")
-    raise InternalCheckError("f-section sweep did not stabilize")
+    raise InternalCheckError(
+        "f-section sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
 
 
 def annular_avoiding_f_section(f, threshold: int = _DEGREE_THRESHOLD) -> Section:
@@ -785,7 +766,8 @@ def annular_avoiding_f_section(f, threshold: int = _DEGREE_THRESHOLD) -> Section
         if not moved:
             raise InternalCheckError(
                 "cannot reduce rectangle degrees and keep an f-section")
-    raise InternalCheckError("annular-avoiding sweep did not terminate")
+    raise InternalCheckError(
+        "annular-avoiding sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +791,7 @@ class FlipStep:
             self.new_edge.hol.x, self.new_edge.hol.y)
 
 
-def flip_path(lower: Section, upper: Section,
-              cap: int = _SWEEP_CAP) -> List[FlipStep]:
+def flip_path(lower: Section, upper: Section) -> List[FlipStep]:
     """Monotone upward flip sequence from one section to a higher one.
 
     Greedy: flip any edge outside the target whose replacement is not
@@ -848,8 +829,9 @@ def flip_path(lower: Section, upper: Section,
             break
         if not moved:
             raise InternalCheckError("flip path is stuck below the target")
-        if len(steps) > cap:
-            raise InternalCheckError("flip path exceeded the step cap")
+        if len(steps) > _SWEEP_CAP:
+            raise InternalCheckError(
+                "flip path exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
     return steps
 
 
@@ -924,7 +906,8 @@ def _side_component(section, other_edge_set, seed, cache):
                 boundary.add(c)
     if cache.canonical(seed) not in interior:
         raise InternalCheckError("pocket seed edge fell outside its side")
-    return tuple(comp), tuple(sorted(interior, key=_SortKey)), boundary
+    return (tuple(comp),
+            tuple(sorted(interior, key=SaddleConnection.sort_key)), boundary)
 
 
 def _face_area2(face) -> object:
@@ -984,9 +967,9 @@ def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection,
             raise InternalCheckError(
                 "pocket bottom edge crosses nothing on the top side")
     flips = flip_path(lower, upper)
+    boundary = tuple(sorted(top_bnd, key=SaddleConnection.sort_key))
     return Pocket(c1, c2, upper, lower, top_faces, bot_faces, top_int,
-                  bot_int, tuple(sorted(top_bnd, key=_SortKey)), i12,
-                  total, len(flips))
+                  bot_int, boundary, i12, total, len(flips))
 
 
 # ---------------------------------------------------------------------------
@@ -1012,23 +995,13 @@ class Tetrahedron:
         self.corners = corners
         xs = [v.x for v in corners.values()]
         ys = [v.y for v in corners.values()]
-        self.rect_width = _span(xs)
-        self.rect_height = _span(ys)
+        self.rect_width = max(xs) - min(xs)
+        self.rect_height = max(ys) - min(ys)
 
     def __repr__(self):
         return "Tetrahedron(%d, bottom=(%s, %s), top=(%s, %s))" % (
             self.index, self.bottom.hol.x, self.bottom.hol.y,
             self.top.hol.x, self.top.hol.y)
-
-
-def _span(vals):
-    lo = hi = vals[0]
-    for v in vals[1:]:
-        if (v - lo).sign() < 0:
-            lo = v
-        if (v - hi).sign() > 0:
-            hi = v
-    return hi - lo
 
 
 class MappingTorus:
@@ -1109,21 +1082,9 @@ def _perm_cycles(perm) -> str:
 
 
 def _face_key(cycle):
-    best = cycle
-    for i in range(1, len(cycle)):
-        rot = cycle[i:] + cycle[:i]
-        if _cycle_less(rot, best):
-            best = rot
-    return best
-
-
-def _cycle_less(a, b):
-    for x, y in zip(a, b):
-        kx, ky = x.sort_key(), y.sort_key()
-        if kx == ky:
-            continue
-        return _key_less(kx, ky)
-    return False
+    """The least rotation of a face cycle, edges compared by sort_key."""
+    return min((cycle[i:] + cycle[:i] for i in range(len(cycle))),
+               key=lambda rot: [sc.sort_key() for sc in rot])
 
 
 def _perm_from_alignment(labels_a, off_a, labels_b, off_b, pos_map):

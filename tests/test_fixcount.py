@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from pafix import fixcount, veering
+from pafix import fixcount, saddle, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
+    InternalCheckError,
     LambdaNotExpanding,
     NotFixed,
     NotVeering,
@@ -228,6 +229,36 @@ def test_markov_interval_clears_the_stretch_factor(torus):
     assert lo <= hi
     shifted = 2 * hi - 3
     assert shifted >= 0 and shifted * shifted >= 5
+
+
+@pytest.mark.parametrize("rows, bound", [
+    (((2, 1), (1, 1)), 10),
+    (((3, 1), (2, 1)), 37),
+])
+def test_markov_crossing_trace_fallback_dominates_total(monkeypatch, rows,
+                                                        bound):
+    # with no pair budget the bound falls back to the crossing numbers of
+    # each section edge with its image: 9 * chi * (sum + 1) + singularities
+    monkeypatch.setattr(fixcount, "_PAIR_BUDGET", 0)
+    surface, f = torus_from_matrix([list(r) for r in rows])
+    mb = markov_upper_bound(f)
+    assert mb.method == "crossing-trace"
+    assert (mb.matrix, mb.perron_interval) == (None, None)
+    assert int(mb) == bound
+    assert mb >= count_fixed_points(f).total
+
+
+@pytest.mark.parametrize("module, budget", [
+    (saddle, "_RECT_UNFOLD_NODES"),
+    (fixcount, "_COVER_CAP"),
+])
+def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
+    # the rectangle budget trips while the section is built, the cover
+    # budget in the oracle's triangle covers
+    monkeypatch.setattr(module, budget, 1)
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    with pytest.raises(InternalCheckError, match=budget + " = 1 "):
+        oracle_count_fixed_points(f, annular_avoiding_f_section(f))
 
 
 def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):

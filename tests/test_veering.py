@@ -304,11 +304,10 @@ def test_mapping_torus_tetrahedron_geometry(torus):
     for tet in mt.tetrahedra:
         b, t = tet.bottom.hol, tet.top.hol
         # top diagonal strictly steeper than bottom
-        from pafix.saddle import _abs
-        assert (_abs(t.y * b.x) - _abs(b.y * t.x)).sign() > 0
+        assert (abs(t.y * b.x) - abs(b.y * t.x)).sign() > 0
         # the maximal rectangle is spanned by the two diagonals
-        assert tet.rect_width == _abs(b.x)
-        assert tet.rect_height == _abs(t.y)
+        assert tet.rect_width == abs(b.x)
+        assert tet.rect_height == abs(t.y)
         assert len(tet.sides) == 4
 
 
