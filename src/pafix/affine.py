@@ -61,8 +61,9 @@ class PiecewiseAffineMap:
                  validate: bool = True):
         self.surface = surface
         self.pieces = list(pieces)
-        # threshold -> section, filled by veering.annular_avoiding_f_section
-        self._sections: dict = {}
+        # filled by veering.annular_avoiding_f_section and EdgeCache.image
+        self._section = None
+        self._images: dict = {}
         self._by_chart: List[list] = [[] for _ in surface.polygons]
         for piece in self.pieces:
             if not 0 <= piece.chart < len(surface.polygons):
@@ -322,7 +323,8 @@ class PowerAutomorphism(AffineAutomorphism):
         self.surface = base.surface
         self.lambda_ = base.lambda_ ** n
         self._materialized: Optional[PiecewiseAffineMap] = None
-        self._sections: dict = {}
+        self._section = None
+        self._images: dict = {}
         perm = {k: k for k in base.singularity_permutation}
         for _ in range(n):
             perm = {k: base.singularity_permutation[v] for k, v in perm.items()}

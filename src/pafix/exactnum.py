@@ -722,59 +722,30 @@ class FieldElement:
 def element_minimal_polynomial(el: FieldElement) -> tuple:
     """Minimal polynomial of an element over Q, as normalized ascending
     integer coefficients, together with an isolating RationalInterval."""
-    d = el.field.degree
-    # rows: coefficient vectors of 1, el, el^2, ... until dependent
-    rows = []
-    power = el.field.one()
-    for k in range(d + 1):
-        rows.append(list(power.coeffs))
+    import sympy
+
+    # coefficient vectors of 1, el, .., el^d as columns; the first
+    # nullspace vector, led by the first dependent power, is the
+    # dependency of least degree
+    cols, power = [], el.field.one()
+    for _ in range(el.field.degree + 1):
+        cols.append(list(power.coeffs))
         power = power * el
-    # augment with identity to track the dependency combination
-    n = len(rows)
-    aug = []
-    for k in range(n):
-        row = list(rows[k][:d])
-        tail = [_ZERO] * n
-        tail[k] = _ONE
-        aug.append(row + tail)
-    # gaussian elimination on the first d columns
-    pivot_row = 0
-    for col in range(d):
-        sel = None
-        for r in range(pivot_row, n):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [c / pv for c in aug[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [c - f * p for c, p in zip(aug[r], aug[pivot_row])]
-        pivot_row += 1
-    # first all-zero row in the value part gives the minimal dependency
-    for r in range(n):
-        if all(c == 0 for c in aug[r][:d]):
-            combo = aug[r][d:]
-            poly = _normalize_minpoly(combo)
-            # isolate the root equal to el
-            bits = 20
-            while True:
-                box = el.approx(bits)
-                lo, hi = box.lo - Fraction(1, 2 ** bits), box.hi + Fraction(1, 2 ** bits)
-                if _poly_eval([Fraction(c) for c in poly], lo) != 0 \
-                        and _poly_eval([Fraction(c) for c in poly], hi) != 0 \
-                        and count_real_roots(poly, lo, hi) == 1:
-                    return poly, RationalInterval(lo, hi)
-                bits += 20
-                if bits > _MAX_ISOLATION_BITS:
-                    raise InternalCheckError(
-                        "failed to isolate element root within "
-                        "_MAX_ISOLATION_BITS = %d" % _MAX_ISOLATION_BITS)
-    raise InternalCheckError("no minimal polynomial found")
+    poly = _normalize_minpoly(sympy.Matrix(cols).T.nullspace()[0])
+    # isolate the root equal to el
+    bits = 20
+    while True:
+        box = el.approx(bits)
+        lo, hi = box.lo - Fraction(1, 2 ** bits), box.hi + Fraction(1, 2 ** bits)
+        if _poly_eval([Fraction(c) for c in poly], lo) != 0 \
+                and _poly_eval([Fraction(c) for c in poly], hi) != 0 \
+                and count_real_roots(poly, lo, hi) == 1:
+            return poly, RationalInterval(lo, hi)
+        bits += 20
+        if bits > _MAX_ISOLATION_BITS:
+            raise InternalCheckError(
+                "failed to isolate element root within "
+                "_MAX_ISOLATION_BITS = %d" % _MAX_ISOLATION_BITS)
 
 
 # ---------------------------------------------------------------------------

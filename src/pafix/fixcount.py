@@ -31,13 +31,12 @@ from .saddle import (
     unfold,
 )
 from .veering import (
-    EdgeCache,
     Section,
     _derivative_matrix,
     _vertex_fan_positions,
     annular_avoiding_f_section,
     apply_to_edge,  # kept importable as fixcount.apply_to_edge
-    f_section,
+    edge_cache,
     section_size,
 )
 
@@ -56,6 +55,8 @@ __all__ = [
 
 # Placements expanded while covering one developed triangle.
 _COVER_CAP = 200000
+# Times _germ_image quarters its probe distance before giving up.
+_GERM_PROBES = 80
 # Largest rectangle-pair work (placements x image placements) for which
 # markov_upper_bound builds the full crossing matrix.
 _PAIR_BUDGET = 200000
@@ -174,17 +175,15 @@ def _image_sign(f, sc: SaddleConnection, image: SaddleConnection) -> int:
 # ---------------------------------------------------------------------------
 # the rectangle solver
 
-def fixed_points_in_rectangle(f, sigma: SaddleConnection,
-                              cache: Optional[EdgeCache] = None
-                              ) -> List[FixedPoint]:
+def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     """Regular fixed points of f inside sigma's spanning rectangle.
 
     Every crossing of sigma with f(sigma) selects one affine branch of f
     over the rectangle; the branch's unique fixed point is kept when it
     lands in the open rectangle and survives an exact f(p) = p check.
     Points are deduplicated by canonical coordinates."""
-    cache = cache or EdgeCache()
     surface = sigma.surface
+    cache = edge_cache(surface)
     rect = cache.rect(sigma)
     if rect is None:
         raise NotVeering(
@@ -289,14 +288,16 @@ def _germ_image(f, surface: FlatSurface, cone, germ):
     pv = poly.vertices[v]
     d = Vec2(surface.field.rational(Fraction(xsign, 1)), surface.field.zero())
     t = Fraction(1, 2)
-    for _ in range(80):
+    for _ in range(_GERM_PROBES):
         pt = pv + d.scale(surface.field.rational(t))
         if poly.contains(pt) >= 1:
             hit = _match_horizontal(surface, cone, f.apply(SurfacePoint(chart, pt)))
             if hit is not None:
                 return hit
         t = t / 4
-    raise InternalCheckError("prong image is not a horizontal germ")
+    raise InternalCheckError(
+        "prong image is not a horizontal germ within _GERM_PROBES = %d "
+        "probes" % _GERM_PROBES)
 
 
 def _singular_index(f, surface: FlatSurface, cone) -> int:
@@ -354,14 +355,14 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
 def count_fixed_points(f) -> FixReport:
     """Exact Fix(f): rectangle solves over an annular-avoiding f-section,
     deduplicated, plus the fixed singular and marked points.  The
-    section and its EdgeCache are the ones the oracle and the Markov
-    bound get for the same map."""
+    section and the edge images are kept on the map and shared with the
+    oracle and the Markov bound for the same map; rectangles and
+    crossing numbers come from the surface's edge_cache."""
     section = annular_avoiding_f_section(f)
-    cache = section.cache
     per_edge = {}
     seen: Dict[str, FixedPoint] = {}
     for e in section.edges:
-        pts = fixed_points_in_rectangle(f, e, cache)
+        pts = fixed_points_in_rectangle(f, e)
         per_edge[e] = tuple(pts)
         for fp in pts:
             seen.setdefault(repr(fp.key), fp)
@@ -642,11 +643,13 @@ class _Comb:
 
 def lefschetz_number(f, section: Optional[Section] = None) -> int:
     """2 minus the trace of f on first homology of the closed surface,
-    computed from the action on cycles of section edges."""
+    computed from the action on cycles of section edges.  Any section
+    gives the same number; without one, the map's own
+    annular_avoiding_f_section is used."""
     import sympy
 
     if section is None:
-        section = f_section(f)
+        section = annular_avoiding_f_section(f)
     cache = section.cache
     surface = section.surface
     comb = _Comb(section)

@@ -112,6 +112,8 @@ class FlatSurface:
         self._compute_cone_angles()
         self._apply_marks(marked_corners)
         self._check_gauss_bonnet()
+        # filled by veering.edge_cache
+        self._edge_cache = None
 
     # -- validation steps ----------------------------------------------------
 

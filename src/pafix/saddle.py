@@ -606,12 +606,6 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
                              translation, bounds, placements)
 
 
-def degree(rect: SpanningRectangle) -> int:
-    """Immersion degree of a spanning rectangle; rect.witness carries the
-    flat annulus certifying degree >= 2."""
-    return rect.degree
-
-
 def _develop_rect(surface, sc, bounds):
     """Unfold the open rectangle, seeded by the diagonal's own chain.
 

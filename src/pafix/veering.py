@@ -10,12 +10,15 @@ affine automorphism, cuts out the pocket between two crossing edges,
 and layers the automorphism's mapping torus into ideal tetrahedra, one
 per flip.
 
-All geometry is exact.  Most routines take or share an EdgeCache, which
-memoises reverses, canonical representatives, crossing numbers, spanning
-rectangles and edge images under a map; on surfaces of any size the
-pairwise crossing numbers dominate the cost and the cache makes repeated
-sweeps affordable.  annular_avoiding_f_section keeps its section on the
-map, so every counter run on one map shares one section and one cache.
+All geometry is exact.  Each memo has one owner.  The surface owns
+its EdgeCache (edge_cache(surface)), which memoises reverses, canonical
+representatives, crossing numbers, spanning rectangles and candidate
+boxes: data of the flat surface alone, shared by every section and
+every map on it.  On surfaces of any size the pairwise crossing numbers
+dominate the cost and the cache makes repeated sweeps affordable.  A
+map owns what depends on it: its edge images and the section that
+annular_avoiding_f_section keeps, so every counter run on one map
+shares one section.  No routine takes a cache.
 """
 
 from fractions import Fraction
@@ -47,6 +50,7 @@ from .saddle import (
 
 __all__ = [
     "EdgeCache",
+    "edge_cache",
     "Section",
     "edge_order",
     "section_size",
@@ -90,36 +94,35 @@ def section_size(surface: FlatSurface) -> int:
 
 
 class EdgeCache:
-    """Shared memo for reverses, canonical representatives, crossing
-    numbers, spanning rectangles, and edge images under maps.
+    """One surface's memo for reverses, canonical representatives,
+    crossing numbers, spanning rectangles and candidate boxes.
 
-    Crossing numbers are the expensive primitive; every sweep in this
-    module hits the same pairs repeatedly, so one cache is threaded
-    through sections, flips, and order tests.  Rectangles are keyed by
-    the oriented edge, because a rectangle's bounds and placements live
-    in that orientation's walk frame.  Images are keyed by (map,
-    oriented edge) and hold the map itself, never its id, so one cache
-    may serve short-lived maps such as f.power(n) without confusing
-    them."""
+    Get it with edge_cache(surface); every section, flip and order test
+    on the surface shares it.  Crossing numbers are the expensive
+    primitive, and every sweep in this module hits the same pairs
+    repeatedly.  Rectangles are keyed by the oriented edge, because a
+    rectangle's bounds and placements live in that orientation's walk
+    frame.  Nothing here depends on a map: edge images live on the map
+    (image() reads f._images), so the surface never keeps a map
+    alive."""
 
-    def __init__(self):
+    def __init__(self, surface: FlatSurface):
+        self.surface = surface
         self.rev: Dict[SaddleConnection, SaddleConnection] = {}
         self.canon: Dict[SaddleConnection, SaddleConnection] = {}
         self.cross: Dict[tuple, int] = {}
         self.rects: Dict[SaddleConnection, object] = {}
-        self.images: Dict[tuple, SaddleConnection] = {}
-        self.boxes: Dict[tuple, tuple] = {}
+        self.boxes: Dict[int, tuple] = {}
 
-    def box_candidates(self, surface, box: int):
+    def box_candidates(self, box: int):
         """Canonical non-axis saddle connections with |holonomy| in the
         box, sorted; memoized because completions re-scan the same
         boxes."""
-        key = (id(surface), box)
-        got = self.boxes.get(key)
+        got = self.boxes.get(box)
         if got is None:
             seen = set()
             out = []
-            for sc in enumerate_saddles(surface, box, box):
+            for sc in enumerate_saddles(self.surface, box, box):
                 if sc.is_horizontal() or sc.is_vertical():
                     continue
                 c = self.canonical(sc)
@@ -128,7 +131,7 @@ class EdgeCache:
                     out.append(c)
             out.sort(key=SaddleConnection.sort_key)
             got = tuple(out)
-            self.boxes[key] = got
+            self.boxes[box] = got
         return got
 
     def reverse(self, sc: SaddleConnection) -> SaddleConnection:
@@ -170,13 +173,20 @@ class EdgeCache:
         return self.rects[sc]
 
     def image(self, f, sc: SaddleConnection) -> SaddleConnection:
-        """apply_to_edge(f, sc, self), computed once per (f, sc)."""
-        key = (f, sc)
-        im = self.images.get(key)
+        """apply_to_edge(f, sc), computed once per (f, oriented edge)
+        and kept on the map in f._images."""
+        im = f._images.get(sc)
         if im is None:
-            im = apply_to_edge(f, sc, self)
-            self.images[key] = im
+            im = f._images[sc] = apply_to_edge(f, sc)
         return im
+
+
+def edge_cache(surface: FlatSurface) -> EdgeCache:
+    """The surface's EdgeCache, made on first use and kept on the
+    surface."""
+    if surface._edge_cache is None:
+        surface._edge_cache = EdgeCache(surface)
+    return surface._edge_cache
 
 
 def _slope_abs_less(a: Vec2, b: Vec2) -> int:
@@ -186,15 +196,14 @@ def _slope_abs_less(a: Vec2, b: Vec2) -> int:
     return (lhs - rhs).sign()
 
 
-def edge_order(a: SaddleConnection, b: SaddleConnection,
-               cache: Optional[EdgeCache] = None) -> str:
+def edge_order(a: SaddleConnection, b: SaddleConnection) -> str:
     """Order of two veering edges: "equal", "disjoint", "below", "above".
 
     Crossing edges compare by absolute slope; the more-horizontal edge
     crosses the other's spanning rectangle left to right and is below.
     An exact |slope| tie between crossing edges is broken by sign: the
     negative-slope edge counts as above."""
-    cache = cache or EdgeCache()
+    cache = edge_cache(a.surface)
     ca, cb = cache.canonical(a), cache.canonical(b)
     if ca == cb:
         return "equal"
@@ -273,9 +282,10 @@ def _end_before(fan, a: SaddleConnection, b: SaddleConnection) -> bool:
     return s > 0
 
 
-def _trace_faces(surface, edges, cache):
+def _trace_faces(surface, edges):
     """Complementary faces of a noncrossing edge set, each as the cycle
     of oriented edges with the face on the left."""
+    cache = edge_cache(surface)
     fan = _vertex_fan_positions(surface)
     oriented = []
     for c in edges:
@@ -321,10 +331,9 @@ class Section:
     triangles property lists each complementary face as its boundary
     cycle of oriented edges (face on the left)."""
 
-    def __init__(self, surface: FlatSurface, edges: Sequence[SaddleConnection],
-                 cache: Optional[EdgeCache] = None):
+    def __init__(self, surface: FlatSurface, edges: Sequence[SaddleConnection]):
         self.surface = surface
-        self.cache = cache or EdgeCache()
+        self.cache = edge_cache(surface)
         canon: List[SaddleConnection] = []
         for e in edges:
             if e.surface is not surface:
@@ -371,7 +380,7 @@ class Section:
     @property
     def triangles(self):
         if self._faces is None:
-            self._faces = _trace_faces(self.surface, self.edges, self.cache)
+            self._faces = _trace_faces(self.surface, self.edges)
             self._face_of = {}
             for f in self._faces:
                 for sc in f:
@@ -404,7 +413,6 @@ class Section:
 
 def complete_to_section(surface: FlatSurface,
                         edges: Sequence[SaddleConnection] = (),
-                        cache: Optional[EdgeCache] = None,
                         max_doublings: int = _BOX_DOUBLINGS) -> Section:
     """Extend pairwise noncrossing veering edges to a full section.
 
@@ -413,7 +421,7 @@ def complete_to_section(surface: FlatSurface,
     surface whose sections need edges beyond the final box (or which,
     like the axis-aligned square torus, admits no section at all)
     raises UnsupportedSurface."""
-    cache = cache or EdgeCache()
+    cache = edge_cache(surface)
     chosen: List[SaddleConnection] = []
     for e in edges:
         c = cache.canonical(e)
@@ -433,7 +441,7 @@ def complete_to_section(surface: FlatSurface,
     target = section_size(surface)
     box = 1
     for _ in range(max_doublings + 1):
-        for c in cache.box_candidates(surface, box):
+        for c in cache.box_candidates(box):
             if len(chosen) == target:
                 break
             if c in chosen:
@@ -450,7 +458,7 @@ def complete_to_section(surface: FlatSurface,
             if ok and cache.rect(c) is not None:
                 chosen.append(c)
         if len(chosen) == target:
-            return Section(surface, chosen, cache)
+            return Section(surface, chosen)
         box *= 2
     raise UnsupportedSurface(
         "no section completion within holonomy box %d; the surface may "
@@ -559,7 +567,7 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
             "replacement diagonal spans a rectangle containing a singularity")
     new_edges = [e for e in section.edges if e != c]
     new_edges.append(new_c)
-    return Section(section.surface, new_edges, cache), new_c, walked
+    return Section(section.surface, new_edges), new_c, walked
 
 
 def flip_up(section: Section, edge: SaddleConnection) -> Section:
@@ -577,26 +585,23 @@ def flip_down(section: Section, edge: SaddleConnection) -> Section:
 # ---------------------------------------------------------------------------
 # extremal sections and the section order
 
-def t_plus(edge: SaddleConnection, section: Optional[Section] = None,
-           cache: Optional[EdgeCache] = None) -> Section:
+def t_plus(edge: SaddleConnection,
+           section: Optional[Section] = None) -> Section:
     """Highest section containing the edge: sweep every other edge
     upward until the edge itself is the only up-flippable one."""
-    return _extremal(edge, section, cache, True)
+    return _extremal(edge, section, True)
 
 
-def t_minus(edge: SaddleConnection, section: Optional[Section] = None,
-            cache: Optional[EdgeCache] = None) -> Section:
+def t_minus(edge: SaddleConnection,
+            section: Optional[Section] = None) -> Section:
     """Lowest section containing the edge."""
-    return _extremal(edge, section, cache, False)
+    return _extremal(edge, section, False)
 
 
-def _extremal(edge, section, cache, up):
-    if section is not None:
-        cache = section.cache
-    else:
-        cache = cache or EdgeCache()
-        section = complete_to_section(edge.surface, (edge,), cache)
-    c = cache.canonical(edge)
+def _extremal(edge, section, up):
+    if section is None:
+        section = complete_to_section(edge.surface, (edge,))
+    c = section.cache.canonical(edge)
     if c not in section.edge_set:
         raise InputError("edge is not in the starting section")
     cur = section
@@ -625,7 +630,7 @@ def section_leq(lower: Section, upper: Section) -> bool:
         for b in upper.edges:
             if cache.crossings(a, b) == 0:
                 continue
-            if edge_order(a, b, cache) != "below":
+            if edge_order(a, b) != "below":
                 return False
     return True
 
@@ -650,8 +655,7 @@ def _sign_along(f, sc: SaddleConnection) -> int:
     return 1 if votes.count(1) >= 2 else -1
 
 
-def apply_to_edge(f, sc: SaddleConnection,
-                  cache: Optional[EdgeCache] = None) -> SaddleConnection:
+def apply_to_edge(f, sc: SaddleConnection) -> SaddleConnection:
     """Image of a saddle connection under an affine automorphism (or
     its inverse), as an oriented saddle connection."""
     surface = sc.surface
@@ -673,8 +677,6 @@ def apply_to_edge(f, sc: SaddleConnection,
     out = SaddleConnection.walk(surface, corner, ray)
     if out is None:
         raise InternalCheckError("edge image failed to develop")
-    if cache is not None:
-        cache.canonical(out)
     return out
 
 
@@ -682,7 +684,7 @@ def apply_to_section(f, section: Section) -> Section:
     """Image section; validation re-checks that the automorphism sent
     veering edges to veering edges."""
     images = [section.cache.image(f, e) for e in section.edges]
-    return Section(section.surface, images, section.cache)
+    return Section(section.surface, images)
 
 
 def f_section(f, start: Optional[Section] = None) -> Section:
@@ -708,7 +710,7 @@ def f_section(f, start: Optional[Section] = None) -> Section:
                 a = images[src]
                 if cache.crossings(a, e) == 0:
                     continue
-                if edge_order(a, e, cache) == "above":
+                if edge_order(a, e) == "above":
                     bad = True
                     break
             if bad:
@@ -733,25 +735,24 @@ def f_section(f, start: Optional[Section] = None) -> Section:
         "f-section sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
 
 
-def annular_avoiding_f_section(f, threshold: int = _DEGREE_THRESHOLD) -> Section:
+def annular_avoiding_f_section(f) -> Section:
     """An f-section avoiding deep annular pockets: flip down through
     any cylinder certified by a spanning rectangle of degree >=
-    threshold, keeping the f-section property at every step.
+    _DEGREE_THRESHOLD, keeping the f-section property at every step.
 
-    The result is kept on the map (f._sections, one per threshold), so
-    repeated calls return the same Section and its EdgeCache, with the
-    images under f already filled in.  The section is shared: callers
-    must not mutate it or its cache's entries."""
-    memo = f._sections
-    if threshold in memo:
-        return memo[threshold]
+    The result is kept on the map (f._section), so repeated calls
+    return the same Section, with the images under f already in
+    f._images; its cache is the surface's edge_cache.  The section is
+    shared: callers must not mutate it or its cache's entries."""
+    if f._section is not None:
+        return f._section
     cur = f_section(f)
     cache = cur.cache
     for _ in range(_SWEEP_CAP):
         offenders = [e for e in cur.edges
-                     if cache.rect(e).degree >= threshold]
+                     if cache.rect(e).degree >= _DEGREE_THRESHOLD]
         if not offenders:
-            memo[threshold] = cur
+            f._section = cur
             return cur
         moved = False
         for e in offenders:
@@ -818,7 +819,7 @@ def flip_path(lower: Section, upper: Section) -> List[FlipStep]:
                 for u in upper.edges:
                     if cache.crossings(new_c, u) == 0:
                         continue
-                    if edge_order(new_c, u, cache) != "below":
+                    if edge_order(new_c, u) != "below":
                         ok = False
                         break
                 if not ok:
@@ -873,10 +874,11 @@ class Pocket:
                    self.intersection, self.flip_count))
 
 
-def _side_component(section, other_edge_set, seed, cache):
+def _side_component(section, other_edge_set, seed):
     """Faces of `section` reachable from the seed edge's faces across
     edges absent from the other section; returns (faces, interior
     edges, boundary edges)."""
+    cache = section.cache
     diff = [e for e in section.edges if e not in other_edge_set]
     diff_set = frozenset(diff)
     seed_faces = [section.face_of(seed), section.face_of(cache.reverse(seed))]
@@ -916,11 +918,10 @@ def _face_area2(face) -> object:
     return H.cross(apex)
 
 
-def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection,
-           cache: Optional[EdgeCache] = None) -> Pocket:
+def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection) -> Pocket:
     """The pocket with sigma1 on its top side and sigma2 on its bottom
     side.  Requires the edges to cross with sigma1 above sigma2."""
-    cache = cache or EdgeCache()
+    cache = edge_cache(sigma1.surface)
     c1 = cache.canonical(sigma1)
     c2 = cache.canonical(sigma2)
     try:
@@ -929,14 +930,14 @@ def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection,
         raise NotCrossing("edges overlap along a segment")
     if i12 == 0:
         raise NotCrossing("pocket edges must cross")
-    if edge_order(c1, c2, cache) != "above":
+    if edge_order(c1, c2) != "above":
         raise WrongOrder("the first pocket edge must lie above the second")
-    upper = t_minus(c1, cache=cache)
-    lower = t_plus(c2, cache=cache)
+    upper = t_minus(c1)
+    lower = t_plus(c2)
     top_faces, top_int, top_bnd = _side_component(
-        upper, lower.edge_set, c1, cache)
+        upper, lower.edge_set, c1)
     bot_faces, bot_int, bot_bnd = _side_component(
-        lower, upper.edge_set, c2, cache)
+        lower, upper.edge_set, c2)
     if top_bnd != bot_bnd:
         raise InternalCheckError("pocket sides have different boundaries")
     area_top = _face_area2(top_faces[0])
@@ -953,7 +954,7 @@ def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection,
         hits = 0
         for b in bot_int:
             n = cache.crossings(a, b)
-            if n and edge_order(a, b, cache) != "above":
+            if n and edge_order(a, b) != "above":
                 raise InternalCheckError(
                     "pocket order violated between side edges")
             hits += n

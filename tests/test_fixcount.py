@@ -3,6 +3,7 @@ the rectangle counter against the clip-everything oracle, Lefschetz numbers
 against 2 - tr(M^n), sandwich inequalities, and the Markov bound."""
 
 import gc
+import inspect
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -37,9 +38,9 @@ from pafix.saddle import (
     is_veering_edge,
 )
 from pafix.veering import (
-    EdgeCache,
     annular_avoiding_f_section,
     apply_to_edge,
+    edge_cache,
     f_section,
 )
 
@@ -51,7 +52,7 @@ TRACES = {1: 3, 2: 7, 3: 18, 4: 47}
 @pytest.fixture(scope="module")
 def torus():
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    return surface, f, EdgeCache()
+    return surface, f, edge_cache(surface)
 
 
 def _edge_from_lattice(surface, a, b):
@@ -109,9 +110,9 @@ def test_disjoint_image_gives_empty_rectangle_count(torus):
     surface, f, cache = torus
     section = annular_avoiding_f_section(f)
     for e in section.edges:
-        image = apply_to_edge(f, e, cache)
+        image = apply_to_edge(f, e)
         assert intersection_number(e, image) == 0
-        assert fixed_points_in_rectangle(f, e, cache) == []
+        assert fixed_points_in_rectangle(f, e) == []
 
 
 def test_rectangle_union_at_n2(torus):
@@ -120,8 +121,8 @@ def test_rectangle_union_at_n2(torus):
     section = annular_avoiding_f_section(g)
     keys = set()
     for e in section.edges:
-        pts = fixed_points_in_rectangle(g, e, cache)
-        i = intersection_number(e, apply_to_edge(g, e, cache))
+        pts = fixed_points_in_rectangle(g, e)
+        i = intersection_number(e, apply_to_edge(g, e))
         assert len(pts) <= i
         for p in pts:
             assert p.kind == "regular" and p.index == -1
@@ -140,9 +141,9 @@ def test_sandwich_inequalities_in_holonomy_box(torus):
             continue
         if rect is None:
             continue
-        image = apply_to_edge(g, sc, cache)
+        image = apply_to_edge(g, sc)
         i = intersection_number(sc, image)
-        n = len(fixed_points_in_rectangle(g, sc, cache))
+        n = len(fixed_points_in_rectangle(g, sc))
         assert n <= i
         assert n * rect.degree >= i
         checked += 1
@@ -155,7 +156,7 @@ def test_max_edge_tie_breaks_to_first(torus):
     section = annular_avoiding_f_section(g)
     e = max_edge(section, g)
     assert e == section.edges[0]
-    assert intersection_number(e, apply_to_edge(g, e, cache)) == 2
+    assert intersection_number(e, apply_to_edge(g, e)) == 2
 
 
 def test_crossing_data_matches_intersection_number(torus):
@@ -163,7 +164,7 @@ def test_crossing_data_matches_intersection_number(torus):
     g = f.power(2)
     section = annular_avoiding_f_section(g)
     for e in section.edges:
-        image = apply_to_edge(g, e, cache)
+        image = apply_to_edge(g, e)
         assert len(_crossing_data(e, image)) == intersection_number(e, image)
 
 
@@ -172,7 +173,7 @@ def test_non_veering_edge_rejected(torus):
     sc = _edge_from_lattice(surface, 3, 1)
     assert is_veering_edge(sc) is None
     with pytest.raises(NotVeering):
-        fixed_points_in_rectangle(f, sc, cache)
+        fixed_points_in_rectangle(f, sc)
 
 
 def test_inverse_map_rejected_up_front(torus):
@@ -251,13 +252,16 @@ def test_markov_crossing_trace_fallback_dominates_total(monkeypatch, rows,
 @pytest.mark.parametrize("module, budget", [
     (saddle, "_RECT_UNFOLD_NODES"),
     (fixcount, "_COVER_CAP"),
+    (fixcount, "_GERM_PROBES"),
 ])
 def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
     # the rectangle budget trips while the section is built, the cover
-    # budget in the oracle's triangle covers
-    monkeypatch.setattr(module, budget, 1)
+    # budget in the oracle's triangle covers; with no probe at all the
+    # marked point's prong images stay unknown
+    limit = 0 if budget == "_GERM_PROBES" else 1
+    monkeypatch.setattr(module, budget, limit)
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    with pytest.raises(InternalCheckError, match=budget + " = 1 "):
+    with pytest.raises(InternalCheckError, match="%s = %d " % (budget, limit)):
         oracle_count_fixed_points(f, annular_avoiding_f_section(f))
 
 
@@ -271,9 +275,9 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         built.append(args[0])
         return real_complete(*args, **kwargs)
 
-    def apply(f, sc, cache=None):
+    def apply(f, sc):
         images[(f, sc)] += 1
-        return real_apply(f, sc, cache)
+        return real_apply(f, sc)
 
     monkeypatch.setattr(veering, "complete_to_section", complete)
     monkeypatch.setattr(veering, "apply_to_edge", apply)
@@ -302,6 +306,32 @@ def test_counted_map_is_collected():
     del f
     gc.collect()
     assert ref() is None
+
+
+def test_power_map_is_collected_while_its_surface_is_held():
+    # the surface's edge cache outlives every map on it, so it must not
+    # hold a map, its images or its section
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    g = f.power(2)
+    count_fixed_points(g)
+    oracle_count_fixed_points(g, annular_avoiding_f_section(g))
+    markov_upper_bound(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert edge_cache(surface).rects
+
+
+@pytest.mark.parametrize("module", [veering, fixcount])
+def test_no_public_callable_takes_a_cache(module):
+    # the surface owns its edge cache and the map its section, so no
+    # caller passes either in
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj):
+            params = set(inspect.signature(obj).parameters)
+            assert not params & {"cache", "threshold"}, name
 
 
 # records(), total, Lefschetz number and index sum, pinned as produced by

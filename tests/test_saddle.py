@@ -24,7 +24,6 @@ from pafix.saddle import (
     _wedge_contains,
     cylinder_through,
     cylinders_in_direction,
-    degree,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -226,7 +225,7 @@ def test_unit_diagonal_is_veering_degree_one():
     assert rect is not None
     assert rect.width == t.field.one()
     assert rect.height == t.field.one()
-    assert degree(rect) == 1
+    assert rect.degree == 1
     assert rect.witness is None
 
 
@@ -240,7 +239,7 @@ def test_one_n_is_veering_with_degree_n():
     for n in range(1, 5):
         rect = is_veering_edge(conn(t, 1, n))
         assert rect is not None, n
-        assert degree(rect) == n
+        assert rect.degree == n
         if n >= 2:
             assert not rect.ambiguous
             assert rect.translation is not None
@@ -263,7 +262,7 @@ def test_tall_thin_cylinder_degree():
     r = rect_torus(1, 5)
     rect = is_veering_edge(conn(r, 3, 5))
     assert rect is not None
-    assert degree(rect) == 3
+    assert rect.degree == 3
     assert not rect.ambiguous
     # deck translation is horizontal: the circumference-1 direction
     assert rect.translation.y.is_zero()

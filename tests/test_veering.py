@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pafix import veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     InputError,
@@ -20,12 +21,12 @@ from pafix.flatsurf import FlatSurface
 from pafix.geom import ConvexPolygon, Vec2
 from pafix.saddle import SaddleConnection, _corner_for_ray, is_veering_edge
 from pafix.veering import (
-    EdgeCache,
     Section,
     annular_avoiding_f_section,
     apply_to_edge,
     apply_to_section,
     complete_to_section,
+    edge_cache,
     edge_order,
     f_section,
     flip_down,
@@ -43,7 +44,7 @@ from pafix.veering import (
 @pytest.fixture(scope="module")
 def torus():
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    return surface, f, EdgeCache()
+    return surface, f, edge_cache(surface)
 
 
 def _basis(surface):
@@ -84,7 +85,7 @@ def test_section_size_torus(torus):
 
 def test_complete_empty_is_farey_triangle(torus):
     surface, _, cache = torus
-    T = complete_to_section(surface, (), cache)
+    T = complete_to_section(surface)
     assert len(T.edges) == 3
     assert {unsigned_lat(surface, e) for e in T.edges} == {
         (1, 0), (0, 1), (1, -1)}
@@ -94,15 +95,15 @@ def test_complete_empty_is_farey_triangle(torus):
 
 def test_complete_is_idempotent_on_sections(torus):
     surface, _, cache = torus
-    T = complete_to_section(surface, (), cache)
-    again = complete_to_section(surface, T.edges, cache)
+    T = complete_to_section(surface)
+    again = complete_to_section(surface, T.edges)
     assert again == T
 
 
 def test_complete_from_two_seeds(torus):
     surface, _, cache = torus
     seeds = [edge_for(surface, cache, 1, 0), edge_for(surface, cache, 0, 1)]
-    T = complete_to_section(surface, seeds, cache)
+    T = complete_to_section(surface, seeds)
     third = [unsigned_lat(surface, e) for e in T.edges
              if unsigned_lat(surface, e) not in ((1, 0), (0, 1))]
     assert third in ([(1, 1)], [(1, -1)])
@@ -114,7 +115,7 @@ def test_complete_rejects_crossing_seeds(torus):
     s1 = edge_for(surface, cache, 1, 1)
     s2 = edge_for(surface, cache, 1, -1)
     with pytest.raises(NotNoncrossing):
-        complete_to_section(surface, [s1, s2], cache)
+        complete_to_section(surface, [s1, s2])
 
 
 def test_section_constructor_rejects_wrong_count(torus):
@@ -122,24 +123,24 @@ def test_section_constructor_rejects_wrong_count(torus):
     from pafix.errors import NotFilling
     e = edge_for(surface, cache, 1, 0)
     with pytest.raises(NotFilling):
-        Section(surface, [e], cache)
+        Section(surface, [e])
 
 
 def test_edge_order_basics(torus):
     surface, _, cache = torus
     a = edge_for(surface, cache, 1, 1)
     b = edge_for(surface, cache, 1, -1)
-    o1 = edge_order(a, b, cache)
-    o2 = edge_order(b, a, cache)
+    o1 = edge_order(a, b)
+    o2 = edge_order(b, a)
     assert {o1, o2} == {"below", "above"}
-    assert edge_order(a, a, cache) == "equal"
-    T = complete_to_section(surface, (), cache)
-    assert edge_order(T.edges[0], T.edges[1], cache) == "disjoint"
+    assert edge_order(a, a) == "equal"
+    T = complete_to_section(surface)
+    assert edge_order(T.edges[0], T.edges[1]) == "disjoint"
 
 
 def test_flip_farey_moves(torus):
     surface, _, cache = torus
-    T = complete_to_section(surface, (), cache)
+    T = complete_to_section(surface)
     by = {unsigned_lat(surface, e): e for e in T.edges}
 
     up = flip_up(T, by[(1, 0)])
@@ -147,8 +148,8 @@ def test_flip_farey_moves(torus):
     assert [unsigned_lat(surface, e) for e in new] == [(1, -2)]
     assert flip_down(up, new[0]) == T
     # bottom vs top diagonal of one maximal rectangle
-    assert edge_order(by[(1, 0)], new[0], cache) == "below"
-    assert edge_order(new[0], by[(1, 0)], cache) == "above"
+    assert edge_order(by[(1, 0)], new[0]) == "below"
+    assert edge_order(new[0], by[(1, 0)]) == "above"
 
     down = flip_down(T, by[(1, -1)])
     new2 = [e for e in down.edges if e not in T.edge_set]
@@ -158,7 +159,7 @@ def test_flip_farey_moves(torus):
 
 def test_flip_rejects_non_extremal(torus):
     surface, _, cache = torus
-    T = complete_to_section(surface, (), cache)
+    T = complete_to_section(surface)
     by = {unsigned_lat(surface, e): e for e in T.edges}
     with pytest.raises(NotFlippable):
         flip_up(T, by[(0, 1)])
@@ -170,7 +171,7 @@ def test_flip_rejects_non_extremal(torus):
 
 def test_flip_walk_preserves_section_invariants(torus):
     surface, _, cache = torus
-    T = complete_to_section(surface, (), cache)
+    T = complete_to_section(surface)
     seen = {T}
     frontier = [T]
     # shallow walk: holonomies grow exponentially with flip depth
@@ -193,9 +194,9 @@ def test_flip_walk_preserves_section_invariants(torus):
 
 def test_automorphism_acts_linearly_on_lattice(torus):
     surface, f, cache = torus
-    T = complete_to_section(surface, (), cache)
+    T = complete_to_section(surface)
     for e in T.edges:
-        im = apply_to_edge(f, e, cache)
+        im = apply_to_edge(f, e)
         a, b = lat(surface, e)
         ia, ib = lat(surface, im)
         assert (ia, ib) == (2 * a + b, a + b)
@@ -204,7 +205,7 @@ def test_automorphism_acts_linearly_on_lattice(torus):
 
 def test_f_section_defining_properties(torus):
     surface, f, cache = torus
-    T0 = complete_to_section(surface, (), cache)
+    T0 = complete_to_section(surface)
     T = f_section(f, T0)
     fT = apply_to_section(f, T)
     assert section_leq(fT, T)
@@ -216,7 +217,7 @@ def test_f_section_defining_properties(torus):
 
 def test_t_plus_t_minus(torus):
     surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface, (), cache))
+    T = f_section(f, complete_to_section(surface))
     sigma = T.edges[0]
     tp = t_plus(sigma, section=T)
     tm = t_minus(sigma, section=T)
@@ -236,22 +237,22 @@ def test_t_plus_t_minus(torus):
 def test_t_plus_standalone_builds_own_section(torus):
     surface, _, cache = torus
     sigma = edge_for(surface, cache, 1, 1)
-    tp = t_plus(sigma, cache=cache)
+    tp = t_plus(sigma)
     assert sigma in tp.edge_set
     assert len(tp.edges) == 3
 
 
 def test_pocket_on_image_pairs(torus):
     surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface, (), cache))
+    T = f_section(f, complete_to_section(surface))
     f2 = f.power(2)
     chi = section_size(surface) // 3
     bound = (9 * chi) ** 2
     for e in T.edges:
-        im = cache.canonical(apply_to_edge(f2, e, cache))
+        im = cache.canonical(apply_to_edge(f2, e))
         assert cache.crossings(e, im) == 2
-        assert edge_order(e, im, cache) == "above"
-        p = pocket(e, im, cache)
+        assert edge_order(e, im) == "above"
+        p = pocket(e, im)
         assert p.crossing == 2
         assert p.intersection == 4
         assert p.flip_count == 2
@@ -261,19 +262,19 @@ def test_pocket_on_image_pairs(torus):
 
 def test_pocket_rejects_disjoint_and_misordered(torus):
     surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface, (), cache))
+    T = f_section(f, complete_to_section(surface))
     with pytest.raises(NotCrossing):
-        pocket(T.edges[0], T.edges[1], cache)
+        pocket(T.edges[0], T.edges[1])
     f2 = f.power(2)
     e = T.edges[0]
-    im = cache.canonical(apply_to_edge(f2, e, cache))
+    im = cache.canonical(apply_to_edge(f2, e))
     with pytest.raises(WrongOrder):
-        pocket(im, e, cache)
+        pocket(im, e)
 
 
 def test_flip_path_between_sections(torus):
     surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface, (), cache))
+    T = f_section(f, complete_to_section(surface))
     bottom = apply_to_section(f, T)
     steps = flip_path(bottom, T)
     assert len(steps) == 2
@@ -288,7 +289,7 @@ def test_flip_path_between_sections(torus):
 
 def test_mapping_torus_word_lengths(torus):
     surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface, (), cache))
+    T = f_section(f, complete_to_section(surface))
     mt = mapping_torus_layering(f, T)
     assert len(mt.tetrahedra) == 2
     assert len(mt.gluings) == 4  # 2 tets, 8 face slots, each pairing once
@@ -334,10 +335,47 @@ def test_annular_avoiding_section_is_kept_on_the_map():
     assert annular_avoiding_f_section(f.power(2)) is not T
 
 
+def test_sections_on_one_surface_share_its_edge_cache():
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    cache = edge_cache(surface)
+    assert edge_cache(surface) is cache
+    T = complete_to_section(surface)
+    sections = [T, apply_to_section(f, T), t_plus(T.edges[0]),
+                annular_avoiding_f_section(f),
+                annular_avoiding_f_section(f.power(2))]
+    assert all(S.cache is cache for S in sections)
+    # another surface, even of the same map, has its own cache
+    other, _ = torus_from_matrix([[2, 1], [1, 1]])
+    assert edge_cache(other) is not cache
+
+
+def test_maps_share_rectangles_but_keep_their_own_images(monkeypatch):
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    cache = edge_cache(surface)
+    Tf = annular_avoiding_f_section(f)
+    rects = {e: cache.rect(e) for e in Tf.edges}
+    spanned = []
+    real = veering.is_veering_edge
+
+    def span(sc):
+        spanned.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(veering, "is_veering_edge", span)
+    g = f.power(2)
+    Tg = annular_avoiding_f_section(g)
+    assert Tg.edge_set == Tf.edge_set
+    for e in Tg.edges:
+        assert cache.rect(e) is rects[e]
+        assert e not in spanned
+        assert cache.image(f, e) is f._images[e]
+        assert cache.image(g, e) is g._images[e]
+        assert g._images[e] != f._images[e]
+
+
 def test_edge_cache_images_are_per_map(torus):
-    surface, f, _ = torus
-    cache = EdgeCache()
-    T = complete_to_section(surface, (), cache)
+    surface, f, cache = torus
+    T = complete_to_section(surface)
     oriented = [sc for e in T.edges for sc in (e, cache.reverse(e))]
     # power maps are rebuilt every round and dropped at once, so a cache
     # keyed by id() would hand a new map the images of a dead one
@@ -358,9 +396,8 @@ def _rect_data(rect):
 
 
 def test_edge_cache_rect_is_in_the_oriented_frame(torus):
-    surface, f, _ = torus
-    cache = EdgeCache()
-    T = complete_to_section(surface, (), cache)
+    surface, f, cache = torus
+    T = complete_to_section(surface)
     frames_differ = 0
     for e in T.edges:
         r = cache.reverse(e)
