@@ -112,15 +112,25 @@ class PiecewiseAffineMap:
     def _validate_continuity(self):
         """The map must agree wherever two piece regions touch, including
         touching across a glued edge.  Affine on segments: agreement at the
-        two endpoints of the shared sub-segment is agreement everywhere."""
+        two endpoints of the shared sub-segment is agreement everywhere.
+        A shared sub-segment lies in the conservative float boxes of both
+        regions and of both edges, so pairs whose boxes are disjoint are
+        skipped: they cannot overlap, and every check that can fail runs."""
         surface = self.surface
+        sides = {piece: [(a, b, float_box((a, b))) for a, b in piece.region.edges()]
+                 for piece in self.pieces}
         # same-chart adjacencies
         for chart in range(len(surface.polygons)):
             pieces = self._by_chart[chart]
             for i in range(len(pieces)):
                 for j in range(i + 1, len(pieces)):
-                    for a, b in pieces[i].region.edges():
-                        for c, d in pieces[j].region.edges():
+                    if boxes_disjoint(pieces[i].region.float_bbox(),
+                                      pieces[j].region.float_bbox()):
+                        continue
+                    for a, b, box1 in sides[pieces[i]]:
+                        for c, d, box2 in sides[pieces[j]]:
+                            if boxes_disjoint(box1, box2):
+                                continue
                             hit = segment_intersection(a, b, c, d)
                             if hit[0] != "overlap":
                                 continue
@@ -137,8 +147,13 @@ class PiecewiseAffineMap:
         for (edge, tr) in surface.transitions.items():
             chart, e = edge
             a, b = surface.polygons[chart].edges()[e]
+            box1 = float_box((a, b))
             for piece in self._by_chart[chart]:
-                for c, d in piece.region.edges():
+                if boxes_disjoint(box1, piece.region.float_bbox()):
+                    continue
+                for c, d, box2 in sides[piece]:
+                    if boxes_disjoint(box1, box2):
+                        continue
                     hit = segment_intersection(a, b, c, d)
                     if hit[0] != "overlap":
                         continue

@@ -637,30 +637,39 @@ class FieldElement:
             "sign of nonzero element did not resolve within _MAX_ROUNDS = %d "
             "rounds of %d bisections" % (_MAX_ROUNDS, _ROUND_BISECTIONS))
 
-    def approx(self, bits: int = 53) -> RationalInterval:
-        """Rational enclosure of width at most 2**-bits."""
+    def _enclosure(self, bits: int) -> tuple:
+        """Integers (lo, hi, scale), scale > 0, with lo/scale <= self <=
+        hi/scale and (hi - lo)/scale <= 2**-bits."""
         if self.is_rational():
-            c = Fraction(self.num[0], self.den)
-            return RationalInterval(c, c)
+            return self.num[0], self.num[0], self.den
         field = self.field
         for _ in range(_MAX_ROUNDS):
             lo, hi = _enclose(self.num, field._a, field._b, field._q)
             scale = self.den * field._q ** (len(self.num) - 1)
             if (hi - lo) << bits <= scale:
-                return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+                return lo, hi, scale
             field._refine(_ROUND_BISECTIONS)
         raise InternalCheckError(
             "enclosure did not reach 2**-%d within _MAX_ROUNDS = %d rounds of "
             "%d bisections" % (bits, _MAX_ROUNDS, _ROUND_BISECTIONS))
 
+    def approx(self, bits: int = 53) -> RationalInterval:
+        """Rational enclosure of width at most 2**-bits."""
+        lo, hi, scale = self._enclosure(bits)
+        return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+
     def float_bounds(self) -> tuple:
-        """Cached conservative float enclosure (lo, hi), for prefilters only."""
+        """Cached conservative float enclosure (lo, hi), lo <= self <= hi.
+
+        The box prefilters and the interval filter of the geom predicates
+        read it.  Each end is an end of the 2**-40 rational enclosure,
+        taken as a correctly rounded integer quotient and moved one float
+        outward."""
         fb = self._fb
         if fb is None:
-            box = self.approx(40)
-            lo = math.nextafter(float(box.lo), -math.inf)
-            hi = math.nextafter(float(box.hi), math.inf)
-            fb = (lo, hi)
+            lo, hi, scale = self._enclosure(40)
+            fb = (math.nextafter(lo / scale, -math.inf),
+                  math.nextafter(hi / scale, math.inf))
             self._fb = fb
         return fb
 

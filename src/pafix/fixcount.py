@@ -357,7 +357,10 @@ def count_fixed_points(f) -> FixReport:
     deduplicated, plus the fixed singular and marked points.  The
     section and the edge images are kept on the map and shared with the
     oracle and the Markov bound for the same map; rectangles and
-    crossing numbers come from the surface's edge_cache."""
+    crossing numbers come from the surface's edge_cache.
+
+    f must expand the horizontal direction: `count_fixed_points(f.inverse())`
+    raises LambdaNotExpanding.  Fix(f^-1) = Fix(f), so count f instead."""
     section = annular_avoiding_f_section(f)
     per_edge = {}
     seen: Dict[str, FixedPoint] = {}

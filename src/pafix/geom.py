@@ -1,12 +1,18 @@
 """Exact planar geometry over a real number field.
 
-Everything here is decided by exact sign computations; floats appear only in
-the conservative bounding-box prefilters, which may claim "maybe" but never
-lie about "no".
+Every answer here is the exact one.  Floats enter in two conservative
+places.  The bounding-box prefilters may claim "maybe" but never lie about
+"no".  The predicates `orient` and `segment_intersection` first evaluate
+their signs over float intervals built from each coordinate's
+`FieldElement.float_bounds()`, rounding every operation outward by one
+`math.nextafter` step, so the interval always holds the exact value; a
+sign is taken from floats only when the interval excludes 0, and whenever
+it holds 0 the exact field sign decides (Shewchuk's filtered predicates).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, NonConvexPolygon
@@ -142,8 +148,42 @@ class AffineMap:
         return "AffineMap(%r, %r)" % (self.mat, self.shift)
 
 
+_nextafter = math.nextafter
+_INF = math.inf
+
+
+def _isub(p, q):
+    """Float interval p - q, rounded outward."""
+    return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
+
+
+def _imul(p, q):
+    """Float interval p * q, rounded outward."""
+    a, b = p
+    c, d = q
+    prods = (a * c, a * d, b * c, b * d)
+    return (_nextafter(min(prods), -_INF), _nextafter(max(prods), _INF))
+
+
+def _ivec(a: Vec2, b: Vec2):
+    """Float intervals of the coordinates of b - a."""
+    return (_isub(b.x.float_bounds(), a.x.float_bounds()),
+            _isub(b.y.float_bounds(), a.y.float_bounds()))
+
+
+def _icross(u, v):
+    """Float interval of the cross product of interval vectors u and v."""
+    return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
+
+
 def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the signed area of triangle abc: +1 counterclockwise."""
+    """Sign of the signed area of triangle abc: +1 counterclockwise.
+    Decided over float intervals when they exclude 0, else exactly."""
+    lo, hi = _icross(_ivec(a, b), _ivec(a, c))
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
     return (b - a).cross(c - a).sign()
 
 
@@ -164,7 +204,23 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
       ("point", p, t, u)   p = a + t(b-a) = c + u(d-c), t and u FieldElements in [0,1]
       ("overlap", p, q)    collinear with a shared segment [p, q] of positive length
     Degenerate (zero-length) segments are not supported.
+
+    When float intervals show the segments are not parallel and t or u
+    lies outside [0, 1], the answer is ("none",) without field arithmetic.
     """
+    r_box, s_box, ca_box = _ivec(a, b), _ivec(c, d), _ivec(a, c)
+    dlo, dhi = _icross(r_box, s_box)
+    if dlo > 0 or dhi < 0:
+        # t = (ca x s) / denom and u = (ca x r) / denom; with denom > 0,
+        # t < 0 when its numerator is, and t > 1 when it exceeds denom
+        tlo, thi = _icross(ca_box, s_box)
+        ulo, uhi = _icross(ca_box, r_box)
+        if dhi < 0:
+            dhi = -dlo
+            tlo, thi = -thi, -tlo
+            ulo, uhi = -uhi, -ulo
+        if thi < 0 or tlo > dhi or uhi < 0 or ulo > dhi:
+            return ("none",)
     r = b - a
     s = d - c
     denom = r.cross(s)
@@ -259,7 +315,12 @@ class ConvexPolygon:
         return total
 
     def contains(self, p: Vec2) -> int:
-        """2 = interior, 1 = boundary, 0 = outside."""
+        """2 = interior, 1 = boundary, 0 = outside.
+
+        The polygon is strictly convex, so a point on or left of every
+        edge line lies in the closed polygon, which meets the line of an
+        edge in that edge alone: a point found on an edge line is on the
+        edge, and needs no check of the edge's span."""
         res = 2
         vs = self.vertices
         n = len(vs)
@@ -268,10 +329,7 @@ class ConvexPolygon:
             if s < 0:
                 return 0
             if s == 0:
-                # on the edge line; must be within the edge's span
                 res = 1
-        if res == 1 and not any(on_segment(p, a, b) for a, b in self.edges()):
-            return 0
         return res
 
     def float_bbox(self):

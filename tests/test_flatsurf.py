@@ -412,6 +412,41 @@ class TestMapValidation:
         with pytest.raises(Discontinuous):
             PiecewiseAffineMap(t, pieces)
 
+    def test_discontinuous_inside_the_chart_only(self):
+        # identity on the left half, x -> 3x/2 - 1/2 on the right half: the
+        # pieces agree across both gluings and disagree only along x = 1/2
+        t = square_torus()
+        f = t.field
+        left = ConvexPolygon([vec(f, 0, 0), vec(f, Fraction(1, 2), 0),
+                              vec(f, Fraction(1, 2), 1), vec(f, 0, 1)])
+        right = ConvexPolygon([vec(f, Fraction(1, 2), 0), vec(f, 1, 0),
+                               vec(f, 1, 1), vec(f, Fraction(1, 2), 1)])
+        stretch = Mat2(f.rational(Fraction(3, 2)), f.zero(), f.zero(), f.one())
+        pieces = [
+            Piece(0, left, AffineMap(Mat2.identity(f), vec(f, 0, 0)), 0),
+            Piece(0, right, AffineMap(stretch, vec(f, Fraction(-1, 2), 0)), 0),
+        ]
+        with pytest.raises(Discontinuous, match="in chart 0"):
+            PiecewiseAffineMap(t, pieces)
+
+    def test_discontinuous_across_gluing(self):
+        # the shear z -> (x, y + x/2), wrapped into the square: continuous
+        # inside the chart, but x = 0 and x = 1 go to heights 1/2 apart
+        t = square_torus()
+        f = t.field
+        half = Fraction(1, 2)
+        low = ConvexPolygon([vec(f, 0, 0), vec(f, 1, 0), vec(f, 1, half),
+                             vec(f, 0, 1)])
+        high = ConvexPolygon([vec(f, 1, half), vec(f, 1, 1), vec(f, 0, 1)])
+        shear = Mat2(f.one(), f.zero(), f.rational(half), f.one())
+        pieces = [
+            Piece(0, low, AffineMap(shear, vec(f, 0, 0)), 0),
+            Piece(0, high, AffineMap(shear, vec(f, 0, -1)), 0),
+        ]
+        with pytest.raises(Discontinuous) as err:
+            PiecewiseAffineMap(t, pieces)
+        assert str(err.value) == "pieces disagree across edge (0, 1) at (1, 0)"
+
     def test_source_not_tiled(self):
         t = square_torus()
         f = t.field

@@ -11,6 +11,7 @@ it, and a fix of the counter is expected to update it."""
 
 import pytest
 
+from pafix import fileio
 from pafix.affine import torus_from_matrix
 from pafix.fixcount import (
     count_fixed_points,
@@ -104,6 +105,37 @@ def test_pipeline_outputs_are_pinned(row0, row1, n):
     rects = [section.cache.rect(e) for e in section.edges]
     assert [repr((r.degree, r.placements, r.translation, r.bounds))
             for r in rects] == want["rects"]
+
+
+def _reversed_pieces(text):
+    """The fileio text with its piece entries (a ``piece`` line and the
+    ``derivative`` line that may follow it) in reverse order."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("piece "))
+    entries = []
+    for line in lines[first:]:
+        if line.startswith("piece "):
+            entries.append([line])
+        else:
+            entries[-1].append(line)
+    return "\n".join(lines[:first] + [l for e in reversed(entries) for l in e]) + "\n"
+
+
+def test_loaded_map_outputs_are_pinned():
+    """Cat f² read back from file text is a materialised 16-piece map, the
+    other branch of piece_at; it counts as the lazy power does."""
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    lazy = f.power(2)
+    _, loaded = fileio.loads(_reversed_pieces(fileio.dumps(surface, lazy)))
+    assert len(loaded.pieces) == 16
+    rep = count_fixed_points(loaded)
+    want = GOLDEN[((2, 1), (1, 1), 2)]
+    assert (rep.total, rep.lefschetz, rep.index_sum) == want["summary"]
+    assert repr(rep.records()) == want["records"]
+    lazy_rep = count_fixed_points(lazy)
+    assert (lazy_rep.total, lazy_rep.lefschetz, lazy_rep.index_sum) \
+        == (rep.total, rep.lefschetz, rep.index_sum)
+    assert repr(lazy_rep.records()) == repr(rep.records())
 
 
 # Spanning rectangles of the veering edges of the cat torus with
