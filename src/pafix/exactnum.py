@@ -12,7 +12,9 @@ common denominator (1 for a monic polynomial), and inverses solve a linear
 system fraction-free on the integer multiplication matrix.  The sign of an
 element is decided by interval Horner evaluation on integers over the root
 bracket; while the enclosure straddles zero, the bracket is *refined* by
-exact bisection.  No decision ever depends on floating point.
+exact bisection.  Comparisons first look at the two elements' cached
+outward-rounded float enclosures, which decide whenever they are
+disjoint; every other answer comes from exact integer arithmetic.
 
     >>> from pafix.exactnum import RealNumberField
     >>> K = RealNumberField.create([1, -3, 1], 2, 3)   # x^2 - 3x + 1, root ~2.618
@@ -661,10 +663,10 @@ class FieldElement:
     def float_bounds(self) -> tuple:
         """Cached conservative float enclosure (lo, hi), lo <= self <= hi.
 
-        The box prefilters and the interval filter of the geom predicates
-        read it.  Each end is an end of the 2**-40 rational enclosure,
-        taken as a correctly rounded integer quotient and moved one float
-        outward."""
+        The box prefilters, the comparisons and the interval filters of
+        the geom predicates read it.  Each end is an end of the 2**-40
+        rational enclosure, taken as a correctly rounded integer quotient
+        and moved one float outward."""
         fb = self._fb
         if fb is None:
             lo, hi, scale = self._enclosure(40)
@@ -686,29 +688,36 @@ class FieldElement:
         r = self.__eq__(other)
         return r if r is NotImplemented else not r
 
-    def __lt__(self, other):
+    def _compare(self, other):
+        """sign(self - other), or None when other is not a number.  Disjoint
+        float bounds decide; bounds that overlap, or only touch, leave it to
+        the exact sign of the difference."""
         o = self._pair(other)
         if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+            return None
+        slo, shi = self.float_bounds()
+        olo, ohi = o.float_bounds()
+        if shi < olo:
+            return -1
+        if ohi < slo:
+            return 1
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
-from .geom import ConvexPolygon, Vec2
+from .geom import ConvexPolygon, Vec2, cross_sign
 from .saddle import (
     SaddleConnection,
     _corner_for_ray,
@@ -211,8 +211,7 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
         base = (q0 + sa - sb) if e == 1 else (sa + sb - q0)
         zx = (base.x - l1 * p0.x) / (one - l1)
         zy = (base.y - l2 * p0.y) / (one - l2)
-        if not ((zx - x0).sign() > 0 and (x1 - zx).sign() > 0
-                and (zy - y0).sign() > 0 and (y1 - zy).sign() > 0):
+        if not (x0 < zx < x1 and y0 < zy < y1):
             continue
         z = Vec2(zx, zy)
         sp = None
@@ -428,20 +427,19 @@ def _chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
         p, q = vs[i], vs[(i + 1) % n]
         d = q - p
         num = (p - a).cross(d)
-        den = r.cross(d)
-        sden = den.sign()
+        sden = cross_sign(r, d)
         if sden == 0:
             if num.sign() < 0:
                 return False
             continue
-        t = num / den
+        t = num / r.cross(d)
         if sden > 0:
-            if (t - hi).sign() < 0:
+            if t < hi:
                 hi = t
         else:
-            if (t - lo).sign() > 0:
+            if t > lo:
                 lo = t
-        if (hi - lo).sign() <= 0:
+        if hi <= lo:
             return False
     mid = a + r.scale((lo + hi) / 2)
     return region.contains(mid) >= 1
@@ -769,8 +767,7 @@ def _full_width_crossings(rect_a, rect_b) -> int:
         else:
             cx0, cx1 = t.x - bx1, t.x - bx0
             cy0, cy1 = t.y - by1, t.y - by0
-        if ((cx0 - ax0).sign() <= 0 and (ax1 - cx1).sign() <= 0
-                and (cy1 - ay0).sign() > 0 and (ay1 - cy0).sign() > 0):
+        if cx0 <= ax0 and ax1 <= cx1 and ay0 < cy1 and cy0 < ay1:
             count += 1
     return count
 

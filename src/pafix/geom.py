@@ -1,13 +1,41 @@
 """Exact planar geometry over a real number field.
 
-Every answer here is the exact one.  Floats enter in two conservative
-places.  The bounding-box prefilters may claim "maybe" but never lie about
-"no".  The predicates `orient` and `segment_intersection` first evaluate
-their signs over float intervals built from each coordinate's
-`FieldElement.float_bounds()`, rounding every operation outward by one
-`math.nextafter` step, so the interval always holds the exact value; a
-sign is taken from floats only when the interval excludes 0, and whenever
-it holds 0 the exact field sign decides (Shewchuk's filtered predicates).
+Every answer here is the exact one.  Floats enter only as enclosures: each
+coordinate's cached `FieldElement.float_bounds()` holds it, and every
+float operation on them rounds outward by one `math.nextafter` step, so an
+interval always holds the exact value it stands for.  A filtered predicate
+takes its answer from floats only when the interval excludes 0, and
+whenever it holds 0 the exact field arithmetic decides (Shewchuk's filtered
+predicates).  The filtered predicates are:
+
+- `orient`, `cross_sign` and the side list of
+  `ConvexPolygon.clip_halfplane`: the sign of a cross product;
+- `segment_intersection`: "none" when the denominator's interval excludes
+  0 and a parameter's interval lies outside [0, 1];
+- the `FieldElement` comparisons `<`, `<=`, `>` and `>=`: disjoint float
+  bounds decide.  Bounds that overlap, or only share an end, cost a
+  subtraction and an exact sign, since `float_bounds` promises no more
+  than lo <= x <= hi;
+- `saddle._seg_meets_box`, which runs three stages: it rejects when the
+  segment's float box misses the box's outer float box, accepts when an
+  endpoint's float box lies strictly inside the box's inner float box,
+  and otherwise clips over intervals (Liang-Barsky), accepting when the
+  interval of the clipped length lies above 0; the exact clip decides
+  the rest;
+- `saddle._box_candidates`, whose visibility search crosses an edge when
+  the edge's part inside the window of sight meets the holonomy box.  A
+  miss of the whole edge's float box with the box's outer float box is
+  final, because that part lies on the edge.  Acceptance without
+  clipping needs both endpoints strictly inside the box: the part is
+  then inside too, and never empty, while with one endpoint outside it
+  could still miss the box, so the exact clip decides.
+
+`cross_sign` and the comparisons carry the cone, wedge and exit-edge
+tests of the saddle search and `trace`, and the bound tests of the
+spanning rectangles and the fixed-point solver.  A few exact paths answer
+without arithmetic: a repeated point makes `orient` 0, and identical
+segments overlap in themselves.  Bounding-box prefilters may claim
+"maybe" but never lie about "no".
 """
 
 from __future__ import annotations
@@ -165,10 +193,23 @@ def _imul(p, q):
     return (_nextafter(min(prods), -_INF), _nextafter(max(prods), _INF))
 
 
+def _idiv(p, q):
+    """Float interval p / q, rounded outward; q must exclude 0."""
+    a, b = p
+    c, d = q
+    quots = (a / c, a / d, b / c, b / d)
+    return (_nextafter(min(quots), -_INF), _nextafter(max(quots), _INF))
+
+
 def _ivec(a: Vec2, b: Vec2):
     """Float intervals of the coordinates of b - a."""
     return (_isub(b.x.float_bounds(), a.x.float_bounds()),
             _isub(b.y.float_bounds(), a.y.float_bounds()))
+
+
+def _ibox(v: Vec2):
+    """Float intervals of the coordinates of v."""
+    return (v.x.float_bounds(), v.y.float_bounds())
 
 
 def _icross(u, v):
@@ -176,15 +217,53 @@ def _icross(u, v):
     return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
 
 
-def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the signed area of triangle abc: +1 counterclockwise.
-    Decided over float intervals when they exclude 0, else exactly."""
-    lo, hi = _icross(_ivec(a, b), _ivec(a, c))
+def _iclip(p, q, box):
+    """Liang-Barsky over intervals: the float interval of hi - lo, where
+    [lo, hi] is the parameter range of the segment from p to q (interval
+    vectors) inside the axis box (x0, x1, y0, y1) of intervals, clipped to
+    [0, 1].  None when a coordinate's direction interval holds 0."""
+    t0 = (0.0, 0.0)
+    t1 = (1.0, 1.0)
+    for pv, qv, lo, hi in ((p[0], q[0], box[0], box[1]),
+                           (p[1], q[1], box[2], box[3])):
+        dv = _isub(qv, pv)
+        if dv[0] <= 0 <= dv[1]:
+            return None
+        ta = _idiv(_isub(lo, pv), dv)
+        tb = _idiv(_isub(hi, pv), dv)
+        if dv[1] < 0:
+            ta, tb = tb, ta
+        t0 = (max(t0[0], ta[0]), max(t0[1], ta[1]))
+        t1 = (min(t1[0], tb[0]), min(t1[1], tb[1]))
+    return _isub(t1, t0)
+
+
+def _filtered_sign(interval, exact) -> int:
+    """The sign of a value, given its outward-rounded float interval: from
+    the interval when it excludes 0, else from exact()."""
+    lo, hi = interval
     if lo > 0:
         return 1
     if hi < 0:
         return -1
-    return (b - a).cross(c - a).sign()
+    return exact()
+
+
+def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
+    """Sign of the signed area of triangle abc: +1 counterclockwise.
+    Decided over float intervals when they exclude 0, else exactly."""
+    def exact():
+        if a == b or b == c or c == a:
+            return 0
+        return (b - a).cross(c - a).sign()
+    return _filtered_sign(_icross(_ivec(a, b), _ivec(a, c)), exact)
+
+
+def cross_sign(u: Vec2, v: Vec2) -> int:
+    """Sign of u x v.  Decided over float intervals when they exclude 0,
+    else exactly."""
+    return _filtered_sign(_icross(_ibox(u), _ibox(v)),
+                          lambda: u.cross(v).sign())
 
 
 def on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
@@ -221,6 +300,8 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
             ulo, uhi = -uhi, -ulo
         if thi < 0 or tlo > dhi or uhi < 0 or ulo > dhi:
             return ("none",)
+    if (c == a and d == b) or (c == b and d == a):
+        return ("overlap", a, b)
     r = b - a
     s = d - c
     denom = r.cross(s)
@@ -352,8 +433,11 @@ class ConvexPolygon:
         Returns None when the intersection has empty interior."""
         vs = self.vertices
         n = len(vs)
-        sides = [(v - p).cross(d).sign() for v in vs]  # <= 0 means keep... see below
-        # left of directed line: cross(d, z - p) >= 0  <=>  (z-p).cross(d) <= 0
+        # left of the directed line: cross(d, z - p) >= 0, i.e. side <= 0
+        d_box = _ibox(d)
+        sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
+                                lambda: (v - p).cross(d).sign())
+                 for v in vs]
         keep = [s <= 0 for s in sides]
         if all(keep):
             return self

@@ -22,7 +22,17 @@ from .errors import (
 )
 from .exactnum import FieldElement, format_element
 from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
-from .geom import ConvexPolygon, Vec2, boxes_disjoint, on_segment, segment_intersection
+from .geom import (
+    ConvexPolygon,
+    Vec2,
+    _ibox,
+    _iclip,
+    boxes_disjoint,
+    cross_sign,
+    float_box,
+    on_segment,
+    segment_intersection,
+)
 
 # Search budgets; each overflow error names its own.
 # Nodes popped by one corner's visibility search in enumerate_saddles.
@@ -187,14 +197,13 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             a = poly.vertices[e]
             b = poly.vertices[(e + 1) % n]
             ev = b - a
-            c1 = ev.cross(rem)
-            if c1.sign() >= 0:
+            if cross_sign(ev, rem) >= 0:
                 continue
-            t = ev.cross(pos - a) / (-c1)
+            t = ev.cross(pos - a) / (-ev.cross(rem))
             if best_t is None or t < best_t:
                 best_t = t
                 best_edge = e
-        if best_t is None or (best_t - one).sign() >= 0:
+        if best_t is None or best_t >= one:
             # segment ends inside this polygon (possibly on its boundary)
             x = pos + rem
             pieces.append((chart, pos, x))
@@ -208,7 +217,7 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             return TraceResult(status, one, pieces, crossings, placements,
                                chart, x, end_vertex, sign)
         t = best_t
-        x = pos + rem.scale(t) if t.sign() != 0 else pos
+        x = pos if t.is_zero() else pos + rem.scale(t)
         if x != pos:
             pieces.append((chart, pos, x))
             placements.append((chart, eps, shift))
@@ -235,10 +244,10 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
 def _wedge_contains(out: Vec2, back: Vec2, d: Vec2) -> bool:
     """Ray d inside the corner cone [out, back): strictly interior or along
     the outgoing edge.  Corner angles are below pi, so two cross tests do."""
-    co = out.cross(d).sign()
+    co = cross_sign(out, d)
     if co == 0:
         return out.dot(d).sign() > 0
-    return co > 0 and d.cross(back).sign() > 0
+    return co > 0 and cross_sign(d, back) > 0
 
 
 def _corner_for_ray(surface: FlatSurface, chart: int, vidx: int, d: Vec2):
@@ -423,7 +432,12 @@ def _box_candidates(surface, corner, bx, by):
     the tree finite on every surface, including ones whose gluing
     translations accumulate.  Rays through a vertex are left in the
     window; the spurious candidates behind it are discarded later by the
-    walk verification."""
+    walk verification.
+
+    An edge is crossed when its part inside the window meets the box.
+    Float boxes skip an edge that misses the box and cross one with both
+    endpoints strictly inside it without clipping; the geom module
+    docstring says why both rules are sound."""
     chart, vidx = corner
     poly = surface.polygons[chart]
     n = len(poly)
@@ -431,6 +445,10 @@ def _box_candidates(surface, corner, bx, by):
     out_ray = poly.vertices[(vidx + 1) % n] - origin
     back_ray = poly.vertices[(vidx - 1) % n] - origin
     bounds = (-bx, bx, -by, by)
+    nbx, nby = bounds[0], bounds[2]
+    bx_lo, bx_hi = bx.float_bounds()
+    by_lo, by_hi = by.float_bounds()
+    outer = (-bx_hi, bx_hi, -by_hi, by_hi)
     # plane frame: this chart translated so the corner sits at zero
     seed_place = (chart, 1, Vec2(-origin.x, -origin.y))
     stack = [(seed_place, out_ray, back_ray, None)]
@@ -448,9 +466,9 @@ def _box_candidates(surface, corner, bx, by):
         for w in placed:
             if w.is_zero():
                 continue
-            if (bx - abs(w.x)).sign() < 0 or (by - abs(w.y)).sign() < 0:
+            if w.x < nbx or w.x > bx or w.y < nby or w.y > by:
                 continue
-            if w1.cross(w).sign() >= 0 and w.cross(w2).sign() >= 0:
+            if cross_sign(w1, w) >= 0 and cross_sign(w, w2) >= 0:
                 cands.append(w)
         m = len(ppoly)
         for e in range(m):
@@ -459,7 +477,7 @@ def _box_candidates(surface, corner, bx, by):
             a, b = placed[e], placed[(e + 1) % m]
             if a.is_zero() or b.is_zero():
                 continue
-            if a.cross(b).sign() <= 0:
+            if cross_sign(a, b) <= 0:
                 # not an outward crossing as seen from the origin
                 continue
             lo = hi = None
@@ -472,13 +490,16 @@ def _box_candidates(surface, corner, bx, by):
                 hi = b
             elif _in_cone(a, b, w2):
                 hi = w2
-            if lo is None or hi is None or lo.cross(hi).sign() <= 0:
+            if lo is None or hi is None or cross_sign(lo, hi) <= 0:
                 continue
-            ca, cb = _clip_to_cone(a, b, lo, hi)
-            if ca is None:
+            sx0, sx1, sy0, sy1 = seg = float_box((a, b))
+            if boxes_disjoint(seg, outer):
                 continue
-            if not _seg_meets_box(ca, cb, bounds, closed=True):
-                continue
+            if not (-bx_lo < sx0 and sx1 < bx_lo
+                    and -by_lo < sy0 and sy1 < by_lo):
+                ca, cb = _clip_to_cone(a, b, lo, hi)
+                if ca is None or not _seg_meets_box(ca, cb, bounds, closed=True):
+                    continue
             tr = surface.transitions[(p, e)]
             eps2, shift2 = _place_cross(eps, shift, tr)
             stack.append(((tr.target[0], eps2, shift2), lo, hi,
@@ -489,7 +510,7 @@ def _box_candidates(surface, corner, bx, by):
 def _in_cone(u: Vec2, v: Vec2, x: Vec2) -> bool:
     """x inside the closed cone from ray u counterclockwise to ray v; the
     cone must span less than pi."""
-    return u.cross(x).sign() >= 0 and x.cross(v).sign() >= 0
+    return cross_sign(u, x) >= 0 and cross_sign(x, v) >= 0
 
 
 def _clip_to_cone(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2):
@@ -509,19 +530,37 @@ def _clip_to_cone(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2):
             continue
         t = -fa / fd
         if fd.sign() > 0:
-            if (t - t0).sign() > 0:
+            if t > t0:
                 t0 = t
         else:
-            if (t - t1).sign() < 0:
+            if t < t1:
                 t1 = t
-    if (t1 - t0).sign() < 0:
+    if t1 < t0:
         return None, None
     return a + d.scale(t0), a + d.scale(t1)
 
 
 def _seg_meets_box(a: Vec2, b: Vec2, bounds, closed: bool) -> bool:
-    """Does segment ab meet the axis box (x0, x1, y0, y1)?  Exact interval
-    clipping.  closed=False asks the open segment to meet the open box."""
+    """Does segment ab (a != b) meet the axis box (x0, x1, y0, y1)?
+    closed=False asks the open segment to meet the open box.
+
+    Floats decide first: disjoint float boxes reject, an endpoint strictly
+    inside the box accepts (near it, the open segment is inside the open
+    box), and Liang-Barsky clipping over intervals accepts when the
+    interval of the clipped length lies above 0.  Exact clipping decides
+    the rest."""
+    fx0, fx1, fy0, fy1 = fbox = tuple(v.float_bounds() for v in bounds)
+    (ax, ay), (bx, by) = fa, fb = _ibox(a), _ibox(b)
+    seg = (min(ax[0], bx[0]), max(ax[1], bx[1]),
+           min(ay[0], by[0]), max(ay[1], by[1]))
+    if boxes_disjoint(seg, (fx0[0], fx1[1], fy0[0], fy1[1])):
+        return False
+    for px, py in (fa, fb):
+        if fx0[1] < px[0] and px[1] < fx1[0] and fy0[1] < py[0] and py[1] < fy1[0]:
+            return True
+    length = _iclip(fa, fb, fbox)
+    if length is not None and length[0] > 0:
+        return True
     x0, x1, y0, y1 = bounds
     field = a.x.field
     lo = field.zero()
@@ -540,11 +579,11 @@ def _seg_meets_box(a: Vec2, b: Vec2, bounds, closed: bool) -> bool:
             continue
         t_lo = (blo - av) / dv
         t_hi = (bhi - av) / dv
-        if (t_hi - t_lo).sign() < 0:
+        if t_hi < t_lo:
             t_lo, t_hi = t_hi, t_lo
-        if (t_lo - lo).sign() > 0:
+        if t_lo > lo:
             lo = t_lo
-        if (t_hi - hi).sign() < 0:
+        if t_hi < hi:
             hi = t_hi
     s = (hi - lo).sign()
     return s >= 0 if closed else s > 0
@@ -618,8 +657,7 @@ def _develop_rect(surface, sc, bounds):
             lambda a, b: _seg_meets_box(a, b, bounds, closed=False),
             ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES)):
         for w in placed:
-            if ((w.x - x0).sign() > 0 and (x1 - w.x).sign() > 0
-                    and (w.y - y0).sign() > 0 and (y1 - w.y).sign() > 0):
+            if x0 < w.x < x1 and y0 < w.y < y1:
                 return None
         placements.append((chart, eps, shift))
     return placements

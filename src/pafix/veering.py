@@ -190,10 +190,10 @@ def edge_cache(surface: FlatSurface) -> EdgeCache:
 
 
 def _slope_abs_less(a: Vec2, b: Vec2) -> int:
-    """sign(|slope a| - |slope b|) via cross-multiplied exact compare."""
+    """sign(|slope a| - |slope b|) via a cross-multiplied compare."""
     lhs = abs(a.y * b.x)
     rhs = abs(b.y * a.x)
-    return (lhs - rhs).sign()
+    return lhs._compare(rhs)
 
 
 def edge_order(a: SaddleConnection, b: SaddleConnection) -> str:

@@ -1,11 +1,15 @@
 """Reference plane predicates decided by exact field signs alone.
 
-These are pafix.geom's orient, segment_intersection and
-ConvexPolygon.contains as they were before the float interval filter:
-every sign is an exact FieldElement.sign, and contains re-checks a point
-on an edge line against the edge spans.  The tests compare the filtered
-predicates against them.
+These are pafix.geom's orient, on_segment, segment_intersection,
+ConvexPolygon.contains and ConvexPolygon.clip_halfplane, and
+pafix.saddle's _seg_meets_box, as they were before the float interval
+filters: every sign is an exact FieldElement.sign of a difference or a
+cross product, and contains re-checks a point on an edge line against the
+edge spans.  The tests compare the filtered predicates against them.
 """
+
+from pafix.errors import NonConvexPolygon
+from pafix.geom import ConvexPolygon
 
 
 def orient(a, b, c):
@@ -63,3 +67,60 @@ def contains(vertices, p):
     if res == 1 and not any(on_segment(p, a, b) for a, b in edges):
         return 0
     return res
+
+
+def clip_halfplane(vertices, p, d):
+    """Vertices of the CCW polygon clipped to the closed halfplane left of
+    the line through p along d, or None when the clip has empty interior."""
+    n = len(vertices)
+    sides = [(v - p).cross(d).sign() for v in vertices]
+    keep = [s <= 0 for s in sides]
+    if all(keep):
+        return tuple(vertices)
+    if not any(s < 0 for s in sides):
+        return None
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        if keep[i]:
+            out.append(vertices[i])
+        if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
+            a, b = vertices[i], vertices[j]
+            r = b - a
+            t = (p - a).cross(d) / r.cross(d)
+            out.append(a + r.scale(t))
+    try:
+        return ConvexPolygon(out, relaxed=True).vertices
+    except NonConvexPolygon:
+        return None
+
+
+def seg_meets_box(a, b, bounds, closed):
+    """Does segment ab meet the axis box (x0, x1, y0, y1)?  closed=False
+    asks the open segment to meet the open box."""
+    x0, x1, y0, y1 = bounds
+    field = a.x.field
+    lo = field.zero()
+    hi = field.one()
+    d = b - a
+    for av, dv, blo, bhi in ((a.x, d.x, x0, x1), (a.y, d.y, y0, y1)):
+        if dv.is_zero():
+            s_lo = (av - blo).sign()
+            s_hi = (av - bhi).sign()
+            if closed:
+                if s_lo < 0 or s_hi > 0:
+                    return False
+            else:
+                if s_lo <= 0 or s_hi >= 0:
+                    return False
+            continue
+        t_lo = (blo - av) / dv
+        t_hi = (bhi - av) / dv
+        if (t_hi - t_lo).sign() < 0:
+            t_lo, t_hi = t_hi, t_lo
+        if (t_lo - lo).sign() > 0:
+            lo = t_lo
+        if (t_hi - hi).sign() < 0:
+            hi = t_hi
+    s = (hi - lo).sign()
+    return s >= 0 if closed else s > 0

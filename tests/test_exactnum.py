@@ -119,6 +119,10 @@ class TestArithmetic:
         K2 = RealNumberField.create([-3, 0, 1], 1, 2)
         with pytest.raises(FieldMismatch):
             K1.gen() + K2.gen()
+        # sqrt 2 < sqrt 3 is plain from the float bounds, which are
+        # disjoint, but the fields differ
+        with pytest.raises(FieldMismatch):
+            K1.gen() < K2.gen()
 
     def test_same_root_interoperates(self):
         K1 = RealNumberField.create([-1, -1, 1], 1, 2)

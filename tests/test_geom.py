@@ -1,12 +1,17 @@
 """The float-filtered plane predicates against exact references.
 
-`orient` and `segment_intersection` take a sign from float intervals only
-when the interval excludes 0, and `ConvexPolygon.contains` no longer
-re-checks edge spans; `geomref` keeps the exact versions.  The inputs mix
-random points, exactly degenerate configurations and near-degenerate ones
-whose cross product is below 2**-60, where only the exact fallback can
+`orient`, `cross_sign`, `segment_intersection`, `on_segment`,
+`ConvexPolygon.clip_halfplane`, `saddle._seg_meets_box` and the
+`FieldElement` comparisons take an answer from float intervals only when
+the interval decides it, and `ConvexPolygon.contains` no longer re-checks
+edge spans; `geomref` keeps the exact versions.  The inputs mix random
+points, exactly degenerate configurations (collinear and axis-parallel
+segments, shared points, segments along a box edge, through a box corner
+or ending on the box boundary) and near-degenerate ones whose cross
+product or difference is below 2**-60, where only the exact fallback can
 decide."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +21,15 @@ from hypothesis import strategies as st
 import geomref
 from pafix.affine import torus_from_matrix
 from pafix.exactnum import FieldElement, RealNumberField
-from pafix.geom import ConvexPolygon, Vec2, orient, segment_intersection
+from pafix.geom import (
+    ConvexPolygon,
+    Vec2,
+    cross_sign,
+    on_segment,
+    orient,
+    segment_intersection,
+)
+from pafix.saddle import _seg_meets_box
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -44,16 +57,26 @@ def coefficients(n):
     return st.lists(coefficient, min_size=n, max_size=n)
 
 
-def tiny(K, bits, negative):
-    """g minus a rational within 2**-bits of g: nonzero, |.| < 2**-bits."""
-    g = K.gen()
-    delta = g - g.approx(bits).lo
+def tiny(K, bits, negative, rational=False):
+    """A nonzero element with |.| <= 2**-bits: g minus g rounded down to a
+    multiple of 2**-(bits + 1), or the rational 2**-bits itself.  Rounding
+    keeps its coefficients at bits + 1 bits: a rational taken straight from
+    g's enclosure has the field's bracket denominator, which every exact
+    sign on such elements deepens, so across draws the coefficients, and
+    the bisections their signs need, would keep doubling."""
+    if rational:
+        delta = K.rational(Fraction(1, 2 ** bits))
+    else:
+        g = K.gen()
+        grid = 2 ** (bits + 1)
+        delta = g - Fraction(math.floor(g.approx(bits + 1).lo * grid), grid)
     return -delta if negative else delta
 
 
 def configuration(K, kind, cs, t1, t2, bits, negative):
     """Four points a, b, c, d of the given kind; the caller skips draws
-    with a == b or c == d."""
+    with a == b or c == d.  Segment cd is also the diagonal of an axis
+    box, which the box kinds place segment ab against."""
     a, b, c, d = (point(K, cs[i * 2 * K.degree:(i + 1) * 2 * K.degree])
                   for i in range(4))
     r = b - a
@@ -67,21 +90,49 @@ def configuration(K, kind, cs, t1, t2, bits, negative):
         w = Vec2(-r.y, r.x)
         c = a + r.scale(K.rational(t1)) + w.scale(tiny(K, bits, negative))
         d = c + (d - a)
+    elif kind == "axis":
+        # ab horizontal, cd vertical
+        b, d = Vec2(b.x, a.y), Vec2(c.x, d.y)
+    elif kind == "corner":
+        # ab ends at the box corner c (t1 = 0), runs through it (t1 > 0)
+        # or stops short of it (t1 < 0)
+        b = c + (c - a).scale(K.rational(t1))
+    elif kind == "edge":
+        # ab on the line of the box edge y = c.y: along it, or beyond it
+        a = Vec2(c.x + (d.x - c.x) * t1, c.y)
+        b = Vec2(c.x + (d.x - c.x) * t2, c.y)
+    elif kind == "boundary":
+        # b on the line of the box edge x = c.x, on the edge for t1 in [0, 1]
+        b = Vec2(c.x, c.y + (d.y - c.y) * t1)
     return a, b, c, d
+
+
+KINDS = ("random", "collinear", "shared", "near", "axis", "corner", "edge",
+         "boundary")
 
 
 def configurations(K):
     n = 8 * K.degree
     return st.tuples(
-        st.sampled_from(("random", "collinear", "shared", "near")),
-        coefficients(n), ratio, ratio, st.integers(75, 100), st.booleans())
+        st.sampled_from(KINDS), coefficients(n), ratio, ratio,
+        st.integers(75, 100), st.booleans())
+
+
+def exact_compare(u, v):
+    s = (u - v).sign()
+    return (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def box_of(c, d):
+    """The axis box with diagonal cd, as (x0, x1, y0, y1)."""
+    return (min(c.x, d.x), max(c.x, d.x), min(c.y, d.y), max(c.y, d.y))
 
 
 @pytest.mark.parametrize("poly, lo, hi", FIELDS)
 def test_filtered_predicates_match_the_exact_reference(poly, lo, hi):
     K = RealNumberField.create(poly, lo, hi)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(configurations(K))
     def check(args):
         a, b, c, d = configuration(K, *args)
@@ -92,10 +143,52 @@ def test_filtered_predicates_match_the_exact_reference(poly, lo, hi):
             assert not cross.is_zero() and abs(cross) < TINY
         for p, q, s in ((a, b, c), (a, b, d), (c, d, a), (b, a, c)):
             assert orient(p, q, s) == geomref.orient(p, q, s)
+            assert cross_sign(q - p, s - p) == (q - p).cross(s - p).sign()
+        for p, q, s in ((c, a, b), (d, a, b), (a, c, d), (b, c, d)):
+            assert on_segment(p, q, s) == geomref.on_segment(p, q, s)
         assert segment_intersection(a, b, c, d) == \
             geomref.segment_intersection(a, b, c, d)
         assert segment_intersection(c, d, b, a) == \
             geomref.segment_intersection(c, d, b, a)
+        for p, q in ((a, b), (b, a)):
+            assert segment_intersection(a, b, p, q) == \
+                geomref.segment_intersection(a, b, p, q)
+        coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+        small = tiny(K, args[4], args[5], rational=args[2] > 0)
+        pairs = [(u, v) for u in coords for v in coords]
+        pairs += [(u, u + small) for u in coords]
+        for u, v in pairs:
+            assert (u < v, u <= v, u > v, u >= v) == exact_compare(u, v)
+
+    check()
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS)
+def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(configurations(K))
+    def check(args):
+        a, b, c, d = configuration(K, *args)
+        if a == b or c == d:
+            return
+        bounds = box_of(c, d)
+        for closed in (True, False):
+            for p, q in ((a, b), (b, a)):
+                assert _seg_meets_box(p, q, bounds, closed) == \
+                    geomref.seg_meets_box(p, q, bounds, closed)
+        x0, x1, y0, y1 = bounds
+        if x0 == x1 or y0 == y1:
+            return
+        corners = [Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1)]
+        box = ConvexPolygon(corners)
+        for p, q in ((a, b), (b, a), (a, c), (c, b)):
+            if p == q:
+                continue
+            got = box.clip_halfplane(p, q - p)
+            want = geomref.clip_halfplane(corners, p, q - p)
+            assert (got and got.vertices) == want
 
     check()
 
@@ -136,6 +229,13 @@ def test_contains_matches_the_exact_reference(poly, lo, hi):
         poly = ConvexPolygon(verts)
         for p in points:
             assert poly.contains(p) == geomref.contains(verts, p)
+        # lines along edges, through vertices and near edges
+        for p, q in zip(points, points[1:] + points[:1]):
+            if p == q:
+                continue
+            got = poly.clip_halfplane(p, q - p)
+            want = geomref.clip_halfplane(verts, p, q - p)
+            assert (got and got.vertices) == want
 
     check()
 
@@ -181,3 +281,82 @@ def test_near_degenerate_orient_falls_back_to_the_exact_sign(sign_calls, n):
     del sign_calls[:]
     assert orient(a, b, c) == geomref.orient(a, b, c) == (-1) ** n
     assert sign_calls
+
+
+def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
+        sign_calls):
+    _, f = torus_from_matrix([[2, 1], [1, 1]])
+    regions = [piece.region for piece in f.power(2).pieces]
+    turns = []
+    for region in regions:
+        vs = region.vertices
+        n = len(vs)
+        turns += [(vs[(i + 1) % n] - vs[i], vs[(i + 2) % n] - vs[(i + 1) % n])
+                  for i in range(n)]
+    coords = [x for region in regions for v in region.vertices
+              for x in (v.x, v.y)]
+    pairs = [(u, v) for u in coords for v in coords
+             if u.float_bounds()[1] < v.float_bounds()[0]]
+    assert len(pairs) > 1000
+    del sign_calls[:]
+    for u, v in turns:
+        assert cross_sign(u, v) == 1
+    for u, v in pairs:
+        assert u < v and u <= v and not u > v and not u >= v
+        assert v > u and v >= u and not v < u and not v <= u
+    assert sign_calls == []
+
+
+@pytest.mark.parametrize("n", (90, 91))
+def test_near_degenerate_cross_sign_and_comparison_fall_back(sign_calls, n):
+    # F(n+1) - F(n) g = (-1/g)^n, below 2**-60: the cross product of
+    # (1, g) and (F(n), F(n+1)), and the gap between F(n+1) and F(n) g
+    K = RealNumberField.create([-1, -1, 1], 1, 2)
+    fib = [0, 1]
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    g = K.gen()
+    u = Vec2(K.one(), g)
+    v = Vec2(K.rational(fib[n]), K.rational(fib[n + 1]))
+    del sign_calls[:]
+    assert cross_sign(u, v) == u.cross(v).sign() == (-1) ** n
+    assert sign_calls
+    lhs, rhs = v.y, v.x * g
+    del sign_calls[:]
+    assert (lhs > rhs) == (n % 2 == 0)
+    assert sign_calls
+    del sign_calls[:]
+    assert (lhs <= rhs) == (n % 2 == 1)
+    assert sign_calls
+
+
+def enclosed(K, value, bounds):
+    """K.rational(value) carrying the float enclosure bounds."""
+    x = K.rational(value)
+    x._fb = bounds
+    return x
+
+
+def test_filters_need_only_an_enclosure():
+    # float_bounds promises lo <= x <= hi and no more; the cached bounds
+    # also happen to be strict, which the filters must not rely on
+    K = RealNumberField.create(*FIELDS[0])
+    # bounds that only touch at 1 do not order 1 and 1
+    x, y = enclosed(K, 1, (0.5, 1.0)), enclosed(K, 1, (1.0, 1.5))
+    assert not x < y and x <= y and not x > y and x >= y
+    assert not y < x and y <= x and not y > x and y >= x
+    # segments between grid points with exact enclosures, against the
+    # unit box with the cached (wider) ones: touching segments have float
+    # boxes that reach the box's outer float box but not its inner one
+    grid = [Fraction(k, 2) for k in range(-2, 5)]
+    points = [Vec2(enclosed(K, gx, (float(gx), float(gx))),
+                   enclosed(K, gy, (float(gy), float(gy))))
+              for gx in grid for gy in grid]
+    bounds = (K.zero(), K.one(), K.zero(), K.one())
+    for a in points:
+        for b in points:
+            if a == b:
+                continue
+            for closed in (True, False):
+                assert _seg_meets_box(a, b, bounds, closed) == \
+                    geomref.seg_meets_box(a, b, bounds, closed)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
     InputError,
@@ -18,7 +19,7 @@ from pafix.errors import (
     OverlappingSegments,
 )
 from pafix.flatsurf import FlatSurface, SurfacePoint
-from pafix.geom import ConvexPolygon, Vec2
+from pafix.geom import ConvexPolygon, Mat2, Vec2
 from pafix.saddle import (
     SaddleConnection,
     _wedge_contains,
@@ -132,6 +133,46 @@ def test_counts_match_oracle_on_skew_boxes():
     for nx, ny in [(3, 2), (5, 1), (1, 4)]:
         saddles = enumerate_saddles(t, nx, ny)
         assert len(saddles) == primitive_count(nx, ny)
+
+
+def primitive_lattice_holonomies(surface, bound):
+    """{p w1 + q w2 : gcd(p, q) = 1} inside the box |x|, |y| <= bound, for
+    w1 and w2 the polygon's sides at vertex 0: the saddle connections of a
+    once-marked torus.  (p, q) = W^-1 v for W the matrix with columns w1
+    and w2, so |p| and |q| are at most bound times the absolute row sums of
+    W^-1.  Decided by exact signs alone."""
+    K = surface.field
+    vs = surface.polygons[0].vertices
+    w1, w2 = vs[1] - vs[0], vs[-1] - vs[0]
+    inv = Mat2(w1.x, w2.x, w1.y, w2.y).inverse()
+    b = K.rational(bound)
+    pmax = math.ceil(((abs(inv.a) + abs(inv.b)) * b).float_bounds()[1])
+    qmax = math.ceil(((abs(inv.c) + abs(inv.d)) * b).float_bounds()[1])
+    out = set()
+    for p in range(-pmax, pmax + 1):
+        for q in range(-qmax, qmax + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            v = w1.scale(K.rational(p)) + w2.scale(K.rational(q))
+            if (b - abs(v.x)).sign() >= 0 and (b - abs(v.y)).sign() >= 0:
+                out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("m, counts", [
+    ([[2, 1], [1, 1]], (8, 24, 52)),
+    ([[3, 1], [2, 1]], (8, 36, 76)),
+    ([[3, -1], [-2, 1]], (8, 36, 76)),
+    ([[-2, -1], [-1, -1]], (8, 24, 52)),
+])
+def test_counts_match_primitive_lattice_oracle_on_irrational_tori(m, counts):
+    # irrational coordinates: the float filters decide most signs here,
+    # where on the rational square torus every one falls through
+    surface, _ = torus_from_matrix(m)
+    for bound, count in zip((1, 2, 3), counts):
+        hols = [sc.hol for sc in enumerate_saddles(surface, bound, bound)]
+        assert len(hols) == len(set(hols)) == count
+        assert set(hols) == primitive_lattice_holonomies(surface, bound)
 
 
 def test_box_below_systole_is_empty():
