@@ -29,6 +29,10 @@ disjoint; every other answer comes from exact integer arithmetic.
 
 Coefficient sequences are ascending: ``[c0, c1, ..., cd]`` stands for
 ``c0 + c1*x + ... + cd*x^d``.
+
+The refinement budgets (the module's _UPPER_CASE constants) stay beside
+the refinement they cap, as the saddle, veering and fixcount budgets do,
+so that a test patches each budget on the module whose loop reads it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ Lefschetz number computed homologically, from the action of f on cycles
 of section edges, as a third independent cross-check.
 
 Coordinates, indices and counts are exact; no step rounds.
+
+Its search budgets (the module's _UPPER_CASE constants) stay beside
+the searches they cap, not in one shared module, because tests patch
+each budget on the module whose search reads it.
 """
 
 from fractions import Fraction
@@ -25,7 +29,6 @@ from .saddle import (
     _corner_for_ray,
     _place_apply,
     _place_unapply,
-    _wedge_contains,
     crossings,
     intersection_number,
     unfold,
@@ -33,7 +36,8 @@ from .saddle import (
 from .veering import (
     Section,
     _derivative_matrix,
-    _vertex_fan_positions,
+    _germ_cmp,
+    _germ_of,
     annular_avoiding_f_section,
     apply_to_edge,  # kept importable as fixcount.apply_to_edge
     edge_cache,
@@ -243,16 +247,9 @@ def _horizontal_germs(surface: FlatSurface, cone):
     plus = Vec2(field.one(), field.zero())
     germs = []
     for corner in sorted(cone.corners):
-        chart, v = corner
-        poly = surface.polygons[chart]
-        n = len(poly)
-        pv = poly.vertices[v]
-        out = poly.vertices[(v + 1) % n] - pv
-        back = poly.vertices[(v - 1) % n] - pv
-        for d in (plus, -plus):
-            if _wedge_contains(out, back, d):
-                c2, d2 = _corner_for_ray(surface, chart, v, d)
-                germs.append((c2, 1 if d2.x.sign() > 0 else -1))
+        for xsign, d in ((1, plus), (-1, -plus)):
+            if surface.owns_ray(corner, d):
+                germs.append((corner, xsign))
     if len(germs) != cone.prongs:
         raise InternalCheckError(
             "cone of angle %d*pi carries %d horizontal germs"
@@ -523,23 +520,6 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
 # ---------------------------------------------------------------------------
 # homological Lefschetz number
 
-def _germ_cmp(fan, a, b) -> int:
-    """Counterclockwise order of two outgoing germs at one vertex class.
-
-    A germ is ((chart, vertex), direction).  Primary key is the owning
-    corner's fan position, secondary the angle inside the wedge."""
-    (ca, da), (cb, db) = a, b
-    pa, pb = fan[ca][1], fan[cb][1]
-    if pa != pb:
-        return -1 if pa < pb else 1
-    s = da.cross(db).sign()
-    if s == 0:
-        if da.dot(db).sign() > 0:
-            return 0
-        raise InternalCheckError("opposite germs share a corner wedge")
-    return -1 if s > 0 else 1
-
-
 def _cyclic_between(fan, a, x, b) -> bool:
     """Is x strictly inside the counterclockwise wedge from a to b?"""
     ax = _germ_cmp(fan, a, x)
@@ -552,10 +532,6 @@ def _cyclic_between(fan, a, x, b) -> bool:
     return ax < 0 or xb < 0
 
 
-def _germ_of(sc: SaddleConnection):
-    return (sc.start_corner, sc.hol)
-
-
 class _Comb:
     """Rewrites arcs between singularities as chains of section edges,
     exact modulo face boundaries."""
@@ -564,7 +540,7 @@ class _Comb:
         self.section = section
         self.cache = section.cache
         self.surface = section.surface
-        self.fan = _vertex_fan_positions(section.surface)
+        self.fan = section.surface.fan_position
         self.faces = section.triangles
         self.corner_class = section.surface.corner_class
 

@@ -7,6 +7,14 @@ reflection).  Every polygon vertex lands in a vertex class; classes carry a
 cone angle that is an exact integer multiple of pi, computed by developing
 the corner fan around the class.
 
+The surface owns the vertex primitives that every other module reads a
+singularity through: corner_rays (a corner's out and back edge rays),
+owns_ray (the one corner whose wedge holds a ray at a vertex), fan_step
+(the hop across a corner's back edge to the next corner of the fan),
+fan_position (each corner's class and place in its counterclockwise fan,
+recorded by the angle walk) and vertex_index (which vertex of a chart
+sits at a position).
+
 Conventions baked in here and relied on everywhere else:
 
 * crossing edge e of polygon P into its partner e' of Q sends z to z + t
@@ -19,7 +27,6 @@ Conventions baked in here and relied on everywhere else:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -32,7 +39,7 @@ from .errors import (
     UnmatchedEdge,
 )
 from .exactnum import FieldElement, RealNumberField
-from .geom import AffineMap, ConvexPolygon, Mat2, Vec2, on_segment
+from .geom import AffineMap, ConvexPolygon, Mat2, Vec2, cross_sign, on_segment
 
 EdgeRef = Tuple[int, int]  # (polygon index, edge index)
 
@@ -209,34 +216,26 @@ class FlatSurface:
             for c in g:
                 self.corner_class[c] = i
 
-    def _corner_rays(self, corner: EdgeRef) -> Tuple[Vec2, Vec2]:
-        """Outgoing edge direction and direction toward the previous vertex,
-        both based at the corner."""
-        p, v = corner
-        poly = self.polygons[p]
-        n = len(poly)
-        out = poly.vertices[(v + 1) % n] - poly.vertices[v]
-        back = poly.vertices[(v - 1) % n] - poly.vertices[v]
-        return out, back
-
     def _compute_cone_angles(self):
         self.cone_points: List[ConePoint] = []
+        self.fan_position: Dict[EdgeRef, Tuple[int, int]] = {}
         for cls_index, corners in enumerate(self._class_corners):
-            start = sorted(corners)[0]
-            angle = self._develop_angle(start, corners)
+            angle = self._develop_angle(cls_index, corners)
             self.cone_points.append(
                 ConePoint(cls_index, angle, False, corners))
 
-    def _develop_angle(self, start: EdgeRef, expected_corners: frozenset) -> int:
-        """Walk the corner fan around a vertex class, counting half-turns."""
-        d0, _ = self._corner_rays(start)
+    def _develop_angle(self, cls: int, expected_corners: frozenset) -> int:
+        """Walk the corner fan around a vertex class from its least corner,
+        counting half-turns and recording each corner's fan position."""
+        start = min(expected_corners)
+        d0, _ = self.corner_rays(start)
         d = d0
         crossings = 0
         flips = 0
         corner = start
         visited = 0
         while True:
-            out, back = self._corner_rays(corner)
+            out, back = self.corner_rays(corner)
             # rotate d by the corner angle: the scaled rotation taking ray
             # `out` to ray `back` (counterclockwise, interior angle < pi)
             if out.cross(back).sign() <= 0:
@@ -249,17 +248,15 @@ class FlatSurface:
                 crossings += 1
             elif s_before != 0 and s_before != s_after:
                 crossings += 1
+            self.fan_position[corner] = (cls, visited)
             visited += 1
-            # cross the edge arriving at this vertex: edge (p, v-1)
-            p, v = corner
-            n = len(self.polygons[p])
-            tr = self.transitions[(p, (v - 1) % n)]
+            tr = self.fan_step(corner)
             if tr.flip:
                 # chart change negates coordinates; the geometric ray and the
                 # reference line are unchanged, so this is not a crossing
                 d = -d
                 flips += 1
-            corner = (tr.target[0], tr.target[1])
+            corner = tr.target
             if corner == start:
                 break
             if visited > 4 * len(expected_corners) + 8:
@@ -332,12 +329,43 @@ class FlatSurface:
         p, v = sorted(self._class_corners[cls])[0]
         return SurfacePoint(p, self.polygons[p].vertices[v])
 
-    def vertex_class_at(self, sp: SurfacePoint) -> Optional[int]:
-        poly = self.polygons[sp.chart]
-        for v, vert in enumerate(poly.vertices):
-            if vert == sp.pos:
-                return self.corner_class[(sp.chart, v)]
+    def vertex_index(self, chart: int, pos: Vec2) -> Optional[int]:
+        """Index of the vertex of polygon chart at pos, or None."""
+        for v, vert in enumerate(self.polygons[chart].vertices):
+            if vert == pos:
+                return v
         return None
+
+    def vertex_class_at(self, sp: SurfacePoint) -> Optional[int]:
+        v = self.vertex_index(sp.chart, sp.pos)
+        return None if v is None else self.corner_class[(sp.chart, v)]
+
+    # -- the corner fan -------------------------------------------------------
+
+    def corner_rays(self, corner: EdgeRef) -> Tuple[Vec2, Vec2]:
+        """Outgoing edge direction and direction toward the previous vertex,
+        both based at the corner."""
+        p, v = corner
+        verts = self.polygons[p].vertices
+        return verts[(v + 1) % len(verts)] - verts[v], verts[v - 1] - verts[v]
+
+    def owns_ray(self, corner: EdgeRef, d: Vec2) -> bool:
+        """Ray d inside the corner cone [out, back): strictly interior or
+        along the outgoing edge.  Corner angles are below pi, so two cross
+        tests do.  Every ray at a vertex has exactly one owning corner."""
+        out, back = self.corner_rays(corner)
+        co = cross_sign(out, d)
+        if co == 0:
+            return out.dot(d).sign() > 0
+        return co > 0 and cross_sign(d, back) > 0
+
+    def fan_step(self, corner: EdgeRef) -> Transition:
+        """The transition across the corner's back edge.  Its target is the
+        next corner counterclockwise in the fan of the vertex class, and
+        its map carries directions there."""
+        p, v = corner
+        n = len(self.polygons[p])
+        return self.transitions[(p, (v - 1) % n)]
 
     # -- point bookkeeping -----------------------------------------------------
 

@@ -7,6 +7,10 @@ region.  On top of them sit saddle connection enumeration (polygon
 unfolding pruned by a holonomy box), spanning rectangles with certified
 immersion degree, transverse crossings and intersection numbers, and
 flat cylinders built by developing the band next to a closed leaf.
+
+Its search budgets (the module's _UPPER_CASE constants) stay beside
+the searches they cap, not in one shared module, because tests patch
+each budget on the module whose search reads it.
 """
 
 import heapq
@@ -208,11 +212,7 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             x = pos + rem
             pieces.append((chart, pos, x))
             placements.append((chart, eps, shift))
-            end_vertex = None
-            for k in range(n):
-                if x == poly.vertices[k]:
-                    end_vertex = k
-                    break
+            end_vertex = surface.vertex_index(chart, x)
             status = "vertex" if end_vertex is not None else "end"
             return TraceResult(status, one, pieces, crossings, placements,
                                chart, x, end_vertex, sign)
@@ -222,11 +222,7 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             pieces.append((chart, pos, x))
             placements.append((chart, eps, shift))
         s_total = s_total + (one - s_total) * t
-        hit_vertex = None
-        for k in range(n):
-            if x == poly.vertices[k]:
-                hit_vertex = k
-                break
+        hit_vertex = surface.vertex_index(chart, x)
         if hit_vertex is not None:
             return TraceResult("vertex", s_total, pieces, crossings,
                                placements, chart, x, hit_vertex, sign)
@@ -241,15 +237,6 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
         chart = q
 
 
-def _wedge_contains(out: Vec2, back: Vec2, d: Vec2) -> bool:
-    """Ray d inside the corner cone [out, back): strictly interior or along
-    the outgoing edge.  Corner angles are below pi, so two cross tests do."""
-    co = cross_sign(out, d)
-    if co == 0:
-        return out.dot(d).sign() > 0
-    return co > 0 and cross_sign(d, back) > 0
-
-
 def _corner_for_ray(surface: FlatSurface, chart: int, vidx: int, d: Vec2):
     """The corner owning ray d at a vertex, hopping around the vertex fan
     as needed.  Returns ((chart, vertex), d transported to that chart)."""
@@ -258,14 +245,9 @@ def _corner_for_ray(surface: FlatSurface, chart: int, vidx: int, d: Vec2):
     c = (chart, vidx)
     cur = d
     for _ in range(2 * fan + 2):
-        p, v = c
-        poly = surface.polygons[p]
-        n = len(poly)
-        out = poly.vertices[(v + 1) % n] - poly.vertices[v]
-        back = poly.vertices[(v - 1) % n] - poly.vertices[v]
-        if _wedge_contains(out, back, cur):
+        if surface.owns_ray(c, cur):
             return c, cur
-        tr = surface.transitions[(p, (v - 1) % n)]
+        tr = surface.fan_step(c)
         c = tr.target
         cur = tr.map.mat.apply(cur)
     raise InternalCheckError("ray %r has no owning corner at (%d, %d)"
@@ -300,14 +282,10 @@ class SaddleConnection:
         """Trace hol from the corner; None when the segment is blocked by
         an intermediate singularity, ends at a regular point, or does not
         leave through this corner's wedge."""
-        chart, vidx = corner
-        poly = surface.polygons[chart]
-        n = len(poly)
-        pos = poly.vertices[vidx]
-        out = poly.vertices[(vidx + 1) % n] - pos
-        back = poly.vertices[(vidx - 1) % n] - pos
-        if not _wedge_contains(out, back, hol):
+        if not surface.owns_ray(corner, hol):
             return None
+        chart, vidx = corner
+        pos = surface.polygons[chart].vertices[vidx]
         res = trace(surface, chart, pos, hol)
         if res.status != "vertex":
             return None
@@ -359,6 +337,11 @@ class SaddleConnection:
 
     def point_at(self, t) -> SurfacePoint:
         """Point at parameter t in (0, 1) along the connection."""
+        return self._placed_point(t)[0]
+
+    def _placed_point(self, t) -> Tuple[SurfacePoint, int]:
+        """The point at parameter t with the sign eps of the placement of
+        the first piece holding it."""
         if not isinstance(t, FieldElement):
             t = self.surface.field.rational(t)
         target = self.start_point().pos + self.hol.scale(t)
@@ -366,7 +349,8 @@ class SaddleConnection:
             pa = _place_apply(eps, shift, a)
             pb = _place_apply(eps, shift, b)
             if on_segment(target, pa, pb):
-                return SurfacePoint(chart, _place_unapply(eps, shift, target))
+                return (SurfacePoint(chart, _place_unapply(eps, shift, target)),
+                        eps)
         raise InputError("parameter %s does not land on the connection" % t)
 
     def midpoint(self) -> SurfacePoint:
@@ -439,11 +423,8 @@ def _box_candidates(surface, corner, bx, by):
     endpoints strictly inside it without clipping; the geom module
     docstring says why both rules are sound."""
     chart, vidx = corner
-    poly = surface.polygons[chart]
-    n = len(poly)
-    origin = poly.vertices[vidx]
-    out_ray = poly.vertices[(vidx + 1) % n] - origin
-    back_ray = poly.vertices[(vidx - 1) % n] - origin
+    origin = surface.polygons[chart].vertices[vidx]
+    out_ray, back_ray = surface.corner_rays(corner)
     bounds = (-bx, bx, -by, by)
     nbx, nby = bounds[0], bounds[2]
     bx_lo, bx_hi = bx.float_bounds()
@@ -755,18 +736,8 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
 def _degree_witness(surface, sc, gen: Vec2):
     """The flat annulus certifying the overlap: the maximal cylinder
     through the edge's midpoint in the deck translation direction."""
-    mid = sc.point_at(Fraction(1, 2))
-    half = surface.field.rational(Fraction(1, 2))
-    target = sc.start_point().pos + sc.hol.scale(half)
-    for (chart, a, b), (_, eps, shift) in zip(sc.pieces, sc.placements):
-        if chart != mid.chart:
-            continue
-        pa = _place_apply(eps, shift, a)
-        pb = _place_apply(eps, shift, b)
-        if on_segment(target, pa, pb):
-            d_chart = gen if eps == 1 else -gen
-            return cylinder_through(surface, mid, d_chart)
-    raise InternalCheckError("edge midpoint not found on its own chain")
+    mid, eps = sc._placed_point(Fraction(1, 2))
+    return cylinder_through(surface, mid, gen if eps == 1 else -gen)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,14 +1127,8 @@ def cylinders_in_direction(surface: FlatSurface, d: Vec2,
     bound_sq = bound * bound
     saddles = []
     for corner in sorted(surface.corner_class):
-        chart, vidx = corner
-        poly = surface.polygons[chart]
-        n = len(poly)
-        origin = poly.vertices[vidx]
-        out_ray = poly.vertices[(vidx + 1) % n] - origin
-        back_ray = poly.vertices[(vidx - 1) % n] - origin
         for dd in (d, -d):
-            if not _wedge_contains(out_ray, back_ray, dd):
+            if not surface.owns_ray(corner, dd):
                 continue
             sc = _separatrix(surface, corner, dd, bound_sq)
             if sc is not None:
@@ -1221,10 +1186,7 @@ def _rotate_ray(surface, corner, d, half_turns: int):
             raise InternalCheckError(
                 "ray rotation exceeded _ROTATE_STEPS = %d steps"
                 % _ROTATE_STEPS)
-        p, v = c
-        poly = surface.polygons[p]
-        n = len(poly)
-        back = poly.vertices[(v - 1) % n] - poly.vertices[v]
+        back = surface.corner_rays(c)[1]
         # next representative of span(u_ref) counterclockwise from cur
         cross_cu = cur.cross(u_ref).sign()
         if cross_cu == 0:
@@ -1240,13 +1202,10 @@ def _rotate_ray(surface, corner, d, half_turns: int):
             cur = w
             continue
         on_back = (wb == 0 and w.dot(back).sign() > 0 and cw >= 0)
-        tr = surface.transitions[(p, (v - 1) % n)]
-        q, e2 = tr.target
+        tr = surface.fan_step(c)
         u_ref = tr.map.mat.apply(u_ref)
-        c = (q, e2)
-        qpoly = surface.polygons[q]
-        nq = len(qpoly)
-        cur = qpoly.vertices[(e2 + 1) % nq] - qpoly.vertices[e2]
+        c = tr.target
+        cur = surface.corner_rays(c)[0]
         if on_back:
             count += 1
             if count == half_turns:

@@ -19,6 +19,10 @@ dominate the cost and the cache makes repeated sweeps affordable.  A
 map owns what depends on it: its edge images and the section that
 annular_avoiding_f_section keeps, so every counter run on one map
 shares one section.  No routine takes a cache.
+
+Its search budgets (the module's _UPPER_CASE constants) stay beside
+the searches they cap, not in one shared module, because tests patch
+each budget on the module whose search reads it.
 """
 
 from fractions import Fraction
@@ -221,37 +225,10 @@ def edge_order(a: SaddleConnection, b: SaddleConnection) -> str:
 # ---------------------------------------------------------------------------
 # face tracing
 
-def _vertex_fan_positions(surface: FlatSurface) -> Dict[tuple, tuple]:
-    """corner -> (vertex class, position in the class's rotational fan).
-
-    The fan hops across each corner's back edge, which walks the corners
-    of a vertex class counterclockwise."""
-    out = {}
-    for cp in surface.cone_points:
-        start = min(cp.corners)
-        cur = start
-        pos = 0
-        while True:
-            out[cur] = (cp.id, pos)
-            p, v = cur
-            n = len(surface.polygons[p])
-            cur = surface.transitions[(p, (v - 1) % n)].target
-            pos += 1
-            if cur == start:
-                break
-            if pos > len(cp.corners):
-                raise InternalCheckError(
-                    "vertex fan of class %d does not close" % cp.id)
-        if pos != len(cp.corners):
-            raise InternalCheckError(
-                "vertex fan of class %d misses corners" % cp.id)
-    return out
-
-
-def _ordered_ends(surface, oriented, fan):
+def _ordered_ends(surface, oriented):
     """Cyclic counterclockwise order of edge germs around each vertex
-    class: primary key the fan position of the owning corner, secondary
-    the angle within the corner wedge."""
+    class, in _germ_cmp order."""
+    fan = surface.fan_position
     by_class: Dict[int, list] = {}
     for sc in oriented:
         cls, _ = fan[sc.start_corner]
@@ -260,10 +237,15 @@ def _ordered_ends(surface, oriented, fan):
     for cls, ends in by_class.items():
         ordered: List[SaddleConnection] = []
         for sc in ends:
+            germ = _germ_of(sc)
             lo, hi = 0, len(ordered)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if _end_before(fan, ordered[mid], sc):
+                c = _germ_cmp(fan, _germ_of(ordered[mid]), germ)
+                if c == 0:
+                    raise InternalCheckError(
+                        "coincident edge germs at one corner")
+                if c < 0:
                     lo = mid + 1
                 else:
                     hi = mid
@@ -272,26 +254,37 @@ def _ordered_ends(surface, oriented, fan):
     return cyclic
 
 
-def _end_before(fan, a: SaddleConnection, b: SaddleConnection) -> bool:
-    pa, pb = fan[a.start_corner][1], fan[b.start_corner][1]
+def _germ_of(sc: SaddleConnection):
+    return (sc.start_corner, sc.hol)
+
+
+def _germ_cmp(fan, a, b) -> int:
+    """Counterclockwise order of two outgoing germs at one vertex class.
+
+    A germ is ((chart, vertex), direction) with the direction owned by
+    the corner.  Primary key is the corner's position in fan (a
+    surface's fan_position), secondary the angle inside the wedge."""
+    (ca, da), (cb, db) = a, b
+    pa, pb = fan[ca][1], fan[cb][1]
     if pa != pb:
-        return pa < pb
-    s = a.hol.cross(b.hol).sign()
+        return -1 if pa < pb else 1
+    s = da.cross(db).sign()
     if s == 0:
-        raise InternalCheckError("coincident edge germs at one corner")
-    return s > 0
+        if da.dot(db).sign() > 0:
+            return 0
+        raise InternalCheckError("opposite germs share a corner wedge")
+    return -1 if s > 0 else 1
 
 
 def _trace_faces(surface, edges):
     """Complementary faces of a noncrossing edge set, each as the cycle
     of oriented edges with the face on the left."""
     cache = edge_cache(surface)
-    fan = _vertex_fan_positions(surface)
     oriented = []
     for c in edges:
         oriented.append(c)
         oriented.append(cache.reverse(c))
-    cyclic = _ordered_ends(surface, oriented, fan)
+    cyclic = _ordered_ends(surface, oriented)
     pred = {}
     for ends in cyclic.values():
         k = len(ends)
@@ -646,13 +639,18 @@ def _derivative_matrix(f) -> Mat2:
 
 
 def _sign_along(f, sc: SaddleConnection) -> int:
-    """Derivative sign along the open edge.  Constant there (a sign
-    jump inside the segment would fold its image), so sample three
-    interior parameters and take the majority to dodge piece-corner
-    ties."""
-    votes = [f.derivative_sign_at(sc.point_at(t))
-             for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))]
-    return 1 if votes.count(1) >= 2 else -1
+    """Derivative sign along the open edge, read at its midpoint.
+
+    The sign is constant on the open edge (a sign jump inside the
+    segment would fold its image), so one interior sample decides,
+    wherever it falls among the pieces.  It is read in the sample's chart
+    and its piece's target chart, as the earlier three-sample vote read
+    it, while apply_to_edge applies it to the holonomy in the edge's
+    start chart and walks the image from the image start's chart.  On a
+    translation surface no chart change flips a direction, so these
+    agree; across halfturn gluings they can differ, and the
+    half-translation families must revisit this."""
+    return f.derivative_sign_at(sc.point_at(Fraction(1, 2)))
 
 
 def apply_to_edge(f, sc: SaddleConnection) -> SaddleConnection:
@@ -665,12 +663,7 @@ def apply_to_edge(f, sc: SaddleConnection) -> SaddleConnection:
     im_hol = _derivative_matrix(f).apply(sc.hol)
     if _sign_along(f, sc) < 0:
         im_hol = -im_hol
-    poly = surface.polygons[im_start.chart]
-    vidx = None
-    for i, v in enumerate(poly.vertices):
-        if v == im_start.pos:
-            vidx = i
-            break
+    vidx = surface.vertex_index(im_start.chart, im_start.pos)
     if vidx is None:
         raise InternalCheckError("edge image does not start at a vertex")
     corner, ray = _corner_for_ray(surface, im_start.chart, vidx, im_hol)

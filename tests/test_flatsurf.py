@@ -31,6 +31,8 @@ from pafix.affine import (
     validate_automorphism,
 )
 from pafix import fileio
+from pafix.fixcount import _horizontal_germs
+from pafix.saddle import _corner_for_ray
 
 from surfbuild import (octagon_surface, pillowcase, point, rational_field,
                        square_polygon, square_torus, vec)
@@ -226,6 +228,100 @@ class TestHalfTranslation:
         assert q.chart == 1
         assert q.pos.x.as_fraction() == Fraction(3, 4) and q.pos.y.as_fraction() == 0
         assert s.same_point(p, q)
+
+
+# ---------------------------------------------------------------------------
+# vertex primitives beyond the torus: a 6*pi point with 8 corners, halfturn
+# gluings around pi points, and the square torus
+
+VERTEX_SURFACES = pytest.mark.parametrize(
+    "make", [octagon_surface, pillowcase, square_torus],
+    ids=["octagon", "pillowcase", "torus"])
+
+
+def _reference_fan_positions(surface):
+    """corner -> (vertex class, fan position) by the standalone walk that
+    FlatSurface.fan_position replaced: from the least corner of each
+    class, hop across each corner's back edge."""
+    out = {}
+    for cp in surface.cone_points:
+        start = min(cp.corners)
+        cur = start
+        pos = 0
+        while True:
+            out[cur] = (cp.id, pos)
+            p, v = cur
+            n = len(surface.polygons[p])
+            cur = surface.transitions[(p, (v - 1) % n)].target
+            pos += 1
+            if cur == start:
+                break
+            assert pos <= len(cp.corners), "fan %d does not close" % cp.id
+        assert pos == len(cp.corners), "fan %d misses corners" % cp.id
+    return out
+
+
+def _probe_directions(surface):
+    """+-e1, +-e2, +-(1, 1) and every polygon edge vector."""
+    f = surface.field
+    out = [vec(f, x, y) for x, y in
+           ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
+    for poly in surface.polygons:
+        out.extend(poly.edge_vector(e) for e in range(len(poly)))
+    return out
+
+
+@VERTEX_SURFACES
+def test_fan_position_matches_the_reference_walk(make):
+    s = make()
+    assert s.fan_position == _reference_fan_positions(s)
+
+
+@VERTEX_SURFACES
+def test_corner_for_ray_lands_on_an_owning_corner(make):
+    s = make()
+    for corner in sorted(s.corner_class):
+        for d in _probe_directions(s):
+            c, d2 = _corner_for_ray(s, corner[0], corner[1], d)
+            assert s.corner_class[c] == s.corner_class[corner]
+            assert s.owns_ray(c, d2)
+
+
+@VERTEX_SURFACES
+def test_every_line_through_a_vertex_has_one_owned_ray_per_half_turn(make):
+    # wedges [out, back) tile the cone, so a cone of angle k*pi holds
+    # exactly k rays along the line of d, each owned by one corner
+    s = make()
+    for cp in s.cone_points:
+        start = min(cp.corners)
+        for d in _probe_directions(s):
+            owned = 0
+            c, cur = start, d
+            for _ in cp.corners:
+                owned += s.owns_ray(c, cur) + s.owns_ray(c, -cur)
+                tr = s.fan_step(c)
+                c, cur = tr.target, tr.map.mat.apply(cur)
+            assert c == start
+            assert owned == cp.angle_pi
+
+
+@pytest.mark.parametrize("make, prongs", [
+    (octagon_surface, [6]),
+    (pillowcase, [1, 1, 1, 1]),
+    (square_torus, [2]),
+], ids=["octagon", "pillowcase", "torus"])
+def test_horizontal_germs_give_one_germ_per_prong(make, prongs):
+    s = make()
+    plus = vec(s.field, 1, 0)
+    counts = []
+    for cp in s.cone_points:
+        germs = _horizontal_germs(s, cp)
+        assert len(set(germs)) == len(germs)
+        for corner, xsign in germs:
+            assert s.corner_class[corner] == cp.id
+            assert s.owns_ray(corner, plus if xsign > 0 else -plus)
+        counts.append(len(germs))
+    assert counts == prongs
 
 
 # ---------------------------------------------------------------------------

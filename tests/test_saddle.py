@@ -22,7 +22,6 @@ from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.geom import ConvexPolygon, Mat2, Vec2
 from pafix.saddle import (
     SaddleConnection,
-    _wedge_contains,
     cylinder_through,
     cylinders_in_direction,
     enumerate_saddles,
@@ -39,13 +38,7 @@ def conn(surface, x, y):
     corner."""
     d = vec(surface.field, x, y)
     for corner in sorted(surface.corner_class):
-        chart, vidx = corner
-        poly = surface.polygons[chart]
-        n = len(poly)
-        origin = poly.vertices[vidx]
-        out = poly.vertices[(vidx + 1) % n] - origin
-        back = poly.vertices[(vidx - 1) % n] - origin
-        if not _wedge_contains(out, back, d):
+        if not surface.owns_ray(corner, d):
             continue
         sc = SaddleConnection.walk(surface, corner, d)
         if sc is not None:
