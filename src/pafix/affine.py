@@ -61,9 +61,11 @@ class PiecewiseAffineMap:
                  validate: bool = True):
         self.surface = surface
         self.pieces = list(pieces)
-        # filled by veering.annular_avoiding_f_section and EdgeCache.image
+        # filled by veering.annular_avoiding_f_section, EdgeCache.image
+        # and fixcount.lefschetz_number (L on _section)
         self._section = None
         self._images: dict = {}
+        self._lefschetz = None
         self._by_chart: List[list] = [[] for _ in surface.polygons]
         for piece in self.pieces:
             if not 0 <= piece.chart < len(surface.polygons):
@@ -340,6 +342,7 @@ class PowerAutomorphism(AffineAutomorphism):
         self._materialized: Optional[PiecewiseAffineMap] = None
         self._section = None
         self._images: dict = {}
+        self._lefschetz = None
         perm = {k: k for k in base.singularity_permutation}
         for _ in range(n):
             perm = {k: base.singularity_permutation[v] for k, v in perm.items()}

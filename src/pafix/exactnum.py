@@ -42,6 +42,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from . import linalg
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -257,13 +258,57 @@ def _normalize_minpoly(coeffs: Sequence[Rat]) -> tuple:
 
 
 def _is_irreducible(int_coeffs: tuple) -> bool:
-    if len(int_coeffs) == 2:
+    """Irreducibility over Q of an integer polynomial (ascending).
+
+    Up to degree 3 a factorization has a linear factor, so the
+    polynomial is reducible exactly when it has a rational root: for a
+    quadratic, when its discriminant is a square.  Neither test factors
+    anything; sympy is imported only for degree 4 and up."""
+    d = len(int_coeffs) - 1
+    if d == 1:
         return True
+    if d == 2:
+        c0, c1, c2 = int_coeffs
+        disc = c1 * c1 - 4 * c0 * c2
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if d == 3:
+        return not _has_rational_root(int_coeffs)
     import sympy
 
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(int_coeffs)), x, domain="QQ")
     return bool(poly.is_irreducible)
+
+
+def _has_rational_root(c: Sequence[int]) -> bool:
+    """Does the integer polynomial c0 + .. + cd x^d have a rational root?
+
+    For a root r, lead*r is an integer (lead = cd): it is a root of the
+    monic integer polynomial lead^(d-1) p(x/lead).  Its integer roots lie
+    in [-B, B] for Cauchy's bound B, which is bisected with Sturm counts
+    taken at half-integers, never roots of a monic integer polynomial,
+    down to single integers that are evaluated exactly."""
+    d, lead = len(c) - 1, c[-1]
+    q = [ck * lead ** (d - 1 - k) for k, ck in enumerate(c[:-1])] + [1]
+    chain = _sturm_chain([Fraction(x) for x in q])
+
+    def variations(x):
+        return _sign_variations(_poly_eval(p, x) for p in chain)
+
+    half = Fraction(1, 2)
+    bound = 1 + max(abs(x) for x in q[:-1])
+    todo = [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        if variations(lo - half) == variations(hi + half):
+            continue
+        if lo == hi:
+            if _poly_eval(q, lo) == 0:
+                return True
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid + 1, hi)]
+    return False
 
 
 def _reduction_table(coeffs: tuple) -> tuple:
@@ -744,16 +789,15 @@ class FieldElement:
 def element_minimal_polynomial(el: FieldElement) -> tuple:
     """Minimal polynomial of an element over Q, as normalized ascending
     integer coefficients, together with an isolating RationalInterval."""
-    import sympy
-
     # coefficient vectors of 1, el, .., el^d as columns; the first
     # nullspace vector, led by the first dependent power, is the
     # dependency of least degree
     cols, power = [], el.field.one()
     for _ in range(el.field.degree + 1):
-        cols.append(list(power.coeffs))
+        cols.append(power.coeffs)
         power = power * el
-    poly = _normalize_minpoly(sympy.Matrix(cols).T.nullspace()[0])
+    rows = [list(r) for r in zip(*cols)]
+    poly = _normalize_minpoly(linalg.nullspace(rows, len(cols))[0])
     # isolate the root equal to el
     bits = 20
     while True:

@@ -8,7 +8,11 @@ the singular points, which are read off the singularity permutation.  The
 oracle counter instead clips f(t) against t for every triangle t of a
 section and solves the same equation per overlap piece.  Both attach a
 Lefschetz number computed homologically, from the action of f on cycles
-of section edges, as a third independent cross-check.
+of section edges, as a third check: L equals the index sum.  L is
+independent of both counters, but not of itself: it is computed once per
+(map, section) and kept on the map, so the oracle run on the map's own
+section reuses the count's L (the same deterministic code on the same
+input would only repeat it), while any other section computes it afresh.
 
 Coordinates, indices and counts are exact; no step rounds.
 
@@ -20,6 +24,7 @@ each budget on the module whose search reads it.
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import linalg
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
@@ -29,8 +34,6 @@ from .saddle import (
     _corner_for_ray,
     _place_apply,
     _place_unapply,
-    crossings,
-    intersection_number,
     unfold,
 )
 from .veering import (
@@ -156,9 +159,11 @@ def _crossing_data(s1: SaddleConnection, s2: SaddleConnection):
     Each record is (t1, t2, chart, pos, place1, place2, side) where t_i is
     the parameter along s_i, pos is in chart coordinates, place_i is the
     (eps, shift) placement of that chart in s_i's walk frame, and side is
-    the sign of cross(dir1, dir2).  One record per surface point."""
+    the sign of cross(dir1, dir2).  One record per surface point; the
+    crossings come from the surface's crossing memo."""
     out = []
-    for chart, p, i, j, side in crossings(s1, s2):
+    records = edge_cache(s1.surface).crossing_records(s1, s2)
+    for chart, p, i, j, side in records:
         _, e1, sh1 = s1.placements[i]
         _, e2, sh2 = s2.placements[j]
         t1 = _param_along(s1, _place_apply(e1, sh1, p))
@@ -376,7 +381,7 @@ def max_edge(T: Section, f) -> SaddleConnection:
     best = None
     best_n = -1
     for e in T.edges:
-        n = intersection_number(e, T.cache.image(f, e))
+        n = T.cache.crossings(e, T.cache.image(f, e))
         if n > best_n:
             best, best_n = e, n
     return best
@@ -622,22 +627,25 @@ def lefschetz_number(f, section: Optional[Section] = None) -> int:
     """2 minus the trace of f on first homology of the closed surface,
     computed from the action on cycles of section edges.  Any section
     gives the same number; without one, the map's own
-    annular_avoiding_f_section is used."""
-    import sympy
-
+    annular_avoiding_f_section is used.  L on that section is kept on
+    the map (f._lefschetz) and computed once; another section is
+    computed afresh."""
     if section is None:
         section = annular_avoiding_f_section(f)
+    own = section is f._section
+    if own and f._lefschetz is not None:
+        return f._lefschetz
     cache = section.cache
     surface = section.surface
     comb = _Comb(section)
     edges = section.edges
     idx = {e: i for i, e in enumerate(edges)}
     ne = len(edges)
-    phi = sympy.zeros(ne, ne)
+    phi = [[0] * ne for _ in range(ne)]
     for j, e in enumerate(edges):
         image = cache.image(f, e)
         for c, coeff in comb.chain_of(image).items():
-            phi[idx[c], j] = coeff
+            phi[idx[c]][j] = coeff
     ends = {}
     for e in edges:
         ends[e] = (surface.corner_class[e.start_corner],
@@ -646,44 +654,31 @@ def lefschetz_number(f, section: Optional[Section] = None) -> int:
     if classes != sorted(c.id for c in surface.cone_points):
         raise InternalCheckError("section edges miss a vertex class")
     crow = {c: i for i, c in enumerate(classes)}
-    bdry1 = sympy.zeros(len(classes), ne)
+    bdry1 = [[0] * ne for _ in classes]
     for j, e in enumerate(edges):
         a, b = ends[e]
-        bdry1[crow[b], j] += 1
-        bdry1[crow[a], j] -= 1
-    cols = []
-    for face in comb.faces:
-        col = sympy.zeros(ne, 1)
+        bdry1[crow[b]][j] += 1
+        bdry1[crow[a]][j] -= 1
+    bdry2 = [[0] * len(comb.faces) for _ in range(ne)]
+    for j, face in enumerate(comb.faces):
         for rep in face:
             can = cache.canonical(rep)
-            col[idx[can], 0] += 1 if rep == can else -1
-        cols.append(col)
-    bdry2 = sympy.Matrix.hstack(*cols)
-    nullvecs = bdry1.nullspace()
-    zbasis = sympy.Matrix.hstack(*nullvecs) if nullvecs else sympy.zeros(ne, 0)
-    bcols = bdry2.columnspace()
-    bbasis = sympy.Matrix.hstack(*bcols) if bcols else sympy.zeros(ne, 0)
-    if (bdry1 * bbasis) != sympy.zeros(len(classes), bbasis.shape[1]):
+            bdry2[idx[can]][j] += 1 if rep == can else -1
+    zbasis = linalg.nullspace(bdry1, ne)
+    bbasis = linalg.columnspace(bdry2)
+    if any(any(linalg.apply(bdry1, b)) for b in bbasis):
         raise InternalCheckError("face boundaries are not cycles")
-    if (bdry1 * phi * zbasis) != sympy.zeros(len(classes), zbasis.shape[1]):
+    if any(any(linalg.apply(bdry1, linalg.apply(phi, z))) for z in zbasis):
         raise InternalCheckError("chain map does not preserve cycles")
-    tr_z = _restricted_trace(phi, zbasis) if zbasis.shape[1] else 0
-    tr_b = _restricted_trace(phi, bbasis) if bbasis.shape[1] else 0
-    trace = tr_z - tr_b
-    if int(trace) != trace:
+    trace = linalg.restricted_trace(phi, zbasis) \
+        - linalg.restricted_trace(phi, bbasis)
+    if trace.denominator != 1:
         raise InternalCheckError("homology trace %s is not an integer"
                                  % (trace,))
-    return 2 - int(trace)
-
-
-def _restricted_trace(phi, w):
-    """Trace of phi on the invariant column space of w (verified)."""
-    gram = w.T * w
-    a = gram.solve(w.T * (phi * w))
-    if (w * a) != (phi * w):
-        raise InternalCheckError(
-            "subspace is not invariant under the chain map")
-    return a.trace()
+    lef = 2 - int(trace)
+    if own:
+        f._lefschetz = lef
+    return lef
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +786,7 @@ def markov_upper_bound(f) -> MarkovBound:
         trace = sum(mat[i][i] for i in range(n))
         bound = 9 * chi * trace + nsing
         return MarkovBound(bound, mat, _perron_interval(mat), "rectangle")
-    total = sum(intersection_number(e, im)
+    total = sum(cache.crossings(e, im)
                 for e, im in zip(section.edges, images))
     bound = 9 * chi * (total + 1) + nsing
     return MarkovBound(bound, None, None, "crossing-trace")

@@ -743,18 +743,26 @@ def _degree_witness(surface, sc, gen: Vec2):
 # ---------------------------------------------------------------------------
 # intersection numbers
 
-def crossings(s1: SaddleConnection, s2: SaddleConnection):
-    """Transverse interior crossings of two saddle connections, one per
-    surface point: yields (chart, pos, i, j, side) with pos in chart
-    coordinates on piece i of s1 and piece j of s2, and side the sign of
-    cross(dir1, dir2).
+def _meetings(s1: SaddleConnection, s2: SaddleConnection):
+    """Transverse meetings of a piece i of s1 with a piece j of s2 away
+    from the singular points, in (i, j) order: (key, chart, pos, i, j,
+    side) with key the surface point's canonical key, pos in chart
+    coordinates and side the sign of cross(dir1, dir2).  A point on a
+    polygon edge is met once in each chart along the edge, so its key can
+    occur twice.  A collinear overlap of positive length raises
+    OverlappingSegments.
 
-    Meetings at endpoints or cone points are skipped; a collinear overlap
-    of positive length raises OverlappingSegments."""
+    Inside a convex chart a piece meets the chart's boundary only at its
+    ends, unless the whole piece runs along a polygon edge.  A meeting
+    point equal to none of the two pieces' ends a, b, c, d therefore lies
+    inside the chart, and its key is (chart, coefficients), what
+    canonical_point would return.  That holds also when one piece runs
+    along a polygon edge: the other piece stays in the chart, so it can
+    reach that edge transversally only at one of its own ends.  Only
+    meetings at piece ends go through canonical_point."""
     if s1.surface is not s2.surface:
         raise InputError("connections live on different surfaces")
     surface = s1.surface
-    seen = set()
     for i, (c1, a, b) in enumerate(s1.pieces):
         for j, (c2, c, d) in enumerate(s2.pieces):
             if c1 != c2:
@@ -772,17 +780,44 @@ def crossings(s1: SaddleConnection, s2: SaddleConnection):
                 # collinear endpoint touch; a genuine geodesic overlap
                 # surfaces as "overlap" in this or an adjacent chart pair
                 continue
-            kind, key, _ = surface.canonical_point(SurfacePoint(c1, r[1]))
-            if kind == "vertex" or key in seen:
-                continue
+            p = r[1]
+            if p == a or p == b or p == c or p == d:
+                kind, key, _ = surface.canonical_point(SurfacePoint(c1, p))
+                if kind == "vertex":
+                    continue
+            else:
+                key = (c1, p.x.coeffs, p.y.coeffs)
+            yield key, c1, p, i, j, side
+
+
+def _first_per_point(meetings) -> tuple:
+    """The crossing records (chart, pos, i, j, side) of the first meeting
+    at each surface point, in the meetings' order."""
+    seen = set()
+    out = []
+    for key, chart, pos, i, j, side in meetings:
+        if key not in seen:
             seen.add(key)
-            yield c1, r[1], i, j, side
+            out.append((chart, pos, i, j, side))
+    return tuple(out)
+
+
+def crossings(s1: SaddleConnection, s2: SaddleConnection) -> tuple:
+    """Transverse interior crossings of two saddle connections, one per
+    surface point: records (chart, pos, i, j, side) with pos in chart
+    coordinates on piece i of s1 and piece j of s2, and side the sign of
+    cross(dir1, dir2); at a point on a polygon edge, the record of the
+    first piece pair in (i, j) order.
+
+    Meetings at endpoints or cone points are skipped; a collinear overlap
+    of positive length raises OverlappingSegments."""
+    return _first_per_point(_meetings(s1, s2))
 
 
 def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
     """Number of transverse interior intersections of two saddle
     connections; see crossings."""
-    return sum(1 for _ in crossings(s1, s2))
+    return len(crossings(s1, s2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ per flip.
 
 All geometry is exact.  Each memo has one owner.  The surface owns
 its EdgeCache (edge_cache(surface)), which memoises reverses, canonical
-representatives, crossing numbers, spanning rectangles and candidate
+representatives, crossing records, spanning rectangles and candidate
 boxes: data of the flat surface alone, shared by every section and
-every map on it.  On surfaces of any size the pairwise crossing numbers
-dominate the cost and the cache makes repeated sweeps affordable.  A
-map owns what depends on it: its edge images and the section that
+every map on it.  The crossing records of a pair (saddle.crossings) are
+kept, not only their number, so the sweeps here, the rectangle solver
+and the Lefschetz chains of fixcount cross each pair once.  A map owns
+what depends on it: its edge images and the section that
 annular_avoiding_f_section keeps, so every counter run on one map
 shares one section.  No routine takes a cache.
 
@@ -47,8 +48,9 @@ from .geom import Mat2, Vec2, convex_hull_is_quad_strict
 from .saddle import (
     SaddleConnection,
     _corner_for_ray,
+    _first_per_point,
+    _meetings,
     enumerate_saddles,
-    intersection_number,
     is_veering_edge,
 )
 
@@ -99,13 +101,16 @@ def section_size(surface: FlatSurface) -> int:
 
 class EdgeCache:
     """One surface's memo for reverses, canonical representatives,
-    crossing numbers, spanning rectangles and candidate boxes.
+    crossing records, spanning rectangles and candidate boxes.
 
-    Get it with edge_cache(surface); every section, flip and order test
-    on the surface shares it.  Crossing numbers are the expensive
-    primitive, and every sweep in this module hits the same pairs
-    repeatedly.  Rectangles are keyed by the oriented edge, because a
-    rectangle's bounds and placements live in that orientation's walk
+    Get it with edge_cache(surface); every section, flip, order test,
+    rectangle solve and Lefschetz chain on the surface shares it.
+    Crossings are the expensive primitive, and every sweep in this
+    module hits the same pairs repeatedly.  The crossing memo holds, per
+    pair of oriented connections, the records of saddle.crossings; a
+    crossing number is the number of records of the two canonical
+    representatives.  Rectangles are keyed by the oriented edge, because
+    a rectangle's bounds and placements live in that orientation's walk
     frame.  Nothing here depends on a map: edge images live on the map
     (image() reads f._images), so the surface never keeps a map
     alive."""
@@ -114,7 +119,7 @@ class EdgeCache:
         self.surface = surface
         self.rev: Dict[SaddleConnection, SaddleConnection] = {}
         self.canon: Dict[SaddleConnection, SaddleConnection] = {}
-        self.cross: Dict[tuple, int] = {}
+        self.crossed: Dict[tuple, tuple] = {}
         self.rects: Dict[SaddleConnection, object] = {}
         self.boxes: Dict[int, tuple] = {}
 
@@ -155,18 +160,41 @@ class EdgeCache:
             self.canon[r] = c
         return c
 
+    def _crossed(self, a: SaddleConnection, b: SaddleConnection) -> tuple:
+        """(records, meetings) of the pair a, b with a before b in
+        sort_key order, computed once."""
+        got = self.crossed.get((a, b))
+        if got is None:
+            meetings = tuple(_meetings(a, b))
+            got = self.crossed[(a, b)] = (_first_per_point(meetings), meetings)
+        return got
+
+    def crossing_records(self, a: SaddleConnection,
+                         b: SaddleConnection) -> tuple:
+        """saddle.crossings(a, b) for oriented connections, from the memo.
+
+        A pair is stored in sort_key order.  A swapped query swaps i and
+        j and negates side in every meeting, then keeps the first meeting
+        per point in its own (i, j) order, as saddle.crossings would.  A
+        reversed orientation is a different key: its walk runs through
+        other pieces (a piece along a polygon edge starts in the glued
+        chart), so it is crossed on its own."""
+        if b.sort_key() < a.sort_key():
+            meetings = self._crossed(b, a)[1]
+            return _first_per_point(sorted(
+                ((key, chart, pos, j, i, -side)
+                 for key, chart, pos, i, j, side in meetings),
+                key=lambda m: (m[3], m[4])))
+        return self._crossed(a, b)[0]
+
     def crossings(self, a: SaddleConnection, b: SaddleConnection) -> int:
+        """Crossing number of the unoriented connections."""
         ca, cb = self.canonical(a), self.canonical(b)
         if ca == cb:
             return 0
         if cb.sort_key() < ca.sort_key():
             ca, cb = cb, ca
-        key = (ca, cb)
-        n = self.cross.get(key)
-        if n is None:
-            n = intersection_number(ca, cb)
-            self.cross[key] = n
-        return n
+        return len(self._crossed(ca, cb)[0])
 
     def rect(self, sc: SaddleConnection):
         """is_veering_edge(sc): the spanning rectangle in sc's own walk

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pafix.exactnum as exactnum
 from pafix.errors import (
@@ -229,6 +230,59 @@ class TestMinimalPolynomials:
         K = trace3_field()
         poly, _ = element_minimal_polynomial(K.gen())
         assert poly == K.minpoly
+
+    def test_cubic_field_elements(self):
+        K = RealNumberField.create([-2, 0, 0, 1], 1, 2)  # cube root of 2
+        g = K.gen()
+        assert element_minimal_polynomial(g * g)[0] == (-4, 0, 0, 1)
+        # the first dependency, not a multiple of higher degree
+        assert element_minimal_polynomial(g * g * g)[0] == (-2, 1)
+        assert element_minimal_polynomial(g + 1)[0] == (-3, 3, -3, 1)
+
+
+class TestIrreducibility:
+    """The closed-form test for degree 2 and 3 against sympy."""
+
+    @staticmethod
+    def sympy_irreducible(coeffs):
+        import sympy
+
+        x = sympy.Symbol("x")
+        return bool(sympy.Poly(list(reversed(coeffs)), x,
+                               domain="QQ").is_irreducible)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, -3, 2),          # 2x^2 - 3x + 1 = (2x - 1)(x - 1)
+        (-3, 2, -3, 2),      # (2x - 3)(x^2 + 1), root 3/2
+        (6, -5, 1),          # (x - 2)(x - 3)
+        (0, 1, 0, 5),        # x(5x^2 + 1)
+        (-4, 12, -9),        # -(3x - 2)^2
+        (1, -3, 1),          # irreducible quadratic
+        (-2, 0, 0, 1),       # x^3 - 2
+        (-1, -2, 0, 4),      # 4x^3 - 2x - 1, no rational root
+    ])
+    def test_pinned_cases(self, coeffs):
+        assert exactnum._is_irreducible(coeffs) == self.sympy_irreducible(coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-12, 12), min_size=3, max_size=4).filter(
+        lambda c: c[-1] != 0))
+    def test_agrees_with_sympy(self, coeffs):
+        assert exactnum._is_irreducible(tuple(coeffs)) \
+            == self.sympy_irreducible(coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-9, 9).filter(bool), st.integers(-9, 9),
+           st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(
+               lambda c: c[-1] != 0))
+    def test_products_with_a_rational_root_are_reducible(self, q, p, rest):
+        # (q x - p) * rest: a rational root p/q, usually not an integer
+        coeffs = [0] * (len(rest) + 1)
+        for k, c in enumerate(rest):
+            coeffs[k] -= p * c
+            coeffs[k + 1] += q * c
+        assert not exactnum._is_irreducible(tuple(coeffs))
+        assert not self.sympy_irreducible(coeffs)
 
 
 class TestParsing:

@@ -4,6 +4,10 @@ against 2 - tr(M^n), sandwich inequalities, and the Markov bound."""
 
 import gc
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -268,8 +272,12 @@ def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
 def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     built = []
     images = Counter()
+    crossed = Counter()
+    combed = []
     real_complete = veering.complete_to_section
     real_apply = veering.apply_to_edge
+    real_meetings = veering._meetings
+    real_comb = fixcount._Comb.__init__
 
     def complete(*args, **kwargs):
         built.append(args[0])
@@ -279,9 +287,20 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         images[(f, sc)] += 1
         return real_apply(f, sc)
 
+    def meetings(a, b):
+        cache = edge_cache(a.surface)
+        crossed[frozenset((cache.canonical(a), cache.canonical(b)))] += 1
+        return real_meetings(a, b)
+
+    def comb(self, section):
+        combed.append(section)
+        real_comb(self, section)
+
     monkeypatch.setattr(veering, "complete_to_section", complete)
     monkeypatch.setattr(veering, "apply_to_edge", apply)
     monkeypatch.setattr(fixcount, "apply_to_edge", apply)
+    monkeypatch.setattr(veering, "_meetings", meetings)
+    monkeypatch.setattr(fixcount._Comb, "__init__", comb)
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     maps = (f, f.power(2))
     for g in maps:
@@ -290,11 +309,46 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         oracle = oracle_count_fixed_points(g, section)
         bound = markov_upper_bound(g)
         assert oracle.point_keys() == rep.point_keys()
+        assert oracle.lefschetz == rep.lefschetz == g._lefschetz
         assert bound >= rep.total
         oriented = {sc for face in section.triangles for sc in face}
         assert oriented <= {sc for (h, sc) in images if h is g}
     assert len(built) == len(maps)
     assert set(images.values()) == {1}
+    # one surface: each unordered pair of connections is crossed once,
+    # whichever map, counter or orientation asks; the Lefschetz chain
+    # map is built once per map, and the oracle reuses its L
+    assert crossed and set(crossed.values()) == {1}
+    assert combed == [g._section for g in maps]
+
+
+def test_quadratic_fields_never_import_sympy():
+    # sympy is needed only to test irreducibility in degree 4 and up;
+    # loading, counting, the oracle and the bound on a quadratic field
+    # must not import it
+    code = textwrap.dedent("""
+        import sys
+        from pafix import fileio
+        from pafix.affine import torus_from_matrix
+        from pafix.fixcount import (count_fixed_points, markov_upper_bound,
+                                    oracle_count_fixed_points)
+        from pafix.veering import annular_avoiding_f_section
+
+        surface, f = torus_from_matrix([[2, 1], [1, 1]])
+        text = fileio.dumps(surface, f.power(2))
+        maps = [f.power(2), fileio.loads(text)[1],
+                torus_from_matrix([[-3, -1], [-2, -1]])[1]]
+        for g in maps:
+            count_fixed_points(g)
+            oracle_count_fixed_points(g, annular_avoiding_f_section(g))
+            markov_upper_bound(g)
+        assert "sympy" not in sys.modules, "sympy was imported"
+    """)
+    src = os.path.dirname(os.path.dirname(fixcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_counted_map_is_collected():

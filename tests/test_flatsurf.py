@@ -198,17 +198,22 @@ class TestOctagon:
         assert not s.cone_points[0].is_marked
 
     def test_gauss_bonnet_guard(self):
-        # same octagon but glued with a shift pairing (i, i+1 mod 8) fails
-        # earlier than Gauss-Bonnet: edge vectors do not match
+        # the same octagon with each edge i halfturn-glued to its
+        # neighbour i xor 1 fails earlier than Gauss-Bonnet: neighbouring
+        # edges point in different directions, so the edge vectors of a
+        # glued pair do not match
         field = RealNumberField.create([-2, 0, 1], 1, 2)
-        s = octagon_surface()
-        poly = s.polygons[0]
-        gluings = {}
-        for i in range(8):
-            j = (i + 1) % 8
-            gluings[(0, i)] = ((0, j), "halfturn") if i % 2 == 0 else ((0, j), "halfturn")
+        poly = octagon_surface().polygons[0]
         gluings = {(0, i): ((0, i ^ 1), "halfturn") for i in range(8)}
         with pytest.raises((LengthMismatch, GaussBonnetViolation)):
+            FlatSurface(field, [poly], gluings)
+
+    def test_shift_pairing_is_not_an_involution(self):
+        # gluing edge i to edge i + 1 mod 8 sends 0 to 1 but 1 to 2
+        field = RealNumberField.create([-2, 0, 1], 1, 2)
+        poly = octagon_surface().polygons[0]
+        gluings = {(0, i): ((0, (i + 1) % 8), "halfturn") for i in range(8)}
+        with pytest.raises(UnmatchedEdge, match="not an involution"):
             FlatSurface(field, [poly], gluings)
 
 

@@ -22,6 +22,7 @@ from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.geom import ConvexPolygon, Mat2, Vec2
 from pafix.saddle import (
     SaddleConnection,
+    _meetings,
     cylinder_through,
     cylinders_in_direction,
     enumerate_saddles,
@@ -336,6 +337,25 @@ def test_intersection_symmetry_on_enumerated_pairs():
                     intersection_number(b, a)
                 continue
             assert ab == intersection_number(b, a)
+
+
+@pytest.mark.parametrize("make, box", [(pillowcase, 1), (octagon_surface, 2)])
+def test_meeting_keys_are_canonical_point_keys(make, box):
+    # a meeting away from the pieces' ends is keyed without
+    # canonical_point; the key must be the one canonical_point gives
+    s = make()
+    saddles = enumerate_saddles(s, box, box)
+    met = 0
+    for i, a in enumerate(saddles):
+        for b in saddles[i + 1:]:
+            try:
+                meetings = list(_meetings(a, b))
+            except OverlappingSegments:
+                continue
+            for key, chart, pos, _, _, _ in meetings:
+                met += 1
+                assert key == s.canonical_point(SurfacePoint(chart, pos))[1]
+    assert met
 
 
 def test_reversed_connection_overlaps():

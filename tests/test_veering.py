@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pafix import veering
+from pafix import saddle, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     InputError,
@@ -39,6 +39,8 @@ from pafix.veering import (
     t_minus,
     t_plus,
 )
+
+from surfbuild import square_torus, vec
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +390,53 @@ def test_edge_cache_images_are_per_map(torus):
         im = cache.image(g, sc)
         assert cache.image(g, sc) is im
         assert im != cache.image(f, sc)
+
+
+def test_crossing_memo_matches_direct_crossings_in_every_order():
+    # negative trace: the images are not canonical, so the rectangle
+    # solver and the Lefschetz chains ask for oriented, non-canonical
+    # pairs, in both argument orders
+    surface, f = torus_from_matrix([[-3, -1], [-2, -1]])
+    section = annular_avoiding_f_section(f)
+    cache = section.cache
+    images = [cache.image(f, e) for e in section.edges]
+    assert any(cache.canonical(im) != im for im in images)
+    for c in section.edges:
+        for im in images:
+            for a, b in ((c, im), (im, c), (c, cache.reverse(im)),
+                         (cache.reverse(im), c)):
+                direct = saddle.crossings(a, b)
+                assert cache.crossing_records(a, b) == direct
+                assert cache.crossings(a, b) == len(direct)
+
+
+def torus_conn(surface, x, y):
+    """The saddle connection with holonomy (x, y) on a one-square torus."""
+    d = vec(surface.field, x, y)
+    corner, ray = _corner_for_ray(surface, 0, 0, d)
+    sc = SaddleConnection.walk(surface, corner, ray)
+    assert sc is not None
+    return sc
+
+
+def test_crossing_memo_swaps_a_pair_met_at_an_edge_point():
+    # on the unit square torus (2, 1) and (-2, 1) cross three times, once
+    # at the glued point (1, 1/2) ~ (0, 1/2), where they pass the vertical
+    # edge in opposite senses: each argument order keeps the chart
+    # position met first in its own piece order, so relabelling one
+    # order's records does not give the other's
+    surface = square_torus()
+    cache = edge_cache(surface)
+    a, b = (torus_conn(surface, x, 1) for x in (2, -2))
+    ab, ba = saddle.crossings(a, b), saddle.crossings(b, a)
+    relabelled = sorted(((chart, pos, j, i, -side)
+                         for chart, pos, i, j, side in ab),
+                        key=lambda r: (r[2], r[3]))
+    assert len(ab) == 3 and tuple(relabelled) != ba
+    for x, y in ((a, b), (b, a), (b, a), (a, b)):
+        assert cache.crossing_records(x, y) == saddle.crossings(x, y)
+    assert len(cache.crossed) == 1
+    assert cache.crossings(a, b) == 3
 
 
 def _rect_data(rect):
