@@ -35,7 +35,7 @@ from .geom import (
     Vec2,
     boxes_disjoint,
     float_box,
-    segment_intersection,
+    shared_segment,
 )
 
 
@@ -59,8 +59,13 @@ class Piece:
 class PiecewiseAffineMap:
     def __init__(self, surface: FlatSurface, pieces: Sequence[Piece],
                  validate: bool = True):
+        from .veering import edge_cache  # veering imports this module
+
         self.surface = surface
         self.pieces = list(pieces)
+        # the surface's EdgeCache, which the surface refers to only weakly:
+        # the maps and sections on a surface keep its geometry alive
+        self._cache = edge_cache(surface)
         # filled by veering.annular_avoiding_f_section, EdgeCache.image
         # and fixcount.lefschetz_number (L on _section)
         self._section = None
@@ -94,12 +99,9 @@ class PiecewiseAffineMap:
                 raise NotBijective(
                     "piece regions of chart %d cover area %s of %s"
                     % (chart, total, poly.area2()))
-            boxes = [p.region.float_bbox() for p in pieces]
             for i in range(len(pieces)):
                 for j in range(i + 1, len(pieces)):
-                    if boxes_disjoint(boxes[i], boxes[j]):
-                        continue
-                    if pieces[i].region.intersect(pieces[j].region) is not None:
+                    if pieces[i].region.overlaps(pieces[j].region):
                         raise NotBijective(
                             "piece regions overlap in chart %d" % chart)
 
@@ -115,9 +117,15 @@ class PiecewiseAffineMap:
         """The map must agree wherever two piece regions touch, including
         touching across a glued edge.  Affine on segments: agreement at the
         two endpoints of the shared sub-segment is agreement everywhere.
-        A shared sub-segment lies in the conservative float boxes of both
-        regions and of both edges, so pairs whose boxes are disjoint are
-        skipped: they cannot overlap, and every check that can fail runs."""
+
+        Every side of a piece is tested against the sides of each other
+        piece in its chart and against each polygon edge of its chart with
+        geom.shared_segment, whose float intervals drop the pairs that are
+        not parallel or lie on different lines, and which orders collinear
+        ends without a division.  A shared sub-segment also lies in the
+        conservative float boxes of both regions and of both sides, so
+        pairs whose boxes are disjoint are skipped: they cannot overlap,
+        and every check that can fail runs."""
         surface = self.surface
         sides = {piece: [(a, b, float_box((a, b))) for a, b in piece.region.edges()]
                  for piece in self.pieces}
@@ -133,10 +141,10 @@ class PiecewiseAffineMap:
                         for c, d, box2 in sides[pieces[j]]:
                             if boxes_disjoint(box1, box2):
                                 continue
-                            hit = segment_intersection(a, b, c, d)
-                            if hit[0] != "overlap":
+                            hit = shared_segment(a, b, c, d)
+                            if hit is None:
                                 continue
-                            for pt in (hit[1], hit[2]):
+                            for pt in hit:
                                 p1 = SurfacePoint(pieces[i].target,
                                                   pieces[i].map.apply(pt))
                                 p2 = SurfacePoint(pieces[j].target,
@@ -156,10 +164,10 @@ class PiecewiseAffineMap:
                 for c, d, box2 in sides[piece]:
                     if boxes_disjoint(box1, box2):
                         continue
-                    hit = segment_intersection(a, b, c, d)
-                    if hit[0] != "overlap":
+                    hit = shared_segment(a, b, c, d)
+                    if hit is None:
                         continue
-                    for pt in (hit[1], hit[2]):
+                    for pt in hit:
                         other = surface.cross_edge(edge, pt)
                         img1 = SurfacePoint(piece.target, piece.map.apply(pt))
                         img2 = self.apply(other)
@@ -181,13 +189,10 @@ class PiecewiseAffineMap:
                 raise NotBijective(
                     "image regions of chart %d cover area %s of %s"
                     % (chart, total, poly.area2()))
-            boxes = [img.float_bbox() for img in by_target[chart]]
             imgs = by_target[chart]
             for i in range(len(imgs)):
                 for j in range(i + 1, len(imgs)):
-                    if boxes_disjoint(boxes[i], boxes[j]):
-                        continue
-                    if imgs[i].intersect(imgs[j]) is not None:
+                    if imgs[i].overlaps(imgs[j]):
                         raise NotBijective("image regions overlap in chart %d" % chart)
 
     # -- evaluation -------------------------------------------------------------
@@ -260,11 +265,12 @@ class AffineAutomorphism(PiecewiseAffineMap):
         if (lambda_ - 1).sign() <= 0:
             raise LambdaNotExpanding("stretch factor %s is not > 1" % lambda_)
         self.lambda_ = lambda_
-        mu = lambda_.inverse()
-        d_plus = Mat2.diagonal(lambda_, mu)
-        d_minus = Mat2.diagonal(-lambda_, -mu)
+        neg = -lambda_
         for piece in pieces:
-            if piece.map.mat != d_plus and piece.map.mat != d_minus:
+            m = piece.map.mat
+            # +-diag(lambda, 1/lambda), checked without a division
+            if not (m.b.is_zero() and m.c.is_zero()
+                    and (m.a == lambda_ or m.a == neg) and m.a * m.d == 1):
                 raise NotConstantDerivative(
                     "piece derivative %r is not +-diag(%s, 1/%s)"
                     % (piece.map.mat, lambda_, lambda_))
@@ -338,6 +344,7 @@ class PowerAutomorphism(AffineAutomorphism):
         self.base = base
         self.n = n
         self.surface = base.surface
+        self._cache = base._cache
         self.lambda_ = base.lambda_ ** n
         self._materialized: Optional[PiecewiseAffineMap] = None
         self._section = None

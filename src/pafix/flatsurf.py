@@ -39,7 +39,7 @@ from .errors import (
     UnmatchedEdge,
 )
 from .exactnum import FieldElement, RealNumberField
-from .geom import AffineMap, ConvexPolygon, Mat2, Vec2, cross_sign, on_segment
+from .geom import AffineMap, ConvexPolygon, Mat2, Vec2, cross_sign
 
 EdgeRef = Tuple[int, int]  # (polygon index, edge index)
 
@@ -119,7 +119,9 @@ class FlatSurface:
         self._compute_cone_angles()
         self._apply_marks(marked_corners)
         self._check_gauss_bonnet()
-        # filled by veering.edge_cache
+        # a weak reference to the surface's EdgeCache, set by
+        # veering.edge_cache; the maps and sections on the surface hold the
+        # cache itself
         self._edge_cache = None
 
     # -- validation steps ----------------------------------------------------
@@ -377,40 +379,44 @@ class FlatSurface:
         """Classify and canonicalize: returns (kind, key, representative).
 
         kind is "interior", "edge", or "vertex"; key is hashable and equal
-        exactly when the surface points coincide."""
-        poly = self.polygons[sp.chart]
+        exactly when the surface points coincide.  A point that is not a
+        vertex is classified by one orient pass over the chart's edges
+        (ConvexPolygon.locate): the polygon is strictly convex, so a point
+        with one zero orient lies on that edge."""
         cls = self.vertex_class_at(sp)
         if cls is not None:
             return ("vertex", cls, self.vertex_point(cls))
-        c = poly.contains(sp.pos)
-        if c == 2:
-            return ("interior", (sp.chart, sp.pos.x.coeffs, sp.pos.y.coeffs), sp)
-        if c == 0:
+        e = self.polygons[sp.chart].locate(sp.pos)
+        if e is None:
             raise InputError("point %r lies outside its chart" % (sp,))
+        if e < 0:
+            return ("interior", (sp.chart, sp.pos.x.coeffs, sp.pos.y.coeffs), sp)
         # on an edge interior: normalize to the smaller edge reference
-        for e, (a, b) in enumerate(poly.edges()):
-            if on_segment(sp.pos, a, b):
-                partner, _ = self.gluings[(sp.chart, e)]
-                if partner < (sp.chart, e):
-                    other = self.cross_edge((sp.chart, e), sp.pos)
-                    return ("edge",
-                            (partner, other.pos.x.coeffs, other.pos.y.coeffs),
-                            other)
-                return ("edge", ((sp.chart, e), sp.pos.x.coeffs, sp.pos.y.coeffs), sp)
-        raise InternalCheckError("boundary point not on any edge")
+        partner, _ = self.gluings[(sp.chart, e)]
+        if partner < (sp.chart, e):
+            other = self.cross_edge((sp.chart, e), sp.pos)
+            return ("edge",
+                    (partner, other.pos.x.coeffs, other.pos.y.coeffs),
+                    other)
+        return ("edge", ((sp.chart, e), sp.pos.x.coeffs, sp.pos.y.coeffs), sp)
 
     def same_point(self, a: SurfacePoint, b: SurfacePoint) -> bool:
+        """Do a and b name one surface point?  An equal (chart, pos) pair
+        does at once; that shortcut does not re-check that the point lies
+        in its chart, which canonical_point would."""
+        if a.chart == b.chart and a.pos == b.pos:
+            return True
         return self.canonical_point(a)[:2] == self.canonical_point(b)[:2]
 
     def representatives(self, sp: SurfacePoint) -> List[SurfacePoint]:
         """The chart representatives of a non-vertex point: sp, and its
         twin across the glued edge when sp lies inside a polygon edge."""
-        out = [sp]
-        for e, (a, b) in enumerate(self.polygons[sp.chart].edges()):
-            if on_segment(sp.pos, a, b) and sp.pos != a and sp.pos != b:
-                out.append(self.cross_edge((sp.chart, e), sp.pos))
-                break
-        return out
+        if self.vertex_index(sp.chart, sp.pos) is not None:
+            return [sp]
+        e = self.polygons[sp.chart].locate(sp.pos)
+        if e is None or e < 0:
+            return [sp]
+        return [sp, self.cross_edge((sp.chart, e), sp.pos)]
 
     def __repr__(self):
         return "FlatSurface(%d polygons, genus %d, %d cone points)" % (

@@ -12,6 +12,18 @@ predicates).  The filtered predicates are:
   `ConvexPolygon.clip_halfplane`: the sign of a cross product;
 - `segment_intersection`: "none" when the denominator's interval excludes
   0 and a parameter's interval lies outside [0, 1];
+- `shared_segment`: None when the interval of the two directions' cross
+  product excludes 0, since segments that are not parallel share at most
+  a point, or when the interval of (c - a) x (b - a) does, since parallel
+  segments on different lines share nothing.  Collinear ends are then
+  ordered along b - a by filtered signs of dot products, with no
+  division; the collinear branch of `segment_intersection` is the same
+  code;
+- `ConvexPolygon.overlaps`, a separating-axis test whose every step is a
+  filtered `orient`: a vertex strictly left of an edge line rules that
+  line out as a separator, and the sign it reads is the exact one, so
+  each verdict is final.  `ConvexPolygon.locate` and `contains` read the
+  same orient signs;
 - the `FieldElement` comparisons `<`, `<=`, `>` and `>=`: disjoint float
   bounds decide.  Bounds that overlap, or only share an end, cost a
   subtraction and an exact sign, since `float_bounds` promises no more
@@ -185,6 +197,11 @@ def _isub(p, q):
     return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
 
 
+def _iadd(p, q):
+    """Float interval p + q, rounded outward."""
+    return (_nextafter(p[0] + q[0], -_INF), _nextafter(p[1] + q[1], _INF))
+
+
 def _imul(p, q):
     """Float interval p * q, rounded outward."""
     a, b = p
@@ -215,6 +232,11 @@ def _ibox(v: Vec2):
 def _icross(u, v):
     """Float interval of the cross product of interval vectors u and v."""
     return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
+
+
+def _idot(u, v):
+    """Float interval of the dot product of interval vectors u and v."""
+    return _iadd(_imul(u[0], v[0]), _imul(u[1], v[1]))
 
 
 def _iclip(p, q, box):
@@ -315,22 +337,59 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
     # parallel
     if ca.cross(r).sign() != 0:
         return ("none",)
-    # collinear: parametrize by dot with r
-    rr = r.dot(r)
-    t0 = ca.dot(r) / rr
-    t1 = t0 + s.dot(r) / rr
-    lo, hi = (t0, t1) if (t1 - t0).sign() > 0 else (t1, t0)
-    zero, one = a.field.zero(), a.field.one()
-    lo2 = lo if (lo - zero).sign() > 0 else zero
-    hi2 = hi if (hi - one).sign() < 0 else one
-    cmp = (hi2 - lo2).sign()
-    if cmp < 0:
+    return _collinear_meet(a, b, c, d, r_box)
+
+
+def shared_segment(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
+    """The shared segment of positive length of closed segments ab and cd,
+    as (p, q) with p the end nearer a, or None when they share at most a
+    point: segment_intersection's "overlap" answer, without its division.
+
+    Float intervals return None when they show the segments are not
+    parallel, or parallel on different lines; the exact signs decide when
+    they hold 0.  Degenerate (zero-length) segments are not supported."""
+    if (c == a and d == b) or (c == b and d == a):
+        return (a, b)
+    r_box = _ivec(a, b)
+    if _filtered_sign(_icross(r_box, _ivec(c, d)),
+                      lambda: (b - a).cross(d - c).sign()) != 0:
+        return None
+    if _filtered_sign(_icross(_ivec(a, c), r_box),
+                      lambda: (c - a).cross(b - a).sign()) != 0:
+        return None
+    hit = _collinear_meet(a, b, c, d, r_box)
+    return hit[1:] if hit[0] == "overlap" else None
+
+
+def _collinear_meet(a: Vec2, b: Vec2, c: Vec2, d: Vec2, r_box):
+    """segment_intersection's answer for collinear segments ab and cd,
+    where r_box holds the float intervals of r = b - a.
+
+    Each end of cd is placed against a and b by the sign of a dot product
+    with r, so no division is needed: an end nearer a than b along r has a
+    smaller (end - a).r.  The shared ends are the given points themselves,
+    which are the exact a + t r of the parametrised answer."""
+    r = b - a
+
+    def along(p, q):
+        # sign of (q - p).r, which orders p before q along r when positive
+        return _filtered_sign(_idot(_ivec(p, q), r_box),
+                              lambda: (q - p).dot(r).sign())
+
+    lo, hi = (c, d) if along(c, d) > 0 else (d, c)
+    s_hi = along(a, hi)
+    s_lo = along(b, lo)
+    if s_hi < 0 or s_lo > 0:
         return ("none",)
-    if cmp == 0:
-        p = a + r.scale(lo2)
-        # endpoint touch of collinear segments
-        return ("point", p, lo2, (p - c).dot(s) / s.dot(s))
-    return ("overlap", a + r.scale(lo2), a + r.scale(hi2))
+    zero, one = a.field.zero(), a.field.one()
+    # endpoint touch of collinear segments, at a or at b
+    if s_hi == 0:
+        return ("point", a, zero, zero if hi is c else one)
+    if s_lo == 0:
+        return ("point", b, one, zero if lo is c else one)
+    p = a if along(a, lo) <= 0 else lo
+    q = b if along(b, hi) >= 0 else hi
+    return ("overlap", p, q)
 
 
 def float_box(points: Iterable[Vec2]):
@@ -396,22 +455,29 @@ class ConvexPolygon:
         return total
 
     def contains(self, p: Vec2) -> int:
-        """2 = interior, 1 = boundary, 0 = outside.
+        """2 = interior, 1 = boundary, 0 = outside."""
+        e = self.locate(p)
+        return 0 if e is None else 1 if e >= 0 else 2
+
+    def locate(self, p: Vec2) -> Optional[int]:
+        """Where p lies, from one orient pass over the edges: None outside,
+        -1 in the interior, else the index of an edge holding p (at a
+        vertex, the first of its two edges).
 
         The polygon is strictly convex, so a point on or left of every
         edge line lies in the closed polygon, which meets the line of an
         edge in that edge alone: a point found on an edge line is on the
         edge, and needs no check of the edge's span."""
-        res = 2
         vs = self.vertices
         n = len(vs)
+        found = -1
         for i in range(n):
             s = orient(vs[i], vs[(i + 1) % n], p)
             if s < 0:
-                return 0
-            if s == 0:
-                res = 1
-        return res
+                return None
+            if s == 0 and found < 0:
+                found = i
+        return found
 
     def float_bbox(self):
         if self._box is None:
@@ -471,6 +537,18 @@ class ConvexPolygon:
                 return None
         return poly
 
+    def overlaps(self, other: "ConvexPolygon") -> bool:
+        """Do the interiors meet?  The same answer as intersect(other) is
+        not None, without building the polygon.
+
+        Separating axes: two convex polygons have disjoint interiors
+        exactly when some edge line of one has the other on or to its
+        right (an edge of their Minkowski difference leaves 0 outside)."""
+        if boxes_disjoint(self.float_bbox(), other.float_bbox()):
+            return False
+        return not (_edge_line_separates(self.vertices, other.vertices)
+                    or _edge_line_separates(other.vertices, self.vertices))
+
     def __eq__(self, o):
         return isinstance(o, ConvexPolygon) and self.vertices == o.vertices
 
@@ -479,6 +557,17 @@ class ConvexPolygon:
 
     def __repr__(self):
         return "ConvexPolygon(%s)" % (list(self.vertices),)
+
+
+def _edge_line_separates(vs, others) -> bool:
+    """Is some edge line of the CCW polygon vs one with every point of
+    others on or to its right?"""
+    n = len(vs)
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        if all(orient(a, b, p) <= 0 for p in others):
+            return True
+    return False
 
 
 def _drop_collinear(verts):

@@ -649,9 +649,10 @@ def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
     best = 1 if regions else 0
     n = len(regions)
     boxes = [r.float_bbox() for r in regions]
-
-    def rec(cur, cur_box, idx, depth):
-        nonlocal best
+    # (intersection of a run of regions, its box, next index, run length)
+    stack = [(regions[i], boxes[i], i + 1, 1) for i in range(n)]
+    while stack:
+        cur, cur_box, idx, depth = stack.pop()
         if depth > best:
             best = depth
         for j in range(idx, n):
@@ -659,10 +660,7 @@ def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
                 continue
             nxt = cur.intersect(regions[j])
             if nxt is not None:
-                rec(nxt, nxt.float_bbox(), j + 1, depth + 1)
-
-    for i in range(n):
-        rec(regions[i], boxes[i], i + 1, 1)
+                stack.append((nxt, nxt.float_bbox(), j + 1, depth + 1))
     return best
 
 

@@ -10,22 +10,26 @@ affine automorphism, cuts out the pocket between two crossing edges,
 and layers the automorphism's mapping torus into ideal tetrahedra, one
 per flip.
 
-All geometry is exact.  Each memo has one owner.  The surface owns
-its EdgeCache (edge_cache(surface)), which memoises reverses, canonical
+All geometry is exact.  Each memo has one owner.  The surface has one
+EdgeCache (edge_cache(surface)), which memoises reverses, canonical
 representatives, crossing records, spanning rectangles and candidate
 boxes: data of the flat surface alone, shared by every section and
-every map on it.  The crossing records of a pair (saddle.crossings) are
-kept, not only their number, so the sweeps here, the rectangle solver
-and the Lefschetz chains of fixcount cross each pair once.  A map owns
-what depends on it: its edge images and the section that
-annular_avoiding_f_section keeps, so every counter run on one map
-shares one section.  No routine takes a cache.
+every map on it.  The maps and sections on the surface own the cache
+and the surface points at it weakly, so a surface's geometry is freed
+by reference counting when its last map and section go.  The crossing
+records of a pair (saddle.crossings) are kept, not only their number,
+so the sweeps here, the rectangle solver and the Lefschetz chains of
+fixcount cross each pair once.  A map owns what depends on it: its
+edge images and the section that annular_avoiding_f_section keeps, so
+every counter run on one map shares one section.  No routine takes a
+cache.
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
 each budget on the module whose search reads it.
 """
 
+import weakref
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,7 +117,9 @@ class EdgeCache:
     a rectangle's bounds and placements live in that orientation's walk
     frame.  Nothing here depends on a map: edge images live on the map
     (image() reads f._images), so the surface never keeps a map
-    alive."""
+    alive.  The maps and sections on the surface own the cache, and the
+    surface points at it weakly (see edge_cache), so no reference cycle
+    keeps it, or the surface, alive after the last of them."""
 
     def __init__(self, surface: FlatSurface):
         self.surface = surface
@@ -214,11 +220,19 @@ class EdgeCache:
 
 
 def edge_cache(surface: FlatSurface) -> EdgeCache:
-    """The surface's EdgeCache, made on first use and kept on the
-    surface."""
-    if surface._edge_cache is None:
-        surface._edge_cache = EdgeCache(surface)
-    return surface._edge_cache
+    """The surface's EdgeCache: the live one, or a new one when none is.
+
+    The surface points at its cache weakly, because the cache's saddle
+    connections refer to the surface.  Every map on the surface holds the
+    cache from its construction and every Section holds it too, so it
+    lives exactly as long as one of them does, and reference counting
+    frees a map's geometry with its last map."""
+    ref = surface._edge_cache
+    cache = None if ref is None else ref()
+    if cache is None:
+        cache = EdgeCache(surface)
+        surface._edge_cache = weakref.ref(cache)
+    return cache
 
 
 def _slope_abs_less(a: Vec2, b: Vec2) -> int:
@@ -439,9 +453,12 @@ def complete_to_section(surface: FlatSurface,
 
     Greedy and deterministic: candidate edges come from holonomy boxes
     of doubling size, each pass sorted by (start class, holonomy).  A
-    surface whose sections need edges beyond the final box (or which,
-    like the axis-aligned square torus, admits no section at all)
-    raises UnsupportedSurface."""
+    surface whose sections need edges beyond the final box raises
+    UnsupportedSurface.  So, at once and after the seed edges are
+    checked, does a surface with a horizontal or vertical polygon edge:
+    every polygon vertex is a singularity or marked, so the edge is an
+    axis-parallel saddle connection, and such a surface admits no veering
+    triangulation (Gueritaud; Minsky-Taylor)."""
     cache = edge_cache(surface)
     chosen: List[SaddleConnection] = []
     for e in edges:
@@ -459,6 +476,14 @@ def complete_to_section(surface: FlatSurface,
             except OverlappingSegments:
                 raise NotNoncrossing("seed edges overlap")
         chosen.append(c)
+    for chart, poly in enumerate(surface.polygons):
+        for e in range(len(poly)):
+            hol = poly.edge_vector(e)
+            if hol.x.is_zero() or hol.y.is_zero():
+                raise UnsupportedSurface(
+                    "polygon edge %s has holonomy (%s, %s), an axis-parallel "
+                    "saddle connection: the surface admits no veering "
+                    "triangulation" % ((chart, e), hol.x, hol.y))
     target = section_size(surface)
     box = 1
     for _ in range(max_doublings + 1):

@@ -5,10 +5,13 @@ ConvexPolygon.contains and ConvexPolygon.clip_halfplane, and
 pafix.saddle's _seg_meets_box, as they were before the float interval
 filters: every sign is an exact FieldElement.sign of a difference or a
 cross product, and contains re-checks a point on an edge line against the
-edge spans.  The tests compare the filtered predicates against them.
+edge spans.  canonical_point is FlatSurface.canonical_point as it was
+before the one-pass classifier: contains first, then a search of the
+edges with on_segment.  The tests compare the filtered predicates against
+them.
 """
 
-from pafix.errors import NonConvexPolygon
+from pafix.errors import InputError, NonConvexPolygon
 from pafix.geom import ConvexPolygon
 
 
@@ -124,3 +127,27 @@ def seg_meets_box(a, b, bounds, closed):
             hi = t_hi
     s = (hi - lo).sign()
     return s >= 0 if closed else s > 0
+
+
+def canonical_point(surface, sp):
+    """(kind, key, representative) of a surface point, in two passes."""
+    poly = surface.polygons[sp.chart]
+    cls = surface.vertex_class_at(sp)
+    if cls is not None:
+        return ("vertex", cls, surface.vertex_point(cls))
+    c = contains(poly.vertices, sp.pos)
+    if c == 2:
+        return ("interior", (sp.chart, sp.pos.x.coeffs, sp.pos.y.coeffs), sp)
+    if c == 0:
+        raise InputError("point %r lies outside its chart" % (sp,))
+    for e, (a, b) in enumerate(poly.edges()):
+        if on_segment(sp.pos, a, b):
+            partner, _ = surface.gluings[(sp.chart, e)]
+            if partner < (sp.chart, e):
+                other = surface.cross_edge((sp.chart, e), sp.pos)
+                return ("edge",
+                        (partner, other.pos.x.coeffs, other.pos.y.coeffs),
+                        other)
+            return ("edge", ((sp.chart, e), sp.pos.x.coeffs, sp.pos.y.coeffs),
+                    sp)
+    raise AssertionError("boundary point not on any edge")

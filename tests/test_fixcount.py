@@ -377,6 +377,26 @@ def test_power_map_is_collected_while_its_surface_is_held():
     assert edge_cache(surface).rects
 
 
+def test_solved_maps_leave_no_reference_cycle():
+    # the surface points at its edge cache weakly, so reference counting
+    # alone frees a map's geometry when the map goes
+    def solve():
+        for m in ([[3, 1], [2, 1]], [[-2, -1], [-1, -1]]):
+            _, f = torus_from_matrix(m)
+            count_fixed_points(f)
+            oracle_count_fixed_points(f, annular_avoiding_f_section(f))
+            markov_upper_bound(f)
+
+    solve()  # first use of every code path outside the measurement
+    gc.collect()
+    gc.disable()
+    try:
+        solve()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("module", [veering, fixcount])
 def test_no_public_callable_takes_a_cache(module):
     # the surface owns its edge cache and the map its section, so no

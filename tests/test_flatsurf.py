@@ -1,5 +1,6 @@
 """Surfaces, affine automorphisms, and the text file format."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from pafix.errors import (
     UnmarkedConePoint,
     UnmatchedEdge,
 )
-from pafix.exactnum import RealNumberField, element_minimal_polynomial
+from pafix.exactnum import FieldElement, RealNumberField, element_minimal_polynomial
 from pafix.geom import AffineMap, ConvexPolygon, Mat2, Vec2, segment_intersection
 from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.affine import (
@@ -34,6 +35,7 @@ from pafix import fileio
 from pafix.fixcount import _horizontal_germs
 from pafix.saddle import _corner_for_ray
 
+import geomref
 from surfbuild import (octagon_surface, pillowcase, point, rational_field,
                        square_polygon, square_torus, vec)
 
@@ -329,6 +331,47 @@ def test_horizontal_germs_give_one_germ_per_prong(make, prongs):
     assert counts == prongs
 
 
+def _probe_points(surface):
+    """Per chart: every vertex, a third of the way and half way along
+    every edge, two points on each edge line outside the chart, and two
+    interior points."""
+    f = surface.field
+    third, half = f.rational(Fraction(1, 3)), f.rational(Fraction(1, 2))
+    out = []
+    for chart, poly in enumerate(surface.polygons):
+        vs = poly.vertices
+        n = len(vs)
+        pts = list(vs)
+        for i in range(n):
+            a, r = vs[i], poly.edge_vector(i)
+            pts += [a + r.scale(third), a + r.scale(half),
+                    a + r.scale(f.rational(2)), a - r.scale(third)]
+        centre = vs[0] + (vs[2] - vs[0]).scale(half)
+        pts += [centre, centre + (vs[1] - centre).scale(third)]
+        out += [SurfacePoint(chart, p) for p in pts]
+    return out
+
+
+@VERTEX_SURFACES
+def test_canonical_point_matches_the_two_pass_reference(make):
+    # the pillowcase's horizontal edges are halfturn-glued
+    s = make()
+    kinds = Counter()
+    for sp in _probe_points(s):
+        try:
+            want = geomref.canonical_point(s, sp)
+        except InputError:
+            kinds["outside"] += 1
+            with pytest.raises(InputError, match="outside its chart"):
+                s.canonical_point(sp)
+            # an equal pair is the same point without a chart check
+            assert s.same_point(sp, sp)
+            continue
+        kinds[want[0]] += 1
+        assert s.canonical_point(sp) == want
+    assert set(kinds) == {"vertex", "edge", "interior", "outside"}
+
+
 # ---------------------------------------------------------------------------
 # torus automorphisms from integer matrices
 
@@ -547,6 +590,48 @@ class TestMapValidation:
         with pytest.raises(Discontinuous) as err:
             PiecewiseAffineMap(t, pieces)
         assert str(err.value) == "pieces disagree across edge (0, 1) at (1, 0)"
+
+    def test_discontinuous_only_where_a_side_meets_part_of_another(self):
+        # identity on the left half, x -> 3x/2 - 1/2 on the right half cut
+        # at y = 1/2: the pieces agree across both gluings and the cut, and
+        # disagree only on x = 1/2, where each right piece's side is half
+        # of the left piece's side (a T-junction at (1/2, 1/2))
+        t = square_torus()
+        f = t.field
+        h = Fraction(1, 2)
+        left = ConvexPolygon([vec(f, 0, 0), vec(f, h, 0), vec(f, h, 1),
+                              vec(f, 0, 1)])
+        low = ConvexPolygon([vec(f, h, 0), vec(f, 1, 0), vec(f, 1, h),
+                             vec(f, h, h)])
+        high = ConvexPolygon([vec(f, h, h), vec(f, 1, h), vec(f, 1, 1),
+                              vec(f, h, 1)])
+        stretch = AffineMap(
+            Mat2(f.rational(Fraction(3, 2)), f.zero(), f.zero(), f.one()),
+            vec(f, -h, 0))
+        pieces = [
+            Piece(0, left, AffineMap(Mat2.identity(f), vec(f, 0, 0)), 0),
+            Piece(0, low, stretch, 0),
+            Piece(0, high, stretch, 0),
+        ]
+        with pytest.raises(Discontinuous) as err:
+            PiecewiseAffineMap(t, pieces)
+        assert str(err.value) == "pieces disagree at (1/2, 0) in chart 0"
+
+    def test_validation_divides_nothing_and_clips_nothing(self, monkeypatch):
+        surf, cat = torus_from_matrix([[2, 1], [1, 1]])
+        _, other = torus_from_matrix([[3, 1], [2, 1]])
+        _, loaded = fileio.loads(fileio.dumps(surf, cat.power(2)))
+        calls = Counter()
+        for cls, name in ((FieldElement, "inverse"),
+                          (ConvexPolygon, "intersect")):
+            def counted(*args, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(cls, name, counted)
+        for g in (cat, other, loaded):
+            AffineAutomorphism(g.surface, g.pieces, g.lambda_)
+        assert len(loaded.pieces) == 16
+        assert calls == Counter()
 
     def test_source_not_tiled(self):
         t = square_torus()

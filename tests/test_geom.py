@@ -1,10 +1,12 @@
 """The float-filtered plane predicates against exact references.
 
-`orient`, `cross_sign`, `segment_intersection`, `on_segment`,
-`ConvexPolygon.clip_halfplane`, `saddle._seg_meets_box` and the
-`FieldElement` comparisons take an answer from float intervals only when
-the interval decides it, and `ConvexPolygon.contains` no longer re-checks
-edge spans; `geomref` keeps the exact versions.  The inputs mix random
+`orient`, `cross_sign`, `segment_intersection`, `shared_segment`,
+`on_segment`, `ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`,
+`saddle._seg_meets_box` and the `FieldElement` comparisons take an answer
+from float intervals only when the interval decides it, and
+`ConvexPolygon.contains` no longer re-checks edge spans; `geomref` keeps
+the exact versions, and `overlaps` is checked against the clipped
+polygon of `ConvexPolygon.intersect`.  The inputs mix random
 points, exactly degenerate configurations (collinear and axis-parallel
 segments, shared points, segments along a box edge, through a box corner
 or ending on the box boundary) and near-degenerate ones whose cross
@@ -28,6 +30,7 @@ from pafix.geom import (
     on_segment,
     orient,
     segment_intersection,
+    shared_segment,
 )
 from pafix.saddle import _seg_meets_box
 
@@ -90,6 +93,13 @@ def configuration(K, kind, cs, t1, t2, bits, negative):
         w = Vec2(-r.y, r.x)
         c = a + r.scale(K.rational(t1)) + w.scale(tiny(K, bits, negative))
         d = c + (d - a)
+    elif kind in ("parallel", "skew"):
+        # cd parallel to ab at distance |tiny|, or from |tiny| off the line
+        # to a point on it
+        w = Vec2(-r.y, r.x).scale(tiny(K, bits, negative))
+        c, d = a + r.scale(K.rational(t1)) + w, a + r.scale(K.rational(t2))
+        if kind == "parallel":
+            d = d + w
     elif kind == "axis":
         # ab horizontal, cd vertical
         b, d = Vec2(b.x, a.y), Vec2(c.x, d.y)
@@ -107,8 +117,8 @@ def configuration(K, kind, cs, t1, t2, bits, negative):
     return a, b, c, d
 
 
-KINDS = ("random", "collinear", "shared", "near", "axis", "corner", "edge",
-         "boundary")
+KINDS = ("random", "collinear", "shared", "near", "parallel", "skew", "axis",
+         "corner", "edge", "boundary")
 
 
 def configurations(K):
@@ -153,6 +163,11 @@ def test_filtered_predicates_match_the_exact_reference(poly, lo, hi):
         for p, q in ((a, b), (b, a)):
             assert segment_intersection(a, b, p, q) == \
                 geomref.segment_intersection(a, b, p, q)
+        for quad in ((a, b, c, d), (a, b, d, c), (b, a, c, d), (c, d, a, b),
+                     (a, b, b, a)):
+            want = geomref.segment_intersection(*quad)
+            assert shared_segment(*quad) == \
+                (want[1:] if want[0] == "overlap" else None)
         coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
         small = tiny(K, args[4], args[5], rational=args[2] > 0)
         pairs = [(u, v) for u in coords for v in coords]
@@ -189,6 +204,77 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
             got = box.clip_halfplane(p, q - p)
             want = geomref.clip_halfplane(corners, p, q - p)
             assert (got and got.vertices) == want
+
+    check()
+
+
+def test_shared_segment_of_nested_and_touching_sides():
+    K = RealNumberField.create(*FIELDS[0])
+    g = K.gen()
+    r = Vec2(K.one(), g)
+
+    def at(t):
+        return r.scale(K.rational(t))
+
+    a, b = at(0), at(1)
+    assert shared_segment(a, b, at(Fraction(1, 4)), at(Fraction(3, 4))) == \
+        (at(Fraction(1, 4)), at(Fraction(3, 4)))
+    assert shared_segment(a, b, at(2), at(Fraction(1, 2))) == \
+        (at(Fraction(1, 2)), b)
+    assert shared_segment(a, b, at(-1), at(2)) == (a, b)
+    assert shared_segment(a, b, b, a) == (a, b)
+    # end to end: one shared point, no segment
+    assert shared_segment(a, b, b, at(2)) is None
+    assert segment_intersection(a, b, b, at(2))[0] == "point"
+    # parallel on another line
+    assert shared_segment(a, b, a + Vec2(K.one(), K.zero()),
+                          b + Vec2(K.one(), K.zero())) is None
+
+
+def reflected(K, verts, centre):
+    """The point reflection of a CCW polygon through centre: CCW again."""
+    two = K.rational(2)
+    return ConvexPolygon([centre.scale(two) - v for v in verts])
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS)
+def test_overlaps_matches_intersect(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(coefficients(7 * K.degree), ratio, st.integers(75, 100),
+           st.booleans())
+    def check(cs, t, bits, negative):
+        verts, points = polygon_and_points(K, cs, t, bits, negative)
+        P = ConvexPolygon(verts)
+        # reflections through every vertex (corner-only contact), through
+        # points on an edge or its line (side contact, the whole side or
+        # part of it), just off an edge, on a diagonal and at random
+        for centre in points:
+            Q = reflected(K, verts, centre)
+            want = P.intersect(Q) is not None
+            assert P.overlaps(Q) == want
+            assert Q.overlaps(P) == want
+        half = K.rational(Fraction(1, 2))
+        n = len(verts)
+        for i, v in enumerate(verts):
+            assert not P.overlaps(reflected(K, verts, v))
+            mid = (v + verts[(i + 1) % n]).scale(half)
+            assert not P.overlaps(reflected(K, verts, mid))
+            # the corner triangle at v, cut off at the edges' midpoints and
+            # moved away from P along v - m by k: at k = 1 it touches P at
+            # v with the midpoint of its side, and only that side's line
+            # separates, which is not an edge line of P
+            p = (verts[i - 1] + v).scale(half)
+            m = (p + mid).scale(half)
+            for k in (Fraction(1, 2), Fraction(1)):
+                shift = (v - m).scale(K.rational(k))
+                T = ConvexPolygon([p + shift, v + shift, mid + shift])
+                want = P.intersect(T) is not None
+                assert want == (k < 1)
+                assert P.overlaps(T) == want
+                assert T.overlaps(P) == want
+        assert P.overlaps(P)
 
     check()
 

@@ -2,6 +2,7 @@
 torus layering, exercised on the eigen-coordinate torus of [[2,1],[1,1]]
 where Farey combinatorics give independent oracles."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from pafix.veering import (
     t_plus,
 )
 
-from surfbuild import square_torus, vec
+from surfbuild import octagon_surface, pillowcase, square_torus, vec
 
 
 @pytest.fixture(scope="module")
@@ -487,3 +488,20 @@ def test_axis_seed_rejected():
     assert sc is not None and sc.is_horizontal()
     with pytest.raises(NotVeering):
         complete_to_section(surf, [sc], max_doublings=2)
+
+
+@pytest.mark.parametrize("make, edge", [
+    (square_torus, "polygon edge (0, 0) has holonomy (1, 0)"),
+    (octagon_surface, "polygon edge (0, 0) has holonomy (1, 0)"),
+    (pillowcase, "polygon edge (0, 0) has holonomy (1/2, 0)"),
+], ids=["torus", "octagon", "pillowcase"])
+def test_axis_parallel_polygon_edge_rejects_at_once(monkeypatch, make, edge):
+    # every polygon vertex is singular or marked, so a horizontal polygon
+    # edge is a horizontal saddle connection, and no section exists; the
+    # default box search (seconds to minutes on these) must not start
+    def no_search(self, box):
+        raise AssertionError("searched box %d" % box)
+
+    monkeypatch.setattr(veering.EdgeCache, "box_candidates", no_search)
+    with pytest.raises(UnsupportedSurface, match=re.escape(edge)):
+        complete_to_section(make())
