@@ -134,10 +134,6 @@ class NotFixed(InputError):
     """Point claimed fixed is not actually fixed by the map."""
 
 
-class NotCylinder(InputError):
-    """Region claimed to be a flat cylinder is not one."""
-
-
 class NotFilling(InputError):
     """Configuration does not fill the surface."""
 

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
+from .exactnum import FieldElement
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
@@ -184,13 +185,86 @@ def _image_sign(f, sc: SaddleConnection, image: SaddleConnection) -> int:
 # ---------------------------------------------------------------------------
 # the rectangle solver
 
+def _regular_index(l1: FieldElement, l2: FieldElement) -> int:
+    """Index of a regular fixed point where f has the derivative
+    diag(l1, l2): sign det(I - Df), so -1 where f acts by +D and +1 where
+    it acts by -D."""
+    one = l1.field.one()
+    return (one - l1).sign() * (one - l2).sign()
+
+
+def _germ_turn(surface: FlatSurface, a, b, m: int) -> bool:
+    """Does the counterclockwise turn from germ a to germ b around their
+    vertex stay under pi, and change charts by the sign m on the way?
+
+    A germ is ((chart, vertex), d) with d owned by the corner.  The turn
+    passes the corners from a's to b's in fan_position order, so the
+    chart change is read before any geometry; then d is carried across
+    each fan step, so it stays a's ray in the current chart."""
+    (corner, d), (target, db) = a, b
+    cls, pos = surface.fan_position[corner]
+    k = len(surface.cone_points[cls].corners)
+    steps = (surface.fan_position[target][1] - pos) % k
+    if steps == 0 and cross_sign(d, db) <= 0:
+        steps = k
+    turn = []
+    for _ in range(steps):
+        tr = surface.fan_step(corner)
+        turn.append((corner, tr.flip))
+        corner = tr.target
+    if (-1) ** sum(flip for _, flip in turn) != m:
+        return False
+    for c, flip in turn:
+        if cross_sign(d, surface.corner_rays(c)[1]) <= 0:
+            return False
+        if flip:
+            d = -d
+    return cross_sign(d, db) > 0
+
+
+def _ends(cache, sc: SaddleConnection):
+    """sc's start and end as (germ into sc, point in sc's walk frame,
+    sign of the germ chart's placement there)."""
+    p0 = sc.start_point().pos
+    rev = cache.reverse(sc)
+    return ((_germ_of(sc), p0, 1),
+            (_germ_of(rev), p0 + sc.hol, 1 if rev.hol == -sc.hol else -1))
+
+
+def _vertex_branches(surface, cache, sigma, image, s: int):
+    """The -D branches through a vertex where an end of sigma meets the
+    opposite end of its image, as deck motions (e, c), w -> e*w + c from
+    image's walk frame to sigma's.
+
+    Under -D a fixed point at relative place (x, y) in the rectangle has
+    its diagonal crossing at u = (lambda*x - y)/(lambda - 1) along the
+    image and t = (lambda*y - x)/(lambda - 1) along sigma, which reach the
+    ends: t = 0 with u = 1, or t = 1 with u = 0.  No interior crossing
+    reports that meeting.  With s the image sign, the branch's linear
+    part e*s*D is -D, so e = -s, and it carries the image's end onto
+    sigma's.  It is a branch of f only when the two germs' charts meet
+    around the vertex, within a turn under pi, by the chart change that
+    e asks for."""
+    (a0, a1), (b0, b1) = _ends(cache, sigma), _ends(cache, image)
+    e = -s
+    out = []
+    for (ga, pa, ea), (gb, qb, eb) in ((a0, b1), (a1, b0)):
+        if surface.corner_class[ga[0]] != surface.corner_class[gb[0]]:
+            continue
+        m = ea * e * eb
+        if _germ_turn(surface, gb, ga, m) or _germ_turn(surface, ga, gb, m):
+            out.append((e, pa - qb if e == 1 else pa + qb))
+    return out
+
+
 def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     """Regular fixed points of f inside sigma's spanning rectangle.
 
-    Every crossing of sigma with f(sigma) selects one affine branch of f
-    over the rectangle; the branch's unique fixed point is kept when it
-    lands in the open rectangle and survives an exact f(p) = p check.
-    Points are deduplicated by canonical coordinates."""
+    Every crossing of sigma with f(sigma), and every meeting of an end of
+    sigma with the opposite end of f(sigma) at a vertex, selects one
+    affine branch of f over the rectangle; the branch's unique fixed point
+    is kept when it lands in the open rectangle and survives an exact
+    f(p) = p check.  Points are deduplicated by canonical coordinates."""
     surface = sigma.surface
     cache = edge_cache(surface)
     rect = cache.rect(sigma)
@@ -207,17 +281,20 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     q0 = image.start_point().pos
     x0, x1, y0, y1 = rect.bounds
     one = surface.field.one()
-    found: Dict[object, FixedPoint] = {}
+    # branch g of f in sigma's frame: the lift of f along sigma is
+    # z -> diag(d1, d2)(z - p0) + q0 into the image frame, composed with a
+    # deck motion w -> e*w + c back to sigma's
+    branches = []
     for rec in _crossing_data(sigma, image):
-        (ea, sa) = rec[4]
-        (eb, sb) = rec[5]
+        (ea, sa), (eb, sb) = rec[4], rec[5]
         e = ea * eb
-        # branch g of f in sigma's frame: the lift of f along sigma is
-        # z -> diag(d1, d2)(z - p0) + q0 into the image frame, composed
-        # with the deck motion w -> e*w + (sa - e*sb) back to sigma's.
+        branches.append((e, sa - sb if e == 1 else sa + sb))
+    branches += _vertex_branches(surface, cache, sigma, image, s)
+    found: Dict[object, FixedPoint] = {}
+    for e, c in branches:
         l1 = d1 if e == 1 else -d1
         l2 = d2 if e == 1 else -d2
-        base = (q0 + sa - sb) if e == 1 else (sa + sb - q0)
+        base = (q0 + c) if e == 1 else (c - q0)
         zx = (base.x - l1 * p0.x) / (one - l1)
         zy = (base.y - l2 * p0.y) / (one - l2)
         if not (x0 < zx < x1 and y0 < zy < y1):
@@ -238,7 +315,8 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
         if kind == "vertex":
             raise InternalCheckError("open rectangle contains a vertex")
         if key not in found:
-            found[key] = FixedPoint(rep.chart, rep.pos, "regular", -1, key)
+            found[key] = FixedPoint(rep.chart, rep.pos, "regular",
+                                    _regular_index(l1, l2), key)
     return sorted(found.values(), key=lambda p: p.sort_key())
 
 
@@ -317,15 +395,26 @@ def _singular_index(f, surface: FlatSurface, cone) -> int:
 
 
 def fixed_point_index(p: FixedPoint, f) -> int:
-    """Index of a fixed point: -1 at regular points; at a singular or
+    """Index of a fixed point: sign det(I - Df) at a regular point, so -1
+    where f acts by +D and +1 where it acts by -D; at a singular or
     marked point +1 when f rotates the unstable prongs and 1 - prongs
     when it fixes each of them."""
     surface = f.surface
     sp = SurfacePoint(p.chart, p.pos)
-    if not surface.same_point(f.apply(sp), sp):
+    q = f.apply(sp)
+    if not surface.same_point(q, sp):
         raise NotFixed("point %r moves under the map" % (p,))
     if p.kind == "regular":
-        return -1
+        # Df from sp's chart to q's, then back across the glued edge when
+        # q is sp's twin there
+        lin = f.derivative_sign_at(sp)
+        if q != sp:
+            e = surface.polygons[q.chart].locate(q.pos)
+            if surface.transitions[(q.chart, e)].flip:
+                lin = -lin
+        dmat = _derivative_matrix(f)
+        return _regular_index(dmat.a if lin == 1 else -dmat.a,
+                              dmat.d if lin == 1 else -dmat.d)
     cls = surface.vertex_class_at(sp)
     if cls is None:
         raise InputError("singular fixed point is not at a vertex")
@@ -516,7 +605,8 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                     continue
                 if repr(key) not in seen:
                     seen[repr(key)] = FixedPoint(
-                        rep.chart, rep.pos, "regular", -1, key)
+                        rep.chart, rep.pos, "regular",
+                        _regular_index(l1, l2), key)
     points = list(seen.values()) + _singular_fixed_points(f)
     lef = lefschetz_number(f, section=T)
     return FixReport(points, {}, lef, "oracle")
@@ -765,8 +855,9 @@ def markov_upper_bound(f) -> MarkovBound:
 
     When affordable, builds the full matrix of full-width crossings of
     each section rectangle by every image rectangle and scales its trace;
-    otherwise falls back to the edge-image crossing numbers, which bound
-    the per-rectangle branch counts from above."""
+    otherwise falls back to the edge-image crossing numbers, which, with
+    at most two vertex branches per rectangle, bound the per-rectangle
+    branch counts from above."""
     section = annular_avoiding_f_section(f)
     cache = section.cache
     surface = section.surface

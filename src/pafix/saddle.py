@@ -5,15 +5,13 @@ walks a straight segment across the surface, and unfold develops chart
 placements depth first across every gluing whose placed edge meets a
 region.  On top of them sit saddle connection enumeration (polygon
 unfolding pruned by a holonomy box), spanning rectangles with certified
-immersion degree, transverse crossings and intersection numbers, and
-flat cylinders built by developing the band next to a closed leaf.
+immersion degree, and transverse crossings and intersection numbers.
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
 each budget on the module whose search reads it.
 """
 
-import heapq
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +19,6 @@ from .errors import (
     HorizontalOrVertical,
     InputError,
     InternalCheckError,
-    NotCylinder,
     OverlappingSegments,
 )
 from .exactnum import FieldElement, format_element
@@ -43,16 +40,8 @@ from .geom import (
 _VISIBILITY_NODES = 200000
 # Placements expanded while unfolding one spanning rectangle.
 _RECT_UNFOLD_NODES = 20000
-# Placements popped while developing one band beside a closed leaf.
-_BAND_NODES = 20000
 # Glued edges one trace may cross.
 _TRACE_CROSSINGS = 200000
-# Length doublings of a leaf before cylinder_through gives up.
-_CYLINDER_DOUBLINGS = 48
-# Steps of one ray rotation around a vertex fan.
-_ROTATE_STEPS = 10000
-# Saddle connections of one boundary circle walk.
-_CIRCLE_STEPS = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +326,6 @@ class SaddleConnection:
 
     def point_at(self, t) -> SurfacePoint:
         """Point at parameter t in (0, 1) along the connection."""
-        return self._placed_point(t)[0]
-
-    def _placed_point(self, t) -> Tuple[SurfacePoint, int]:
-        """The point at parameter t with the sign eps of the placement of
-        the first piece holding it."""
         if not isinstance(t, FieldElement):
             t = self.surface.field.rational(t)
         target = self.start_point().pos + self.hol.scale(t)
@@ -349,8 +333,7 @@ class SaddleConnection:
             pa = _place_apply(eps, shift, a)
             pb = _place_apply(eps, shift, b)
             if on_segment(target, pa, pb):
-                return (SurfacePoint(chart, _place_unapply(eps, shift, target)),
-                        eps)
+                return SurfacePoint(chart, _place_unapply(eps, shift, target))
         raise InputError("parameter %s does not land on the connection" % t)
 
     def midpoint(self) -> SurfacePoint:
@@ -578,21 +561,19 @@ class SpanningRectangle:
 
     width and height are |hol_x| and |hol_y| of the diagonal edge; degree
     is the largest number of rectangle sheets over one surface point.  For
-    degree >= 2 the generating deck translation and a witnessing flat
-    annulus (the maximal cylinder in the translation direction through the
-    diagonal's midpoint) are attached.  ambiguous flags overlap data whose
-    translations are not all multiples of one generator."""
+    degree >= 2 the generating deck translation is attached.  ambiguous
+    flags overlap data whose translations are not all multiples of one
+    generator."""
 
-    __slots__ = ("edge", "width", "height", "degree", "witness", "ambiguous",
+    __slots__ = ("edge", "width", "height", "degree", "ambiguous",
                  "translation", "bounds", "placements")
 
-    def __init__(self, edge, width, height, deg, witness, ambiguous,
+    def __init__(self, edge, width, height, deg, ambiguous,
                  translation, bounds, placements):
         self.edge = edge
         self.width = width
         self.height = height
         self.degree = deg
-        self.witness = witness
         self.ambiguous = ambiguous
         self.translation = translation
         self.bounds = bounds          # (x0, x1, y0, y1) in the edge's frame
@@ -620,9 +601,9 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
         return None
     width = abs(sc.hol.x)
     height = abs(sc.hol.y)
-    deg, witness, ambiguous, translation = _rect_degree(
+    deg, ambiguous, translation = _rect_degree(
         surface, sc, bounds, placements, width, height)
-    return SpanningRectangle(sc, width, height, deg, witness, ambiguous,
+    return SpanningRectangle(sc, width, height, deg, ambiguous,
                              translation, bounds, placements)
 
 
@@ -692,7 +673,7 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
             deg = d
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                if entries[i][2].intersect(entries[j][2]) is None:
+                if not entries[i][2].overlaps(entries[j][2]):
                     continue
                 e1, s1 = entries[i][0], entries[i][1]
                 e2, s2 = entries[j][0], entries[j][1]
@@ -702,7 +683,7 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
                         "surface would contain an immersed Mobius band")
                 translations.append(s2 - s1 if e1 == 1 else s1 - s2)
     if deg == 1:
-        return 1, None, False, None
+        return 1, False, None
     gen = translations[0]
     for v in translations[1:]:
         if (v.dot(v) - gen.dot(gen)).sign() < 0:
@@ -727,15 +708,7 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
             raise InternalCheckError(
                 "translation-derived degree %d disagrees with the "
                 "arrangement depth %d" % (k_trans, deg))
-    witness = _degree_witness(surface, sc, gen)
-    return deg, witness, ambiguous, gen
-
-
-def _degree_witness(surface, sc, gen: Vec2):
-    """The flat annulus certifying the overlap: the maximal cylinder
-    through the edge's midpoint in the deck translation direction."""
-    mid, eps = sc._placed_point(Fraction(1, 2))
-    return cylinder_through(surface, mid, gen if eps == 1 else -gen)
+    return deg, ambiguous, gen
 
 
 # ---------------------------------------------------------------------------
@@ -816,539 +789,3 @@ def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
     """Number of transverse interior intersections of two saddle
     connections; see crossings."""
     return len(crossings(s1, s2))
-
-
-# ---------------------------------------------------------------------------
-# flat cylinders
-
-class Cylinder:
-    """A maximal flat cylinder: an open annulus swept by parallel closed
-    leaves.
-
-    Lengths are kept as exact squares (a leaf's length need not lie in the
-    coefficient field); the area is exact.  boundary holds the saddle
-    connection circles on the two sides of the annulus."""
-
-    __slots__ = ("surface", "core_point", "core_direction", "core_pieces",
-                 "core_hol", "circumference_sq", "height_sq", "area",
-                 "boundary", "_leafkey")
-
-    def __init__(self, surface, core_point, core_direction, core_pieces,
-                 core_hol, circumference_sq, height_sq, area, boundary):
-        self.surface = surface
-        self.core_point = core_point          # on the middle leaf
-        self.core_direction = core_direction  # chart coords at core_point
-        self.core_pieces = core_pieces        # [(chart, a, b)], one period
-        self.core_hol = core_hol              # chart holonomy along the core
-        self.circumference_sq = circumference_sq
-        self.height_sq = height_sq
-        self.area = area
-        self.boundary = boundary              # (low side, high side)
-        self._leafkey = None
-
-    def key(self):
-        """Canonical id: the middle leaf's edge-crossing points."""
-        if self._leafkey is None:
-            marks = set()
-            for (chart, a, b) in self.core_pieces:
-                for pt in (a, b):
-                    kind, k, _ = self.surface.canonical_point(
-                        SurfacePoint(chart, pt))
-                    if kind == "edge":
-                        marks.add(k)
-            self._leafkey = frozenset(marks)
-        return self._leafkey
-
-    def __repr__(self):
-        return "Cylinder(circumference_sq=%s, area=%s)" % (
-            self.circumference_sq, self.area)
-
-
-def cylinder_through(surface: FlatSurface, sp: SurfacePoint,
-                     d: Vec2) -> Cylinder:
-    """The maximal flat cylinder whose leaf passes through sp in direction
-    d.  Raises NotCylinder when the leaf runs into a singularity or fails
-    to close within the doubling budget."""
-    field = surface.field
-    if d.is_zero():
-        raise InputError("cylinder direction must be nonzero")
-    if surface.canonical_point(sp)[0] == "vertex":
-        raise NotCylinder("leaf basepoint %r is a singular or marked point"
-                          % (sp,))
-    vec = d
-    for _ in range(_CYLINDER_DOUBLINGS):
-        res = trace(surface, sp.chart, sp.pos, vec)
-        hit = _first_return(surface, sp, res)
-        if hit is not None:
-            return _build_cylinder(surface, sp, d, hit)
-        if res.status == "vertex" and (res.consumed - field.one()).sign() < 0:
-            raise NotCylinder("leaf through %r runs into a singularity"
-                              % (sp,))
-        vec = vec + vec
-    raise NotCylinder("leaf through %r did not close within "
-                      "_CYLINDER_DOUBLINGS = %d doublings"
-                      % (sp, _CYLINDER_DOUBLINGS))
-
-
-def _first_return(surface, sp, res):
-    """Earliest return of a trace to its start point.
-
-    Returns (pieces, placements, t_plane) covering exactly one period, or
-    None when the trace never comes back.  Returns can happen strictly
-    inside a piece, so every chart representative of the start point is
-    tested against each piece."""
-    reps = surface.representatives(sp)
-    if not res.pieces:
-        return None
-    p0 = res.placements[0]
-    start_plane = _place_apply(p0[1], p0[2], res.pieces[0][1])
-    out_pieces = []
-    out_placements = []
-    for i, ((chart, a, b), plc) in enumerate(zip(res.pieces, res.placements)):
-        ab = b - a
-        best = None  # (distance key along the piece, position)
-        for rep in reps:
-            if rep.chart != chart:
-                continue
-            rpos = rep.pos
-            if rpos == a:
-                if i == 0:
-                    continue
-                t_plane = _place_apply(plc[1], plc[2], a) - start_plane
-                return out_pieces, out_placements, t_plane
-            if on_segment(rpos, a, b):
-                key = (rpos - a).dot(ab)
-                if best is None or (key - best[0]).sign() < 0:
-                    best = (key, rpos)
-        if best is not None:
-            rpos = best[1]
-            out_pieces.append((chart, a, rpos))
-            out_placements.append(plc)
-            t_plane = _place_apply(plc[1], plc[2], rpos) - start_plane
-            return out_pieces, out_placements, t_plane
-        out_pieces.append((chart, a, b))
-        out_placements.append(plc)
-    return None
-
-
-def _build_cylinder(surface, sp, d, hit):
-    pieces, placements, t_plane = hit
-    if t_plane.is_zero() or t_plane.cross(d).sign() != 0:
-        raise InternalCheckError("leaf closure holonomy is not parallel to "
-                                 "the leaf direction")
-    ref = pieces[0][1]
-    items = []
-    for (chart, a, b), (_, eps, shift) in zip(pieces, placements):
-        items.append((chart, eps, shift,
-                      _place_apply(eps, shift, a),
-                      _place_apply(eps, shift, b)))
-    up = _develop_band(surface, items, t_plane, d, +1, ref)
-    down = _develop_band(surface, items, t_plane, d, -1, ref)
-    h_total = up[0] + down[0]
-    dd = d.dot(d)
-    height_sq = (h_total * h_total) / dd
-    circumference_sq = t_plane.dot(t_plane)
-    area = h_total * abs(t_plane.dot(d)) / dd
-    low = _band_boundary(surface, down, d)
-    high = _band_boundary(surface, up, d)
-    core_sp, core_dir, core_pieces, core_hol = _core_leaf(
-        surface, sp, d, up[0], down[0], t_plane)
-    return Cylinder(surface, core_sp, core_dir, core_pieces, core_hol,
-                    circumference_sq, height_sq, area, (low, high))
-
-
-def _core_leaf(surface, sp, d, h_up, h_down, t_plane):
-    """Basepoint, direction, pieces, and holonomy of the middle leaf."""
-    field = surface.field
-    two = field.rational(2)
-    dd = d.dot(d)
-    offset = (h_up - h_down) / two
-    cur = sp
-    cur_d = d
-    if not offset.is_zero():
-        perp = Vec2(-d.y, d.x)
-        step = perp.scale(offset / dd)
-        res = trace(surface, sp.chart, sp.pos, step)
-        if res.status == "vertex" and (res.consumed - field.one()).sign() < 0:
-            raise InternalCheckError("path to the middle leaf is blocked")
-        cur = SurfacePoint(res.end_chart, res.end_pos)
-        cur_d = d if res.sign == 1 else -d
-    scale = abs(t_plane.dot(d)) / dd
-    vec = cur_d.scale(scale)
-    res = trace(surface, cur.chart, cur.pos, vec)
-    if res.status == "vertex" and (res.consumed - field.one()).sign() < 0:
-        raise InternalCheckError("middle leaf hits a singularity")
-    if not surface.same_point(cur, SurfacePoint(res.end_chart, res.end_pos)):
-        raise InternalCheckError("middle leaf does not close after one "
-                                 "period")
-    return cur, cur_d, list(res.pieces), vec
-
-
-def _develop_band(surface, items, t_plane, d, side, ref):
-    """Explore one side of a closed-leaf line up to the first singularity.
-
-    items: [(chart, eps, shift, plane_a, plane_b)] covering one period of
-    the line.  side +1 explores the left of direction d, side -1 the
-    right.  Distances are measured in cross(d, .) units from the line
-    through ref.  Placements are deduplicated modulo the period
-    translation.
-
-    Returns (h, hit_groups, tt, u_period, seen): h > 0 is the distance of
-    the nearest singular vertex on the chosen side, hit_groups lists the
-    distance-h vertices grouped by plane position and ordered along the
-    line, tt is the period translation oriented with d, u_period its
-    length in d-projection units, and seen the explored placement keys."""
-    field = surface.field
-
-    def v_of(x: Vec2) -> FieldElement:
-        c = d.cross(x - ref)
-        return c if side == 1 else -c
-
-    tt = t_plane if d.dot(t_plane).sign() > 0 else -t_plane
-    u_period = d.dot(tt)
-    if u_period.sign() <= 0:
-        raise InternalCheckError("degenerate band period")
-
-    def canon(eps, shift):
-        k = _floor_ratio(d.dot(shift), u_period)
-        return eps, shift - tt.scale(_r_int(field, k))
-
-    best_h = None
-    hits = []
-    seen = set()
-    heap = []
-    counter = 0
-
-    def push(chart, eps, shift):
-        nonlocal counter
-        eps, shift = canon(eps, shift)
-        key = _place_key(chart, eps, shift)
-        if key in seen:
-            return
-        seen.add(key)
-        poly = surface.polygons[chart]
-        placed = [_place_apply(eps, shift, v) for v in poly.vertices]
-        vs = [v_of(w) for w in placed]
-        max_v = vs[0]
-        min_v = vs[0]
-        for v in vs[1:]:
-            if (v - max_v).sign() > 0:
-                max_v = v
-            if (v - min_v).sign() < 0:
-                min_v = v
-        if max_v.sign() <= 0:
-            # polygon entirely on the wrong side of the line
-            return
-        heapq.heappush(heap, (min_v.float_bounds()[0], counter,
-                              chart, eps, shift, placed, vs))
-        counter += 1
-
-    for (chart, eps, shift, pa, pb) in items:
-        push(chart, eps, shift)
-        # when the line piece runs along a polygon edge, the band on this
-        # side may start in the chart across that edge
-        poly = surface.polygons[chart]
-        a_loc = _place_unapply(eps, shift, pa)
-        b_loc = _place_unapply(eps, shift, pb)
-        for e, (ea, eb) in enumerate(poly.edges()):
-            if on_segment(a_loc, ea, eb) and on_segment(b_loc, ea, eb):
-                tr = surface.transitions[(chart, e)]
-                eps2, shift2 = _place_cross(eps, shift, tr)
-                push(tr.target[0], eps2, shift2)
-
-    popped = 0
-    while heap:
-        _, _, chart, eps, shift, placed, vs = heapq.heappop(heap)
-        if best_h is not None:
-            min_v = vs[0]
-            for v in vs[1:]:
-                if (v - min_v).sign() < 0:
-                    min_v = v
-            if (min_v - best_h).sign() >= 0:
-                continue
-        popped += 1
-        if popped > _BAND_NODES:
-            raise InternalCheckError(
-                "band development exceeded _BAND_NODES = %d placements"
-                % _BAND_NODES)
-        for idx, (w, v) in enumerate(zip(placed, vs)):
-            if v.sign() > 0:
-                if best_h is None or (v - best_h).sign() < 0:
-                    best_h = v
-                    hits = []
-                if (v - best_h).is_zero():
-                    hits.append((chart, eps, shift, idx, w))
-        poly = surface.polygons[chart]
-        n = len(poly)
-        for e in range(n):
-            va, vb = vs[e], vs[(e + 1) % n]
-            hi = va if (va - vb).sign() >= 0 else vb
-            lo = va if (va - vb).sign() < 0 else vb
-            if hi.sign() <= 0:
-                continue
-            if best_h is not None and (lo - best_h).sign() >= 0:
-                continue
-            tr = surface.transitions[(chart, e)]
-            eps2, shift2 = _place_cross(eps, shift, tr)
-            push(tr.target[0], eps2, shift2)
-    if best_h is None:
-        raise NotCylinder("no singularity bounds the band")
-    groups: Dict[tuple, list] = {}
-    pos_of: Dict[tuple, Vec2] = {}
-    for (chart, eps, shift, idx, w) in hits:
-        k = _floor_ratio(d.dot(w), u_period)
-        w2 = w - tt.scale(_r_int(field, k))
-        key = (w2.x, w2.y)
-        groups.setdefault(key, []).append((chart, eps, shift, idx))
-        pos_of[key] = w2
-    ordered = sorted(
-        ((pos_of[k], members) for k, members in groups.items()),
-        key=lambda item: d.dot(item[0]).float_bounds()[0])
-    return best_h, ordered, tt, u_period, seen
-
-
-def _zero_vec(field) -> Vec2:
-    z = field.zero()
-    return Vec2(z, z)
-
-
-def _band_boundary(surface, band, d) -> tuple:
-    """The saddle connections along the singular line bounding a developed
-    band, ordered along the band direction."""
-    h, ordered, tt, u_period, seen = band
-    if not ordered:
-        raise InternalCheckError("band without boundary singularities")
-    out = []
-    m = len(ordered)
-    for i in range(m):
-        w, members = ordered[i]
-        nw = ordered[i + 1][0] if i + 1 < m else ordered[0][0] + tt
-        delta = nw - w
-        if delta.is_zero():
-            raise InternalCheckError("coincident boundary singularities")
-        sc = None
-        for (chart, eps, shift, vidx) in members:
-            d_chart = delta if eps == 1 else -delta
-            try:
-                corner, ray = _corner_for_ray(surface, chart, vidx, d_chart)
-            except InternalCheckError:
-                continue
-            cand = SaddleConnection.walk(surface, corner, ray)
-            if cand is not None:
-                sc = cand
-                break
-        if sc is None:
-            raise InternalCheckError("cylinder boundary segment could not "
-                                     "be walked")
-        out.append(sc)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# cylinders in a fixed direction
-
-def cylinders_in_direction(surface: FlatSurface, d: Vec2,
-                           bound) -> List[Cylinder]:
-    """All maximal flat cylinders in direction d whose circumference is at
-    most the given bound, sorted by circumference then area."""
-    field = surface.field
-    bound = field.coerce(bound)
-    if d.is_zero():
-        raise InputError("direction must be nonzero")
-    if bound.sign() <= 0:
-        return []
-    bound_sq = bound * bound
-    saddles = []
-    for corner in sorted(surface.corner_class):
-        for dd in (d, -d):
-            if not surface.owns_ray(corner, dd):
-                continue
-            sc = _separatrix(surface, corner, dd, bound_sq)
-            if sc is not None:
-                saddles.append(sc)
-    found: Dict[frozenset, Cylinder] = {}
-    for sc in saddles:
-        for side in (1, -1):
-            cyl = _cylinder_beside(surface, sc, side, bound_sq)
-            if cyl is None:
-                continue
-            if (cyl.circumference_sq - bound_sq).sign() > 0:
-                continue
-            found.setdefault(cyl.key(), cyl)
-    out = list(found.values())
-    out.sort(key=lambda c: (c.circumference_sq.float_bounds()[0],
-                            c.area.float_bounds()[0]))
-    return out
-
-
-def _separatrix(surface, corner, d, bound_sq) -> Optional[SaddleConnection]:
-    """The saddle connection along ray (corner, d), if one closes within
-    the squared length bound."""
-    field = surface.field
-    dd = d.dot(d)
-    hi = (bound_sq / dd).float_bounds()[1]
-    m = Fraction(max(1, int(hi ** 0.5) + 2))
-    while ((field.rational(m * m) * dd) - bound_sq).sign() < 0:
-        m *= 2
-    vec = d.scale(field.rational(m))
-    chart, vidx = corner
-    pos = surface.polygons[chart].vertices[vidx]
-    res = trace(surface, chart, pos, vec)
-    if res.status != "vertex":
-        return None
-    hol = vec.scale(res.consumed)
-    if (hol.dot(hol) - bound_sq).sign() > 0:
-        return None
-    return SaddleConnection.walk(surface, corner, hol)
-
-
-def _rotate_ray(surface, corner, d, half_turns: int):
-    """Rotate the ray (corner, d) counterclockwise by exactly
-    half_turns * pi through the vertex fan.  Returns (corner, direction)
-    of the rotated ray; directions are unnormalized."""
-    if half_turns <= 0:
-        return corner, d
-    u_ref = d
-    cur = d
-    c = corner
-    count = 0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > _ROTATE_STEPS:
-            raise InternalCheckError(
-                "ray rotation exceeded _ROTATE_STEPS = %d steps"
-                % _ROTATE_STEPS)
-        back = surface.corner_rays(c)[1]
-        # next representative of span(u_ref) counterclockwise from cur
-        cross_cu = cur.cross(u_ref).sign()
-        if cross_cu == 0:
-            w = -u_ref if cur.dot(u_ref).sign() > 0 else u_ref
-        else:
-            w = u_ref if cross_cu > 0 else -u_ref
-        cw = cur.cross(w).sign()
-        wb = w.cross(back).sign()
-        if cw > 0 and wb > 0:
-            count += 1
-            if count == half_turns:
-                return c, w
-            cur = w
-            continue
-        on_back = (wb == 0 and w.dot(back).sign() > 0 and cw >= 0)
-        tr = surface.fan_step(c)
-        u_ref = tr.map.mat.apply(u_ref)
-        c = tr.target
-        cur = surface.corner_rays(c)[0]
-        if on_back:
-            count += 1
-            if count == half_turns:
-                return c, cur
-
-
-def _boundary_circle(surface, sc, side, bound_sq):
-    """Follow straight boundary continuations (a pi turn toward the chosen
-    side at every cone point) until the walk closes up.  Returns the
-    circle's saddle connection list, or None when it leaves the
-    circumference bound or runs off a separatrix."""
-    d_plane = sc.hol
-    start_state = (sc.start_corner, _dir_key(sc.hol, d_plane))
-    circle = []
-    run = _zero_vec(surface.field)
-    cur = sc
-    guard = 0
-    while True:
-        guard += 1
-        if guard > _CIRCLE_STEPS:
-            raise InternalCheckError(
-                "boundary walk exceeded _CIRCLE_STEPS = %d saddle "
-                "connections" % _CIRCLE_STEPS)
-        circle.append(cur)
-        s = cur.hol.dot(d_plane).sign()
-        run = run + (cur.hol if s > 0 else -cur.hol)
-        if (run.dot(run) - bound_sq).sign() > 0:
-            return None
-        d_end = cur.hol if cur.flip_sign == 1 else -cur.hol
-        end_cls = surface.corner_class[cur.end_corner]
-        angle_pi = surface.cone_points[end_cls].angle_pi
-        # the annulus side lies left of travel for side +1: continuing
-        # straight along its boundary turns by (cone angle - pi) through
-        # the far side, i.e. by pi through the near side for side -1
-        m = angle_pi - 1 if side == 1 else 1
-        corner, ray = _rotate_ray(surface, cur.end_corner, -d_end, m)
-        if ray.cross(d_plane).sign() != 0:
-            raise InternalCheckError("pi turn left the leaf direction")
-        state = (corner, _dir_key(ray, d_plane))
-        if state == start_state:
-            return circle
-        nxt = _separatrix(surface, corner, ray, bound_sq)
-        if nxt is None:
-            return None
-        cur = nxt
-
-
-def _dir_key(v: Vec2, d_plane: Vec2) -> int:
-    return v.dot(d_plane).sign()
-
-
-def _circle_line_items(surface, circle):
-    """Develop a closed boundary circle along one straight plane line.
-
-    Returns (items, t_plane, d_plane, ref) in the frame of the first
-    saddle connection's start chart; items are the per-piece placements
-    with their plane segments."""
-    d_plane = circle[0].hol
-    ref = circle[0].start_point().pos
-    cur_end = ref
-    items = []
-    for sc in circle:
-        p_i = sc.start_point().pos
-        eps_i = 1 if sc.hol.dot(d_plane).sign() > 0 else -1
-        delta_i = cur_end - (p_i if eps_i == 1 else -p_i)
-        for (chart, a, b), (_, e, sh) in zip(sc.pieces, sc.placements):
-            eg = eps_i * e
-            shg = (sh if eps_i == 1 else -sh) + delta_i
-            items.append((chart, eg, shg,
-                          _place_apply(eg, shg, a),
-                          _place_apply(eg, shg, b)))
-        cur_end = cur_end + (sc.hol if eps_i == 1 else -sc.hol)
-    return items, cur_end - ref, d_plane, ref
-
-
-def _cylinder_beside(surface, sc, side, bound_sq) -> Optional[Cylinder]:
-    """The maximal cylinder hugging one side of a leaf-parallel saddle
-    connection (side +1 is the left of its travel direction)."""
-    field = surface.field
-    circle = _boundary_circle(surface, sc, side, bound_sq)
-    if circle is None:
-        return None
-    items, t_plane, d_plane, ref = _circle_line_items(surface, circle)
-    if t_plane.is_zero() or t_plane.cross(d_plane).sign() != 0:
-        raise InternalCheckError("boundary circle holonomy is not parallel "
-                                 "to its direction")
-    try:
-        band = _develop_band(surface, items, t_plane, d_plane, side, ref)
-    except NotCylinder:
-        return None
-    h = band[0]
-    chart, eg, shg, pa, pb = items[0]
-    mid_plane = pa + (pb - pa).scale(field.rational(Fraction(1, 2)))
-    dd = d_plane.dot(d_plane)
-    perp = Vec2(-d_plane.y, d_plane.x)
-    half_h = h / field.rational(2)
-    step_plane = perp.scale(half_h / dd)
-    if side == -1:
-        step_plane = -step_plane
-    sp0 = SurfacePoint(chart, _place_unapply(eg, shg, mid_plane))
-    step_chart = step_plane if eg == 1 else -step_plane
-    res = trace(surface, sp0.chart, sp0.pos, step_chart)
-    if res.status == "vertex" and (res.consumed - field.one()).sign() < 0:
-        raise InternalCheckError("probe into the cylinder hit a "
-                                 "singularity")
-    probe = SurfacePoint(res.end_chart, res.end_pos)
-    d_probe = d_plane if eg == 1 else -d_plane
-    if res.sign == -1:
-        d_probe = -d_probe
-    try:
-        return cylinder_through(surface, probe, d_probe)
-    except NotCylinder:
-        return None

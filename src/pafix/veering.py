@@ -782,9 +782,9 @@ def f_section(f, start: Optional[Section] = None) -> Section:
 
 
 def annular_avoiding_f_section(f) -> Section:
-    """An f-section avoiding deep annular pockets: flip down through
-    any cylinder certified by a spanning rectangle of degree >=
-    _DEGREE_THRESHOLD, keeping the f-section property at every step.
+    """An f-section avoiding deep annular pockets: flip down any edge
+    whose spanning rectangle has degree >= _DEGREE_THRESHOLD, keeping
+    the f-section property at every step.
 
     The result is kept on the map (f._section), so repeated calls
     return the same Section, with the images under f already in

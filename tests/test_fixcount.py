@@ -13,6 +13,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pafix import fixcount, saddle, veering
 from pafix.affine import torus_from_matrix
@@ -199,6 +201,42 @@ def test_moving_point_has_no_index(torus):
     fake = FixedPoint(0, pos, "regular", -1, ("interior", "nowhere"))
     with pytest.raises(NotFixed):
         fixed_point_index(fake, f)
+
+
+def _mat_power(m, n):
+    (a, b), (c, d) = m
+    p = ((1, 0), (0, 1))
+    for _ in range(n):
+        p = ((p[0][0] * a + p[0][1] * c, p[0][0] * b + p[0][1] * d),
+             (p[1][0] * a + p[1][1] * c, p[1][0] * b + p[1][1] * d))
+    return p
+
+
+# hyperbolic SL(2, Z) matrices with entries in [-3, 3], both trace signs
+_SMALL_HYPERBOLIC = [
+    ((a, b), (c, d))
+    for a in range(-3, 4) for b in range(-3, 4)
+    for c in range(-3, 4) for d in range(-3, 4)
+    if a * d - b * c == 1 and abs(a + d) > 2]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(_SMALL_HYPERBOLIC), st.integers(1, 3))
+def test_independent_checks_agree_for_both_trace_signs(m, n):
+    # |det(M^n - I)| counts Fix(f^n) on the torus; Lefschetz is
+    # det(I - M^n), and every index, +1 for a regular point under -D and
+    # -1 under +D, must add up to it on both counters
+    (p, q), (r, s) = _mat_power(m, n)
+    want = abs((p - 1) * (s - 1) - q * r)
+    surface, f = torus_from_matrix([list(row) for row in m])
+    g = f if n == 1 else f.power(n)
+    rep = count_fixed_points(g)
+    oracle = oracle_count_fixed_points(g, annular_avoiding_f_section(g))
+    assert rep.total == oracle.total == want == abs(rep.lefschetz)
+    assert rep.index_sum == oracle.index_sum == rep.lefschetz
+    assert oracle.point_keys() == rep.point_keys()
+    for pt in rep.points:
+        assert fixed_point_index(pt, g) == pt.index
 
 
 def test_fixed_point_identity_and_order(torus):

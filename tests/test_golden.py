@@ -4,10 +4,12 @@ crossing matrix and Perron interval, the section's records() and, per
 section edge, the spanning rectangle's degree, placements, translation
 and bounds.  A refactor that keeps behaviour must reproduce every string.
 
-The negative-trace map [[-3,-1],[-2,-1]] is pinned as the counter
-handles it today: 4 points and an index sum of -2, where the oracle and
-Lefschetz say 6.  The entry records that miscount; it does not endorse
-it, and a fix of the counter is expected to update it."""
+The negative-trace map [[-3,-1],[-2,-1]] has derivative -D, so its
+regular fixed points have index +1: both counters find all 6 points,
+|det(M - I)|, and the index sum equals L = 6.  The branches of two of
+them come only from a meeting of a section edge and its image at the
+marked point, so this entry also pins the rectangle solver's
+vertex-meeting branches."""
 
 import pytest
 
@@ -72,9 +74,9 @@ GOLDEN = {
         ],
     },
     ((-3, -1), (-2, -1), 1): {
-        "summary": (4, 6, -2),
-        "records": "[('marked', 0, '0', '0', 1), ('regular', 0, '1/12*g + 1/12', '1/12*g - 5/12', -1), ('regular', 0, '1/6*g - 1/6', '1/6*g - 1/2', -1), ('regular', 0, '1/6*g', '1/6*g - 2/3', -1)]",
-        "oracle": "[('marked', 0, '0', '0', 1), ('regular', 0, '1/12*g + 1/12', '1/12*g - 5/12', -1), ('regular', 0, '1/12*g - 1/12', '1/12*g - 1/4', -1), ('regular', 0, '1/4*g - 1/12', '1/4*g - 11/12', -1), ('regular', 0, '1/6*g - 1/6', '1/6*g - 1/2', -1), ('regular', 0, '1/6*g', '1/6*g - 2/3', -1)]",
+        "summary": (6, 6, 6),
+        "records": "[('marked', 0, '0', '0', 1), ('regular', 0, '1/12*g + 1/12', '1/12*g - 5/12', 1), ('regular', 0, '1/12*g - 1/12', '1/12*g - 1/4', 1), ('regular', 0, '1/4*g - 1/12', '1/4*g - 11/12', 1), ('regular', 0, '1/6*g - 1/6', '1/6*g - 1/2', 1), ('regular', 0, '1/6*g', '1/6*g - 2/3', 1)]",
+        "oracle": "[('marked', 0, '0', '0', 1), ('regular', 0, '1/12*g + 1/12', '1/12*g - 5/12', 1), ('regular', 0, '1/12*g - 1/12', '1/12*g - 1/4', 1), ('regular', 0, '1/4*g - 1/12', '1/4*g - 11/12', 1), ('regular', 0, '1/6*g - 1/6', '1/6*g - 1/2', 1), ('regular', 0, '1/6*g', '1/6*g - 2/3', 1)]",
         "bound": '(82, [[3, 2, 0], [6, 4, 1], [2, 1, 2]], (Fraction(2014189265, 279043993), Fraction(1278920951, 177180328)))',
         "section": "((0, '-1/6*g - 1/6', '-1/6*g + 5/6', ()), (0, '-1/2', '1/2', ()), (0, '-1/6*g + 1/3', '-1/6*g + 1/3', ()))",
         "rects": [
