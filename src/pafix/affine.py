@@ -491,9 +491,16 @@ def torus_from_matrix(m_rows: Sequence[Sequence[int]]
     m_aff = AffineMap(m_fld, Vec2(field.zero(), field.zero()))
     image = std_square.transform(m_aff)
     xlo, xhi, ylo, yhi = image.float_bbox()
+    square_box = std_square.float_bbox()
     pieces = []
     for i in range(int(xlo) - 1, int(xhi) + 2):
         for j in range(int(ylo) - 1, int(yhi) + 2):
+            # skip a cell whose shifted image box misses the square's box:
+            # rounding is monotone and each test compares a rounded
+            # difference with a float bound, so a skipped cell's clip is
+            # empty
+            if boxes_disjoint((xlo - i, xhi - i, ylo - j, yhi - j), square_box):
+                continue
             shift = Vec2(field.rational(-i), field.rational(-j))
             moved = image.translate(shift)
             overlap = moved.intersect(std_square)

@@ -7,12 +7,27 @@ degree d with rational coefficients, stored as d integer numerators over
 one positive integer denominator in lowest terms, so that equal elements
 have equal representations.
 
-Products reduce the powers g^d .. g^(2d-2) with an integer table over one
-common denominator (1 for a monic polynomial), and inverses solve a linear
-system fraction-free on the integer multiplication matrix.  The sign of an
-element is decided by interval Horner evaluation on integers over the root
-bracket; while the enclosure straddles zero, the bracket is *refined* by
-exact bisection.  Comparisons first look at the two elements' cached
+A quadratic field (d = 2) has closed forms, computed from constants the
+field stores once.  With g^2 = (r0 + r1*g)/t and x = (x0 + x1*g)/den:
+
+- sums and products are two integer numerators over one denominator,
+  brought to lowest terms by one gcd;
+- 1/x = den*((t*x0 + r1*x1) - t*x1*g) / N by Cramer's rule on the 2x2
+  multiplication matrix, N = t*x0^2 + r1*x0*x1 - r0*x1^2;
+- for the minimal polynomial c0 + c1*x + c2*x^2 (c2 > 0) with
+  discriminant D, 2*c2*(x0 + x1*g) = A + B*sqrt(D) with A = 2*c2*x0 -
+  c1*x1 and B = x1 or -x1 as g is the larger or the smaller root, so the
+  sign is exact from the signs of A and B and, when they differ, from A^2
+  against B^2*D.  The sign never touches the root bracket.
+
+Every other degree takes the general route.  Products reduce the powers
+g^d .. g^(2d-2) with an integer table over one common denominator (1 for
+a monic polynomial), and inverses solve a linear system fraction-free on
+the integer multiplication matrix.  The sign of an element is decided by
+interval Horner evaluation on integers over the root bracket; while the
+enclosure straddles zero, the bracket is *refined* by exact bisection.
+Approximations (approx, float_bounds) refine the bracket in every
+degree.  Comparisons first look at the two elements' cached
 outward-rounded float enclosures, which decide whenever they are
 disjoint; every other answer comes from exact integer arithmetic.
 
@@ -39,6 +54,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -57,12 +73,14 @@ Rat = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HASH_MODULUS = sys.hash_info.modulus
 
 # Bisections of a new field's root bracket.
 _CREATE_BISECTIONS = 64
 # Bisections made each time an enclosure is too wide to decide.
 _ROUND_BISECTIONS = 16
 # Enclosure rounds a sign or an approximation may take before giving up.
+# Signs in degree 2 take none: there it caps approximations only.
 _MAX_ROUNDS = 300
 # Precision beyond which an element's root is not isolated any further.
 _MAX_ISOLATION_BITS = 2000
@@ -171,6 +189,17 @@ def _reduced(field: "RealNumberField", num: list, den: int) -> "FieldElement":
         num = [c // g for c in num]
         den //= g
     return FieldElement(field, tuple(num), den)
+
+
+def _reduced2(field: "RealNumberField", n0: int, n1: int,
+              den: int) -> "FieldElement":
+    """_reduced for a quadratic field: the element (n0 + n1*g)/den."""
+    g = math.gcd(den, n0, n1)
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        den //= g
+    return FieldElement(field, (n0, n1), den)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +366,15 @@ class RealNumberField:
     The bracket is kept as integers (a/q, b/q) with q > 0 and only ever
     shrinks.  Instances with the same defining polynomial and the same root
     compare equal and interoperate; their elements can be mixed freely.
+
+    A quadratic field keeps its closed-form constants in ``_quad``: the
+    reduction row and denominator (r0, r1, t) of g^2 = (r0 + r1*g)/t, then
+    c1 and 2*c2 of the minimal polynomial, +1 or -1 as g is its larger or
+    smaller root, and its discriminant.  ``_quad`` is None in every other
+    degree, which selects the general route.
     """
 
-    __slots__ = ("minpoly", "_a", "_b", "_q", "_table", "_table_den",
+    __slots__ = ("minpoly", "_a", "_b", "_q", "_table", "_table_den", "_quad",
                  "_equal_ids", "declared_interval", "__weakref__")
 
     def __init__(self, *args, **kwargs):
@@ -389,6 +424,15 @@ class RealNumberField:
             self._refine(_CREATE_BISECTIONS)
 
         self._table, self._table_den = _reduction_table(coeffs)
+        self._quad = None
+        if len(coeffs) == 3:
+            c0, c1, c2 = coeffs
+            (r0, r1), = self._table
+            # c2 > 0, so the polynomial is negative between its roots: the
+            # bracket's lower end lies there exactly when g is the larger
+            larger = _enclose(coeffs, self._a, self._a, self._q)[0] < 0
+            self._quad = (r0, r1, self._table_den, c1, 2 * c2,
+                          1 if larger else -1, c1 * c1 - 4 * c0 * c2)
         return self
 
     # -- basic data ---------------------------------------------------------
@@ -511,10 +555,13 @@ class FieldElement:
     with gcd(den, *num) == 1, so equality is a tuple compare.  ``coeffs``
     gives the same element as a tuple of Fractions, built on first use.
 
-    The sign comes from interval Horner on integers over the field's root
-    bracket a/q < g < b/q: it is decided once the enclosure of
-    q^(d-1) * sum(num[i] * g^i) excludes zero, and otherwise the bracket is
-    bisected further.
+    In a quadratic field, sums, products, inverses and signs use the
+    closed forms in the module docstring, and the sign is exact without
+    refinement.  In every other degree the sign comes from interval Horner
+    on integers over the field's root bracket a/q < g < b/q: it is decided
+    once the enclosure of q^(d-1) * sum(num[i] * g^i) excludes zero, and
+    otherwise the bracket is bisected further, for at most _MAX_ROUNDS
+    rounds.
     """
 
     __slots__ = ("field", "num", "den", "_coeffs", "_fb")
@@ -565,13 +612,22 @@ class FieldElement:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._pair(other)
+            if o is None:
+                return NotImplemented
+        field, da, db = self.field, self.den, o.den
+        if field._quad is not None:
+            a0, a1 = self.num
+            b0, b1 = o.num
+            if da == db:
+                return _reduced2(field, a0 + b0, a1 + b1, da)
+            return _reduced2(field, a0 * db + b0 * da, a1 * db + b1 * da, da * db)
         if da == db:
-            return _reduced(self.field, [a + b for a, b in zip(self.num, o.num)], da)
-        return _reduced(self.field,
+            return _reduced(field, [a + b for a, b in zip(self.num, o.num)], da)
+        return _reduced(field,
                         [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
@@ -580,13 +636,22 @@ class FieldElement:
         return FieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._pair(other)
+            if o is None:
+                return NotImplemented
+        field, da, db = self.field, self.den, o.den
+        if field._quad is not None:
+            a0, a1 = self.num
+            b0, b1 = o.num
+            if da == db:
+                return _reduced2(field, a0 - b0, a1 - b1, da)
+            return _reduced2(field, a0 * db - b0 * da, a1 * db - b1 * da, da * db)
         if da == db:
-            return _reduced(self.field, [a - b for a, b in zip(self.num, o.num)], da)
-        return _reduced(self.field,
+            return _reduced(field, [a - b for a, b in zip(self.num, o.num)], da)
+        return _reduced(field,
                         [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
@@ -596,10 +661,22 @@ class FieldElement:
         return o - self
 
     def __mul__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._pair(other)
+            if o is None:
+                return NotImplemented
         field = self.field
+        quad = field._quad
+        if quad is not None:
+            r0, r1, t = quad[0], quad[1], quad[2]
+            a0, a1 = self.num
+            b0, b1 = o.num
+            top = a1 * b1  # the coefficient of g^2
+            return _reduced2(field, t * a0 * b0 + top * r0,
+                             t * (a0 * b1 + a1 * b0) + top * r1,
+                             self.den * o.den * t)
         return _reduced(field, field._mul_num(self.num, o.num),
                         self.den * o.den * field._table_den)
 
@@ -613,6 +690,19 @@ class FieldElement:
         if self.is_rational():
             s = 1 if num[0] > 0 else -1
             return FieldElement(field, (s * den,) + (0,) * (d - 1), s * num[0])
+        quad = field._quad
+        if quad is not None:
+            # Cramer's rule on the multiplication matrix; norm is t times
+            # the field norm of x0 + x1*g, nonzero for a nonzero element
+            r0, r1, t = quad[0], quad[1], quad[2]
+            x0, x1 = num
+            norm = t * x0 * x0 + r1 * x0 * x1 - r0 * x1 * x1
+            if norm == 0:
+                raise InternalCheckError(
+                    "multiplication matrix of a nonzero element is singular")
+            if norm < 0:
+                den, norm = -den, -norm
+            return _reduced2(field, den * (t * x0 + r1 * x1), -den * t * x1, norm)
         # Column j of the integer matrix M is t * num * g^j, t the table
         # denominator, so M y = t * den * e_0 means y . (1, g, ..) * self
         # = 1.  Fraction-free Gauss-Jordan elimination on [M | rhs] leaves
@@ -677,6 +767,17 @@ class FieldElement:
             c = self.num[0]
             return (c > 0) - (c < 0)
         field = self.field
+        quad = field._quad
+        if quad is not None:
+            # 2*c2*(x0 + x1*g) = a + b*sqrt(D), with b != 0 here
+            c1, c2x2, root, disc = quad[3:]
+            x0, x1 = self.num
+            a = c2x2 * x0 - c1 * x1
+            b = x1 if root > 0 else -x1
+            sb = 1 if b > 0 else -1
+            if a == 0 or (a > 0) == (b > 0) or a * a < b * b * disc:
+                return sb
+            return -sb
         for _ in range(_MAX_ROUNDS):
             lo, hi = _enclose(self.num, field._a, field._b, field._q)
             if lo > 0:
@@ -772,8 +873,20 @@ class FieldElement:
         return -self if self.sign() < 0 else self
 
     def __hash__(self):
-        # a Fraction with denominator 1 hashes like its int
-        key = self.num if self.den == 1 else self.coeffs
+        # The hash of (minpoly, coeffs), without building Fractions:
+        # Fraction(n, den) hashes like the int n * den^-1 mod the hash
+        # modulus whenever den has that inverse (a Fraction with
+        # denominator 1 hashes like its int).
+        den = self.den
+        if den == 1:
+            key = self.num
+        else:
+            try:
+                dinv = pow(den, -1, _HASH_MODULUS)
+            except ValueError:
+                key = self.coeffs
+            else:
+                key = tuple([n * dinv for n in self.num])
         return hash((self.field.minpoly, key))
 
     def __repr__(self):

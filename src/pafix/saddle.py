@@ -251,7 +251,7 @@ class SaddleConnection:
     by its developing chain."""
 
     __slots__ = ("surface", "start_corner", "hol", "chain", "pieces",
-                 "placements", "end_corner", "flip_sign", "_key")
+                 "placements", "end_corner", "flip_sign", "_key", "_rstart")
 
     def __init__(self, surface, start_corner, hol, chain, pieces, placements,
                  end_corner, flip_sign):
@@ -264,6 +264,7 @@ class SaddleConnection:
         self.end_corner = end_corner
         self.flip_sign = flip_sign        # direction transport sign
         self._key = None
+        self._rstart = None
 
     @staticmethod
     def walk(surface: FlatSurface, corner: EdgeRef,
@@ -304,10 +305,17 @@ class SaddleConnection:
         chart, vidx = self.start_corner
         return SurfacePoint(chart, self.surface.polygons[chart].vertices[vidx])
 
+    def reverse_start(self) -> tuple:
+        """(start corner, holonomy) of the reverse connection, computed
+        once and without walking it."""
+        if self._rstart is None:
+            d_end = self.hol if self.flip_sign == 1 else -self.hol
+            self._rstart = _corner_for_ray(self.surface, self.end_corner[0],
+                                           self.end_corner[1], -d_end)
+        return self._rstart
+
     def reverse(self) -> "SaddleConnection":
-        d_end = self.hol if self.flip_sign == 1 else -self.hol
-        corner, r = _corner_for_ray(self.surface, self.end_corner[0],
-                                    self.end_corner[1], -d_end)
+        corner, r = self.reverse_start()
         back = SaddleConnection.walk(self.surface, corner, r)
         if back is None:
             raise InternalCheckError("saddle connection has no reverse walk")
@@ -318,11 +326,6 @@ class SaddleConnection:
             self._key = (self.start_class, self.hol.x, self.hol.y,
                          self.start_corner, self.chain)
         return self._key
-
-    def canonical(self) -> "SaddleConnection":
-        """Deterministic representative of the unoriented connection."""
-        rev = self.reverse()
-        return self if self.sort_key() < rev.sort_key() else rev
 
     def point_at(self, t) -> SurfacePoint:
         """Point at parameter t in (0, 1) along the connection."""
@@ -335,9 +338,6 @@ class SaddleConnection:
             if on_segment(target, pa, pb):
                 return SurfacePoint(chart, _place_unapply(eps, shift, target))
         raise InputError("parameter %s does not land on the connection" % t)
-
-    def midpoint(self) -> SurfacePoint:
-        return self.point_at(Fraction(1, 2))
 
     def record(self):
         """Serialization row: (start id, hol_x, hol_y, chain)."""

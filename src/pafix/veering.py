@@ -125,6 +125,9 @@ class EdgeCache:
         self.surface = surface
         self.rev: Dict[SaddleConnection, SaddleConnection] = {}
         self.canon: Dict[SaddleConnection, SaddleConnection] = {}
+        # connections found canonical without a walk of their reverse,
+        # by (start corner, holonomy): a walk from there would rebuild one
+        self.starts: Dict[tuple, SaddleConnection] = {}
         self.crossed: Dict[tuple, tuple] = {}
         self.rects: Dict[SaddleConnection, object] = {}
         self.boxes: Dict[int, tuple] = {}
@@ -152,18 +155,30 @@ class EdgeCache:
     def reverse(self, sc: SaddleConnection) -> SaddleConnection:
         r = self.rev.get(sc)
         if r is None:
-            r = sc.reverse()
+            r = self.starts.get(sc.reverse_start())
+            if r is None:
+                r = sc.reverse()
             self.rev[sc] = r
             self.rev[r] = sc
         return r
 
     def canonical(self, sc: SaddleConnection) -> SaddleConnection:
+        """The orientation with the smaller sort_key.  Its first three
+        entries, the start class and the holonomy, nearly always decide,
+        and the reverse's come from its start without walking it; the
+        reverse is needed only when sc loses or ties there."""
         c = self.canon.get(sc)
         if c is None:
-            r = self.reverse(sc)
-            c = sc if sc.sort_key() < r.sort_key() else r
-            self.canon[sc] = c
-            self.canon[r] = c
+            corner, r_hol = sc.reverse_start()
+            if ((sc.start_class, sc.hol.x, sc.hol.y)
+                    < (self.surface.corner_class[corner], r_hol.x, r_hol.y)):
+                c = self.canon[sc] = sc
+                self.starts[(sc.start_corner, sc.hol)] = sc
+            else:
+                r = self.reverse(sc)
+                c = sc if sc.sort_key() < r.sort_key() else r
+                self.canon[sc] = c
+                self.canon[r] = c
         return c
 
     def _crossed(self, a: SaddleConnection, b: SaddleConnection) -> tuple:

@@ -342,8 +342,9 @@ def test_ring_axioms_cubic(va, vb, vc):
     check_ring_axioms(CUBIC_FIELD, va, vb, vc)
 
 
-# (ascending minpoly, root bracket): monic and non-monic quadratics and
-# cubics, and a degree-one field
+# (ascending minpoly, root bracket): monic and non-monic quadratics, each
+# with its larger and its smaller root as generator, cubics, and a
+# degree-one field
 REFERENCE_FIELDS = [
     ((-1, -1, 1), 1, 2),  # golden x^2 - x - 1
     ((1, -3, 1), 2, 3),  # trace 3 x^2 - 3x + 1
@@ -351,6 +352,9 @@ REFERENCE_FIELDS = [
     ((-2, 0, 0, 1), 1, 2),  # x^3 - 2
     ((-1, -2, 0, 2), 1, 2),  # non-monic 2x^3 - 2x - 1
     ((-3, 2), 1, 2),  # 2x - 3
+    ((1, -3, 1), 0, 1),  # x^2 - 3x + 1, smaller root (3 - sqrt 5)/2
+    ((-1, -1, 1), -1, 0),  # x^2 - x - 1, smaller root (1 - sqrt 5)/2
+    ((-1, -2, 2), -1, 0),  # 2x^2 - 2x - 1, smaller root (1 - sqrt 3)/2
 ]
 
 
@@ -388,7 +392,8 @@ def test_integer_arithmetic_matches_fraction_reference(poly, lo, hi):
     check()
 
 
-@pytest.mark.parametrize("poly, lo, hi", REFERENCE_FIELDS[:-1])
+@pytest.mark.parametrize("poly, lo, hi",
+                         [f for f in REFERENCE_FIELDS if len(f[0]) > 2])
 def test_sign_near_zero_matches_fraction_reference(poly, lo, hi):
     # g - k/2^bits for the dyadic k/2^bits just below g, found by bisection
     # on the reference: the sign must refine the bracket to that precision
@@ -406,7 +411,26 @@ def test_sign_near_zero_matches_fraction_reference(poly, lo, hi):
         assert (g - Fraction(k_lo, 2 ** bits)).sign() == 1
         assert (Fraction(k_hi, 2 ** bits) - g).sign() == 1
         near = g * g - g * Fraction(k_lo, 2 ** bits)  # g (g - k/2^bits)
-        assert near.sign() == ref.sign(near.coeffs) == 1
+        assert near.sign() == ref.sign(near.coeffs) == ref.sign(ref.vec([0, 1]))
+
+
+def test_quadratic_sign_far_below_the_root_bracket():
+    # g - k/2^6000 for k = floor(g * 2^6000), g the golden ratio: about
+    # 2^-6000, so deciding it by bisection would need some 6000 bits of
+    # bracket.  The quadratic sign is exact and leaves the bracket alone.
+    import sympy
+
+    K = golden_field()
+    bits = 6000
+    # g * 2^bits = (2^bits + sqrt(5 * 4^bits)) / 2
+    k = ((1 << bits) + math.isqrt(5 << (2 * bits))) // 2
+    q_before = K._q
+    near = K.gen() - Fraction(k, 1 << bits)
+    assert near.sign() == 1
+    assert (K.gen() - Fraction(k + 1, 1 << bits)).sign() == -1
+    assert K._q == q_before
+    exact = (1 + sympy.sqrt(5)) / 2 - sympy.Rational(k, 1 << bits)
+    assert sympy.sign(exact.evalf(30, maxn=25000)) == near.sign()
 
 
 def test_docstrings():

@@ -233,7 +233,7 @@ def test_walk_blocked_by_intermediate_singularity():
 def test_point_at_and_midpoint():
     t = square_torus()
     sc = conn(t, 1, 1)
-    mid = sc.midpoint()
+    mid = sc.point_at(Fraction(1, 2))
     assert t.same_point(mid, point(t, 0, Fraction(1, 2), Fraction(1, 2)))
     quarter = sc.point_at(Fraction(1, 4))
     assert t.same_point(quarter, point(t, 0, Fraction(1, 4), Fraction(1, 4)))
