@@ -67,7 +67,7 @@ class PiecewiseAffineMap:
         # the maps and sections on a surface keep its geometry alive
         self._cache = edge_cache(surface)
         # filled by veering.annular_avoiding_f_section, EdgeCache.image
-        # and fixcount.lefschetz_number (L on _section)
+        # and fixcount.lefschetz_number (L of the map)
         self._section = None
         self._images: dict = {}
         self._lefschetz = None

@@ -122,10 +122,6 @@ class NotFlippable(InputError):
     """Edge does not admit the requested diagonal flip."""
 
 
-class NotCrossing(InputError):
-    """Curve and triangulation or section do not intersect as required."""
-
-
 class WrongOrder(InputError):
     """Flip sequence applied in an order that violates the requested sweep."""
 

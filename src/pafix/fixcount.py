@@ -7,12 +7,12 @@ in at least one such rectangle, so the deduplicated union is Fix(f) minus
 the singular points, which are read off the singularity permutation.  The
 oracle counter instead clips f(t) against t for every triangle t of a
 section and solves the same equation per overlap piece.  Both attach a
-Lefschetz number computed homologically, from the action of f on cycles
-of section edges, as a third check: L equals the index sum.  L is
-independent of both counters, but not of itself: it is computed once per
-(map, section) and kept on the map, so the oracle run on the map's own
-section reuses the count's L (the same deterministic code on the same
-input would only repeat it), while any other section computes it afresh.
+Lefschetz number computed homologically, from the action of f on the
+polygon edges modulo the polygon boundaries, as a third check: L equals
+the index sum.  L is independent of both counters, but not of itself:
+it is computed once per map and kept on it, so the oracle, whatever
+section it runs on, reuses the count's L (the same deterministic code on
+the same input would only repeat it).
 
 Coordinates, indices and counts are exact; no step rounds.
 
@@ -22,7 +22,7 @@ each budget on the module whose search reads it.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
@@ -40,10 +40,9 @@ from .saddle import (
 from .veering import (
     Section,
     _derivative_matrix,
-    _germ_cmp,
     _germ_of,
     annular_avoiding_f_section,
-    apply_to_edge,  # kept importable as fixcount.apply_to_edge
+    apply_to_edge,  # not called here; bench/tests reads fixcount.apply_to_edge
     edge_cache,
     section_size,
 )
@@ -460,8 +459,7 @@ def count_fixed_points(f) -> FixReport:
         for fp in pts:
             seen.setdefault(repr(fp.key), fp)
     points = list(seen.values()) + _singular_fixed_points(f)
-    lef = lefschetz_number(f, section=section)
-    return FixReport(points, per_edge, lef, "fundamental")
+    return FixReport(points, per_edge, lefschetz_number(f), "fundamental")
 
 
 def max_edge(T: Section, f) -> SaddleConnection:
@@ -608,167 +606,82 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                         rep.chart, rep.pos, "regular",
                         _regular_index(l1, l2), key)
     points = list(seen.values()) + _singular_fixed_points(f)
-    lef = lefschetz_number(f, section=T)
-    return FixReport(points, {}, lef, "oracle")
+    return FixReport(points, {}, lefschetz_number(f), "oracle")
 
 
 # ---------------------------------------------------------------------------
 # homological Lefschetz number
 
-def _cyclic_between(fan, a, x, b) -> bool:
-    """Is x strictly inside the counterclockwise wedge from a to b?"""
-    ax = _germ_cmp(fan, a, x)
-    xb = _germ_cmp(fan, x, b)
-    if ax == 0 or xb == 0:
-        return False
-    ab = _germ_cmp(fan, a, b)
-    if ab < 0:
-        return ax < 0 and xb < 0
-    return ax < 0 or xb < 0
+def _edge_chain(surface: FlatSurface, edges) -> Dict[tuple, int]:
+    """Polygon edges, each run counterclockwise around its own polygon,
+    as a 1-chain of the polygon complex.  Two glued edges are one cell,
+    which their two polygons run in opposite directions; the cell is
+    named by the smaller edge, which runs it forwards."""
+    chain: Dict[tuple, int] = {}
+    for edge in edges:
+        twin = surface.transitions[edge].target
+        cell, sign = (edge, 1) if edge < twin else (twin, -1)
+        chain[cell] = chain.get(cell, 0) + sign
+    return chain
 
 
-class _Comb:
-    """Rewrites arcs between singularities as chains of section edges,
-    exact modulo face boundaries."""
+def _comb(sc: SaddleConnection) -> Dict[tuple, int]:
+    """sc as a 1-chain of polygon edges, homotopic to it rel endpoints.
 
-    def __init__(self, section: Section):
-        self.section = section
-        self.cache = section.cache
-        self.surface = section.surface
-        self.fan = section.surface.fan_position
-        self.faces = section.triangles
-        self.corner_class = section.surface.corner_class
-
-    def _locate_germ(self, germ):
-        """(face, corner position) whose wedge contains the germ."""
-        cls = self.corner_class[germ[0]]
-        hits = []
-        for face in self.faces:
-            for j in range(3):
-                rj = face[j]
-                if self.corner_class[rj.start_corner] != cls:
-                    continue
-                a = _germ_of(rj)
-                b = _germ_of(self.cache.reverse(face[j - 1]))
-                if _cyclic_between(self.fan, a, germ, b):
-                    hits.append((face, j))
-        if len(hits) != 1:
-            raise InternalCheckError(
-                "germ lies in %d face corners instead of one" % len(hits))
-        return hits[0]
-
-    def _kappa(self, face, c: SaddleConnection) -> int:
-        """Corner position of c's canonical start vertex inside face."""
-        rev = self.cache.reverse(c)
-        for k in range(3):
-            if face[k] == c:
-                return k
-            if face[k] == rev:
-                return (k + 1) % 3
-        raise InternalCheckError("edge is not a side of the face")
-
-    def _route(self, face, i: int, j: int, chain: Dict):
-        k = i
-        while k != j:
-            rep = face[k]
-            can = self.cache.canonical(rep)
-            chain[can] = chain.get(can, 0) + (1 if rep == can else -1)
-            k = (k + 1) % 3
-
-    def chain_of(self, arc: SaddleConnection) -> Dict[SaddleConnection, int]:
-        """arc as an integer chain of section edges, mod face boundaries."""
-        can = self.cache.canonical(arc)
-        if can in self.section.edge_set:
-            return {can: 1 if arc == can else -1}
-        events = []
-        for c in self.section.edges:
-            for rec in _crossing_data(c, arc):
-                events.append((rec[1], c, rec[6]))
-        events.sort(key=lambda ev: ev[0])
-        for i in range(1, len(events)):
-            if events[i][0] == events[i - 1][0]:
-                raise InternalCheckError("two crossings at one arc point")
-        face0, j0 = self._locate_germ(_germ_of(arc))
-        face1, j1 = self._locate_germ(_germ_of(self.cache.reverse(arc)))
-        chain: Dict[SaddleConnection, int] = {}
-        if not events:
-            if face0 is not face1:
-                raise InternalCheckError(
-                    "uncrossed arc starts and ends in different faces")
-            self._route(face0, j0, j1, chain)
-            return chain
-        cur_face, cur_pos = face0, j0
-        for (_, c, side) in events:
-            pre = self.section.face_of(self.cache.reverse(c)) if side > 0 \
-                else self.section.face_of(c)
-            if pre is not cur_face:
-                raise InternalCheckError("crossing sequence skips a face")
-            self._route(cur_face, cur_pos, self._kappa(cur_face, c), chain)
-            cur_face = self.section.face_of(c) if side > 0 \
-                else self.section.face_of(self.cache.reverse(c))
-            cur_pos = self._kappa(cur_face, c)
-        if cur_face is not face1:
-            raise InternalCheckError("arc does not end in the entered face")
-        self._route(cur_face, cur_pos, j1, chain)
-        return chain
+    Each piece of sc is pushed onto its polygon's boundary, always
+    counterclockwise: from the start vertex, or the edge after the entry
+    edge, up to the end vertex, or the exit edge, which are left out.
+    The partial edges dropped on the two sides of a crossing run along
+    one glued edge there and back, so they cancel."""
+    surface = sc.surface
+    end_chart, _, end = sc.pieces[-1]
+    starts = [sc.start_corner] + [
+        (q, (e2 + 1) % len(surface.polygons[q])) for _, _, q, e2 in sc.chain]
+    stops = [e for _, e, _, _ in sc.chain]
+    stops.append(surface.vertex_index(end_chart, end))
+    edges = []
+    for (chart, k), stop in zip(starts, stops):
+        n = len(surface.polygons[chart])
+        while k != stop:
+            edges.append((chart, k))
+            k = (k + 1) % n
+    return _edge_chain(surface, edges)
 
 
-def lefschetz_number(f, section: Optional[Section] = None) -> int:
+def lefschetz_number(f) -> int:
     """2 minus the trace of f on first homology of the closed surface,
-    computed from the action on cycles of section edges.  Any section
-    gives the same number; without one, the map's own
-    annular_avoiding_f_section is used.  L on that section is kept on
-    the map (f._lefschetz) and computed once; another section is
-    computed afresh."""
-    if section is None:
+    from the polygon complex: 2-cells the polygons, 1-cells the glued
+    edges, 0-cells the vertex classes, all of them singular or marked.
+
+    Its relative homology H1(S, V) is C1 modulo the polygon boundaries,
+    and 0 -> H1(S) -> H1(S, V) -> H0~(V) -> 0 is exact, so L = 1 +
+    #Fix(f|V) - tr(f on H1(S, V)).  The edges of f's own section,
+    combed onto the polygon edges, span H1(S, V), and f carries them to
+    their images, kept on the map since the section was built; their
+    classes give the trace.
+    L is computed once per map and kept on it (f._lefschetz)."""
+    if f._lefschetz is None:
+        surface = f.surface
         section = annular_avoiding_f_section(f)
-    own = section is f._section
-    if own and f._lefschetz is not None:
-        return f._lefschetz
-    cache = section.cache
-    surface = section.surface
-    comb = _Comb(section)
-    edges = section.edges
-    idx = {e: i for i, e in enumerate(edges)}
-    ne = len(edges)
-    phi = [[0] * ne for _ in range(ne)]
-    for j, e in enumerate(edges):
-        image = cache.image(f, e)
-        for c, coeff in comb.chain_of(image).items():
-            phi[idx[c]][j] = coeff
-    ends = {}
-    for e in edges:
-        ends[e] = (surface.corner_class[e.start_corner],
-                   surface.corner_class[e.end_corner])
-    classes = sorted({cls for pair in ends.values() for cls in pair})
-    if classes != sorted(c.id for c in surface.cone_points):
-        raise InternalCheckError("section edges miss a vertex class")
-    crow = {c: i for i, c in enumerate(classes)}
-    bdry1 = [[0] * ne for _ in classes]
-    for j, e in enumerate(edges):
-        a, b = ends[e]
-        bdry1[crow[b]][j] += 1
-        bdry1[crow[a]][j] -= 1
-    bdry2 = [[0] * len(comb.faces) for _ in range(ne)]
-    for j, face in enumerate(comb.faces):
-        for rep in face:
-            can = cache.canonical(rep)
-            bdry2[idx[can]][j] += 1 if rep == can else -1
-    zbasis = linalg.nullspace(bdry1, ne)
-    bbasis = linalg.columnspace(bdry2)
-    if any(any(linalg.apply(bdry1, b)) for b in bbasis):
-        raise InternalCheckError("face boundaries are not cycles")
-    if any(any(linalg.apply(bdry1, linalg.apply(phi, z))) for z in zbasis):
-        raise InternalCheckError("chain map does not preserve cycles")
-    trace = linalg.restricted_trace(phi, zbasis) \
-        - linalg.restricted_trace(phi, bbasis)
-    if trace.denominator != 1:
-        raise InternalCheckError("homology trace %s is not an integer"
-                                 % (trace,))
-    lef = 2 - int(trace)
-    if own:
-        f._lefschetz = lef
-    return lef
+        cells = sorted(e for e, tr in surface.transitions.items()
+                       if e < tr.target)
+
+        def vector(chain):
+            return [chain.get(c, 0) for c in cells]
+
+        boundaries = [
+            vector(_edge_chain(surface, ((p, k) for k in range(len(poly)))))
+            for p, poly in enumerate(surface.polygons)]
+        gens = [vector(_comb(e)) for e in section.edges]
+        images = [vector(_comb(section.cache.image(f, e)))
+                  for e in section.edges]
+        trace = linalg.quotient_trace(boundaries, gens, images)
+        if trace.denominator != 1:
+            raise InternalCheckError("homology trace %s is not an integer"
+                                     % (trace,))
+        fixed = sum(1 for c, d in f.singularity_permutation.items() if c == d)
+        f._lefschetz = 1 + fixed - int(trace)
+    return f._lefschetz
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 A matrix is a list of rows and a vector a list of entries; entries are
 ints or Fractions and results are Fractions.  The users are the
-homological Lefschetz number (boundary and chain maps on the few edges
-of a section) and the minimal polynomial of a field element (the power
-basis of a field of small degree), so plain Gauss-Jordan elimination is
-fast enough and needs no external package.
+homological Lefschetz number (a map's trace on the few polygon edges of
+a surface, modulo the polygon boundaries) and the minimal polynomial of
+a field element (the power basis of a field of small degree), so plain
+Gauss-Jordan elimination is fast enough and needs no external package.
 
-    >>> from pafix.linalg import nullspace, restricted_trace
+    >>> from pafix.linalg import nullspace, quotient_trace
     >>> [[str(x) for x in v] for v in nullspace([[1, 2, 3], [2, 4, 6]], 3)]
     [['-2', '1', '0'], ['-3', '0', '1']]
-    >>> restricted_trace([[2, 1], [0, 3]], [[1, 0]])
+
+On the plane modulo the y-axis, (1, 0) and (1, 1) are one class, and
+the map sending them to (2, 1) and (2, 5) doubles it:
+
+    >>> quotient_trace([[0, 1]], [[1, 0], [1, 1]], [[2, 1], [2, 5]])
     Fraction(2, 1)
 """
 
@@ -19,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import InternalCheckError
 
-__all__ = ["apply", "columnspace", "nullspace", "restricted_trace", "rref"]
+__all__ = ["nullspace", "quotient_trace", "rref"]
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -63,37 +67,32 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[list]:
     return out
 
 
-def columnspace(rows: Sequence[Sequence]) -> List[list]:
-    """A basis of the column space: the pivot columns of the matrix."""
-    _, pivots = rref(rows)
-    return [[Fraction(row[c]) for row in rows] for c in pivots]
+def quotient_trace(sub: Sequence[Sequence], gens: Sequence[Sequence],
+                   images: Sequence[Sequence]) -> Fraction:
+    """Trace of the linear map gens[j] -> images[j] on the quotient of
+    the ambient space by the span of sub.
 
+    The generators that are pivots modulo sub form a basis of the
+    quotient, and every image is solved in it.  Raises
+    InternalCheckError when the generators do not span the quotient, or
+    when the images break a relation that the generators satisfy modulo
+    sub, so that no such linear map exists."""
+    s, k = len(sub), len(gens)
+    cols = [*sub, *gens, *images]
+    m, pivots = rref([[c[r] for c in cols] for r in range(len(cols[0]))])
+    if sum(p < s + k for p in pivots) != len(m):
+        raise InternalCheckError("generators do not span the quotient")
+    rows = [r for r, p in enumerate(pivots) if p >= s]
 
-def apply(rows: Sequence[Sequence], v: Sequence) -> List:
-    """The matrix-vector product rows v."""
-    return [sum(a * b for a, b in zip(row, v)) for row in rows]
+    def coords(c):
+        return [m[r][c] for r in rows]
 
-
-def restricted_trace(phi: Sequence[Sequence], basis: Sequence[Sequence]):
-    """Trace of phi on the span of the independent vectors in basis.
-
-    Solves basis * a = phi * basis by elimination, then checks the
-    solution by substituting it back, so a span that phi does not map
-    into itself raises InternalCheckError instead of returning a
-    trace."""
-    k = len(basis)
-    if not k:
-        return Fraction(0)
-    images = [apply(phi, w) for w in basis]
-    n = len(basis[0])
-    m, pivots = rref([[w[r] for w in basis] + [im[r] for im in images]
-                      for r in range(n)])
-    if pivots[:k] != list(range(k)):
-        raise InternalCheckError("subspace basis is not independent")
-    a = [row[k:] for row in m[:k]]
-    for j, im in enumerate(images):
-        back = [sum(a[i][j] * basis[i][r] for i in range(k)) for r in range(n)]
-        if back != im:
+    # a[i]: the image of the i-th basis generator, in that basis
+    a = [coords(k + pivots[r]) for r in rows]
+    for j in range(k):
+        g = coords(s + j)
+        if [sum(x * y for x, y in zip(g, col)) for col in zip(*a)] \
+                != coords(s + k + j):
             raise InternalCheckError(
-                "subspace is not invariant under the chain map")
-    return sum(a[i][i] for i in range(k))
+                "images break a relation among the generators")
+    return sum((a[i][i] for i in range(len(rows))), Fraction(0))

@@ -4,11 +4,9 @@ A section is a triangulation of the punctured surface by veering edges:
 pairwise noncrossing saddle connections whose spanning rectangles are
 free of singularities.  Sections are partially ordered by the slope
 order on crossing edges; diagonal exchanges (flips) are the covering
-moves.  This module builds sections, flips them, computes the extremal
-sections through an edge, stabilizes a section under an expanding
-affine automorphism, cuts out the pocket between two crossing edges,
-and layers the automorphism's mapping torus into ideal tetrahedra, one
-per flip.
+moves.  This module builds sections, flips them, stabilizes a section
+under an expanding affine automorphism, and layers the automorphism's
+mapping torus into ideal tetrahedra, one per flip.
 
 All geometry is exact.  Each memo has one owner.  The surface has one
 EdgeCache (edge_cache(surface)), which memoises reverses, canonical
@@ -18,11 +16,10 @@ every map on it.  The maps and sections on the surface own the cache
 and the surface points at it weakly, so a surface's geometry is freed
 by reference counting when its last map and section go.  The crossing
 records of a pair (saddle.crossings) are kept, not only their number,
-so the sweeps here, the rectangle solver and the Lefschetz chains of
-fixcount cross each pair once.  A map owns what depends on it: its
-edge images and the section that annular_avoiding_f_section keeps, so
-every counter run on one map shares one section.  No routine takes a
-cache.
+so the sweeps here and the rectangle solver of fixcount cross each pair
+once.  A map owns what depends on it: its edge images and the section
+that annular_avoiding_f_section keeps, so every counter run on one map
+shares one section.  No routine takes a cache.
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -38,7 +35,6 @@ from .errors import (
     InputError,
     InternalCheckError,
     LambdaNotExpanding,
-    NotCrossing,
     NotFilling,
     NotFlippable,
     NotNoncrossing,
@@ -67,8 +63,6 @@ __all__ = [
     "complete_to_section",
     "flip_up",
     "flip_down",
-    "t_plus",
-    "t_minus",
     "section_leq",
     "apply_to_edge",
     "apply_to_section",
@@ -76,15 +70,13 @@ __all__ = [
     "annular_avoiding_f_section",
     "FlipStep",
     "flip_path",
-    "Pocket",
-    "pocket",
     "Tetrahedron",
     "MappingTorus",
     "mapping_torus_layering",
 ]
 
-# Steps of one section sweep: flips in _extremal, f_section,
-# annular_avoiding_f_section and flip_path.
+# Steps of one section sweep: flips in f_section, annular_avoiding_f_section
+# and flip_path.
 _SWEEP_CAP = 20000
 _BOX_DOUBLINGS = 4
 _DEGREE_THRESHOLD = 16
@@ -107,8 +99,8 @@ class EdgeCache:
     """One surface's memo for reverses, canonical representatives,
     crossing records, spanning rectangles and candidate boxes.
 
-    Get it with edge_cache(surface); every section, flip, order test,
-    rectangle solve and Lefschetz chain on the surface shares it.
+    Get it with edge_cache(surface); every section, flip, order test
+    and rectangle solve on the surface shares it.
     Crossings are the expensive primitive, and every sweep in this
     module hits the same pairs repeatedly.  The crossing memo holds, per
     pair of oriented connections, the records of saddle.crossings; a
@@ -644,44 +636,7 @@ def flip_down(section: Section, edge: SaddleConnection) -> Section:
 
 
 # ---------------------------------------------------------------------------
-# extremal sections and the section order
-
-def t_plus(edge: SaddleConnection,
-           section: Optional[Section] = None) -> Section:
-    """Highest section containing the edge: sweep every other edge
-    upward until the edge itself is the only up-flippable one."""
-    return _extremal(edge, section, True)
-
-
-def t_minus(edge: SaddleConnection,
-            section: Optional[Section] = None) -> Section:
-    """Lowest section containing the edge."""
-    return _extremal(edge, section, False)
-
-
-def _extremal(edge, section, up):
-    if section is None:
-        section = complete_to_section(edge.surface, (edge,))
-    c = section.cache.canonical(edge)
-    if c not in section.edge_set:
-        raise InputError("edge is not in the starting section")
-    cur = section
-    for _ in range(_SWEEP_CAP):
-        moved = False
-        for cand in cur.edges:
-            if cand == c:
-                continue
-            try:
-                cur = _flip(cur, cand, up)[0]
-                moved = True
-                break
-            except NotFlippable:
-                continue
-        if not moved:
-            return cur
-    raise InternalCheckError(
-        "extremal-section sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
-
+# the section order
 
 def section_leq(lower: Section, upper: Section) -> bool:
     """True when every crossing pair has the lower section's edge below
@@ -895,143 +850,6 @@ def flip_path(lower: Section, upper: Section) -> List[FlipStep]:
             raise InternalCheckError(
                 "flip path exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
     return steps
-
-
-# ---------------------------------------------------------------------------
-# pockets
-
-class Pocket:
-    """The sub-complex between the lowest section through an upper edge
-    and the highest section through a lower crossing edge.
-
-    top_faces and bottom_faces triangulate the same base; top_interior
-    and bottom_interior are the edges proper to each side, boundary the
-    shared edges around the base."""
-
-    __slots__ = ("sigma1", "sigma2", "upper_section", "lower_section",
-                 "top_faces", "bottom_faces", "top_interior",
-                 "bottom_interior", "boundary", "crossing", "intersection",
-                 "flip_count")
-
-    def __init__(self, sigma1, sigma2, upper_section, lower_section,
-                 top_faces, bottom_faces, top_interior, bottom_interior,
-                 boundary, crossing, intersection, flip_count):
-        self.sigma1 = sigma1
-        self.sigma2 = sigma2
-        self.upper_section = upper_section
-        self.lower_section = lower_section
-        self.top_faces = top_faces
-        self.bottom_faces = bottom_faces
-        self.top_interior = top_interior
-        self.bottom_interior = bottom_interior
-        self.boundary = boundary
-        self.crossing = crossing          # i(sigma1, sigma2)
-        self.intersection = intersection  # i(P+, P-)
-        self.flip_count = flip_count
-
-    def __repr__(self):
-        return ("Pocket(%d top faces, %d bottom faces, i=%d, flips=%d)"
-                % (len(self.top_faces), len(self.bottom_faces),
-                   self.intersection, self.flip_count))
-
-
-def _side_component(section, other_edge_set, seed):
-    """Faces of `section` reachable from the seed edge's faces across
-    edges absent from the other section; returns (faces, interior
-    edges, boundary edges)."""
-    cache = section.cache
-    diff = [e for e in section.edges if e not in other_edge_set]
-    diff_set = frozenset(diff)
-    seed_faces = [section.face_of(seed), section.face_of(cache.reverse(seed))]
-    comp = []
-    queue = list(seed_faces)
-    seen = set()
-    while queue:
-        face = queue.pop()
-        if id(face) in seen:
-            continue
-        seen.add(id(face))
-        comp.append(face)
-        for sc in face:
-            c = cache.canonical(sc)
-            if c in diff_set:
-                nb = section.face_of(cache.reverse(sc))
-                if id(nb) not in seen:
-                    queue.append(nb)
-    interior = set()
-    boundary = set()
-    for face in comp:
-        for sc in face:
-            c = cache.canonical(sc)
-            if c in diff_set:
-                interior.add(c)
-            else:
-                boundary.add(c)
-    if cache.canonical(seed) not in interior:
-        raise InternalCheckError("pocket seed edge fell outside its side")
-    return (tuple(comp),
-            tuple(sorted(interior, key=SaddleConnection.sort_key)), boundary)
-
-
-def _face_area2(face) -> object:
-    H = face[0].hol
-    apex = _apex_solve(H, face[1].hol, face[2].hol, 1)
-    return H.cross(apex)
-
-
-def pocket(sigma1: SaddleConnection, sigma2: SaddleConnection) -> Pocket:
-    """The pocket with sigma1 on its top side and sigma2 on its bottom
-    side.  Requires the edges to cross with sigma1 above sigma2."""
-    cache = edge_cache(sigma1.surface)
-    c1 = cache.canonical(sigma1)
-    c2 = cache.canonical(sigma2)
-    try:
-        i12 = cache.crossings(c1, c2)
-    except OverlappingSegments:
-        raise NotCrossing("edges overlap along a segment")
-    if i12 == 0:
-        raise NotCrossing("pocket edges must cross")
-    if edge_order(c1, c2) != "above":
-        raise WrongOrder("the first pocket edge must lie above the second")
-    upper = t_minus(c1)
-    lower = t_plus(c2)
-    top_faces, top_int, top_bnd = _side_component(
-        upper, lower.edge_set, c1)
-    bot_faces, bot_int, bot_bnd = _side_component(
-        lower, upper.edge_set, c2)
-    if top_bnd != bot_bnd:
-        raise InternalCheckError("pocket sides have different boundaries")
-    area_top = _face_area2(top_faces[0])
-    for f in top_faces[1:]:
-        area_top = area_top + _face_area2(f)
-    area_bot = _face_area2(bot_faces[0])
-    for f in bot_faces[1:]:
-        area_bot = area_bot + _face_area2(f)
-    if area_top != area_bot:
-        raise InternalCheckError("pocket sides cover different areas")
-    total = 0
-    bot_hits = {b: 0 for b in bot_int}
-    for a in top_int:
-        hits = 0
-        for b in bot_int:
-            n = cache.crossings(a, b)
-            if n and edge_order(a, b) != "above":
-                raise InternalCheckError(
-                    "pocket order violated between side edges")
-            hits += n
-            bot_hits[b] += n
-        if hits == 0:
-            raise InternalCheckError(
-                "pocket top edge crosses nothing on the bottom side")
-        total += hits
-    for b, n in bot_hits.items():
-        if n == 0:
-            raise InternalCheckError(
-                "pocket bottom edge crosses nothing on the top side")
-    flips = flip_path(lower, upper)
-    boundary = tuple(sorted(top_bnd, key=SaddleConnection.sort_key))
-    return Pocket(c1, c2, upper, lower, top_faces, bot_faces, top_int,
-                  bot_int, boundary, i12, total, len(flips))
 
 
 # ---------------------------------------------------------------------------

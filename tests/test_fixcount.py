@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pafix import fixcount, saddle, veering
+from pafix import fixcount, linalg, saddle, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
@@ -27,7 +27,9 @@ from pafix.errors import (
 )
 from pafix.fixcount import (
     FixedPoint,
+    _comb,
     _crossing_data,
+    _edge_chain,
     count_fixed_points,
     fixed_point_index,
     fixed_points_in_rectangle,
@@ -49,6 +51,8 @@ from pafix.veering import (
     edge_cache,
     f_section,
 )
+
+from surfbuild import octagon_surface, pillowcase, square_torus
 
 # 2 - tr(M^n) for M = [[2,1],[1,1]]; all traces exceed 2 so the fixed
 # point total is tr(M^n) - 2.
@@ -99,6 +103,47 @@ def test_lefschetz_direct(torus):
     surface, f, cache = torus
     assert lefschetz_number(f) == -1
     assert lefschetz_number(f.power(2)) == -5
+
+
+def _boundary(surface, chain):
+    """The 0-chain of vertex classes bounding a 1-chain of polygon edges."""
+    out = Counter()
+    for (p, k), coeff in chain.items():
+        n = len(surface.polygons[p])
+        out[surface.corner_class[(p, (k + 1) % n)]] += coeff
+        out[surface.corner_class[(p, k)]] -= coeff
+    return out
+
+
+@pytest.mark.parametrize("build, box, want", [
+    (square_torus, 3, 32),
+    (octagon_surface, 3, 64),
+    (pillowcase, 2, 96),
+    (lambda: torus_from_matrix([[2, 1], [1, 1]])[0], 3, 52),
+], ids=["square_torus", "octagon", "pillowcase", "cat_torus"])
+def test_comb_is_a_chain_from_start_to_end(build, box, want):
+    # the comb runs from the start class to the end class, and a
+    # connection and its reverse comb the two ways round polygons, so
+    # their sum is a sum of polygon boundaries
+    surface = build()
+    cells = sorted(e for e, tr in surface.transitions.items()
+                   if e < tr.target)
+    boundaries = [
+        [_edge_chain(surface, [(p, k) for k in range(len(poly))]).get(c, 0)
+         for c in cells]
+        for p, poly in enumerate(surface.polygons)]
+    rank = len(linalg.rref(boundaries)[1])
+    saddles = enumerate_saddles(surface, box, box)
+    assert len(saddles) == want
+    for sc in saddles:
+        chain = _comb(sc)
+        ends = _boundary(surface, chain)
+        ends[surface.corner_class[sc.end_corner]] -= 1
+        ends[sc.start_class] += 1
+        assert not any(ends.values())
+        back = _comb(sc.reverse())
+        loop = [chain.get(c, 0) + back.get(c, 0) for c in cells]
+        assert len(linalg.rref(boundaries + [loop])[1]) == rank
 
 
 def test_oracle_agrees_on_exact_point_sets(torus):
@@ -233,6 +278,7 @@ def test_independent_checks_agree_for_both_trace_signs(m, n):
     rep = count_fixed_points(g)
     oracle = oracle_count_fixed_points(g, annular_avoiding_f_section(g))
     assert rep.total == oracle.total == want == abs(rep.lefschetz)
+    assert rep.lefschetz == (1 - p) * (1 - s) - q * r
     assert rep.index_sum == oracle.index_sum == rep.lefschetz
     assert oracle.point_keys() == rep.point_keys()
     for pt in rep.points:
@@ -311,11 +357,11 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     built = []
     images = Counter()
     crossed = Counter()
-    combed = []
+    traced = []
     real_complete = veering.complete_to_section
     real_apply = veering.apply_to_edge
     real_meetings = veering._meetings
-    real_comb = fixcount._Comb.__init__
+    real_trace = linalg.quotient_trace
 
     def complete(*args, **kwargs):
         built.append(args[0])
@@ -330,15 +376,14 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         crossed[frozenset((cache.canonical(a), cache.canonical(b)))] += 1
         return real_meetings(a, b)
 
-    def comb(self, section):
-        combed.append(section)
-        real_comb(self, section)
+    def quotient_trace(*args):
+        traced.append(args)
+        return real_trace(*args)
 
     monkeypatch.setattr(veering, "complete_to_section", complete)
     monkeypatch.setattr(veering, "apply_to_edge", apply)
-    monkeypatch.setattr(fixcount, "apply_to_edge", apply)
     monkeypatch.setattr(veering, "_meetings", meetings)
-    monkeypatch.setattr(fixcount._Comb, "__init__", comb)
+    monkeypatch.setattr(linalg, "quotient_trace", quotient_trace)
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     maps = (f, f.power(2))
     for g in maps:
@@ -354,10 +399,10 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     assert len(built) == len(maps)
     assert set(images.values()) == {1}
     # one surface: each unordered pair of connections is crossed once,
-    # whichever map, counter or orientation asks; the Lefschetz chain
-    # map is built once per map, and the oracle reuses its L
+    # whichever map, counter or orientation asks; the Lefschetz trace is
+    # taken once per map, and the oracle reuses its L
     assert crossed and set(crossed.values()) == {1}
-    assert combed == [g._section for g in maps]
+    assert len(traced) == len(maps)
 
 
 def test_quadratic_fields_never_import_sympy():

@@ -1,5 +1,5 @@
-"""Sections, flips, the slope order, f-sections, pockets, and mapping
-torus layering, exercised on the eigen-coordinate torus of [[2,1],[1,1]]
+"""Sections, flips, the slope order, f-sections and mapping torus
+layering, exercised on the eigen-coordinate torus of [[2,1],[1,1]]
 where Farey combinatorics give independent oracles."""
 
 import re
@@ -11,7 +11,6 @@ from pafix import saddle, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     InputError,
-    NotCrossing,
     NotFlippable,
     NotVeering,
     UnsupportedSurface,
@@ -34,11 +33,8 @@ from pafix.veering import (
     flip_path,
     flip_up,
     mapping_torus_layering,
-    pocket,
     section_leq,
     section_size,
-    t_minus,
-    t_plus,
 )
 
 from surfbuild import octagon_surface, pillowcase, square_torus, vec
@@ -218,63 +214,6 @@ def test_f_section_defining_properties(torus):
     assert not section_leq(T, fT)
 
 
-def test_t_plus_t_minus(torus):
-    surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface))
-    sigma = T.edges[0]
-    tp = t_plus(sigma, section=T)
-    tm = t_minus(sigma, section=T)
-    assert sigma in tp.edge_set and sigma in tm.edge_set
-    assert section_leq(tm, tp)
-    for S, fn in ((tp, flip_up), (tm, flip_down)):
-        movable = []
-        for e in S.edges:
-            try:
-                fn(S, e)
-                movable.append(e)
-            except NotFlippable:
-                pass
-        assert movable == [sigma]
-
-
-def test_t_plus_standalone_builds_own_section(torus):
-    surface, _, cache = torus
-    sigma = edge_for(surface, cache, 1, 1)
-    tp = t_plus(sigma)
-    assert sigma in tp.edge_set
-    assert len(tp.edges) == 3
-
-
-def test_pocket_on_image_pairs(torus):
-    surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface))
-    f2 = f.power(2)
-    chi = section_size(surface) // 3
-    bound = (9 * chi) ** 2
-    for e in T.edges:
-        im = cache.canonical(apply_to_edge(f2, e))
-        assert cache.crossings(e, im) == 2
-        assert edge_order(e, im) == "above"
-        p = pocket(e, im)
-        assert p.crossing == 2
-        assert p.intersection == 4
-        assert p.flip_count == 2
-        assert p.crossing <= p.intersection <= bound * p.crossing
-        assert section_leq(p.lower_section, p.upper_section)
-
-
-def test_pocket_rejects_disjoint_and_misordered(torus):
-    surface, f, cache = torus
-    T = f_section(f, complete_to_section(surface))
-    with pytest.raises(NotCrossing):
-        pocket(T.edges[0], T.edges[1])
-    f2 = f.power(2)
-    e = T.edges[0]
-    im = cache.canonical(apply_to_edge(f2, e))
-    with pytest.raises(WrongOrder):
-        pocket(im, e)
-
-
 def test_flip_path_between_sections(torus):
     surface, f, cache = torus
     T = f_section(f, complete_to_section(surface))
@@ -343,7 +282,7 @@ def test_sections_on_one_surface_share_its_edge_cache():
     cache = edge_cache(surface)
     assert edge_cache(surface) is cache
     T = complete_to_section(surface)
-    sections = [T, apply_to_section(f, T), t_plus(T.edges[0]),
+    sections = [T, apply_to_section(f, T), flip_up(T, T.edges[0]),
                 annular_avoiding_f_section(f),
                 annular_avoiding_f_section(f.power(2))]
     assert all(S.cache is cache for S in sections)
