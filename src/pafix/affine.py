@@ -14,7 +14,6 @@ half-translation chart ambiguity), with lambda > 1 exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,16 +26,18 @@ from .errors import (
     NotHyperbolic,
 )
 from .exactnum import FieldElement, RealNumberField
-from .flatsurf import FlatSurface, SurfacePoint
+from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import (
     AffineMap,
     ConvexPolygon,
     Mat2,
     Vec2,
     boxes_disjoint,
+    cross_sign,
     float_box,
     shared_segment,
 )
+from .veering import edge_cache
 
 
 class Piece:
@@ -59,8 +60,6 @@ class Piece:
 class PiecewiseAffineMap:
     def __init__(self, surface: FlatSurface, pieces: Sequence[Piece],
                  validate: bool = True):
-        from .veering import edge_cache  # veering imports this module
-
         self.surface = surface
         self.pieces = list(pieces)
         # the surface's EdgeCache, which the surface refers to only weakly:
@@ -224,6 +223,41 @@ class PiecewiseAffineMap:
         """Sign of the horizontal derivative of the piece holding sp."""
         return self.piece_at(sp).map.mat.a.sign()
 
+    def carry(self, corner: EdgeRef, d: Vec2) -> Tuple[EdgeRef, Vec2]:
+        """Image of the germ (corner, d), d a direction the corner owns,
+        as (owning corner, direction in that corner's chart).
+
+        The piece whose closed region holds the corner's vertex and whose
+        tangent cone there holds d maps the vertex, and its matrix maps d.
+        The vertex is an extreme point of its chart, so it is a vertex of
+        every region holding it, and two cross signs test the cone.  Two
+        pieces whose cones share the ray agree along it, as continuity
+        asks, so the first one found decides."""
+        chart, v = corner
+        surface = self.surface
+        pos = surface.polygons[chart].vertices[v]
+        box = float_box((pos,))
+        for piece in self._by_chart[chart]:
+            if boxes_disjoint(box, piece.region.float_bbox()):
+                continue
+            vs = piece.region.vertices
+            k = next((k for k, w in enumerate(vs) if w == pos), None)
+            if k is None:
+                continue
+            if (cross_sign(vs[(k + 1) % len(vs)] - pos, d) < 0
+                    or cross_sign(d, vs[k - 1] - pos) < 0):
+                continue
+            image = piece.map.apply(pos)
+            vidx = surface.vertex_index(piece.target, image)
+            if vidx is None:
+                raise InternalCheckError(
+                    "germ image %r is not a vertex of chart %d"
+                    % (image, piece.target))
+            return surface.owning_corner(piece.target, vidx,
+                                         piece.map.mat.apply(d))
+        raise InputError("no piece at corner %s holds direction %r"
+                         % (corner, d))
+
     def compose_with(self, inner: "PiecewiseAffineMap",
                      validate: bool = False) -> "PiecewiseAffineMap":
         """self after inner, pieces refined by exact polygon intersection."""
@@ -258,12 +292,15 @@ class PiecewiseAffineMap:
 
 class AffineAutomorphism(PiecewiseAffineMap):
     """Bijective piecewise-affine self-map with derivative diag(lambda,
-    1/lambda) up to per-piece sign."""
+    1/lambda) up to per-piece sign; .derivative is diag(lambda,
+    1/lambda)."""
 
     def __init__(self, surface: FlatSurface, pieces: Sequence[Piece],
                  lambda_: FieldElement, validate: bool = True):
         if (lambda_ - 1).sign() <= 0:
             raise LambdaNotExpanding("stretch factor %s is not > 1" % lambda_)
+        if not pieces:
+            raise NotBijective("map has no pieces")
         self.lambda_ = lambda_
         neg = -lambda_
         for piece in pieces:
@@ -274,6 +311,9 @@ class AffineAutomorphism(PiecewiseAffineMap):
                 raise NotConstantDerivative(
                     "piece derivative %r is not +-diag(%s, 1/%s)"
                     % (piece.map.mat, lambda_, lambda_))
+        # read off a piece, so 1/lambda costs no division
+        m = pieces[0].map.mat
+        self.derivative = m if m.a == lambda_ else -m
         super().__init__(surface, pieces, validate=validate)
         if validate:
             self._validate_image_tiling()
@@ -306,10 +346,9 @@ class AffineAutomorphism(PiecewiseAffineMap):
         for piece in self.pieces:
             out.append(Piece(piece.target, piece.image(),
                              piece.map.inverse(), piece.chart))
-        inv_lambda = self.lambda_  # inverse stretches by the same factor,
-        # with expanding and contracting directions exchanged; as a map its
-        # derivative is diag(1/lambda, lambda), which is not in normal form.
-        return InverseAutomorphism(self.surface, out, inv_lambda)
+        d = self.derivative
+        return InverseAutomorphism(self.surface, out, self.lambda_,
+                                   Mat2.diagonal(d.d, d.a))
 
     def power(self, n: int) -> "AffineAutomorphism":
         if n < 1:
@@ -329,16 +368,19 @@ class AffineAutomorphism(PiecewiseAffineMap):
 class InverseAutomorphism(PiecewiseAffineMap):
     """Inverse of an affine automorphism: contracts horizontally.  Kept as a
     separate class because its derivative is diag(1/lambda, lambda), so it is
-    not an AffineAutomorphism in the normalized sense."""
+    not an AffineAutomorphism in the normalized sense.  lambda_ is the
+    stretch factor of the map it inverts."""
 
-    def __init__(self, surface, pieces, lambda_):
+    def __init__(self, surface, pieces, lambda_, derivative: Mat2):
         super().__init__(surface, pieces, validate=False)
         self.lambda_ = lambda_
+        self.derivative = derivative
 
 
 class PowerAutomorphism(AffineAutomorphism):
-    """Lazy n-th power: applies the base map n times; the refined piece
-    decomposition is materialized only when .pieces is accessed."""
+    """Lazy n-th power: iterates its base, so apply, carry and the
+    derivative sign walk the base n times; pieces are composed only on
+    request, when .pieces is read."""
 
     def __init__(self, base: AffineAutomorphism, n: int):
         self.base = base
@@ -346,6 +388,7 @@ class PowerAutomorphism(AffineAutomorphism):
         self.surface = base.surface
         self._cache = base._cache
         self.lambda_ = base.lambda_ ** n
+        self.derivative = Mat2.diagonal(self.lambda_, base.derivative.d ** n)
         self._materialized: Optional[PiecewiseAffineMap] = None
         self._section = None
         self._images: dict = {}
@@ -367,6 +410,11 @@ class PowerAutomorphism(AffineAutomorphism):
             sp = self.base.apply(sp)
         return sign
 
+    def carry(self, corner: EdgeRef, d: Vec2) -> Tuple[EdgeRef, Vec2]:
+        for _ in range(self.n):
+            corner, d = self.base.carry(corner, d)
+        return corner, d
+
     def _materialize(self) -> PiecewiseAffineMap:
         if self._materialized is None:
             acc: PiecewiseAffineMap = self.base
@@ -378,14 +426,6 @@ class PowerAutomorphism(AffineAutomorphism):
     @property
     def pieces(self):
         return self._materialize().pieces
-
-    @property
-    def _by_chart(self):
-        m = self._materialize()
-        return m._by_chart
-
-    def piece_at(self, sp: SurfacePoint):
-        return self._materialize().piece_at(sp)
 
     def inverse(self):
         raise InputError("invert the base map and take its power instead")

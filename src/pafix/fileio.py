@@ -17,7 +17,9 @@
 Coordinates are exact field elements in the `g` syntax; no floating-point
 literals exist in the grammar.  A `derivative` line modifies the piece on
 the preceding `piece` line; without one the derivative is the implied
-diag(lambda, 1/lambda).  Parsing reports the offending line number on error.
+diag(lambda, 1/lambda).  A map is an affine automorphism, so every
+derivative is diag(lambda, 1/lambda) or its negative.  Parsing reports the
+offending line number on error.
 """
 
 from __future__ import annotations
@@ -106,12 +108,11 @@ def _parse_rational(text: str, lineno: int) -> Fraction:
         _fail(lineno, "not a rational number: %r" % text)
 
 
-def loads(text: str) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
+def loads(text: str) -> Tuple[FlatSurface, Optional[AffineAutomorphism]]:
     """Parse a full file; returns the surface and the map (or None).
 
-    The map is an AffineAutomorphism when every piece derivative is the
-    implied diag(lambda, 1/lambda) or its negative, otherwise a validated
-    PiecewiseAffineMap."""
+    The map is a validated AffineAutomorphism; a piece derivative other
+    than +-diag(lambda, 1/lambda) raises NotConstantDerivative."""
     field: Optional[RealNumberField] = None
     minpoly = None
     root = None
@@ -122,7 +123,6 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
     mark_lines = []
     lambda_el: Optional[FieldElement] = None
     piece_data = []  # [chart, vertex list, target, shift, derivative or None]
-    explicit_derivative = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,7 +252,6 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
                 except ParseError as exc:
                     _fail(lineno, str(exc))
                 piece_data[-1][4] = Mat2(*entries)
-                explicit_derivative = True
             else:
                 _fail(lineno, "unknown map line %r" % line)
         else:
@@ -286,8 +285,8 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
     if not piece_data:
         return surface, None
 
-    inv_lambda = lambda_el.inverse() if not lambda_el.is_zero() else None
-    implied = Mat2.diagonal(lambda_el, inv_lambda) if inv_lambda is not None else None
+    implied = None if lambda_el.is_zero() else Mat2.diagonal(
+        lambda_el, lambda_el.inverse())
     pieces = []
     for chart, verts, target, shift, deriv, lineno in piece_data:
         mat = deriv if deriv is not None else implied
@@ -298,17 +297,10 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
         except InputError as exc:
             _fail(lineno, str(exc))
         pieces.append(Piece(chart, region, AffineMap(mat, shift), target))
-
-    neg = Mat2.diagonal(-lambda_el, -inv_lambda)
-    if all(p.map.mat == implied or p.map.mat == neg for p in pieces):
-        return surface, AffineAutomorphism(surface, pieces, lambda_el)
-    fmap = PiecewiseAffineMap(surface, pieces)
-    fmap.lambda_ = lambda_el  # metadata: stretch of the affine part, kept so
-    # a reload-and-dump cycle preserves the lambda line
-    return surface, fmap
+    return surface, AffineAutomorphism(surface, pieces, lambda_el)
 
 
-def load_path(path) -> Tuple[FlatSurface, Optional[PiecewiseAffineMap]]:
+def load_path(path) -> Tuple[FlatSurface, Optional[AffineAutomorphism]]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 

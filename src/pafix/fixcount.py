@@ -30,16 +30,9 @@ from .exactnum import FieldElement
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
-from .saddle import (
-    SaddleConnection,
-    _corner_for_ray,
-    _place_apply,
-    _place_unapply,
-    unfold,
-)
+from .saddle import SaddleConnection, _place_unapply, unfold
 from .veering import (
     Section,
-    _derivative_matrix,
     _germ_of,
     annular_avoiding_f_section,
     apply_to_edge,  # not called here; bench/tests reads fixcount.apply_to_edge
@@ -62,8 +55,6 @@ __all__ = [
 
 # Placements expanded while covering one developed triangle.
 _COVER_CAP = 200000
-# Times _germ_image quarters its probe distance before giving up.
-_GERM_PROBES = 80
 # Largest rectangle-pair work (placements x image placements) for which
 # markov_upper_bound builds the full crossing matrix.
 _PAIR_BUDGET = 200000
@@ -143,46 +134,16 @@ class FixReport:
 
 
 # ---------------------------------------------------------------------------
-# crossing data
-
-def _param_along(sc: SaddleConnection, plane_point: Vec2):
-    """Parameter t with plane_point = start + t*hol, in the walk frame."""
-    p0 = sc.start_point().pos
-    if not sc.hol.x.is_zero():
-        return (plane_point.x - p0.x) / sc.hol.x
-    return (plane_point.y - p0.y) / sc.hol.y
-
-
-def _crossing_data(s1: SaddleConnection, s2: SaddleConnection):
-    """Interior transverse crossings of two connections, with chart data.
-
-    Each record is (t1, t2, chart, pos, place1, place2, side) where t_i is
-    the parameter along s_i, pos is in chart coordinates, place_i is the
-    (eps, shift) placement of that chart in s_i's walk frame, and side is
-    the sign of cross(dir1, dir2).  One record per surface point; the
-    crossings come from the surface's crossing memo."""
-    out = []
-    records = edge_cache(s1.surface).crossing_records(s1, s2)
-    for chart, p, i, j, side in records:
-        _, e1, sh1 = s1.placements[i]
-        _, e2, sh2 = s2.placements[j]
-        t1 = _param_along(s1, _place_apply(e1, sh1, p))
-        t2 = _param_along(s2, _place_apply(e2, sh2, p))
-        out.append((t1, t2, chart, p, (e1, sh1), (e2, sh2), side))
-    return out
-
+# the rectangle solver
 
 def _image_sign(f, sc: SaddleConnection, image: SaddleConnection) -> int:
-    d = _derivative_matrix(f).apply(sc.hol)
+    d = f.derivative.apply(sc.hol)
     if image.hol == d:
         return 1
     if image.hol == -d:
         return -1
     raise InternalCheckError("image holonomy is not +-D times the source")
 
-
-# ---------------------------------------------------------------------------
-# the rectangle solver
 
 def _regular_index(l1: FieldElement, l2: FieldElement) -> int:
     """Index of a regular fixed point where f has the derivative
@@ -230,6 +191,20 @@ def _ends(cache, sc: SaddleConnection):
             (_germ_of(rev), p0 + sc.hol, 1 if rev.hol == -sc.hol else -1))
 
 
+def _crossing_branches(cache, sigma, image):
+    """The branches through the interior crossings of sigma with its
+    image, one per crossing record, as deck motions (e, c), w -> e*w + c
+    from image's walk frame to sigma's, read off the placements of the
+    chart that holds the crossing in the two walks."""
+    out = []
+    for _, _, i, j, _ in cache.crossing_records(sigma, image):
+        _, ea, sa = sigma.placements[i]
+        _, eb, sb = image.placements[j]
+        e = ea * eb
+        out.append((e, sa - sb if e == 1 else sa + sb))
+    return out
+
+
 def _vertex_branches(surface, cache, sigma, image, s: int):
     """The -D branches through a vertex where an end of sigma meets the
     opposite end of its image, as deck motions (e, c), w -> e*w + c from
@@ -273,7 +248,7 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
             % (sigma.hol.x, sigma.hol.y))
     image = cache.image(f, sigma)
     s = _image_sign(f, sigma, image)
-    dmat = _derivative_matrix(f)
+    dmat = f.derivative
     d1 = dmat.a if s == 1 else -dmat.a
     d2 = dmat.d if s == 1 else -dmat.d
     p0 = sigma.start_point().pos
@@ -283,12 +258,8 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     # branch g of f in sigma's frame: the lift of f along sigma is
     # z -> diag(d1, d2)(z - p0) + q0 into the image frame, composed with a
     # deck motion w -> e*w + c back to sigma's
-    branches = []
-    for rec in _crossing_data(sigma, image):
-        (ea, sa), (eb, sb) = rec[4], rec[5]
-        e = ea * eb
-        branches.append((e, sa - sb if e == 1 else sa + sb))
-    branches += _vertex_branches(surface, cache, sigma, image, s)
+    branches = (_crossing_branches(cache, sigma, image)
+                + _vertex_branches(surface, cache, sigma, image, s))
     found: Dict[object, FixedPoint] = {}
     for e, c in branches:
         l1 = d1 if e == 1 else -d1
@@ -339,50 +310,17 @@ def _horizontal_germs(surface: FlatSurface, cone):
     return germs
 
 
-def _match_horizontal(surface: FlatSurface, cone, sp: SurfacePoint):
-    """Germ of the horizontal ray reaching sp from a vertex of the cone's
-    class inside one chart, or None when no vertex lines up."""
-    for rep in surface.representatives(sp):
-        ipoly = surface.polygons[rep.chart]
-        for vi in range(len(ipoly)):
-            if surface.corner_class[(rep.chart, vi)] != cone.id:
-                continue
-            off = rep.pos - ipoly.vertices[vi]
-            if not off.y.is_zero() or off.x.sign() == 0:
-                continue
-            c2, d2 = _corner_for_ray(surface, rep.chart, vi, off)
-            return (c2, 1 if d2.x.sign() > 0 else -1)
-    return None
-
-
-def _germ_image(f, surface: FlatSurface, cone, germ):
-    """Image prong of a horizontal germ under f, by an exact probe point.
-
-    The probe distance shrinks until the image point is horizontally
-    visible from the image vertex within a single chart; a too-long probe
-    wraps around the surface and lines up with nothing."""
-    (chart, v), xsign = germ
-    poly = surface.polygons[chart]
-    pv = poly.vertices[v]
-    d = Vec2(surface.field.rational(Fraction(xsign, 1)), surface.field.zero())
-    t = Fraction(1, 2)
-    for _ in range(_GERM_PROBES):
-        pt = pv + d.scale(surface.field.rational(t))
-        if poly.contains(pt) >= 1:
-            hit = _match_horizontal(surface, cone, f.apply(SurfacePoint(chart, pt)))
-            if hit is not None:
-                return hit
-        t = t / 4
-    raise InternalCheckError(
-        "prong image is not a horizontal germ within _GERM_PROBES = %d "
-        "probes" % _GERM_PROBES)
-
-
 def _singular_index(f, surface: FlatSurface, cone) -> int:
+    """Index of a fixed cone or marked point: 1 - prongs when f fixes
+    every unstable prong, +1 when it fixes none.  A prong is a horizontal
+    germ (corner, x sign); f.carry gives its image germ exactly, and the
+    image is again horizontal because Df is diagonal."""
+    one = Vec2(surface.field.one(), surface.field.zero())
     germs = _horizontal_germs(surface, cone)
     fixed = 0
-    for g in germs:
-        if _germ_image(f, surface, cone, g) == g:
+    for corner, xsign in germs:
+        image, d = f.carry(corner, one if xsign > 0 else -one)
+        if (image, d.x.sign()) == (corner, xsign):
             fixed += 1
     if fixed == len(germs):
         return 1 - len(germs)
@@ -397,7 +335,8 @@ def fixed_point_index(p: FixedPoint, f) -> int:
     """Index of a fixed point: sign det(I - Df) at a regular point, so -1
     where f acts by +D and +1 where it acts by -D; at a singular or
     marked point +1 when f rotates the unstable prongs and 1 - prongs
-    when it fixes each of them."""
+    when it fixes each of them, each prong's image carried exactly as a
+    germ by f.carry."""
     surface = f.surface
     sp = SurfacePoint(p.chart, p.pos)
     q = f.apply(sp)
@@ -411,7 +350,7 @@ def fixed_point_index(p: FixedPoint, f) -> int:
             e = surface.polygons[q.chart].locate(q.pos)
             if surface.transitions[(q.chart, e)].flip:
                 lin = -lin
-        dmat = _derivative_matrix(f)
+        dmat = f.derivative
         return _regular_index(dmat.a if lin == 1 else -dmat.a,
                               dmat.d if lin == 1 else -dmat.d)
     cls = surface.vertex_class_at(sp)
@@ -562,7 +501,7 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
     piece.  Independent of the rectangle route; totals must agree."""
     surface = T.surface
     cache = T.cache
-    dmat = _derivative_matrix(f)
+    dmat = f.derivative
     one = surface.field.one()
     seen: Dict[str, FixedPoint] = {}
     for face in T.triangles:

@@ -11,6 +11,7 @@ The surface owns the vertex primitives that every other module reads a
 singularity through: corner_rays (a corner's out and back edge rays),
 owns_ray (the one corner whose wedge holds a ray at a vertex), fan_step
 (the hop across a corner's back edge to the next corner of the fan),
+owning_corner (the fan walk from any corner to the owner of a ray),
 fan_position (each corner's class and place in its counterclockwise fan,
 recorded by the angle walk) and vertex_index (which vertex of a chart
 sits at a position).
@@ -369,6 +370,22 @@ class FlatSurface:
         n = len(self.polygons[p])
         return self.transitions[(p, (v - 1) % n)]
 
+    def owning_corner(self, chart: int, vidx: int, d: Vec2) -> Tuple[EdgeRef, Vec2]:
+        """The corner owning ray d at vertex vidx of chart, found by
+        stepping around the vertex fan.  Returns ((chart, vertex), d
+        carried into that corner's chart)."""
+        fan = len(self.cone_points[self.corner_class[(chart, vidx)]].corners)
+        c = (chart, vidx)
+        cur = d
+        for _ in range(2 * fan + 2):
+            if self.owns_ray(c, cur):
+                return c, cur
+            tr = self.fan_step(c)
+            c = tr.target
+            cur = tr.map.mat.apply(cur)
+        raise InternalCheckError("ray %r has no owning corner at (%d, %d)"
+                                 % (d, chart, vidx))
+
     # -- point bookkeeping -----------------------------------------------------
 
     def cross_edge(self, edge: EdgeRef, pos: Vec2) -> SurfacePoint:
@@ -407,16 +424,6 @@ class FlatSurface:
         if a.chart == b.chart and a.pos == b.pos:
             return True
         return self.canonical_point(a)[:2] == self.canonical_point(b)[:2]
-
-    def representatives(self, sp: SurfacePoint) -> List[SurfacePoint]:
-        """The chart representatives of a non-vertex point: sp, and its
-        twin across the glued edge when sp lies inside a polygon edge."""
-        if self.vertex_index(sp.chart, sp.pos) is not None:
-            return [sp]
-        e = self.polygons[sp.chart].locate(sp.pos)
-        if e is None or e < 0:
-            return [sp]
-        return [sp, self.cross_edge((sp.chart, e), sp.pos)]
 
     def __repr__(self):
         return "FlatSurface(%d polygons, genus %d, %d cone points)" % (

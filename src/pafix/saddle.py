@@ -31,7 +31,6 @@ from .geom import (
     boxes_disjoint,
     cross_sign,
     float_box,
-    on_segment,
     segment_intersection,
 )
 
@@ -226,23 +225,6 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
         chart = q
 
 
-def _corner_for_ray(surface: FlatSurface, chart: int, vidx: int, d: Vec2):
-    """The corner owning ray d at a vertex, hopping around the vertex fan
-    as needed.  Returns ((chart, vertex), d transported to that chart)."""
-    cls = surface.corner_class[(chart, vidx)]
-    fan = len(surface.cone_points[cls].corners)
-    c = (chart, vidx)
-    cur = d
-    for _ in range(2 * fan + 2):
-        if surface.owns_ray(c, cur):
-            return c, cur
-        tr = surface.fan_step(c)
-        c = tr.target
-        cur = tr.map.mat.apply(cur)
-    raise InternalCheckError("ray %r has no owning corner at (%d, %d)"
-                             % (d, chart, vidx))
-
-
 # ---------------------------------------------------------------------------
 # saddle connections
 
@@ -282,8 +264,8 @@ class SaddleConnection:
         if not (res.consumed - surface.field.one()).is_zero():
             return None
         d_end = hol if res.sign == 1 else -hol
-        end_corner, _ = _corner_for_ray(surface, res.end_chart,
-                                        res.end_vertex, -d_end)
+        end_corner, _ = surface.owning_corner(res.end_chart,
+                                              res.end_vertex, -d_end)
         return SaddleConnection(surface, corner, hol, tuple(res.crossings),
                                 tuple(res.pieces), tuple(res.placements),
                                 end_corner, res.sign)
@@ -310,8 +292,8 @@ class SaddleConnection:
         once and without walking it."""
         if self._rstart is None:
             d_end = self.hol if self.flip_sign == 1 else -self.hol
-            self._rstart = _corner_for_ray(self.surface, self.end_corner[0],
-                                           self.end_corner[1], -d_end)
+            self._rstart = self.surface.owning_corner(
+                self.end_corner[0], self.end_corner[1], -d_end)
         return self._rstart
 
     def reverse(self) -> "SaddleConnection":
@@ -326,18 +308,6 @@ class SaddleConnection:
             self._key = (self.start_class, self.hol.x, self.hol.y,
                          self.start_corner, self.chain)
         return self._key
-
-    def point_at(self, t) -> SurfacePoint:
-        """Point at parameter t in (0, 1) along the connection."""
-        if not isinstance(t, FieldElement):
-            t = self.surface.field.rational(t)
-        target = self.start_point().pos + self.hol.scale(t)
-        for (chart, a, b), (_, eps, shift) in zip(self.pieces, self.placements):
-            pa = _place_apply(eps, shift, a)
-            pb = _place_apply(eps, shift, b)
-            if on_segment(target, pa, pb):
-                return SurfacePoint(chart, _place_unapply(eps, shift, target))
-        raise InputError("parameter %s does not land on the connection" % t)
 
     def record(self):
         """Serialization row: (start id, hol_x, hol_y, chain)."""

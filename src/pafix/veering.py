@@ -21,16 +21,20 @@ once.  A map owns what depends on it: its edge images and the section
 that annular_avoiding_f_section keeps, so every counter run on one map
 shares one section.  No routine takes a cache.
 
+A map acts on edges through its own germ primitive: f.carry takes an
+edge's start germ (corner and holonomy) to the image germ, exactly, and
+the image edge is walked from there; f.derivative is the map's constant
+derivative.  So no routine here asks which class of map it holds, and
+this module does not import the affine module.
+
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
 each budget on the module whose search reads it.
 """
 
 import weakref
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .affine import InverseAutomorphism
 from .errors import (
     InputError,
     InternalCheckError,
@@ -44,10 +48,9 @@ from .errors import (
     WrongOrder,
 )
 from .flatsurf import FlatSurface
-from .geom import Mat2, Vec2, convex_hull_is_quad_strict
+from .geom import Vec2, convex_hull_is_quad_strict
 from .saddle import (
     SaddleConnection,
-    _corner_for_ray,
     _first_per_point,
     _meetings,
     enumerate_saddles,
@@ -599,7 +602,7 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
     chart_v, vidx_v = fr_rot[2].start_corner
     walked = None
     for dd in (d, -d):
-        corner, ray = _corner_for_ray(section.surface, chart_v, vidx_v, dd)
+        corner, ray = section.surface.owning_corner(chart_v, vidx_v, dd)
         cand = SaddleConnection.walk(section.surface, corner, ray)
         if cand is None:
             continue
@@ -654,43 +657,14 @@ def section_leq(lower: Section, upper: Section) -> bool:
 # ---------------------------------------------------------------------------
 # automorphism action
 
-def _derivative_matrix(f) -> Mat2:
-    lam = f.lambda_
-    if isinstance(f, InverseAutomorphism):
-        return Mat2.diagonal(lam.inverse(), lam)
-    return Mat2.diagonal(lam, lam.inverse())
-
-
-def _sign_along(f, sc: SaddleConnection) -> int:
-    """Derivative sign along the open edge, read at its midpoint.
-
-    The sign is constant on the open edge (a sign jump inside the
-    segment would fold its image), so one interior sample decides,
-    wherever it falls among the pieces.  It is read in the sample's chart
-    and its piece's target chart, as the earlier three-sample vote read
-    it, while apply_to_edge applies it to the holonomy in the edge's
-    start chart and walks the image from the image start's chart.  On a
-    translation surface no chart change flips a direction, so these
-    agree; across halfturn gluings they can differ, and the
-    half-translation families must revisit this."""
-    return f.derivative_sign_at(sc.point_at(Fraction(1, 2)))
-
-
 def apply_to_edge(f, sc: SaddleConnection) -> SaddleConnection:
     """Image of a saddle connection under an affine automorphism (or
-    its inverse), as an oriented saddle connection."""
+    its inverse), as an oriented saddle connection: the walk from the
+    image of its start germ, f.carry(start corner, holonomy)."""
     surface = sc.surface
     if f.surface is not surface:
         raise InputError("automorphism and edge live on different surfaces")
-    im_start = f.apply(sc.start_point())
-    im_hol = _derivative_matrix(f).apply(sc.hol)
-    if _sign_along(f, sc) < 0:
-        im_hol = -im_hol
-    vidx = surface.vertex_index(im_start.chart, im_start.pos)
-    if vidx is None:
-        raise InternalCheckError("edge image does not start at a vertex")
-    corner, ray = _corner_for_ray(surface, im_start.chart, vidx, im_hol)
-    out = SaddleConnection.walk(surface, corner, ray)
+    out = SaddleConnection.walk(surface, *f.carry(sc.start_corner, sc.hol))
     if out is None:
         raise InternalCheckError("edge image failed to develop")
     return out
@@ -707,8 +681,7 @@ def f_section(f, start: Optional[Section] = None) -> Section:
     """A section T with f(T) <= T: the maximum of the translate family
     over the start section, reached by flipping up exactly the edges
     that sit below some image edge."""
-    d = _derivative_matrix(f)
-    horiz = d.a if d.a.sign() > 0 else -d.a
+    horiz = f.derivative.a
     if (horiz - 1).sign() <= 0:
         raise LambdaNotExpanding(
             "sections track horizontally expanding maps; this map has "

@@ -28,7 +28,7 @@ from pafix.errors import (
 from pafix.fixcount import (
     FixedPoint,
     _comb,
-    _crossing_data,
+    _crossing_branches,
     _edge_chain,
     count_fixed_points,
     fixed_point_index,
@@ -40,7 +40,6 @@ from pafix.fixcount import (
 )
 from pafix.saddle import (
     SaddleConnection,
-    _corner_for_ray,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -70,7 +69,7 @@ def _edge_from_lattice(surface, a, b):
     w1 = poly.vertices[1] - poly.vertices[0]
     w2 = poly.vertices[3] - poly.vertices[0]
     hol = w1.scale(a) + w2.scale(b)
-    corner, _ = _corner_for_ray(surface, 0, 0, hol)
+    corner, _ = surface.owning_corner(0, 0, hol)
     return SaddleConnection.walk(surface, corner, hol)
 
 
@@ -216,7 +215,8 @@ def test_crossing_data_matches_intersection_number(torus):
     section = annular_avoiding_f_section(g)
     for e in section.edges:
         image = apply_to_edge(g, e)
-        assert len(_crossing_data(e, image)) == intersection_number(e, image)
+        assert len(_crossing_branches(cache, e, image)) \
+            == intersection_number(e, image)
 
 
 def test_non_veering_edge_rejected(torus):
@@ -340,16 +340,13 @@ def test_markov_crossing_trace_fallback_dominates_total(monkeypatch, rows,
 @pytest.mark.parametrize("module, budget", [
     (saddle, "_RECT_UNFOLD_NODES"),
     (fixcount, "_COVER_CAP"),
-    (fixcount, "_GERM_PROBES"),
 ])
 def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
     # the rectangle budget trips while the section is built, the cover
-    # budget in the oracle's triangle covers; with no probe at all the
-    # marked point's prong images stay unknown
-    limit = 0 if budget == "_GERM_PROBES" else 1
-    monkeypatch.setattr(module, budget, limit)
+    # budget in the oracle's triangle covers
+    monkeypatch.setattr(module, budget, 1)
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    with pytest.raises(InternalCheckError, match="%s = %d " % (budget, limit)):
+    with pytest.raises(InternalCheckError, match="%s = 1 " % budget):
         oracle_count_fixed_points(f, annular_avoiding_f_section(f))
 
 

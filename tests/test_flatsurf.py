@@ -32,8 +32,7 @@ from pafix.affine import (
     validate_automorphism,
 )
 from pafix import fileio
-from pafix.fixcount import _horizontal_germs
-from pafix.saddle import _corner_for_ray
+from pafix.fixcount import _horizontal_germs, count_fixed_points
 
 import geomref
 from surfbuild import (octagon_surface, pillowcase, point, rational_field,
@@ -289,7 +288,7 @@ def test_corner_for_ray_lands_on_an_owning_corner(make):
     s = make()
     for corner in sorted(s.corner_class):
         for d in _probe_directions(s):
-            c, d2 = _corner_for_ray(s, corner[0], corner[1], d)
+            c, d2 = s.owning_corner(corner[0], corner[1], d)
             assert s.corner_class[c] == s.corner_class[corner]
             assert s.owns_ray(c, d2)
 
@@ -474,7 +473,7 @@ def cat_maps():
     surf, f = torus_from_matrix([[2, 1], [1, 1]])
     f2 = f.power(2)
     assert len(f.pieces) == 4 and len(f2.pieces) == 16
-    return f, f2
+    return f, AffineAutomorphism(surf, f2.pieces, f2.lambda_)
 
 
 def _exact_piece_scan(m, sp):
@@ -649,6 +648,24 @@ class TestMapValidation:
         assert back.lambda_ == f.lambda_
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 1]], [[3, 1], [2, 1]], [[-3, -1], [-2, -1]]])
+def test_inverse_carries_every_axis_germ_back(rows):
+    surf, f = torus_from_matrix(rows)
+    g = f.inverse()
+    one, zero = surf.field.one(), surf.field.zero()
+    axes = (Vec2(one, zero), Vec2(-one, zero), Vec2(zero, one), Vec2(zero, -one))
+    germs = [(c, d) for c in sorted(surf.corner_class) for d in axes
+             if surf.owns_ray(c, d)]
+    # one vertex class of angle 2*pi: one owning corner per direction
+    assert len(germs) == len(axes)
+    for c, d in germs:
+        c2, d2 = f.carry(c, d)
+        assert surf.owns_ray(c2, d2)
+        assert d2 in (f.derivative.apply(d), -f.derivative.apply(d))
+        assert g.carry(c2, d2) == (c, d)
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -723,6 +740,28 @@ mark A.0
         with pytest.raises(ParseError) as ei:
             fileio.loads(text)
         assert "glue" in str(ei.value)
+
+    def test_derivative_off_the_stretch_is_rejected(self):
+        surf, f = torus_from_matrix([[2, 1], [1, 1]])
+        lines = fileio.dumps(surf, f).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("piece "))
+        lines.insert(first + 1, "derivative = [[1, 0], [0, 1]]")
+        with pytest.raises(NotConstantDerivative):
+            fileio.loads("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_trace_round_trip_counts_the_same(self, n):
+        # -D pieces write a derivative line; the square's pieces are +D
+        surf, f = torus_from_matrix([[-3, -1], [-2, -1]])
+        g = f.power(n)
+        text = fileio.dumps(surf, g)
+        assert ("derivative = " in text) == (n == 1)
+        surf2, loaded = fileio.loads(text)
+        assert isinstance(loaded, AffineAutomorphism)
+        assert fileio.dumps(surf2, loaded) == text
+        assert repr(count_fixed_points(loaded).records()) \
+            == repr(count_fixed_points(g).records())
 
     def test_halfturn_round_trip(self):
         s = pillowcase()

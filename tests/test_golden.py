@@ -124,8 +124,8 @@ def _reversed_pieces(text):
 
 
 def test_loaded_map_outputs_are_pinned():
-    """Cat f² read back from file text is a materialised 16-piece map, the
-    other branch of piece_at; it counts as the lazy power does."""
+    """Cat f² read back from file text is a materialised 16-piece map; it
+    counts as the lazy power, which iterates its base, does."""
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     lazy = f.power(2)
     _, loaded = fileio.loads(_reversed_pieces(fileio.dumps(surface, lazy)))

@@ -18,7 +18,7 @@ from pafix.errors import (
     OverlappingSegments,
 )
 from pafix.flatsurf import FlatSurface, SurfacePoint
-from pafix.geom import ConvexPolygon, Mat2, Vec2
+from pafix.geom import ConvexPolygon, Mat2
 from pafix.saddle import (
     SaddleConnection,
     _meetings,
@@ -28,7 +28,7 @@ from pafix.saddle import (
     trace,
 )
 
-from surfbuild import octagon_surface, pillowcase, point, rational_field, square_torus, vec
+from surfbuild import octagon_surface, pillowcase, rational_field, square_torus, vec
 
 
 def conn(surface, x, y):
@@ -228,15 +228,6 @@ def test_walk_blocked_by_intermediate_singularity():
     corner = (0, 0)
     assert SaddleConnection.walk(t, corner, vec(t.field, 2, 0)) is None
     assert SaddleConnection.walk(t, corner, vec(t.field, 2, 2)) is None
-
-
-def test_point_at_and_midpoint():
-    t = square_torus()
-    sc = conn(t, 1, 1)
-    mid = sc.point_at(Fraction(1, 2))
-    assert t.same_point(mid, point(t, 0, Fraction(1, 2), Fraction(1, 2)))
-    quarter = sc.point_at(Fraction(1, 4))
-    assert t.same_point(quarter, point(t, 0, Fraction(1, 4), Fraction(1, 4)))
 
 
 def test_record_shape():

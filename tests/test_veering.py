@@ -19,7 +19,7 @@ from pafix.errors import (
 from pafix.exactnum import RealNumberField
 from pafix.flatsurf import FlatSurface
 from pafix.geom import ConvexPolygon, Vec2
-from pafix.saddle import SaddleConnection, _corner_for_ray, is_veering_edge
+from pafix.saddle import SaddleConnection, is_veering_edge
 from pafix.veering import (
     Section,
     annular_avoiding_f_section,
@@ -71,7 +71,7 @@ def edge_for(surface, cache, a, b):
     """Walk the saddle connection of a primitive lattice class."""
     w1, w2 = _basis(surface)
     hol = w1.scale(a) + w2.scale(b)
-    corner, ray = _corner_for_ray(surface, 0, 0, hol)
+    corner, ray = surface.owning_corner(0, 0, hol)
     sc = SaddleConnection.walk(surface, corner, ray)
     assert sc is not None
     return cache.canonical(sc)
@@ -353,7 +353,7 @@ def test_crossing_memo_matches_direct_crossings_in_every_order():
 def torus_conn(surface, x, y):
     """The saddle connection with holonomy (x, y) on a one-square torus."""
     d = vec(surface.field, x, y)
-    corner, ray = _corner_for_ray(surface, 0, 0, d)
+    corner, ray = surface.owning_corner(0, 0, d)
     sc = SaddleConnection.walk(surface, corner, ray)
     assert sc is not None
     return sc
@@ -422,7 +422,7 @@ def test_axis_seed_rejected():
     surf = _square_torus()
     o = surf.field.one()
     z = surf.field.zero()
-    corner, ray = _corner_for_ray(surf, 0, 0, Vec2(o, z))
+    corner, ray = surf.owning_corner(0, 0, Vec2(o, z))
     sc = SaddleConnection.walk(surf, corner, ray)
     assert sc is not None and sc.is_horizontal()
     with pytest.raises(NotVeering):
