@@ -380,7 +380,7 @@ class InverseAutomorphism(PiecewiseAffineMap):
 class PowerAutomorphism(AffineAutomorphism):
     """Lazy n-th power: iterates its base, so apply, carry and the
     derivative sign walk the base n times; pieces are composed only on
-    request, when .pieces is read."""
+    request, when .pieces or piece_at is read."""
 
     def __init__(self, base: AffineAutomorphism, n: int):
         self.base = base
@@ -426,6 +426,10 @@ class PowerAutomorphism(AffineAutomorphism):
     @property
     def pieces(self):
         return self._materialize().pieces
+
+    def piece_at(self, sp: SurfacePoint) -> Piece:
+        """The composed map's piece holding sp; see .pieces."""
+        return self._materialize().piece_at(sp)
 
     def inverse(self):
         raise InputError("invert the base map and take its power instead")

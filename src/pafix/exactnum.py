@@ -18,7 +18,9 @@ field stores once.  With g^2 = (r0 + r1*g)/t and x = (x0 + x1*g)/den:
   discriminant D, 2*c2*(x0 + x1*g) = A + B*sqrt(D) with A = 2*c2*x0 -
   c1*x1 and B = x1 or -x1 as g is the larger or the smaller root, so the
   sign is exact from the signs of A and B and, when they differ, from A^2
-  against B^2*D.  The sign never touches the root bracket.
+  against B^2*D (`quad_sign`).  The sign never touches the root bracket,
+  and the comparisons take it straight from the cross-multiplied
+  numerators of the two elements.
 
 Every other degree takes the general route.  Products reduce the powers
 g^d .. g^(2d-2) with an integer table over one common denominator (1 for
@@ -27,8 +29,8 @@ the integer multiplication matrix.  The sign of an element is decided by
 interval Horner evaluation on integers over the root bracket; while the
 enclosure straddles zero, the bracket is *refined* by exact bisection.
 Approximations (approx, float_bounds) refine the bracket in every
-degree.  Comparisons first look at the two elements' cached
-outward-rounded float enclosures, which decide whenever they are
+degree.  Outside degree 2, comparisons first look at the two elements'
+cached outward-rounded float enclosures, which decide whenever they are
 disjoint; every other answer comes from exact integer arithmetic.
 
     >>> from pafix.exactnum import RealNumberField
@@ -180,6 +182,23 @@ def _enclose(num: Sequence[int], a: int, b: int, q: int) -> tuple:
             p = (lo * a, lo * b, hi * a, hi * b)
             lo, hi = min(p) + c, max(p) + c
     return lo, hi
+
+
+def quad_sign(quad: tuple, x0: int, x1: int) -> int:
+    """Exact sign of x0 + x1*g in the quadratic field whose closed-form
+    constants are ``quad`` (RealNumberField._quad), for integers x0, x1.
+
+    2*c2*(x0 + x1*g) = a + b*sqrt(D) with a = 2*c2*x0 - c1*x1 and b = x1
+    or -x1 as g is the larger or the smaller root: the sign is that of b
+    when a is 0 or has b's sign, and otherwise that of the larger of a^2
+    and b^2*D."""
+    if not x1:
+        return (x0 > 0) - (x0 < 0)
+    a = quad[4] * x0 - quad[3] * x1
+    b = x1 * quad[5]
+    if (a > 0) == (b > 0) or not a or a * a < b * b * quad[6]:
+        return 1 if b > 0 else -1
+    return 1 if a > 0 else -1
 
 
 def _reduced(field: "RealNumberField", num: list, den: int) -> "FieldElement":
@@ -557,11 +576,13 @@ class FieldElement:
 
     In a quadratic field, sums, products, inverses and signs use the
     closed forms in the module docstring, and the sign is exact without
-    refinement.  In every other degree the sign comes from interval Horner
-    on integers over the field's root bracket a/q < g < b/q: it is decided
-    once the enclosure of q^(d-1) * sum(num[i] * g^i) excludes zero, and
-    otherwise the bracket is bisected further, for at most _MAX_ROUNDS
-    rounds.
+    refinement; the comparisons read neither ``float_bounds`` nor
+    ``sign``, but apply `quad_sign` to the cross-multiplied numerators.
+    In every other degree the sign comes from interval Horner on integers
+    over the field's root bracket a/q < g < b/q: it is decided once the
+    enclosure of q^(d-1) * sum(num[i] * g^i) excludes zero, and otherwise
+    the bracket is bisected further, for at most _MAX_ROUNDS rounds; the
+    comparisons there try the cached float enclosures first.
     """
 
     __slots__ = ("field", "num", "den", "_coeffs", "_fb")
@@ -763,21 +784,13 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
-        if self.is_rational():
-            c = self.num[0]
-            return (c > 0) - (c < 0)
         field = self.field
         quad = field._quad
         if quad is not None:
-            # 2*c2*(x0 + x1*g) = a + b*sqrt(D), with b != 0 here
-            c1, c2x2, root, disc = quad[3:]
-            x0, x1 = self.num
-            a = c2x2 * x0 - c1 * x1
-            b = x1 if root > 0 else -x1
-            sb = 1 if b > 0 else -1
-            if a == 0 or (a > 0) == (b > 0) or a * a < b * b * disc:
-                return sb
-            return -sb
+            return quad_sign(quad, *self.num)
+        if self.is_rational():
+            c = self.num[0]
+            return (c > 0) - (c < 0)
         for _ in range(_MAX_ROUNDS):
             lo, hi = _enclose(self.num, field._a, field._b, field._q)
             if lo > 0:
@@ -839,12 +852,24 @@ class FieldElement:
         return r if r is NotImplemented else not r
 
     def _compare(self, other):
-        """sign(self - other), or None when other is not a number.  Disjoint
-        float bounds decide; bounds that overlap, or only touch, leave it to
-        the exact sign of the difference."""
-        o = self._pair(other)
-        if o is None:
-            return None
+        """sign(self - other), or None when other is not a number.  In a
+        quadratic field the closed-form sign of the cross-multiplied
+        numerators decides.  In every other degree disjoint float bounds
+        decide; bounds that overlap, or only touch, leave it to the exact
+        sign of the difference."""
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._pair(other)
+            if o is None:
+                return None
+        quad = self.field._quad
+        if quad is not None:
+            (a0, a1), da = self.num, self.den
+            (b0, b1), db = o.num, o.den
+            if da != db:
+                a0, a1, b0, b1 = a0 * db, a1 * db, b0 * da, b1 * da
+            return quad_sign(quad, a0 - b0, a1 - b1)
         slo, shi = self.float_bounds()
         olo, ohi = o.float_bounds()
         if shi < olo:

@@ -315,6 +315,13 @@ def _format_vec(v: Vec2) -> str:
 
 def dumps(surface: FlatSurface, fmap: Optional[PiecewiseAffineMap] = None,
           header: str = "") -> str:
+    """The file text of the surface and, if given, the map.  The format
+    holds affine automorphisms only, so any other map (an inverse, a
+    composition) raises InputError rather than writing a file that loads
+    rejects."""
+    if fmap is not None and not isinstance(fmap, AffineAutomorphism):
+        raise InputError("a %s cannot be written: the [MAP] section holds "
+                         "affine automorphisms only" % type(fmap).__name__)
     out = []
     if header:
         for line in header.splitlines():
@@ -345,17 +352,14 @@ def dumps(surface: FlatSurface, fmap: Optional[PiecewiseAffineMap] = None,
     if fmap is not None:
         out.append("")
         out.append("[MAP]")
-        lambda_el = getattr(fmap, "lambda_", None)
-        implied = None
-        if lambda_el is not None:
-            out.append("lambda = %s" % format_element(lambda_el))
-            implied = Mat2.diagonal(lambda_el, lambda_el.inverse())
+        out.append("lambda = %s" % format_element(fmap.lambda_))
+        implied = fmap.derivative
         for piece in fmap.pieces:
             region = " ".join(_format_vec(v) for v in piece.region.vertices)
             out.append("piece %s : (%s) -> %s + %s" % (
                 surface.names[piece.chart], region,
                 surface.names[piece.target], _format_vec(piece.map.shift)))
-            if implied is None or piece.map.mat != implied:
+            if piece.map.mat != implied:
                 m = piece.map.mat
                 out.append("derivative = [[%s, %s], [%s, %s]]" % (
                     format_element(m.a), format_element(m.b),

@@ -1,15 +1,25 @@
 """Exact planar geometry over a real number field.
 
-Every answer here is the exact one.  Floats enter only as enclosures: each
-coordinate's cached `FieldElement.float_bounds()` holds it, and every
-float operation on them rounds outward by one `math.nextafter` step, so an
-interval always holds the exact value it stands for.  A filtered predicate
-takes its answer from floats only when the interval excludes 0, and
-whenever it holds 0 the exact field arithmetic decides (Shewchuk's filtered
+Every answer here is the exact one.  In a quadratic field (the field's
+``_quad`` set), `orient`, `cross_sign`, the side list of
+`ConvexPolygon.clip_halfplane` and the `FieldElement` comparisons `<`,
+`<=`, `>` and `>=` are integer kernels: each cross-multiplies the
+coordinates' numerators by their denominators, forms the products with
+the field's reduction constants and takes the closed-form sign
+(`exactnum.quad_sign`), with no float enclosure and no element built.
+
+Every other predicate, and in every other degree these four too, is
+float filtered.  Floats enter only as enclosures: each coordinate's
+cached `FieldElement.float_bounds()` holds it, and every float operation
+on them rounds outward by one `math.nextafter` step, so an interval
+always holds the exact value it stands for.  A filtered predicate takes
+its answer from floats only when the interval excludes 0, and whenever it
+holds 0 the exact field arithmetic decides (Shewchuk's filtered
 predicates).  The filtered predicates are:
 
 - `orient`, `cross_sign` and the side list of
-  `ConvexPolygon.clip_halfplane`: the sign of a cross product;
+  `ConvexPolygon.clip_halfplane` outside degree 2: the sign of a cross
+  product;
 - `segment_intersection`: "none" when the denominator's interval excludes
   0 and a parameter's interval lies outside [0, 1];
 - `shared_segment`: None when the interval of the two directions' cross
@@ -24,10 +34,10 @@ predicates).  The filtered predicates are:
   line out as a separator, and the sign it reads is the exact one, so
   each verdict is final.  `ConvexPolygon.locate` and `contains` read the
   same orient signs;
-- the `FieldElement` comparisons `<`, `<=`, `>` and `>=`: disjoint float
-  bounds decide.  Bounds that overlap, or only share an end, cost a
-  subtraction and an exact sign, since `float_bounds` promises no more
-  than lo <= x <= hi;
+- the `FieldElement` comparisons outside degree 2: disjoint float bounds
+  decide.  Bounds that overlap, or only share an end, cost a subtraction
+  and an exact sign, since `float_bounds` promises no more than
+  lo <= x <= hi;
 - `saddle._seg_meets_box`, which runs three stages: it rejects when the
   segment's float box misses the box's outer float box, accepts when an
   endpoint's float box lies strictly inside the box's inner float box,
@@ -45,8 +55,10 @@ predicates).  The filtered predicates are:
 `cross_sign` and the comparisons carry the cone, wedge and exit-edge
 tests of the saddle search and `trace`, and the bound tests of the
 spanning rectangles and the fixed-point solver.  A few exact paths answer
-without arithmetic: a repeated point makes `orient` 0, and identical
-segments overlap in themselves.  Bounding-box prefilters may claim
+without arithmetic: outside degree 2 a repeated point makes `orient` 0,
+and identical segments overlap in themselves.  The float box prefilters
+(`float_box`, `boxes_disjoint`, `saddle._seg_meets_box` and the
+visibility search's outer box) serve every degree; they may claim
 "maybe" but never lie about "no".
 """
 
@@ -56,7 +68,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, NonConvexPolygon
-from .exactnum import FieldElement, RealNumberField
+from .exactnum import FieldElement, RealNumberField, quad_sign
 
 
 class Vec2:
@@ -271,9 +283,42 @@ def _filtered_sign(interval, exact) -> int:
     return exact()
 
 
+def _sub2(p: FieldElement, q: FieldElement) -> tuple:
+    """q - p in a quadratic field as integers (n0, n1, den), den > 0, not
+    brought to lowest terms."""
+    (p0, p1), pd = p.num, p.den
+    (q0, q1), qd = q.num, q.den
+    if pd == qd:
+        return q0 - p0, q1 - p1, pd
+    return q0 * pd - p0 * qd, q1 * pd - p1 * qd, pd * qd
+
+
+def _det2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> int:
+    """Exact sign of x*w - y*z in the quadratic field with constants quad,
+    for x = (x0 + x1*g)/xd and likewise y, z, w, every den positive.
+
+    Cross multiplied by the four denominators, x*w - y*z is X*W - Y*Z with
+    X = x's numerator times yd*zd and Y = y's times xd*wd.  With g^2 =
+    (r0 + r1*g)/t, t times that is the integer pair below."""
+    dp, dq = xd * wd, yd * zd
+    if dp != dq:
+        x0, x1, y0, y1 = x0 * dq, x1 * dq, y0 * dp, y1 * dp
+    r0, r1, t = quad[0], quad[1], quad[2]
+    m = x1 * w1 - y1 * z1
+    return quad_sign(quad, t * (x0 * w0 - y0 * z0) + r0 * m,
+                     t * (x0 * w1 + x1 * w0 - y0 * z1 - y1 * z0) + r1 * m)
+
+
 def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
     """Sign of the signed area of triangle abc: +1 counterclockwise.
-    Decided over float intervals when they exclude 0, else exactly."""
+    Exact from the numerators in a quadratic field; otherwise decided over
+    float intervals when they exclude 0, else exactly."""
+    ax, ay = a.x, a.y
+    quad = ax.field._quad
+    if quad is not None:
+        return _det2(quad, *_sub2(ax, b.x), *_sub2(ay, b.y),
+                     *_sub2(ax, c.x), *_sub2(ay, c.y))
+
     def exact():
         if a == b or b == c or c == a:
             return 0
@@ -282,8 +327,14 @@ def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
 
 
 def cross_sign(u: Vec2, v: Vec2) -> int:
-    """Sign of u x v.  Decided over float intervals when they exclude 0,
-    else exactly."""
+    """Sign of u x v.  Exact from the numerators in a quadratic field;
+    otherwise decided over float intervals when they exclude 0, else
+    exactly."""
+    ux, uy, vx, vy = u.x, u.y, v.x, v.y
+    quad = ux.field._quad
+    if quad is not None:
+        return _det2(quad, *ux.num, ux.den, *uy.num, uy.den,
+                     *vx.num, vx.den, *vy.num, vy.den)
     return _filtered_sign(_icross(_ibox(u), _ibox(v)),
                           lambda: u.cross(v).sign())
 
@@ -500,10 +551,18 @@ class ConvexPolygon:
         vs = self.vertices
         n = len(vs)
         # left of the directed line: cross(d, z - p) >= 0, i.e. side <= 0
-        d_box = _ibox(d)
-        sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
-                                lambda: (v - p).cross(d).sign())
-                 for v in vs]
+        px, py = p.x, p.y
+        quad = px.field._quad
+        if quad is not None:
+            dx = (*d.x.num, d.x.den)
+            dy = (*d.y.num, d.y.den)
+            sides = [_det2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
+                     for v in vs]
+        else:
+            d_box = _ibox(d)
+            sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
+                                    lambda: (v - p).cross(d).sign())
+                     for v in vs]
         keep = [s <= 0 for s in sides]
         if all(keep):
             return self

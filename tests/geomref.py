@@ -72,11 +72,15 @@ def contains(vertices, p):
     return res
 
 
-def clip_halfplane(vertices, p, d):
+def clip_halfplane(vertices, p, d, side=None):
     """Vertices of the CCW polygon clipped to the closed halfplane left of
-    the line through p along d, or None when the clip has empty interior."""
+    the line through p along d, or None when the clip has empty interior.
+    side(v), if given, replaces the exact sign of (v - p) x d."""
     n = len(vertices)
-    sides = [(v - p).cross(d).sign() for v in vertices]
+    if side is None:
+        sides = [(v - p).cross(d).sign() for v in vertices]
+    else:
+        sides = [side(v) for v in vertices]
     keep = [s <= 0 for s in sides]
     if all(keep):
         return tuple(vertices)

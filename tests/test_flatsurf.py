@@ -457,6 +457,24 @@ class TestTorusFromMatrix:
         for p in f2.pieces:
             assert p.map.mat.a == lam2 or p.map.mat.a == -lam2
 
+    def test_power_piece_at_maps_where_the_power_does(self):
+        surf, f = torus_from_matrix([[2, 1], [1, 1]])
+        f2 = f.power(2)
+        points = self.interior_points(
+            surf, [(1, 1, 1, 1), (1, 2, 3, 4), (7, 1, 1, 2)])
+        points.append(surf.vertex_point(0))
+        half = surf.field.rational(Fraction(1, 2))
+        for piece in f2.pieces:
+            a, b, c = piece.region.vertices[:3]
+            # a corner, an edge midpoint and an interior point of the piece
+            points += [SurfacePoint(piece.chart, q) for q in
+                       (a, (a + b).scale(half), (a + (b + c).scale(half)).scale(half))]
+        for p in points:
+            piece = f2.piece_at(p)
+            assert piece in f2.pieces
+            image = SurfacePoint(piece.target, piece.map.apply(p.pos))
+            assert surf.same_point(image, f2.apply(p))
+
     def test_area_preserved_piecewise(self):
         surf, f = torus_from_matrix([[2, 1], [1, 1]])
         total = surf.field.zero()
@@ -740,6 +758,16 @@ mark A.0
         with pytest.raises(ParseError) as ei:
             fileio.loads(text)
         assert "glue" in str(ei.value)
+
+    def test_only_affine_automorphisms_are_written(self):
+        # loads reads back affine automorphisms only, so dumps refuses the
+        # inverse (derivative diag(1/lambda, lambda)) and a composition
+        surf, f = torus_from_matrix([[2, 1], [1, 1]])
+        for g in (f.inverse(), f.compose(f)):
+            with pytest.raises(InputError):
+                fileio.dumps(surf, g)
+        _, loaded = fileio.loads(fileio.dumps(surf, f.power(2)))
+        assert isinstance(loaded, AffineAutomorphism)
 
     def test_derivative_off_the_stretch_is_rejected(self):
         surf, f = torus_from_matrix([[2, 1], [1, 1]])

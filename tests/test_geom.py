@@ -11,13 +11,20 @@ points, exactly degenerate configurations (collinear and axis-parallel
 segments, shared points, segments along a box edge, through a box corner
 or ending on the box boundary) and near-degenerate ones whose cross
 product or difference is below 2**-60, where only the exact fallback can
-decide."""
+decide.
+
+In a quadratic field `orient`, `cross_sign`, the side list of
+`clip_halfplane` and the comparisons are integer kernels with no filter
+and no fallback: they are checked against a model of the field in the
+basis (1, sqrt D) whose signs sympy evaluates, and the fallback tests run
+on x^3 - 2."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import geomref
@@ -341,6 +348,7 @@ def sign_calls(monkeypatch):
 
 
 def test_filter_decides_the_piece_corners_of_cat_squared(sign_calls):
+    # in this quadratic field the integer kernel decides, with no sign call
     _, f = torus_from_matrix([[2, 1], [1, 1]])
     regions = [piece.region for piece in f.power(2).pieces]
     del sign_calls[:]
@@ -352,25 +360,43 @@ def test_filter_decides_the_piece_corners_of_cat_squared(sign_calls):
     assert sign_calls == []
 
 
-@pytest.mark.parametrize("n", (90, 91))
-def test_near_degenerate_orient_falls_back_to_the_exact_sign(sign_calls, n):
-    # F(n+1) - F(n) g = (-1/g)^n for Fibonacci F and the golden ratio g:
-    # the cross product of (1, g) and (F(n), F(n+1)) is below 2**-60
+def fibonacci_case(n):
+    """The golden-ratio field, (1, g) and (F(n), F(n+1)) for Fibonacci F:
+    F(n+1) - F(n) g = (-1/g)^n is below 2**-60 for n >= 90."""
     K = RealNumberField.create([-1, -1, 1], 1, 2)
     fib = [0, 1]
     while len(fib) < n + 2:
         fib.append(fib[-1] + fib[-2])
+    return K, Vec2(K.one(), K.gen()), Vec2(K.rational(fib[n]),
+                                           K.rational(fib[n + 1]))
+
+
+def cube_root_case(bits):
+    """x^3 - 2 and u = (1, g) with the two ends r of g's enclosure of width
+    2**-bits: g - r, the cross product of u and (1, r), is below 2**-60,
+    and so is the gap between r and g."""
+    K = RealNumberField.create(*FIELDS[2])
+    box = K.gen().approx(bits)
+    return K, Vec2(K.one(), K.gen()), (K.rational(box.lo), K.rational(box.hi))
+
+
+@pytest.mark.parametrize("bits", (90, 91))
+def test_near_degenerate_orient_falls_back_to_the_exact_sign(sign_calls, bits):
+    # degree 3 keeps the float filter; degree 2 decides in integers
+    K, b, ends = cube_root_case(bits)
     a = Vec2(K.zero(), K.zero())
-    b = Vec2(K.one(), K.gen())
-    c = Vec2(K.rational(fib[n]), K.rational(fib[n + 1]))
-    assert abs((b - a).cross(c - a)) < TINY
-    del sign_calls[:]
-    assert orient(a, b, c) == geomref.orient(a, b, c) == (-1) ** n
-    assert sign_calls
+    for r, want in zip(ends, (-1, 1)):
+        c = Vec2(K.one(), r)
+        assert abs((b - a).cross(c - a)) < TINY
+        del sign_calls[:]
+        assert orient(a, b, c) == want
+        assert sign_calls
+        assert geomref.orient(a, b, c) == want
 
 
 def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
         sign_calls):
+    # in this quadratic field the integer kernels decide, with no sign call
     _, f = torus_from_matrix([[2, 1], [1, 1]])
     regions = [piece.region for piece in f.power(2).pieces]
     turns = []
@@ -393,27 +419,38 @@ def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
     assert sign_calls == []
 
 
+@pytest.mark.parametrize("bits", (90, 91))
+def test_near_degenerate_cross_sign_and_comparison_fall_back(sign_calls, bits):
+    K, u, ends = cube_root_case(bits)
+    g = u.y
+    for r, want in zip(ends, (-1, 1)):
+        v = Vec2(K.one(), r)
+        del sign_calls[:]
+        assert cross_sign(u, v) == want
+        assert sign_calls
+        assert u.cross(v).sign() == want
+        del sign_calls[:]
+        assert (r > g) == (want > 0)
+        assert sign_calls
+        del sign_calls[:]
+        assert (r <= g) == (want < 0)
+        assert sign_calls
+
+
 @pytest.mark.parametrize("n", (90, 91))
-def test_near_degenerate_cross_sign_and_comparison_fall_back(sign_calls, n):
-    # F(n+1) - F(n) g = (-1/g)^n, below 2**-60: the cross product of
-    # (1, g) and (F(n), F(n+1)), and the gap between F(n+1) and F(n) g
-    K = RealNumberField.create([-1, -1, 1], 1, 2)
-    fib = [0, 1]
-    while len(fib) < n + 2:
-        fib.append(fib[-1] + fib[-2])
-    g = K.gen()
-    u = Vec2(K.one(), g)
-    v = Vec2(K.rational(fib[n]), K.rational(fib[n + 1]))
+def test_near_degenerate_quadratic_predicates_are_exact(sign_calls, n):
+    K, u, v = fibonacci_case(n)
+    a = Vec2(K.zero(), K.zero())
+    lhs, rhs = v.y, v.x * u.y
+    want = (-1) ** n
     del sign_calls[:]
-    assert cross_sign(u, v) == u.cross(v).sign() == (-1) ** n
-    assert sign_calls
-    lhs, rhs = v.y, v.x * g
-    del sign_calls[:]
-    assert (lhs > rhs) == (n % 2 == 0)
-    assert sign_calls
-    del sign_calls[:]
-    assert (lhs <= rhs) == (n % 2 == 1)
-    assert sign_calls
+    got = (orient(a, u, v), cross_sign(u, v),
+           (lhs < rhs, lhs <= rhs, lhs > rhs, lhs >= rhs))
+    assert sign_calls == []
+    assert got[0] == got[1] == geomref.orient(a, u, v) == \
+        u.cross(v).sign() == want
+    assert got[2] == exact_compare(lhs, rhs) == \
+        (want < 0, want < 0, want > 0, want > 0)
 
 
 def enclosed(K, value, bounds):
@@ -425,8 +462,9 @@ def enclosed(K, value, bounds):
 
 def test_filters_need_only_an_enclosure():
     # float_bounds promises lo <= x <= hi and no more; the cached bounds
-    # also happen to be strict, which the filters must not rely on
-    K = RealNumberField.create(*FIELDS[0])
+    # also happen to be strict, which the filters must not rely on; the
+    # comparisons read them in every degree but 2
+    K = RealNumberField.create(*FIELDS[2])
     # bounds that only touch at 1 do not order 1 and 1
     x, y = enclosed(K, 1, (0.5, 1.0)), enclosed(K, 1, (1.0, 1.5))
     assert not x < y and x <= y and not x > y and x >= y
@@ -446,3 +484,134 @@ def test_filters_need_only_an_enclosure():
             for closed in (True, False):
                 assert _seg_meets_box(a, b, bounds, closed) == \
                     geomref.seg_meets_box(a, b, bounds, closed)
+
+
+def surd_model(K):
+    """A reference for K = Q(g) of degree 2 that shares nothing with its
+    closed forms: x = p + q*sqrt(D), D the discriminant, as a pair of
+    Fractions, with sympy's guaranteed-precision evaluation for signs.
+    Returns the reference signs of u x v for Vec2s u, v and of x - y for
+    elements x, y."""
+    c0, c1, c2 = K.minpoly
+    disc = c1 * c1 - 4 * c0 * c2
+    lo, hi = K.declared_interval
+    root = 1 if lo < (-c1 + sympy.sqrt(disc)) / (2 * c2) < hi else -1
+
+    def to(x):
+        n0, n1 = x.coeffs
+        return (n0 - n1 * Fraction(c1, 2 * c2), n1 * Fraction(root, 2 * c2))
+
+    def sign(x):
+        p, q = x
+        if not q:
+            return (p > 0) - (p < 0)
+        value = (sympy.Rational(p) + sympy.Rational(q) * sympy.sqrt(disc)
+                 ).evalf(20, strict=True, maxn=3000)
+        return 1 if value > 0 else -1
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[1] * disc, x[0] * y[1] + x[1] * y[0])
+
+    def cross(u, v):
+        """Reference sign of u x v for Vec2s u and v."""
+        (ux, uy), (vx, vy) = (to(u.x), to(u.y)), (to(v.x), to(v.y))
+        return sign(sub(mul(ux, vy), mul(uy, vx)))
+
+    return cross, lambda x, y: sign(sub(to(x), to(y)))
+
+
+HUGE = st.integers(-2 ** 200, 2 ** 200)
+HUGE_DEN = st.integers(1, 2 ** 100)
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS[:2])
+def test_quadratic_kernels_match_an_independent_reference(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+    ref_cross, ref_compare = surd_model(K)
+    element = st.builds(lambda n0, n1, d: K.element([Fraction(n0, d),
+                                                     Fraction(n1, d)]),
+                        HUGE, HUGE, HUGE_DEN)
+
+    # the explain phase, which reruns a failure with each 200-bit draw
+    # varied, would spend minutes before reporting it
+    @settings(max_examples=60, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    @given(st.lists(element, min_size=10, max_size=10),
+           st.sampled_from(("random", "repeated", "collinear", "near")),
+           ratio, st.booleans())
+    def check(xs, kind, t, first):
+        a, b, c, p, shift = (Vec2(xs[2 * k], xs[2 * k + 1]) for k in range(5))
+        if kind == "repeated":
+            c = a if first else b
+        elif kind != "random":
+            c = a + (b - a).scale(K.rational(t))
+            if kind == "near":
+                c = c + Vec2(K.zero(), tiny(K, 150, first))
+        for q, r, w in ((a, b, c), (b, c, a), (a, c, b), (c, a, p)):
+            want = ref_cross(r - q, w - q)
+            assert orient(q, r, w) == want
+            assert cross_sign(r - q, w - q) == want
+        coords = (a.x, a.y, c.x, c.y, p.x)
+        pairs = [(u, v) for u in coords[:3] for v in coords]
+        pairs += [(u, 0) for u in coords] + [(u, t) for u in coords]
+        for u, v in pairs:
+            s = ref_compare(u, K.coerce(v))
+            assert (u < v, u <= v, u > v, u >= v) == \
+                (s < 0, s <= 0, s > 0, s >= 0)
+        # a pentagon with huge coordinates, clipped along an edge line,
+        # through a vertex and along the drawn lines
+        alpha, gamma = abs(xs[0]) + 1, abs(xs[1]) + 1
+        verts = [Vec2(alpha * x + xs[2] * y, gamma * y) + shift
+                 for x, y in PENTAGON]
+        poly = ConvexPolygon(verts)
+        for q, d in ((verts[0], verts[1] - verts[0]), (verts[2], b - a),
+                     (a, c - a), (p, b - a)):
+            if d.is_zero():
+                continue
+            got = poly.clip_halfplane(q, d)
+            want = geomref.clip_halfplane(
+                verts, q, d, side=lambda v: ref_cross(v - q, d))
+            assert (got and got.vertices) == want
+
+    check()
+
+
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """Calls of FieldElement.float_bounds and FieldElement.sign while the
+    test runs, by name."""
+    calls = []
+    for name in ("float_bounds", "sign"):
+        def counted(self, _real=getattr(FieldElement, name), _name=name):
+            calls.append(_name)
+            return _real(self)
+        monkeypatch.setattr(FieldElement, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS[:2])
+def test_quadratic_predicates_read_no_float_bounds_and_no_sign(
+        filter_calls, poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+    g = K.gen()
+    # the corners of a pentagon over K, points on and off its edge lines,
+    # and near-degenerate Fibonacci data
+    _, u, v = fibonacci_case(90)
+    verts, points = polygon_and_points(
+        K, [Fraction(k, 3) for k in range(-7, 7)], Fraction(1, 3), 80, True)
+    del filter_calls[:]
+    for a in points:
+        for b in points:
+            orient(a, b, verts[0])
+            cross_sign(a, b)
+            a.x < b.y, a.x <= b.y, a.x > b.y, a.x >= b.y
+            a.x < 1, a.y >= Fraction(1, 3), a.y > g
+    orient(u - u, u, v), cross_sign(u, v), u.y < v.x
+    poly = ConvexPolygon(verts)
+    for p, q in zip(points, points[1:]):
+        if p != q:
+            poly.clip_halfplane(p, q - p)
+    assert filter_calls == []
