@@ -10,6 +10,10 @@ automorphisms) that the image regions tile as well, so the map is bijective.
 An AffineAutomorphism additionally has every derivative equal to
 diag(lambda, 1/lambda) up to an overall sign per piece (the sign is the
 half-translation chart ambiguity), with lambda > 1 exact.
+
+develop is the map builder: it cuts D times each polygon into chart
+pieces with saddle.cover; torus_from_matrix develops the eigen torus of
+an integer matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +41,11 @@ from .geom import (
     float_box,
     shared_segment,
 )
+from .saddle import _place_cross, chord_in_region, cover
 from .veering import edge_cache
+
+# Placements expanded while covering the image of one polygon in develop.
+_IMAGE_COVER_NODES = 200000
 
 
 class Piece:
@@ -279,13 +287,6 @@ class PiecewiseAffineMap:
                 out.append(Piece(ip.chart, region, op.map.compose(ip.map), op.target))
         return PiecewiseAffineMap(self.surface, out, validate=validate)
 
-    def derivative_classes(self):
-        mats = []
-        for piece in self.pieces:
-            if piece.map.mat not in mats:
-                mats.append(piece.map.mat)
-        return mats
-
     def __repr__(self):
         return "PiecewiseAffineMap(%d pieces)" % len(self.pieces)
 
@@ -443,26 +444,56 @@ class PowerAutomorphism(AffineAutomorphism):
         return "PowerAutomorphism(%r, n=%d)" % (self.base, self.n)
 
 
-def validate_automorphism(surface: FlatSurface, m: PiecewiseAffineMap,
-                          lambda_: Optional[FieldElement] = None) -> AffineAutomorphism:
-    """Promote a piecewise-affine map to a validated automorphism.
-
-    The stretch factor may be supplied or inferred from the derivatives."""
-    if lambda_ is None:
-        mats = m.derivative_classes()
-        if not mats:
-            raise InputError("map has no pieces")
-        cand = mats[0].a
-        if cand.sign() < 0:
-            cand = -cand
-        lambda_ = cand
-    if (lambda_ - 1).sign() <= 0:
-        raise LambdaNotExpanding("stretch factor %s is not > 1" % lambda_)
-    return AffineAutomorphism(m.surface, m.pieces, lambda_)
-
-
 # ---------------------------------------------------------------------------
-# torus generator
+# building maps by development
+
+def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
+            image_corner: EdgeRef, lambda_: FieldElement
+            ) -> AffineAutomorphism:
+    """The affine automorphism with derivative D taking corner's vertex to
+    image_corner's, which must own D times corner's outgoing edge.
+
+    The polygons are placed around corner's chart by a breadth-first
+    spanning tree of the gluings; each placed P goes to D.P in
+    image_corner's frame, which saddle.cover cuts into map pieces, seeded
+    by the cover of P's tree parent.  A D outside the Veech group puts a
+    vertex inside some D.P (NotBijective) or fails validation."""
+    field = surface.field
+    zero = Vec2(field.zero(), field.zero())
+    chart0, v0 = corner
+    target0, w0 = image_corner
+    v = surface.polygons[chart0].vertices[v0]
+    w = surface.polygons[target0].vertices[w0]
+    budget = ("_IMAGE_COVER_NODES", _IMAGE_COVER_NODES)
+    # chart -> (placement eps, shift, seed placements of its image cover)
+    tree = {chart0: (1, zero, [(target0, 1, zero)])}
+    order = [chart0]
+    pieces = []
+    for chart in order:
+        eps, shift, seeds = tree[chart]
+        # chart coordinates -> plane -> image frame: z -> lin z + c
+        lin = D if eps == 1 else -D
+        c = D.apply(shift - v) + w
+        region = surface.polygons[chart].transform(AffineMap(lin, c))
+        cut = cover(surface, seeds, region,
+                    lambda a, b: chord_in_region(region, a, b), budget)
+        if cut is None:
+            raise NotBijective(
+                "D carries polygon %d over a vertex: %r is not the "
+                "derivative of an automorphism" % (chart, D))
+        for target, e, t, piece in cut:
+            # then into the target chart, y -> e (y - t)
+            m = AffineMap(lin, c - t) if e == 1 else AffineMap(-lin, t - c)
+            pieces.append(Piece(chart, piece.transform(m.inverse()), m,
+                                target))
+        placements = [(target, e, t) for target, e, t, _ in cut]
+        for k in range(len(surface.polygons[chart])):
+            tr = surface.transitions[(chart, k)]
+            child = tr.target[0]
+            if child not in tree:
+                tree[child] = (*_place_cross(eps, shift, tr), placements)
+                order.append(child)
+    return AffineAutomorphism(surface, pieces, lambda_)
 
 
 def torus_from_matrix(m_rows: Sequence[Sequence[int]]
@@ -473,6 +504,7 @@ def torus_from_matrix(m_rows: Sequence[Sequence[int]]
     Negative-trace matrices are supported: the derivative is then
     -diag(lambda, 1/lambda) (point-reflection composed with the stretch),
     with lambda the Perron root of the characteristic polynomial of -M.
+    develop builds the map, taking vertex 0 to itself.
     """
     (a, b), (c, d) = m_rows
     for entry in (a, b, c, d):
@@ -521,40 +553,8 @@ def torus_from_matrix(m_rows: Sequence[Sequence[int]]
     }
     surface = FlatSurface(field, [poly], gluings, marked_corners=[(0, 0)],
                           names=["T"])
-
-    # pieces: clip the unit square against M^{-1}(unit square + (i,j)) in
-    # standard coordinates, then push through E
     d_mat = Mat2.diagonal(lam, mu)
     if sign < 0:
         d_mat = -d_mat
-    std_square = ConvexPolygon([
-        Vec2(field.rational(x), field.rational(y))
-        for (x, y) in [(0, 0), (1, 0), (1, 1), (0, 1)]])
-    m_fld = Mat2(field.rational(a), field.rational(b),
-                 field.rational(c), field.rational(d))
-    m_aff = AffineMap(m_fld, Vec2(field.zero(), field.zero()))
-    image = std_square.transform(m_aff)
-    xlo, xhi, ylo, yhi = image.float_bbox()
-    square_box = std_square.float_bbox()
-    pieces = []
-    for i in range(int(xlo) - 1, int(xhi) + 2):
-        for j in range(int(ylo) - 1, int(yhi) + 2):
-            # skip a cell whose shifted image box misses the square's box:
-            # rounding is monotone and each test compares a rounded
-            # difference with a float bound, so a skipped cell's clip is
-            # empty
-            if boxes_disjoint((xlo - i, xhi - i, ylo - j, yhi - j), square_box):
-                continue
-            shift = Vec2(field.rational(-i), field.rational(-j))
-            moved = image.translate(shift)
-            overlap = moved.intersect(std_square)
-            if overlap is None:
-                continue
-            region_std = overlap.transform(
-                AffineMap(m_fld, shift).inverse())
-            region = region_std.transform(AffineMap(e_mat, origin))
-            # map in eigen coords: z -> D z + E(-i, -j)
-            tau = e_mat.apply(shift)
-            pieces.append(Piece(0, region, AffineMap(d_mat, tau), 0))
-    fmap = AffineAutomorphism(surface, pieces, lam)
-    return surface, fmap
+    image_corner, _ = surface.owning_corner(0, 0, d_mat.apply(w1))
+    return surface, develop(surface, d_mat, (0, 0), image_corner, lam)

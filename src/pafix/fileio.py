@@ -122,6 +122,7 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[AffineAutomorphism]]:
     glue_lines = []
     mark_lines = []
     lambda_el: Optional[FieldElement] = None
+    map_line = None  # line number of the [MAP] header
     piece_data = []  # [chart, vertex list, target, shift, derivative or None]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +136,7 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[AffineAutomorphism]]:
                 section = "surface"
             elif line == "[MAP]":
                 section = "map"
+                map_line = lineno
             else:
                 _fail(lineno, "unknown section %r" % line)
             continue
@@ -280,10 +282,12 @@ def loads(text: str) -> Tuple[FlatSurface, Optional[AffineAutomorphism]]:
     poly_objs = [ConvexPolygon(vs) for vs in polygons]
     surface = FlatSurface(field, poly_objs, gluings, marked, names)
 
-    if lambda_el is None and piece_data:
-        raise ParseError("[MAP] has pieces but no lambda line")
-    if not piece_data:
+    if map_line is None:
         return surface, None
+    if not piece_data:
+        _fail(map_line, "[MAP] section has no piece lines")
+    if lambda_el is None:
+        raise ParseError("[MAP] has pieces but no lambda line")
 
     implied = None if lambda_el.is_zero() else Mat2.diagonal(
         lambda_el, lambda_el.inverse())

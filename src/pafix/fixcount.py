@@ -6,7 +6,8 @@ over the edge's spanning rectangle; every regular fixed point of f lies
 in at least one such rectangle, so the deduplicated union is Fix(f) minus
 the singular points, which are read off the singularity permutation.  The
 oracle counter instead clips f(t) against t for every triangle t of a
-section and solves the same equation per overlap piece.  Both attach a
+section and solves the same equation per overlap piece, cutting each
+developed triangle into chart pieces with saddle.cover.  Both attach a
 Lefschetz number computed homologically, from the action of f on the
 polygon edges modulo the polygon boundaries, as a third check: L equals
 the index sum.  L is independent of both counters, but not of itself:
@@ -30,7 +31,7 @@ from .exactnum import FieldElement
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
-from .saddle import SaddleConnection, _place_unapply, unfold
+from .saddle import SaddleConnection, _place_unapply, chord_in_region, cover
 from .veering import (
     Section,
     _germ_of,
@@ -182,13 +183,14 @@ def _germ_turn(surface: FlatSurface, a, b, m: int) -> bool:
     return cross_sign(d, db) > 0
 
 
-def _ends(cache, sc: SaddleConnection):
+def _ends(sc: SaddleConnection):
     """sc's start and end as (germ into sc, point in sc's walk frame,
-    sign of the germ chart's placement there)."""
+    sign of the germ chart's placement there).  The end germ is the
+    reverse connection's start, read off sc without walking it."""
     p0 = sc.start_point().pos
-    rev = cache.reverse(sc)
+    r_corner, r_hol = sc.reverse_start()
     return ((_germ_of(sc), p0, 1),
-            (_germ_of(rev), p0 + sc.hol, 1 if rev.hol == -sc.hol else -1))
+            ((r_corner, r_hol), p0 + sc.hol, 1 if r_hol == -sc.hol else -1))
 
 
 def _crossing_branches(cache, sigma, image):
@@ -205,7 +207,7 @@ def _crossing_branches(cache, sigma, image):
     return out
 
 
-def _vertex_branches(surface, cache, sigma, image, s: int):
+def _vertex_branches(surface, sigma, image, s: int):
     """The -D branches through a vertex where an end of sigma meets the
     opposite end of its image, as deck motions (e, c), w -> e*w + c from
     image's walk frame to sigma's.
@@ -219,7 +221,7 @@ def _vertex_branches(surface, cache, sigma, image, s: int):
     sigma's.  It is a branch of f only when the two germs' charts meet
     around the vertex, within a turn under pi, by the chart change that
     e asks for."""
-    (a0, a1), (b0, b1) = _ends(cache, sigma), _ends(cache, image)
+    (a0, a1), (b0, b1) = _ends(sigma), _ends(image)
     e = -s
     out = []
     for (ga, pa, ea), (gb, qb, eb) in ((a0, b1), (a1, b0)):
@@ -259,7 +261,7 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     # z -> diag(d1, d2)(z - p0) + q0 into the image frame, composed with a
     # deck motion w -> e*w + c back to sigma's
     branches = (_crossing_branches(cache, sigma, image)
-                + _vertex_branches(surface, cache, sigma, image, s))
+                + _vertex_branches(surface, sigma, image, s))
     found: Dict[object, FixedPoint] = {}
     for e, c in branches:
         l1 = d1 if e == 1 else -d1
@@ -442,56 +444,14 @@ def _face_development(face):
     return tri, seeds
 
 
-def _chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
-    """Does segment (a, b) meet the closed region in a positive-length
-    chord?  Used to decide which gluings an unfolding must cross; chords
-    along the boundary count, so covers can walk around the region."""
-    field = region.vertices[0].x.field
-    lo, hi = field.zero(), field.one()
-    r = b - a
-    vs = region.vertices
-    n = len(vs)
-    for i in range(n):
-        p, q = vs[i], vs[(i + 1) % n]
-        d = q - p
-        num = (p - a).cross(d)
-        sden = cross_sign(r, d)
-        if sden == 0:
-            if num.sign() < 0:
-                return False
-            continue
-        t = num / r.cross(d)
-        if sden > 0:
-            if t < hi:
-                hi = t
-        else:
-            if t > lo:
-                lo = t
-        if hi <= lo:
-            return False
-    mid = a + r.scale((lo + hi) / 2)
-    return region.contains(mid) >= 1
-
-
 def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon):
-    """Chart placements covering a developed convex region.
-
-    Returns [(chart, eps, shift, piece)] with piece the chart-coordinate
-    pullback of the region clipped to the placed polygon.  The search
-    expands across every gluing whose edge meets the region."""
-    out = []
-    for chart, eps, shift, placed in unfold(
-            surface, seeds, lambda a, b: _chord_in_region(region, a, b),
-            ("_COVER_CAP", _COVER_CAP)):
-        for w in placed:
-            if region.contains(w) == 2:
-                raise InternalCheckError(
-                    "developed region covers a singular point")
-        clip = ConvexPolygon(placed).intersect(region)
-        if clip is not None:
-            piece = ConvexPolygon(
-                [_place_unapply(eps, shift, v) for v in clip.vertices])
-            out.append((chart, eps, shift, piece))
+    """saddle.cover of a developed convex region, expanding across every
+    gluing whose edge meets the region in a chord."""
+    out = cover(surface, seeds, region,
+                lambda a, b: chord_in_region(region, a, b),
+                ("_COVER_CAP", _COVER_CAP))
+    if out is None:
+        raise InternalCheckError("developed region covers a singular point")
     return out
 
 
@@ -506,19 +466,19 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
     seen: Dict[str, FixedPoint] = {}
     for face in T.triangles:
         tri, seeds = _face_development(face)
-        cover = _cover_region(surface, seeds, tri)
+        cut = _cover_region(surface, seeds, tri)
         images = tuple(cache.image(f, r) for r in face)
         itri, iseeds = _face_development(images)
-        icover = _cover_region(surface, iseeds, itri)
+        icut = _cover_region(surface, iseeds, itri)
         s = _image_sign(f, face[0], images[0])
         d1 = dmat.a if s == 1 else -dmat.a
         d2 = dmat.d if s == 1 else -dmat.d
         p0 = face[0].start_point().pos
         q0 = images[0].start_point().pos
         by_chart: Dict[int, list] = {}
-        for (chart, eps, shift, piece) in icover:
+        for (chart, eps, shift, piece) in icut:
             by_chart.setdefault(chart, []).append((eps, shift, piece))
-        for (chart, ea, sa, piece_a) in cover:
+        for (chart, ea, sa, piece_a) in cut:
             for (eb, sb, piece_b) in by_chart.get(chart, ()):
                 overlap = piece_a.intersect(piece_b)
                 if overlap is None:

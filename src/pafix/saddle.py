@@ -1,11 +1,14 @@
 """Saddle connections and their exact geometry.
 
-Everything here rides on two primitives, both exact in the field: trace
-walks a straight segment across the surface, and unfold develops chart
+Everything here rides on three primitives, all exact in the field:
+trace walks a straight segment across the surface, unfold develops chart
 placements depth first across every gluing whose placed edge meets a
-region.  On top of them sit saddle connection enumeration (polygon
-unfolding pruned by a holonomy box), spanning rectangles with certified
-immersion degree, and transverse crossings and intersection numbers.
+region, and cover unfolds over a developed convex region and cuts it
+into chart pieces.  On top of them sit saddle connection enumeration
+(polygon unfolding pruned by a holonomy box), spanning rectangles with
+certified immersion degree, and transverse crossings and intersection
+numbers.  cover also serves the oracle's triangles
+(fixcount._cover_region) and map building (affine.develop).
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -31,7 +34,9 @@ from .geom import (
     boxes_disjoint,
     cross_sign,
     float_box,
+    orient,
     segment_intersection,
+    shared_segment,
 )
 
 # Search budgets; each overflow error names its own.
@@ -136,6 +141,55 @@ def unfold(surface: FlatSurface, seeds, meets_edge, budget):
                 tr = surface.transitions[(chart, e)]
                 eps2, shift2 = _place_cross(eps, shift, tr)
                 fresh.append((tr.target[0], eps2, shift2))
+
+
+def cover(surface: FlatSurface, seeds, region: ConvexPolygon, meets_edge,
+          budget):
+    """Cut the developed convex region into chart pieces.
+
+    Unfolds from the seed placements as unfold does, with the same
+    meets_edge and budget.  Returns [(chart, eps, shift, piece)] in
+    first-reached order, one per placement whose polygon meets the region
+    with positive area, piece the chart-coordinate pullback of the region
+    clipped to the placed polygon; or None as soon as a placed vertex lies
+    in the region's interior."""
+    out = []
+    for chart, eps, shift, placed in unfold(surface, seeds, meets_edge,
+                                            budget):
+        for w in placed:
+            if region.contains(w) == 2:
+                return None
+        clip = ConvexPolygon(placed).intersect(region)
+        if clip is not None:
+            # eps = -1 is a rotation by pi, so vertex order stays CCW
+            piece = ConvexPolygon([_place_unapply(eps, shift, v)
+                                   for v in clip.vertices])
+            out.append((chart, eps, shift, piece))
+    return out
+
+
+def chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
+    """Does segment ab (a != b) meet the closed convex region in a chord of
+    positive length?  Boundary chords count, so a cover walks around it.
+
+    The segment misses the interior exactly when some edge line of the
+    region, or the segment's own line, has the two on opposite closed
+    sides.  Then a chord can only run along an edge whose line holds the
+    segment, and the edge lines are tried first: one shared_segment call
+    decides.  Orient signs decide the rest, with no division."""
+    vs = region.vertices
+    n = len(vs)
+    for i in range(n):
+        p, q = vs[i], vs[(i + 1) % n]
+        sa = orient(p, q, a)
+        if sa > 0:
+            continue
+        sb = orient(p, q, b)
+        if sb > 0:
+            continue
+        return sa == 0 == sb and shared_segment(a, b, p, q) is not None
+    sides = {orient(a, b, v) for v in vs}
+    return 1 in sides and -1 in sides
 
 
 # ---------------------------------------------------------------------------
@@ -565,34 +619,22 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
     p0 = sc.start_point().pos
     x2 = p0.x + sc.hol.x
     y2 = p0.y + sc.hol.y
-    bounds = (min(p0.x, x2), max(p0.x, x2), min(p0.y, y2), max(p0.y, y2))
-    placements = _develop_rect(surface, sc, bounds)
-    if placements is None:
+    x0, x1 = min(p0.x, x2), max(p0.x, x2)
+    y0, y1 = min(p0.y, y2), max(p0.y, y2)
+    bounds = (x0, x1, y0, y1)
+    box = ConvexPolygon([Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1),
+                         Vec2(x0, y1)])
+    # unfold the open rectangle, seeded by the diagonal's own chain
+    pieces = cover(surface, sc.placements, box,
+                   lambda a, b: _seg_meets_box(a, b, bounds, closed=False),
+                   ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES))
+    if pieces is None:
         return None
     width = abs(sc.hol.x)
     height = abs(sc.hol.y)
-    deg, ambiguous, translation = _rect_degree(
-        surface, sc, bounds, placements, width, height)
-    return SpanningRectangle(sc, width, height, deg, ambiguous,
-                             translation, bounds, placements)
-
-
-def _develop_rect(surface, sc, bounds):
-    """Unfold the open rectangle, seeded by the diagonal's own chain.
-
-    Returns the placements in first-reached order, or None as soon as a
-    placed singular vertex lies strictly inside the rectangle."""
-    x0, x1, y0, y1 = bounds
-    placements = []
-    for chart, eps, shift, placed in unfold(
-            surface, sc.placements,
-            lambda a, b: _seg_meets_box(a, b, bounds, closed=False),
-            ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES)):
-        for w in placed:
-            if x0 < w.x < x1 and y0 < w.y < y1:
-                return None
-        placements.append((chart, eps, shift))
-    return placements
+    deg, ambiguous, translation = _rect_degree(pieces, width, height)
+    return SpanningRectangle(sc, width, height, deg, ambiguous, translation,
+                             bounds, [(c, e, t) for c, e, t, _ in pieces])
 
 
 def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
@@ -615,25 +657,12 @@ def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
     return best
 
 
-def _rect_degree(surface, sc, bounds, placements, width, height):
-    field = surface.field
-    box = ConvexPolygon([Vec2(bounds[0], bounds[2]),
-                         Vec2(bounds[1], bounds[2]),
-                         Vec2(bounds[1], bounds[3]),
-                         Vec2(bounds[0], bounds[3])])
+def _rect_degree(pieces, width, height):
+    """Immersion degree of a rectangle from its cover: same-chart overlaps
+    of the pieces, which are in chart coordinates, are genuine
+    multiplicity over surface points."""
     by_chart: Dict[int, list] = {}
-    for (chart, eps, shift) in placements:
-        poly = surface.polygons[chart]
-        # eps = -1 is a rotation by pi, so vertex order stays CCW
-        placed = ConvexPolygon([_place_apply(eps, shift, v)
-                                for v in poly.vertices])
-        clipped = placed.intersect(box)
-        if clipped is None:
-            continue
-        # pull back to chart coordinates: same-chart overlaps there are
-        # genuine multiplicity over surface points
-        region = ConvexPolygon([_place_unapply(eps, shift, v)
-                                for v in clipped.vertices], relaxed=True)
+    for (chart, eps, shift, region) in pieces:
         by_chart.setdefault(chart, []).append((eps, shift, region))
     deg = 1
     translations = []
@@ -664,7 +693,7 @@ def _rect_degree(surface, sc, bounds, placements, width, height):
             ambiguous = True
             break
         k = _floor_ratio(v.dot(gen), gen.dot(gen))
-        if not (gen.scale(_r_int(field, k)) - v).is_zero():
+        if not (gen.scale(_r_int(width.field, k)) - v).is_zero():
             ambiguous = True
             break
     if not ambiguous:

@@ -5,7 +5,8 @@ ConvexPolygon.contains and ConvexPolygon.clip_halfplane, and
 pafix.saddle's _seg_meets_box, as they were before the float interval
 filters: every sign is an exact FieldElement.sign of a difference or a
 cross product, and contains re-checks a point on an edge line against the
-edge spans.  canonical_point is FlatSurface.canonical_point as it was
+edge spans.  chord_in_region is the clipping test that
+pafix.saddle.chord_in_region replaced with orient signs.  canonical_point is FlatSurface.canonical_point as it was
 before the one-pass classifier: contains first, then a search of the
 edges with on_segment.  The tests compare the filtered predicates against
 them.
@@ -155,3 +156,34 @@ def canonical_point(surface, sp):
             return ("edge", ((sp.chart, e), sp.pos.x.coeffs, sp.pos.y.coeffs),
                     sp)
     raise AssertionError("boundary point not on any edge")
+
+
+def chord_in_region(region, a, b):
+    """Does segment ab meet the closed convex region in a chord of positive
+    length?  Liang-Barsky: clip the parameter range [0, 1] of ab to each
+    edge's closed inner halfplane, dividing by each edge's cross product,
+    then test the middle of what is left."""
+    field = a.x.field
+    lo, hi = field.zero(), field.one()
+    r = b - a
+    vs = region.vertices
+    n = len(vs)
+    for i in range(n):
+        p, q = vs[i], vs[(i + 1) % n]
+        d = q - p
+        num = (p - a).cross(d)
+        sden = r.cross(d).sign()
+        if sden == 0:
+            if num.sign() < 0:
+                return False
+            continue
+        t = num / r.cross(d)
+        if sden > 0:
+            if (t - hi).sign() < 0:
+                hi = t
+        elif (t - lo).sign() > 0:
+            lo = t
+        if (hi - lo).sign() <= 0:
+            return False
+    mid = a + r.scale((lo + hi) / 2)
+    return contains(vs, mid) >= 1

@@ -16,15 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pafix import fixcount, linalg, saddle, veering
-from pafix.affine import torus_from_matrix
+from pafix import affine, fixcount, linalg, saddle, veering
+from pafix.affine import develop, torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
+    InputError,
     InternalCheckError,
     LambdaNotExpanding,
+    NotBijective,
     NotFixed,
     NotVeering,
 )
+from pafix.flatsurf import FlatSurface
+from pafix.geom import ConvexPolygon, Mat2
 from pafix.fixcount import (
     FixedPoint,
     _comb,
@@ -51,7 +55,7 @@ from pafix.veering import (
     f_section,
 )
 
-from surfbuild import octagon_surface, pillowcase, square_torus
+from surfbuild import octagon_surface, pillowcase, square_torus, vec
 
 # 2 - tr(M^n) for M = [[2,1],[1,1]]; all traces exceed 2 so the fixed
 # point total is tr(M^n) - 2.
@@ -348,6 +352,76 @@ def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     with pytest.raises(InternalCheckError, match="%s = 1 " % budget):
         oracle_count_fixed_points(f, annular_avoiding_f_section(f))
+
+
+def test_develop_overflow_names_its_budget(monkeypatch):
+    monkeypatch.setattr(affine, "_IMAGE_COVER_NODES", 1)
+    with pytest.raises(InternalCheckError, match="_IMAGE_COVER_NODES = 1 "):
+        torus_from_matrix([[2, 1], [1, 1]])
+
+
+def two_triangle_torus(rows):
+    """The eigen torus of rows cut along its diagonal into two triangles,
+    the derivative of its map, and the corner owning the image of the
+    first triangle's outgoing edge at vertex 0."""
+    surface, f = torus_from_matrix(rows)
+    o, w1, w12, w2 = surface.polygons[0].vertices
+    gluings = {}
+    for e1, e2 in (((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))):
+        gluings[e1] = (e2, "translation")
+        gluings[e2] = (e1, "translation")
+    cut = FlatSurface(surface.field, [ConvexPolygon([o, w1, w12]),
+                                      ConvexPolygon([o, w12, w2])],
+                      gluings, marked_corners=[(0, 0)], names=["A", "B"])
+    d_mat = f.pieces[0].map.mat
+    image_corner, _ = cut.owning_corner(0, 0, d_mat.apply(w1))
+    return cut, d_mat, image_corner, f.lambda_
+
+
+@pytest.mark.parametrize("rows, pieces", [
+    ([[2, 1], [1, 1]], 8),
+    ([[3, 1], [2, 1]], 12),
+    ([[-3, -1], [-2, -1]], 12),
+    ([[-2, -1], [-1, -1]], 8),
+])
+def test_develop_on_two_triangles_counts_like_the_torus(rows, pieces):
+    # a second surface for the same maps: every count route agrees with
+    # |det(M^n - I)|, and L with the index sum
+    surface, d_mat, image_corner, lam = two_triangle_torus(rows)
+    f = develop(surface, d_mat, (0, 0), image_corner, lam)
+    assert len(f.pieces) == pieces
+    (a, b), (c, d) = rows
+    m = ((1, 0), (0, 1))
+    for n in (1, 2):
+        m = ((m[0][0] * a + m[0][1] * c, m[0][0] * b + m[0][1] * d),
+             (m[1][0] * a + m[1][1] * c, m[1][0] * b + m[1][1] * d))
+        want = abs((m[0][0] - 1) * (m[1][1] - 1) - m[0][1] * m[1][0])
+        fn = f.power(n)
+        report = count_fixed_points(fn)
+        oracle = oracle_count_fixed_points(fn, annular_avoiding_f_section(fn))
+        assert report.total == want == abs(report.lefschetz) == oracle.total
+        assert report.index_sum == report.lefschetz
+
+
+def test_develop_rejects_a_derivative_outside_the_veech_group():
+    # diag(lambda + 1, 1/(lambda + 1)) is no power of the map's stretch:
+    # the developed pieces disagree across a gluing
+    surface, _, _, lam = two_triangle_torus([[2, 1], [1, 1]])
+    mu = lam + 1
+    d_mat = Mat2.diagonal(mu, mu.inverse())
+    w1 = surface.polygons[0].vertices[1]
+    image_corner, _ = surface.owning_corner(0, 0, d_mat.apply(w1))
+    with pytest.raises(InputError):
+        develop(surface, d_mat, (0, 0), image_corner, mu)
+    # on the square torus this D carries the square over the lattice point
+    # (-1, 0), so its cover stops at a vertex
+    square = square_torus()
+    K = square.field
+    d_mat = Mat2(*(K.rational(Fraction(x)) for x in (-2, 0, Fraction(1, 2),
+                                                     Fraction(-1, 2))))
+    image_corner, _ = square.owning_corner(0, 0, d_mat.apply(vec(K, 1, 0)))
+    with pytest.raises(NotBijective, match="over a vertex"):
+        develop(square, d_mat, (0, 0), image_corner, K.rational(2))
 
 
 def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):

@@ -29,7 +29,6 @@ from pafix.affine import (
     PiecewiseAffineMap,
     Piece,
     torus_from_matrix,
-    validate_automorphism,
 )
 from pafix import fileio
 from pafix.fixcount import _horizontal_germs, count_fixed_points
@@ -659,12 +658,6 @@ class TestMapValidation:
         with pytest.raises(NotBijective):
             PiecewiseAffineMap(t, pieces)
 
-    def test_validate_automorphism_entry_point(self):
-        surf, f = torus_from_matrix([[2, 1], [1, 1]])
-        m = PiecewiseAffineMap(surf, f.pieces)
-        back = validate_automorphism(surf, m)
-        assert back.lambda_ == f.lambda_
-
 
 @pytest.mark.parametrize("rows", [
     [[2, 1], [1, 1]], [[3, 1], [2, 1]], [[-3, -1], [-2, -1]]])
@@ -724,6 +717,24 @@ mark A.0
         assert fmap is None
         assert surf.genus == 1
         assert surf.cone_points[0].is_marked
+
+    def test_map_section_without_pieces_is_rejected(self):
+        text = """
+[FIELD]
+minpoly = x^2 - 3*x + 1
+root = (2, 3)
+
+[SURFACE]
+polygon A = (0,0) (1,0) (1,1) (0,1)
+glue A.0 A.2 translation
+glue A.1 A.3 translation
+mark A.0
+
+[MAP]
+lambda = g
+"""
+        with pytest.raises(ParseError, match="line 12: .*no piece lines"):
+            fileio.loads(text)
 
     def test_parse_error_has_line_number(self):
         bad = """

@@ -16,8 +16,12 @@ decide.
 In a quadratic field `orient`, `cross_sign`, the side list of
 `clip_halfplane` and the comparisons are integer kernels with no filter
 and no fallback: they are checked against a model of the field in the
-basis (1, sqrt D) whose signs sympy evaluates, and the fallback tests run
-on x^3 - 2."""
+basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
+filter decides, and that it falls back, run on x^3 - 2.
+
+`saddle.chord_in_region`, which decides from orient signs alone, is
+checked against `geomref.chord_in_region`, the division-based clip it
+replaced."""
 
 import math
 from fractions import Fraction
@@ -39,7 +43,7 @@ from pafix.geom import (
     segment_intersection,
     shared_segment,
 )
-from pafix.saddle import _seg_meets_box
+from pafix.saddle import _seg_meets_box, chord_in_region
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -333,6 +337,31 @@ def test_contains_matches_the_exact_reference(poly, lo, hi):
     check()
 
 
+@pytest.mark.parametrize("poly, lo, hi", [FIELDS[0], FIELDS[2]])
+def test_chord_in_region_matches_the_clipping_reference(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+
+    @settings(max_examples=12, deadline=None)
+    @given(coefficients(7 * K.degree), ratio, st.integers(75, 100),
+           st.booleans())
+    def check(cs, t, bits, negative):
+        verts, points = polygon_and_points(K, cs, t, bits, negative)
+        region = ConvexPolygon(verts)
+        z = points[-1]
+        # every pair of points: random segments, segments along an edge
+        # line, out of a vertex and near an edge; then segments through
+        # each vertex and along each whole edge line
+        segments = [(p, q) for p in points for q in points if p != q]
+        segments += [(v + v - z, z) for v in verts if v != z]
+        segments += [(a + a - b, b + b - a)
+                     for a, b in zip(verts, verts[1:] + verts[:1])]
+        for a, b in segments:
+            assert chord_in_region(region, a, b) == \
+                geomref.chord_in_region(region, a, b)
+
+    check()
+
+
 @pytest.fixture
 def sign_calls(monkeypatch):
     """Every FieldElement.sign call made while the test runs."""
@@ -347,7 +376,7 @@ def sign_calls(monkeypatch):
     return calls
 
 
-def test_filter_decides_the_piece_corners_of_cat_squared(sign_calls):
+def test_integer_kernel_decides_the_piece_corners_of_cat_squared(sign_calls):
     # in this quadratic field the integer kernel decides, with no sign call
     _, f = torus_from_matrix([[2, 1], [1, 1]])
     regions = [piece.region for piece in f.power(2).pieces]
@@ -394,7 +423,7 @@ def test_near_degenerate_orient_falls_back_to_the_exact_sign(sign_calls, bits):
         assert geomref.orient(a, b, c) == want
 
 
-def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
+def test_integer_kernel_decides_cross_signs_and_comparisons_of_disjoint_bounds(
         sign_calls):
     # in this quadratic field the integer kernels decide, with no sign call
     _, f = torus_from_matrix([[2, 1], [1, 1]])
@@ -417,6 +446,35 @@ def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
         assert u < v and u <= v and not u > v and not u >= v
         assert v > u and v >= u and not v < u and not v <= u
     assert sign_calls == []
+
+
+def test_filter_decides_cross_signs_and_comparisons_of_disjoint_bounds(
+        sign_calls):
+    # in x^3 - 2 the float filter decides whenever the intervals exclude 0:
+    # the turns of a convex chain of cubic points, and every pair of their
+    # coordinates whose float bounds are disjoint, cost no exact sign
+    K = RealNumberField.create(*FIELDS[2])
+    g = K.gen()
+    g2 = g * g
+    chain = [Vec2(g * i, g2 * Fraction(i, 8) + i * i)
+             for i in range(-6, 7)]
+    turns = [(chain[i + 1] - chain[i], chain[i + 2] - chain[i + 1])
+             for i in range(len(chain) - 2)]
+    coords = [x for v in chain for x in (v.x, v.y)]
+    coords += [x for u, v in turns for x in (u.x, u.y, v.x, v.y)]
+    pairs = [(u, v) for u in coords for v in coords
+             if u.float_bounds()[1] < v.float_bounds()[0]]
+    assert len(pairs) > 1000
+    del sign_calls[:]
+    for u, v in turns:
+        assert cross_sign(u, v) == 1
+    for u, v in pairs:
+        assert u < v and u <= v and not u > v and not u >= v
+        assert v > u and v >= u and not v < u and not v <= u
+    assert sign_calls == []
+    # the same turns, read exactly, agree
+    assert all(u.cross(v).sign() == 1 for u, v in turns)
+    assert sign_calls
 
 
 @pytest.mark.parametrize("bits", (90, 91))

@@ -1,4 +1,6 @@
-"""Every name a pafix module imports is read there or exported."""
+"""Every name a pafix module imports is read there or exported, and every
+private (underscore) function, class or method that pafix defines is read
+somewhere in pafix."""
 
 import ast
 import pathlib
@@ -35,3 +37,24 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in sorted(src.glob("*.py"))
               for name in _unread_imports(path)}
     assert unread == EXEMPT
+
+
+def test_no_private_helper_is_orphaned():
+    # a private name counts as read wherever pafix names it: as a plain
+    # name, or as an attribute (self._helper, module._helper)
+    src = pathlib.Path(pafix.__file__).parent
+    defined = set()
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defined.add((path.stem, name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted((m, n) for m, n in defined if n not in read) == []
