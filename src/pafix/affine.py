@@ -66,6 +66,9 @@ class Piece:
 
 
 class PiecewiseAffineMap:
+    # the map a PowerAutomorphism iterates; None for every other map
+    base: Optional["AffineAutomorphism"] = None
+
     def __init__(self, surface: FlatSurface, pieces: Sequence[Piece],
                  validate: bool = True):
         self.surface = surface
@@ -381,7 +384,13 @@ class InverseAutomorphism(PiecewiseAffineMap):
 class PowerAutomorphism(AffineAutomorphism):
     """Lazy n-th power: iterates its base, so apply, carry and the
     derivative sign walk the base n times; pieces are composed only on
-    request, when .pieces or piece_at is read."""
+    request, when .pieces or piece_at is read.
+
+    A power counts on its base's section (veering.annular_avoiding_f_section):
+    the base's annular-avoiding f-section T has base(T) <= T; both +-D keep
+    every slope's sign, so the base respects the section order, which is
+    transitive, and base^n(T) <= T.  The degree threshold reads only T's
+    rectangles.  Edge images stay per map, in ._images."""
 
     def __init__(self, base: AffineAutomorphism, n: int):
         self.base = base

@@ -389,6 +389,11 @@ def count_fixed_points(f) -> FixReport:
     oracle and the Markov bound for the same map; rectangles and
     crossing numbers come from the surface's edge_cache.
 
+    A power f = b^n counts over b's section T: b(T) <= T, both +-D keep
+    every slope's sign, so b respects the section order, which is
+    transitive, and f(T) <= T; the degree threshold reads only T's
+    rectangles.
+
     f must expand the horizontal direction: `count_fixed_points(f.inverse())`
     raises LambdaNotExpanding.  Fix(f^-1) = Fix(f), so count f instead."""
     section = annular_avoiding_f_section(f)

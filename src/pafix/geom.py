@@ -38,28 +38,33 @@ predicates).  The filtered predicates are:
   decide.  Bounds that overlap, or only share an end, cost a subtraction
   and an exact sign, since `float_bounds` promises no more than
   lo <= x <= hi;
-- `saddle._seg_meets_box`, which runs three stages: it rejects when the
-  segment's float box misses the box's outer float box, accepts when an
-  endpoint's float box lies strictly inside the box's inner float box,
-  and otherwise clips over intervals (Liang-Barsky), accepting when the
-  interval of the clipped length lies above 0; the exact clip decides
-  the rest;
-- `saddle._box_candidates`, whose visibility search crosses an edge when
-  the edge's part inside the window of sight meets the holonomy box.  A
-  miss of the whole edge's float box with the box's outer float box is
-  final, because that part lies on the edge.  Acceptance without
-  clipping needs both endpoints strictly inside the box: the part is
-  then inside too, and never empty, while with one endpoint outside it
-  could still miss the box, so the exact clip decides.
+- `saddle._seg_meets_box`, whether the open segment meets the open box,
+  which runs three stages: it rejects when the segment's float box
+  misses the box's outer float box, accepts when an endpoint's float box
+  lies strictly inside the box's inner float box, and otherwise clips
+  over intervals (Liang-Barsky), accepting when the interval of the
+  clipped length lies above 0; the exact clip decides the rest.
 
 `cross_sign` and the comparisons carry the cone, wedge and exit-edge
 tests of the saddle search and `trace`, and the bound tests of the
 spanning rectangles and the fixed-point solver.  A few exact paths answer
 without arithmetic: outside degree 2 a repeated point makes `orient` 0,
 and identical segments overlap in themselves.  The float box prefilters
-(`float_box`, `boxes_disjoint`, `saddle._seg_meets_box` and the
-visibility search's outer box) serve every degree; they may claim
-"maybe" but never lie about "no".
+(`float_box`, `boxes_disjoint` and `saddle._seg_meets_box`) serve every
+degree; they may claim "maybe" but never lie about "no".
+
+The visibility prune of `saddle._box_candidates` is float only, with no
+exact fallback: it may say "maybe" but is never wrong about "misses".
+The search crosses an edge when the edge's part inside the window of
+sight may meet the holonomy box.  It skips an edge whose float box
+misses the box's outer float box, since that part lies on the edge;
+crosses one with both endpoints strictly inside the box's inner float
+box, since the part is then inside too and never empty; and otherwise
+skips the edge only when Liang-Barsky over intervals
+(`saddle._window_misses_box`), clipping to the window's two half-planes
+and the outer float box, leaves a certainly empty range.  An edge
+crossed in vain costs nodes that hold no candidate, and every candidate
+still passes the exact box, window and walk tests.
 """
 
 from __future__ import annotations

@@ -30,7 +30,11 @@ from .geom import (
     ConvexPolygon,
     Vec2,
     _ibox,
+    _icross,
     _iclip,
+    _idiv,
+    _isub,
+    _ivec,
     boxes_disjoint,
     cross_sign,
     float_box,
@@ -425,15 +429,18 @@ def _box_candidates(surface, corner, bx, by):
     window; the spurious candidates behind it are discarded later by the
     walk verification.
 
-    An edge is crossed when its part inside the window meets the box.
-    Float boxes skip an edge that misses the box and cross one with both
-    endpoints strictly inside it without clipping; the geom module
-    docstring says why both rules are sound."""
+    An edge is crossed unless floats show that its part inside the
+    window misses the box (see the geom module docstring).  A prune that
+    says "maybe" where the exact answer is "misses" loses nothing: the
+    box is convex and holds the origin, so an in-box vertex seen through
+    an edge is seen along a segment from the origin that crosses the edge
+    inside the box, within the window.  Through an edge whose windowed
+    part misses the box no in-box vertex is seen, so the extra node and
+    its children hold no candidate."""
     chart, vidx = corner
     origin = surface.polygons[chart].vertices[vidx]
     out_ray, back_ray = surface.corner_rays(corner)
-    bounds = (-bx, bx, -by, by)
-    nbx, nby = bounds[0], bounds[2]
+    nbx, nby = -bx, -by
     bx_lo, bx_hi = bx.float_bounds()
     by_lo, by_hi = by.float_bounds()
     outer = (-bx_hi, bx_hi, -by_hi, by_hi)
@@ -484,10 +491,9 @@ def _box_candidates(surface, corner, bx, by):
             if boxes_disjoint(seg, outer):
                 continue
             if not (-bx_lo < sx0 and sx1 < bx_lo
-                    and -by_lo < sy0 and sy1 < by_lo):
-                ca, cb = _clip_to_cone(a, b, lo, hi)
-                if ca is None or not _seg_meets_box(ca, cb, bounds, closed=True):
-                    continue
+                    and -by_lo < sy0 and sy1 < by_lo) \
+                    and _window_misses_box(a, b, lo, hi, outer):
+                continue
             tr = surface.transitions[(p, e)]
             eps2, shift2 = _place_cross(eps, shift, tr)
             stack.append(((tr.target[0], eps2, shift2), lo, hi,
@@ -501,36 +507,49 @@ def _in_cone(u: Vec2, v: Vec2, x: Vec2) -> bool:
     return cross_sign(u, x) >= 0 and cross_sign(x, v) >= 0
 
 
-def _clip_to_cone(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2):
-    """Clip segment ab to the closed cone between rays lo and hi (CCW,
-    angle below pi).  Returns (a', b') or (None, None) if empty."""
-    field = a.x.field
-    t0 = field.zero()
-    t1 = field.one()
-    d = b - a
-    for ray, side in ((lo, 1), (hi, -1)):
-        # keep cross(ray, x) * side >= 0
-        fa = ray.cross(a) * field.rational(side)
-        fd = ray.cross(d) * field.rational(side)
-        if fd.is_zero():
-            if fa.sign() < 0:
-                return None, None
+def _window_misses_box(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2, box) -> bool:
+    """True when the part of segment ab inside the closed cone from ray lo
+    counterclockwise to ray hi certainly misses the float box
+    (x0, x1, y0, y1); False means maybe.
+
+    Liang-Barsky over float intervals, in the scheme of geom._iclip: along
+    a + t(b - a), t in [0, 1], each window half-plane and each box side
+    bounds t from one side, taken at the end of its interval that widens
+    the range.  The search's rays lie in the cone from a to b, so
+    cross(ray, b - a) > 0, and lo bounds t from below, hi from above.  A
+    bound is dropped when its rate interval holds 0, or, for a ray, does
+    not lie above it.  The widened range holds the exact one, so when it
+    is empty the part misses."""
+    pa = _ibox(a)
+    d = _ivec(a, b)
+    t_lo, t_hi = 0.0, 1.0
+    # cross(ray, a + t d) = 0 at t = -q
+    for ray, below in ((lo, True), (hi, False)):
+        r = _ibox(ray)
+        rate = _icross(r, d)
+        if rate[0] <= 0:
             continue
-        t = -fa / fd
-        if fd.sign() > 0:
-            if t > t0:
-                t0 = t
+        q = _idiv(_icross(r, pa), rate)
+        if below:
+            t_lo = max(t_lo, -q[1])
         else:
-            if t < t1:
-                t1 = t
-    if t1 < t0:
-        return None, None
-    return a + d.scale(t0), a + d.scale(t1)
+            t_hi = min(t_hi, -q[0])
+    for pv, dv, blo, bhi in ((pa[0], d[0], box[0], box[1]),
+                             (pa[1], d[1], box[2], box[3])):
+        if dv[0] <= 0 <= dv[1]:
+            continue
+        ta = _idiv(_isub((blo, blo), pv), dv)
+        tb = _idiv(_isub((bhi, bhi), pv), dv)
+        if dv[1] < 0:
+            ta, tb = tb, ta
+        t_lo = max(t_lo, ta[0])
+        t_hi = min(t_hi, tb[1])
+    return t_hi < t_lo
 
 
-def _seg_meets_box(a: Vec2, b: Vec2, bounds, closed: bool) -> bool:
-    """Does segment ab (a != b) meet the axis box (x0, x1, y0, y1)?
-    closed=False asks the open segment to meet the open box.
+def _seg_meets_box(a: Vec2, b: Vec2, bounds) -> bool:
+    """Does the open segment ab (a != b) meet the open axis box
+    (x0, x1, y0, y1)?
 
     Floats decide first: disjoint float boxes reject, an endpoint strictly
     inside the box accepts (near it, the open segment is inside the open
@@ -556,14 +575,8 @@ def _seg_meets_box(a: Vec2, b: Vec2, bounds, closed: bool) -> bool:
     d = b - a
     for av, dv, blo, bhi in ((a.x, d.x, x0, x1), (a.y, d.y, y0, y1)):
         if dv.is_zero():
-            s_lo = (av - blo).sign()
-            s_hi = (av - bhi).sign()
-            if closed:
-                if s_lo < 0 or s_hi > 0:
-                    return False
-            else:
-                if s_lo <= 0 or s_hi >= 0:
-                    return False
+            if (av - blo).sign() <= 0 or (av - bhi).sign() >= 0:
+                return False
             continue
         t_lo = (blo - av) / dv
         t_hi = (bhi - av) / dv
@@ -573,8 +586,7 @@ def _seg_meets_box(a: Vec2, b: Vec2, bounds, closed: bool) -> bool:
             lo = t_lo
         if t_hi < hi:
             hi = t_hi
-    s = (hi - lo).sign()
-    return s >= 0 if closed else s > 0
+    return (hi - lo).sign() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +638,7 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
                          Vec2(x0, y1)])
     # unfold the open rectangle, seeded by the diagonal's own chain
     pieces = cover(surface, sc.placements, box,
-                   lambda a, b: _seg_meets_box(a, b, bounds, closed=False),
+                   lambda a, b: _seg_meets_box(a, b, bounds),
                    ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES))
     if pieces is None:
         return None

@@ -19,7 +19,8 @@ records of a pair (saddle.crossings) are kept, not only their number,
 so the sweeps here and the rectangle solver of fixcount cross each pair
 once.  A map owns what depends on it: its edge images and the section
 that annular_avoiding_f_section keeps, so every counter run on one map
-shares one section.  No routine takes a cache.
+shares one section, and every power of one map shares its base's.  No
+routine takes a cache.
 
 A map acts on edges through its own germ primitive: f.carry takes an
 edge's start germ (corner and holonomy) to the image germ, exactly, and
@@ -730,10 +731,16 @@ def annular_avoiding_f_section(f) -> Section:
     the f-section property at every step.
 
     The result is kept on the map (f._section), so repeated calls
-    return the same Section, with the images under f already in
-    f._images; its cache is the surface's edge_cache.  The section is
-    shared: callers must not mutate it or its cache's entries."""
+    return the same Section; its cache is the surface's edge_cache.  A
+    power (f.base set) takes its base's section, kept on both, so every
+    power of one base shares one section; the PowerAutomorphism docstring
+    says why it serves the power.  Edge images stay per map, in
+    f._images.  The section is shared: callers must not mutate it or its
+    cache's entries."""
     if f._section is not None:
+        return f._section
+    if f.base is not None:
+        f._section = annular_avoiding_f_section(f.base)
         return f._section
     cur = f_section(f)
     cache = cur.cache

@@ -5,7 +5,9 @@ ConvexPolygon.contains and ConvexPolygon.clip_halfplane, and
 pafix.saddle's _seg_meets_box, as they were before the float interval
 filters: every sign is an exact FieldElement.sign of a difference or a
 cross product, and contains re-checks a point on an edge line against the
-edge spans.  chord_in_region is the clipping test that
+edge spans.  clip_to_cone, followed by seg_meets_box with closed=True, is
+the exact edge test that pafix.saddle's visibility search ran before its
+float prune.  chord_in_region is the clipping test that
 pafix.saddle.chord_in_region replaced with orient signs.  canonical_point is FlatSurface.canonical_point as it was
 before the one-pass classifier: contains first, then a search of the
 edges with on_segment.  The tests compare the filtered predicates against
@@ -132,6 +134,32 @@ def seg_meets_box(a, b, bounds, closed):
             hi = t_hi
     s = (hi - lo).sign()
     return s >= 0 if closed else s > 0
+
+
+def clip_to_cone(a, b, lo, hi):
+    """Segment ab clipped to the closed cone between rays lo and hi (CCW,
+    angle below pi), as (a', b'), or (None, None) when nothing is left."""
+    field = a.x.field
+    t0 = field.zero()
+    t1 = field.one()
+    d = b - a
+    for ray, side in ((lo, 1), (hi, -1)):
+        # keep cross(ray, x) * side >= 0
+        fa = ray.cross(a) * field.rational(side)
+        fd = ray.cross(d) * field.rational(side)
+        if fd.sign() == 0:
+            if fa.sign() < 0:
+                return None, None
+            continue
+        t = -fa / fd
+        if fd.sign() > 0:
+            if (t - t0).sign() > 0:
+                t0 = t
+        elif (t - t1).sign() < 0:
+            t1 = t
+    if (t1 - t0).sign() < 0:
+        return None, None
+    return a + d.scale(t0), a + d.scale(t1)
 
 
 def canonical_point(surface, sp):

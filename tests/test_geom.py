@@ -21,7 +21,9 @@ filter decides, and that it falls back, run on x^3 - 2.
 
 `saddle.chord_in_region`, which decides from orient signs alone, is
 checked against `geomref.chord_in_region`, the division-based clip it
-replaced."""
+replaced.  `saddle._window_misses_box`, the float-only prune of the
+saddle search, is checked one-sided: whenever it says "misses",
+`geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
 
 import math
 from fractions import Fraction
@@ -43,7 +45,7 @@ from pafix.geom import (
     segment_intersection,
     shared_segment,
 )
-from pafix.saddle import _seg_meets_box, chord_in_region
+from pafix.saddle import _seg_meets_box, _window_misses_box, chord_in_region
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -200,10 +202,9 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
         if a == b or c == d:
             return
         bounds = box_of(c, d)
-        for closed in (True, False):
-            for p, q in ((a, b), (b, a)):
-                assert _seg_meets_box(p, q, bounds, closed) == \
-                    geomref.seg_meets_box(p, q, bounds, closed)
+        for p, q in ((a, b), (b, a)):
+            assert _seg_meets_box(p, q, bounds) == \
+                geomref.seg_meets_box(p, q, bounds, closed=False)
         x0, x1, y0, y1 = bounds
         if x0 == x1 or y0 == y1:
             return
@@ -217,6 +218,44 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
             assert (got and got.vertices) == want
 
     check()
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS)
+def test_visibility_prune_misses_only_what_the_exact_clip_misses(poly, lo, hi):
+    # the float prune of the saddle search may say "maybe" for a window
+    # that misses the box, but never "misses" for one that meets it; the
+    # rays are random, through a, b, a point of line ab and the box
+    # corners, and within |tiny| of the ray through a
+    K = RealNumberField.create(poly, lo, hi)
+    misses = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(configurations(K), coefficients(4 * K.degree))
+    def check(args, cs):
+        a, b, c, d = configuration(K, *args)
+        if a == b or c == d:
+            return
+        bounds = x0, x1, y0, y1 = box_of(c, d)
+        outer = (x0.float_bounds()[0], x1.float_bounds()[1],
+                 y0.float_bounds()[0], y1.float_bounds()[1])
+        r = b - a
+        near = a + Vec2(-r.y, r.x).scale(tiny(K, args[4], args[5]))
+        rays = [point(K, cs[:2 * K.degree]), point(K, cs[2 * K.degree:]),
+                a, b, a + r.scale(K.rational(args[2])), near,
+                Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1)]
+        for lo_ray in rays:
+            for hi_ray in rays:
+                if cross_sign(lo_ray, hi_ray) <= 0:
+                    continue
+                if not _window_misses_box(a, b, lo_ray, hi_ray, outer):
+                    continue
+                misses.append(1)
+                ca, cb = geomref.clip_to_cone(a, b, lo_ray, hi_ray)
+                assert ca is None or \
+                    not geomref.seg_meets_box(ca, cb, bounds, closed=True)
+
+    check()
+    assert misses
 
 
 def test_shared_segment_of_nested_and_touching_sides():
@@ -539,9 +578,8 @@ def test_filters_need_only_an_enclosure():
         for b in points:
             if a == b:
                 continue
-            for closed in (True, False):
-                assert _seg_meets_box(a, b, bounds, closed) == \
-                    geomref.seg_meets_box(a, b, bounds, closed)
+            assert _seg_meets_box(a, b, bounds) == \
+                geomref.seg_meets_box(a, b, bounds, closed=False)
 
 
 def surd_model(K):

@@ -6,6 +6,7 @@ rectangles' degrees are forced by the holonomy, and intersection numbers
 reduce to lattice counting.  The octagon and pillowcase exercise cone
 angles above and below 2 pi."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -164,6 +165,40 @@ def test_counts_match_primitive_lattice_oracle_on_irrational_tori(m, counts):
         hols = [sc.hol for sc in enumerate_saddles(surface, bound, bound)]
         assert len(hols) == len(set(hols)) == count
         assert set(hols) == primitive_lattice_holonomies(surface, bound)
+
+
+def thin_torus():
+    return rect_torus(1, Fraction(1, 4))
+
+
+# (surface, box) -> (number of records, sha256 of repr of the records) of
+# enumerate_saddles(surface, box, box), taken while the visibility search
+# still clipped each edge exactly; its float prune must not change them.
+# On the thin torus, unlike the others, pruning every edge that reaches
+# outside the box loses connections.
+ENUMERATED = {
+    ("square_torus", 1): (8, "8c0ca5d03d71215cc204d8844507cdc3cbf7e03c72452cfc46b6f7bae29c794c"),
+    ("square_torus", 2): (16, "e9737b1932e0cb2d821bdea5041bd866d104ffe88755e67a853332c3b9e28ad9"),
+    ("square_torus", 4): (48, "3191a6c31a4e60ae6d54f94d80e5af6dfbb6f18a452500c217f3912944d345d7"),
+    ("pillowcase", 1): (32, "cdda3c2644430c128309069c944abab8420971ada07e296daaf356cf119aa4d2"),
+    ("pillowcase", 2): (96, "9a176cfb8b48431ff5318477f030286f1e0ed472319368f8fae8ff2673787872"),
+    ("pillowcase", 4): (352, "f64488b1d941d9d6c7fb99b875785acf78f0a33da2654d8163b5818cb187e6b2"),
+    ("octagon_surface", 1): (8, "6da6b5e79eebfa534bfc734bc84740f900329cdf50ab1cd2c03ee5ab681d6d2d"),
+    ("octagon_surface", 2): (32, "c446d28827690d76ffcd2cadc41990f15416c8bea2274dfb7ca254c669ff8b8c"),
+    ("octagon_surface", 4): (72, "55c26fcaaf2c1698871bab6c394bf3769da71e7671e5a53f7fb87a20b42c1165"),
+    ("thin_torus", 1): (20, "c7593065b03b924c7066622fc5545df8d107d47d28c7a2bd869733bf80dbd8ac"),
+    ("thin_torus", 2): (52, "a8c6864c32c35d92d886397bddd99d61635e075afe12a42e24be9a90f21ff480"),
+    ("thin_torus", 4): (176, "8774968773b7cf63e4c9506b3376e392b2c02d97422ac01a1c44401c6910b25f"),
+}
+
+
+@pytest.mark.parametrize(
+    "make", [square_torus, pillowcase, octagon_surface, thin_torus])
+def test_enumerated_records_are_pinned(make):
+    for box in (1, 2, 4):
+        records = [sc.record() for sc in enumerate_saddles(make(), box, box)]
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert (len(records), digest) == ENUMERATED[(make.__name__, box)]
 
 
 def test_box_below_systole_is_empty():

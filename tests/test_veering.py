@@ -270,11 +270,25 @@ def test_annular_avoiding_equals_f_section_on_torus(torus):
 
 
 def test_annular_avoiding_section_is_kept_on_the_map():
+    # every power of a map counts on the map's own section T: f(T) <= T,
+    # both +-D keep every slope's sign and the order is transitive, so
+    # f^n(T) <= T
+    for matrix, powers in (([[2, 1], [1, 1]], (2, 3, 4)),
+                           ([[3, 1], [2, 1]], (2, 3)),
+                           ([[-3, -1], [-2, -1]], (2, 3)),
+                           ([[-2, -1], [-1, -1]], (2, 3))):
+        surface, f = torus_from_matrix(matrix)
+        T = annular_avoiding_f_section(f)
+        assert annular_avoiding_f_section(f) is T
+        for n in powers:
+            g = f.power(n)
+            assert annular_avoiding_f_section(g) is T
+            assert section_leq(apply_to_section(g, T), T)
+    # a power asked first builds the section on its base, which keeps it
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    T = annular_avoiding_f_section(f)
+    T = annular_avoiding_f_section(f.power(2))
     assert annular_avoiding_f_section(f) is T
-    # another map, even a power of the same one, gets its own section
-    assert annular_avoiding_f_section(f.power(2)) is not T
+    assert annular_avoiding_f_section(f.power(3)) is T
 
 
 def test_sections_on_one_surface_share_its_edge_cache():
