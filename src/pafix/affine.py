@@ -3,9 +3,13 @@ sitting inside them.
 
 A PiecewiseAffineMap is a finite list of pieces; each piece carries a convex
 source region inside one polygon chart, an affine map, and a target chart.
-Validation checks that the regions tile the surface, that the map is
-continuous across piece boundaries and across gluings, and (for
-automorphisms) that the image regions tile as well, so the map is bijective.
+Validation checks that the regions tile the surface, that every piece maps
+into its target chart, that the map is continuous across piece boundaries
+and across gluings, and (for automorphisms) that the image regions tile as
+well, so the map is bijective.  Continuity is checked once per vertex
+star, a piece vertex with every piece holding it: the ends of every
+segment two pieces share, in a chart or across a glued edge, are piece
+vertices, so agreement at the stars is agreement everywhere.
 
 An AffineAutomorphism additionally has every derivative equal to
 diag(lambda, 1/lambda) up to an overall sign per piece (the sign is the
@@ -39,7 +43,7 @@ from .geom import (
     boxes_disjoint,
     cross_sign,
     float_box,
-    shared_segment,
+    orient,
 )
 from .saddle import _place_cross, chord_in_region, cover
 from .veering import edge_cache
@@ -90,7 +94,6 @@ class PiecewiseAffineMap:
             self._by_chart[piece.chart].append(piece)
         if validate:
             self._validate_source_tiling()
-            self._validate_images_inside()
             self._validate_continuity()
 
     # -- validation -----------------------------------------------------------
@@ -115,76 +118,93 @@ class PiecewiseAffineMap:
                         raise NotBijective(
                             "piece regions overlap in chart %d" % chart)
 
-    def _validate_images_inside(self):
-        for piece in self.pieces:
-            target_poly = self.surface.polygons[piece.target]
-            for v in piece.region.vertices:
-                if target_poly.contains(piece.map.apply(v)) == 0:
-                    raise NotBijective(
-                        "piece image leaves its target chart %d" % piece.target)
-
     def _validate_continuity(self):
         """The map must agree wherever two piece regions touch, including
-        touching across a glued edge.  Affine on segments: agreement at the
-        two endpoints of the shared sub-segment is agreement everywhere.
+        touching across a glued edge, and must map every piece into its
+        target chart.  Affine on segments: agreement at the two ends of a
+        shared sub-segment is agreement along it.
 
-        Every side of a piece is tested against the sides of each other
-        piece in its chart and against each polygon edge of its chart with
-        geom.shared_segment, whose float intervals drop the pairs that are
-        not parallel or lie on different lines, and which orders collinear
-        ends without a division.  A shared sub-segment also lies in the
-        conservative float boxes of both regions and of both sides, so
-        pairs whose boxes are disjoint are skipped: they cannot overlap,
-        and every check that can fail runs."""
+        Every vertex image of every piece is computed and checked inside
+        its target chart first (NotBijective), before any comparison can
+        raise Discontinuous.  Then one pass over vertex stars: a star is a
+        distinct piece vertex of a chart together with every piece whose
+        closed region holds it.  The first such piece, in chart order,
+        maps the star; each other piece must map it to the same surface
+        point.  A star on a glued edge is crossed to the partner chart and
+        must map to the same point there: the crossed point's own star
+        when it is a piece vertex there, else self.apply (a T-junction).
+        Images compare as equal (chart, pos) pairs first, then by
+        canonical_point keys, each star's key computed at most once.
+
+        This is as strong as comparing every pair of piece sides: the
+        segment two piece sides share, or a piece side and a glued polygon
+        edge, ends at vertices of one of the two pieces or of the polygon,
+        and the source tiling (checked first) makes every polygon vertex a
+        piece vertex too.  So each end is a star holding both pieces, or a
+        star on the glued edge.  It rejects no continuous map either: a
+        continuous map is single-valued at every point that several closed
+        pieces hold."""
         surface = self.surface
-        sides = {piece: [(a, b, float_box((a, b))) for a, b in piece.region.edges()]
-                 for piece in self.pieces}
-        # same-chart adjacencies
-        for chart in range(len(surface.polygons)):
-            pieces = self._by_chart[chart]
-            for i in range(len(pieces)):
-                for j in range(i + 1, len(pieces)):
-                    if boxes_disjoint(pieces[i].region.float_bbox(),
-                                      pieces[j].region.float_bbox()):
-                        continue
-                    for a, b, box1 in sides[pieces[i]]:
-                        for c, d, box2 in sides[pieces[j]]:
-                            if boxes_disjoint(box1, box2):
-                                continue
-                            hit = shared_segment(a, b, c, d)
-                            if hit is None:
-                                continue
-                            for pt in hit:
-                                p1 = SurfacePoint(pieces[i].target,
-                                                  pieces[i].map.apply(pt))
-                                p2 = SurfacePoint(pieces[j].target,
-                                                  pieces[j].map.apply(pt))
-                                if not surface.same_point(p1, p2):
-                                    raise Discontinuous(
-                                        "pieces disagree at %r in chart %d"
-                                        % (pt, chart))
-        # across gluings
-        for (edge, tr) in surface.transitions.items():
+        polygons = surface.polygons
+        canonical = surface.canonical_point
+        images = {}
+        for piece in self.pieces:
+            target_poly = polygons[piece.target]
+            ws = [piece.map.apply(v) for v in piece.region.vertices]
+            for w in ws:
+                if target_poly.contains(w) == 0:
+                    raise NotBijective(
+                        "piece image leaves its target chart %d" % piece.target)
+            images[piece] = ws
+
+        # a star is [image, canonical key or None, float box of the vertex]
+        def key(star):
+            if star[1] is None:
+                star[1] = canonical(star[0])[:2]
+            return star[1]
+
+        # same chart: every piece holding a star maps it where the first does
+        stars = []
+        for chart, pieces in enumerate(self._by_chart):
+            own = {}
+            for piece in pieces:
+                for v, w in zip(piece.region.vertices, images[piece]):
+                    own.setdefault(v, {})[piece] = w
+            chart_stars = {}
+            for v, held in own.items():
+                box = float_box((v,))
+                star = None
+                for piece in pieces:
+                    w = held.get(piece)
+                    if w is None:
+                        if (boxes_disjoint(box, piece.region.float_bbox())
+                                or piece.region.contains(v) == 0):
+                            continue
+                        w = piece.map.apply(v)
+                    image = SurfacePoint(piece.target, w)
+                    if star is None:
+                        star = [image, None, box]
+                    elif image != star[0] and canonical(image)[:2] != key(star):
+                        raise Discontinuous(
+                            "pieces disagree at %r in chart %d" % (v, chart))
+                chart_stars[v] = star
+            stars.append(chart_stars)
+        # across gluings: a star on an edge maps where its crossing does
+        for edge, tr in surface.transitions.items():
             chart, e = edge
-            a, b = surface.polygons[chart].edges()[e]
-            box1 = float_box((a, b))
-            for piece in self._by_chart[chart]:
-                if boxes_disjoint(box1, piece.region.float_bbox()):
+            a, b = polygons[chart].edges()[e]
+            edge_box = float_box((a, b))
+            partner = stars[tr.target[0]]
+            for v, star in stars[chart].items():
+                if boxes_disjoint(edge_box, star[2]) or orient(a, b, v) != 0:
                     continue
-                for c, d, box2 in sides[piece]:
-                    if boxes_disjoint(box1, box2):
-                        continue
-                    hit = shared_segment(a, b, c, d)
-                    if hit is None:
-                        continue
-                    for pt in hit:
-                        other = surface.cross_edge(edge, pt)
-                        img1 = SurfacePoint(piece.target, piece.map.apply(pt))
-                        img2 = self.apply(other)
-                        if not surface.same_point(img1, img2):
-                            raise Discontinuous(
-                                "pieces disagree across edge %s at %r"
-                                % (edge, pt))
+                other = surface.cross_edge(edge, v)
+                # no piece vertex there (a T-junction): the piece holding it
+                crossed = (partner.get(other.pos)
+                           or [self.apply(other), None, None])
+                if crossed[0] != star[0] and key(crossed) != key(star):
+                    raise Discontinuous(
+                        "pieces disagree across edge %s at %r" % (edge, v))
 
     def _validate_image_tiling(self):
         surface = self.surface

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, for small systems.
 
 A matrix is a list of rows and a vector a list of entries; entries are
-ints or Fractions and results are Fractions.  The users are the
+ints or Fractions and results are Fractions.  The user is the
 homological Lefschetz number (a map's trace on the few polygon edges of
-a surface, modulo the polygon boundaries) and the minimal polynomial of
-a field element (the power basis of a field of small degree), so plain
-Gauss-Jordan elimination is fast enough and needs no external package.
+a surface, modulo the polygon boundaries), and the tests find a field
+element's minimal polynomial over the power basis of a field of small
+degree, so plain Gauss-Jordan elimination is fast enough and needs no
+external package.
 
     >>> from pafix.linalg import nullspace, quotient_trace
     >>> [[str(x) for x in v] for v in nullspace([[1, 2, 3], [2, 4, 6]], 3)]

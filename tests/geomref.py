@@ -10,12 +10,16 @@ the exact edge test that pafix.saddle's visibility search ran before its
 float prune.  chord_in_region is the clipping test that
 pafix.saddle.chord_in_region replaced with orient signs.  canonical_point is FlatSurface.canonical_point as it was
 before the one-pass classifier: contains first, then a search of the
-edges with on_segment.  The tests compare the filtered predicates against
-them.
+edges with on_segment.  validate_continuity is
+PiecewiseAffineMap's continuity check as it was before the vertex stars:
+every pair of piece sides, and every piece side against every glued
+polygon edge, compared at the ends of their shared segment.  The tests
+compare the filtered predicates and the star check against them.
 """
 
-from pafix.errors import InputError, NonConvexPolygon
-from pafix.geom import ConvexPolygon
+from pafix.errors import Discontinuous, InputError, NonConvexPolygon
+from pafix.flatsurf import SurfacePoint
+from pafix.geom import ConvexPolygon, boxes_disjoint, float_box, shared_segment
 
 
 def orient(a, b, c):
@@ -215,3 +219,56 @@ def chord_in_region(region, a, b):
             return False
     mid = a + r.scale((lo + hi) / 2)
     return contains(vs, mid) >= 1
+
+
+def validate_continuity(m):
+    """Raise Discontinuous where two pieces of the map m, or a piece and
+    its crossing of a glued edge, disagree at an end of a shared segment;
+    float boxes skip the pairs of sides that cannot share one."""
+    surface = m.surface
+    sides = {piece: [(a, b, float_box((a, b))) for a, b in piece.region.edges()]
+             for piece in m.pieces}
+    for chart in range(len(surface.polygons)):
+        pieces = m._by_chart[chart]
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                if boxes_disjoint(pieces[i].region.float_bbox(),
+                                  pieces[j].region.float_bbox()):
+                    continue
+                for a, b, box1 in sides[pieces[i]]:
+                    for c, d, box2 in sides[pieces[j]]:
+                        if boxes_disjoint(box1, box2):
+                            continue
+                        hit = shared_segment(a, b, c, d)
+                        if hit is None:
+                            continue
+                        for pt in hit:
+                            p1 = SurfacePoint(pieces[i].target,
+                                              pieces[i].map.apply(pt))
+                            p2 = SurfacePoint(pieces[j].target,
+                                              pieces[j].map.apply(pt))
+                            if not surface.same_point(p1, p2):
+                                raise Discontinuous(
+                                    "pieces disagree at %r in chart %d"
+                                    % (pt, chart))
+    for (edge, tr) in surface.transitions.items():
+        chart, e = edge
+        a, b = surface.polygons[chart].edges()[e]
+        box1 = float_box((a, b))
+        for piece in m._by_chart[chart]:
+            if boxes_disjoint(box1, piece.region.float_bbox()):
+                continue
+            for c, d, box2 in sides[piece]:
+                if boxes_disjoint(box1, box2):
+                    continue
+                hit = shared_segment(a, b, c, d)
+                if hit is None:
+                    continue
+                for pt in hit:
+                    other = surface.cross_edge(edge, pt)
+                    img1 = SurfacePoint(piece.target, piece.map.apply(pt))
+                    img2 = m.apply(other)
+                    if not surface.same_point(img1, img2):
+                        raise Discontinuous(
+                            "pieces disagree across edge %s at %r"
+                            % (edge, pt))

@@ -20,13 +20,13 @@ from pafix.exactnum import (
     RationalInterval,
     RealNumberField,
     count_real_roots,
-    element_minimal_polynomial,
     format_poly,
     parse_element,
     parse_poly,
 )
 
 from fracref import RefField
+from minpoly import element_minimal_polynomial
 from props import check_ring_axioms, element_vectors
 
 

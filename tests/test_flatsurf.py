@@ -21,8 +21,9 @@ from pafix.errors import (
     UnmarkedConePoint,
     UnmatchedEdge,
 )
-from pafix.exactnum import FieldElement, RealNumberField, element_minimal_polynomial
-from pafix.geom import AffineMap, ConvexPolygon, Mat2, Vec2, segment_intersection
+from pafix.exactnum import FieldElement, RealNumberField
+from pafix.geom import (AffineMap, ConvexPolygon, Mat2, Vec2,
+                        segment_intersection, shared_segment)
 from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.affine import (
     AffineAutomorphism,
@@ -30,10 +31,13 @@ from pafix.affine import (
     Piece,
     torus_from_matrix,
 )
+import pafix.geom
+import pafix.saddle
 from pafix import fileio
 from pafix.fixcount import _horizontal_germs, count_fixed_points
 
 import geomref
+from minpoly import element_minimal_polynomial
 from surfbuild import (octagon_surface, pillowcase, point, rational_field,
                        square_polygon, square_torus, vec)
 
@@ -633,20 +637,80 @@ class TestMapValidation:
             PiecewiseAffineMap(t, pieces)
         assert str(err.value) == "pieces disagree at (1/2, 0) in chart 0"
 
+    def test_t_junction_across_a_gluing_is_mapped_by_apply(self, monkeypatch):
+        # (1/2, 0) crosses the bottom edge to (1/2, 1), which is no piece
+        # vertex: it lies inside the top side of the first piece
+        t = square_torus()
+        f = t.field
+        h = Fraction(1, 2)
+        first = ConvexPolygon([vec(f, 0, 0), vec(f, h, 0), vec(f, 1, 1),
+                               vec(f, 0, 1)])
+        second = ConvexPolygon([vec(f, h, 0), vec(f, 1, 0), vec(f, 1, 1)])
+        ident = AffineMap(Mat2.identity(f), vec(f, 0, 0))
+        calls = Counter()
+        real_apply = PiecewiseAffineMap.apply
+
+        def counted(self, sp):
+            calls[(sp.chart, sp.pos)] += 1
+            return real_apply(self, sp)
+        monkeypatch.setattr(PiecewiseAffineMap, "apply", counted)
+        PiecewiseAffineMap(t, [Piece(0, first, ident, 0),
+                               Piece(0, second, ident, 0)])
+        assert calls[(0, vec(f, h, 1))] >= 1
+
+    def test_half_translation_maps_on_the_pillowcase(self):
+        p = pillowcase()
+        f = p.field
+        ident = AffineMap(Mat2.identity(f), vec(f, 0, 0))
+        halfturn = Mat2.diagonal(-f.one(), -f.one())
+        a, b = p.polygons
+
+        def halfturn_about(poly):
+            # z -> 2c - z, c the centre of the quarter square
+            lo, hi = poly.vertices[0], poly.vertices[2]
+            return AffineMap(halfturn, lo + hi)
+
+        half_period = Fraction(1, 2)
+        maps = [
+            (ident, 0, ident, 1),
+            (AffineMap(Mat2.identity(f), vec(f, half_period, 0)), 1,
+             AffineMap(Mat2.identity(f), vec(f, -half_period, 0)), 0),
+            (halfturn_about(a), 0, halfturn_about(b), 1),
+        ]
+        for map_a, target_a, map_b, target_b in maps:
+            PiecewiseAffineMap(p, [Piece(0, a, map_a, target_a),
+                                   Piece(1, b, map_b, target_b)])
+        with pytest.raises(Discontinuous) as err:
+            PiecewiseAffineMap(p, [Piece(0, a, ident, 0),
+                                   Piece(1, b, halfturn_about(b), 1)])
+        assert str(err.value) == \
+            "pieces disagree across edge (0, 1) at (1/2, 0)"
+
     def test_validation_divides_nothing_and_clips_nothing(self, monkeypatch):
         surf, cat = torus_from_matrix([[2, 1], [1, 1]])
         _, other = torus_from_matrix([[3, 1], [2, 1]])
         _, loaded = fileio.loads(fileio.dumps(surf, cat.power(2)))
         calls = Counter()
-        for cls, name in ((FieldElement, "inverse"),
-                          (ConvexPolygon, "intersect")):
-            def counted(*args, _real=getattr(cls, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(cls, name, counted)
+
+        def count(owner, name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted, raising=False)
+        count(FieldElement, "inverse", FieldElement.inverse)
+        count(ConvexPolygon, "intersect", ConvexPolygon.intersect)
         for g in (cat, other, loaded):
             AffineAutomorphism(g.surface, g.pieces, g.lambda_)
         assert len(loaded.pieces) == 16
+        assert calls == Counter()
+        # the vertex stars compare no pair of sides, and on these maps
+        # every crossed boundary vertex is a piece vertex of its chart, so
+        # no crossing falls back to piece_at
+        for module in (pafix.geom, pafix.affine, pafix.saddle):
+            count(module, "shared_segment", shared_segment)
+        count(PiecewiseAffineMap, "piece_at", PiecewiseAffineMap.piece_at)
+        for g in (cat, other, loaded):
+            PiecewiseAffineMap(g.surface, g.pieces)
         assert calls == Counter()
 
     def test_source_not_tiled(self):
@@ -657,6 +721,59 @@ class TestMapValidation:
         pieces = [Piece(0, half, AffineMap(Mat2.identity(f), vec(f, 0, 0)), 0)]
         with pytest.raises(NotBijective):
             PiecewiseAffineMap(t, pieces)
+
+
+_SHIFTS = ((Fraction(1, 7), 0), (0, Fraction(1, 5)),
+           (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 100), 0),
+           (0, Fraction(1, 1000)))
+
+
+def _perturbed(g):
+    """g's pieces with one piece's shift moved, or with one piece given
+    the next piece's map, where every piece still maps into its target
+    chart."""
+    surface, pieces = g.surface, list(g.pieces)
+    field = surface.field
+    for i, p in enumerate(pieces):
+        nxt = pieces[(i + 1) % len(pieces)]
+        alts = [Piece(p.chart, p.region,
+                      AffineMap(p.map.mat, p.map.shift + vec(field, s * x, s * y)),
+                      p.target)
+                for x, y in _SHIFTS for s in (1, -1)]
+        alts.append(Piece(p.chart, p.region, nxt.map, nxt.target))
+        for alt in alts:
+            target = surface.polygons[alt.target]
+            if all(target.contains(alt.map.apply(v))
+                   for v in alt.region.vertices):
+                yield surface, pieces[:i] + [alt] + pieces[i + 1:]
+
+
+def _verdict(check, m):
+    try:
+        check(m)
+    except Discontinuous:
+        return "discontinuous"
+    return "accept"
+
+
+def test_star_continuity_check_agrees_with_the_pairwise_reference():
+    maps = []
+    for rows in ([[2, 1], [1, 1]], [[3, 1], [2, 1]], [[-3, -1], [-2, -1]],
+                 [[-2, -1], [-1, -1]], [[4, 1], [3, 1]]):
+        _, f = torus_from_matrix(rows)
+        maps += [f, f.power(2)]
+    surf, cat = torus_from_matrix([[2, 1], [1, 1]])
+    maps.append(fileio.loads(fileio.dumps(surf, cat.power(2)))[1])
+    cases = [(g.surface, list(g.pieces)) for g in maps]
+    # every second perturbation, which keeps the test near 1.5 s
+    cases += [case for g in maps for case in _perturbed(g)][::2]
+    verdicts = Counter()
+    for surface, pieces in cases:
+        m = PiecewiseAffineMap(surface, pieces, validate=False)
+        want = _verdict(geomref.validate_continuity, m)
+        assert _verdict(PiecewiseAffineMap._validate_continuity, m) == want
+        verdicts[want] += 1
+    assert verdicts["accept"] > len(maps) and verdicts["discontinuous"] > 100
 
 
 @pytest.mark.parametrize("rows", [
