@@ -93,10 +93,14 @@ class PiecewiseAffineMap:
                 raise InputError("piece target %d out of range" % piece.target)
             self._by_chart[piece.chart].append(piece)
         if validate:
-            self._validate_source_tiling()
-            self._validate_continuity()
+            self._validate()
 
     # -- validation -----------------------------------------------------------
+
+    def _validate(self) -> dict:
+        """Run every check; returns each piece's vertex images."""
+        self._validate_source_tiling()
+        return self._validate_continuity()
 
     def _validate_source_tiling(self):
         for chart, poly in enumerate(self.surface.polygons):
@@ -118,11 +122,12 @@ class PiecewiseAffineMap:
                         raise NotBijective(
                             "piece regions overlap in chart %d" % chart)
 
-    def _validate_continuity(self):
+    def _validate_continuity(self) -> dict:
         """The map must agree wherever two piece regions touch, including
         touching across a glued edge, and must map every piece into its
         target chart.  Affine on segments: agreement at the two ends of a
-        shared sub-segment is agreement along it.
+        shared sub-segment is agreement along it.  Returns the vertex
+        images of each piece, in its region's vertex order.
 
         Every vertex image of every piece is computed and checked inside
         its target chart first (NotBijective), before any comparison can
@@ -205,12 +210,17 @@ class PiecewiseAffineMap:
                 if crossed[0] != star[0] and key(crossed) != key(star):
                     raise Discontinuous(
                         "pieces disagree across edge %s at %r" % (edge, v))
+        return images
 
-    def _validate_image_tiling(self):
+    def _validate_image_tiling(self, images: dict):
+        """The image regions, built from the vertex images that
+        _validate_continuity computed, must tile every chart.  Every
+        derivative is +-diag(lambda, 1/lambda), of determinant 1, so the
+        images keep the counterclockwise order and need no reversal."""
         surface = self.surface
         by_target: List[list] = [[] for _ in surface.polygons]
         for piece in self.pieces:
-            by_target[piece.target].append(piece.image())
+            by_target[piece.target].append(ConvexPolygon(images[piece]))
         for chart, poly in enumerate(surface.polygons):
             total = surface.field.zero()
             for img in by_target[chart]:
@@ -339,9 +349,12 @@ class AffineAutomorphism(PiecewiseAffineMap):
         m = pieces[0].map.mat
         self.derivative = m if m.a == lambda_ else -m
         super().__init__(surface, pieces, validate=validate)
-        if validate:
-            self._validate_image_tiling()
         self.singularity_permutation = self._compute_singularity_permutation()
+
+    def _validate(self) -> dict:
+        images = super()._validate()
+        self._validate_image_tiling(images)
+        return images
 
     def _compute_singularity_permutation(self):
         surface = self.surface

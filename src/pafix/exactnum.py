@@ -73,7 +73,6 @@ from .errors import (
 Rat = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HASH_MODULUS = sys.hash_info.modulus
 
 # Bisections of a new field's root bracket.
@@ -506,6 +505,8 @@ class RealNumberField:
         return _reduced(self, [c.numerator * (den // c.denominator) for c in vec], den)
 
     def rational(self, value: Rat) -> "FieldElement":
+        if value.__class__ is int:
+            return FieldElement(self, (value,) + (0,) * (self.degree - 1), 1)
         value = Fraction(value)
         return FieldElement(self, (value.numerator,) + (0,) * (self.degree - 1),
                             value.denominator)
@@ -518,8 +519,8 @@ class RealNumberField:
 
     def gen(self) -> "FieldElement":
         if self.degree == 1:
-            return self.rational(Fraction(self._a, self._q))
-        return self.element([0, 1])
+            return FieldElement(self, (self._a,), self._q)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -921,24 +922,32 @@ class FieldElement:
 # parsing and formatting
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\+|-|\*|/|\(|\))")
+# one match per token: optional whitespace, then a number, a name or an
+# operator; where no token starts, the catch-all group takes the text from
+# there to the next non-space character, whose first character is the one
+# the error names
+_TOKEN_RE = re.compile(
+    r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\+|-|\*|/|\(|\))|(\s*\S)")
 
 
 def _tokenize(text: str) -> list:
     text = text.strip()
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r in %r" % (text[pos], text))
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    found = _TOKEN_RE.findall(text)
+    tokens = [tok for tok, _ in found if tok]
+    if len(tokens) < len(found):
+        bad = next(rest for _, rest in found if rest)
+        raise ParseError("unexpected character %r in %r" % (bad[0], text))
+    return tokens
 
 
 def _parse_poly(text: str, var: str) -> list:
-    """Parse a sum of terms like '3*x^2 - x/2 + 5' into ascending Fraction
-    coefficients.  Only the single variable `var` is allowed."""
+    """Parse a sum of terms like '3*x^2 - x/2 + 5' into ascending
+    coefficients, each an integer pair (num, den) with den > 0, not in
+    lowest terms, and no zero coefficient last.  Only the single variable
+    `var` is allowed.
+
+    A term's digit factors multiply num and its /k factors multiply den;
+    terms on the same power add by cross-multiplying."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
@@ -961,7 +970,7 @@ def _parse_poly(text: str, var: str) -> list:
         if not first and not saw_sign:
             fail("missing operator between terms")
         first = False
-        coeff = None
+        num, den = sign, 1
         power = 0
         saw_factor = False
         expect_factor = True
@@ -974,14 +983,14 @@ def _parse_poly(text: str, var: str) -> list:
                     fail("dangling operator")
             tok = tokens[i]
             if tok.isdigit():
-                val = Fraction(int(tok))
+                val = int(tok)
                 i += 1
                 if op == "/":
                     if val == 0:
                         fail("division by zero")
-                    coeff = (coeff if coeff is not None else _ONE) / val
+                    den *= val
                 else:
-                    coeff = (coeff if coeff is not None else _ONE) * val
+                    num *= val
             elif tok == var:
                 if op == "/":
                     fail("cannot divide by the generator")
@@ -1002,35 +1011,50 @@ def _parse_poly(text: str, var: str) -> list:
             expect_factor = False
         if not saw_factor:
             fail("empty term")
-        c = sign * (coeff if coeff is not None else _ONE)
-        coeffs[power] = coeffs.get(power, _ZERO) + c
-    deg = max(coeffs) if coeffs else 0
-    return _strip([coeffs.get(k, _ZERO) for k in range(deg + 1)])
+        old = coeffs.get(power)
+        if old is None:
+            coeffs[power] = (num, den)
+        elif old[1] == den:
+            coeffs[power] = (old[0] + num, den)
+        else:
+            coeffs[power] = (old[0] * den + num * old[1], old[1] * den)
+    out = [coeffs.get(k, (0, 1)) for k in range(max(coeffs) + 1)]
+    while out and not out[-1][0]:
+        out.pop()
+    return out
 
 
 def parse_poly(text: str, var: str = "x") -> tuple:
     """Parse an integer-coefficient polynomial; returns normalized ascending
     integer coefficients."""
-    return _normalize_minpoly(_parse_poly(text, var))
+    return _normalize_minpoly([Fraction(n, d) for n, d in _parse_poly(text, var)])
 
 
 def parse_element(field: RealNumberField, text: str) -> FieldElement:
     """Parse an element written as a polynomial in ``g``.
+
+    The coefficients below the field degree are brought over the lcm of
+    their denominators, in integers; each higher power g^k adds its
+    coefficient times g ** k.
 
         >>> K = RealNumberField.create([-1, -1, 1], 1, 2)
         >>> parse_element(K, "2*g - 1/2")
         2*g - 1/2
     """
     coeffs = _parse_poly(text, "g")
-    if len(coeffs) > field.degree:
-        # reduce high powers of g
-        el = field.zero()
+    degree = field.degree
+    low = coeffs[:degree]
+    den = math.lcm(*[d for _, d in low])
+    num = [n * (den // d) for n, d in low]
+    el = _reduced(field, num + [0] * (degree - len(num)), den)
+    if len(coeffs) > degree:
         g = field.gen()
-        for k, c in enumerate(coeffs):
-            if c:
-                el = el + field.rational(c) * g ** k
-        return el
-    return field.element(coeffs)
+        pad = [0] * (degree - 1)
+        for k in range(degree, len(coeffs)):
+            n, d = coeffs[k]
+            if n:
+                el = el + _reduced(field, [n] + pad, d) * g ** k
+    return el
 
 
 def format_poly(coeffs: Sequence[Rat], var: str) -> str:

@@ -553,53 +553,31 @@ class ConvexPolygon:
         """Intersection with {z : cross(d, z - p) >= 0}, the closed halfplane
         to the left of the directed line through p with direction d.
         Returns None when the intersection has empty interior."""
-        vs = self.vertices
-        n = len(vs)
-        # left of the directed line: cross(d, z - p) >= 0, i.e. side <= 0
-        px, py = p.x, p.y
-        quad = px.field._quad
-        if quad is not None:
-            dx = (*d.x.num, d.x.den)
-            dy = (*d.y.num, d.y.den)
-            sides = [_det2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
-                     for v in vs]
-        else:
-            d_box = _ibox(d)
-            sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
-                                    lambda: (v - p).cross(d).sign())
-                     for v in vs]
-        keep = [s <= 0 for s in sides]
-        if all(keep):
-            return self
-        if not any(s < 0 for s in sides):
-            return None
-        out = []
-        for i in range(n):
-            j = (i + 1) % n
-            if keep[i]:
-                out.append(vs[i])
-            if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
-                a, b = vs[i], vs[j]
-                r = b - a
-                denom = r.cross(d)
-                t = (p - a).cross(d) / denom
-                out.append(a + r.scale(t))
-            # vertices exactly on the line are kept once by keep[i]
-        try:
-            return ConvexPolygon(out, relaxed=True)
-        except NonConvexPolygon:
-            return None
+        return self._rebuilt(_clip(self.vertices, p, d))
 
     def intersect(self, other: "ConvexPolygon") -> Optional["ConvexPolygon"]:
-        """Intersection with positive area, or None."""
+        """Intersection with positive area, or None: the vertex list is
+        clipped by each edge line of other in turn, and one polygon is
+        built at the end."""
         if boxes_disjoint(self.float_bbox(), other.float_bbox()):
             return None
-        poly: Optional[ConvexPolygon] = self
+        vs = self.vertices
         for a, b in other.edges():
-            poly = poly.clip_halfplane(a, b - a)
-            if poly is None:
+            vs = _clip(vs, a, b - a)
+            if vs is None:
                 return None
-        return poly
+        return self._rebuilt(vs)
+
+    def _rebuilt(self, vs) -> Optional["ConvexPolygon"]:
+        """The polygon on a vertex list that _clip returned."""
+        if vs is None:
+            return None
+        if vs is self.vertices:
+            return self
+        try:
+            return ConvexPolygon(vs, relaxed=True)
+        except NonConvexPolygon:
+            return None
 
     def overlaps(self, other: "ConvexPolygon") -> bool:
         """Do the interiors meet?  The same answer as intersect(other) is
@@ -621,6 +599,50 @@ class ConvexPolygon:
 
     def __repr__(self):
         return "ConvexPolygon(%s)" % (list(self.vertices),)
+
+
+def _clip(vs, p: Vec2, d: Vec2):
+    """The vertices of a strictly convex counterclockwise polygon clipped
+    to the closed halfplane left of the directed line through p with
+    direction d: vs itself when every vertex is in it, None when no vertex
+    is strictly inside.
+
+    Otherwise the kept vertices and the crossing points of the line, in
+    order.  The signs are exact, so the line meets the interior; the
+    clipped polygon is again strictly convex, with exactly two points on
+    the line (a vertex on it, or a crossing strictly inside an edge), so
+    clipping again needs no collinear drop and the vertex order never
+    changes."""
+    n = len(vs)
+    # left of the directed line: cross(d, z - p) >= 0, i.e. side <= 0
+    px, py = p.x, p.y
+    quad = px.field._quad
+    if quad is not None:
+        dx = (*d.x.num, d.x.den)
+        dy = (*d.y.num, d.y.den)
+        sides = [_det2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
+                 for v in vs]
+    else:
+        d_box = _ibox(d)
+        sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
+                                lambda: (v - p).cross(d).sign())
+                 for v in vs]
+    if all(s <= 0 for s in sides):
+        return vs
+    if not any(s < 0 for s in sides):
+        return None
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        if sides[i] <= 0:
+            out.append(vs[i])
+        if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
+            a, b = vs[i], vs[j]
+            r = b - a
+            t = (p - a).cross(d) / r.cross(d)
+            out.append(a + r.scale(t))
+        # vertices exactly on the line are kept once above
+    return out
 
 
 def _edge_line_separates(vs, others) -> bool:

@@ -1,4 +1,4 @@
-"""Reference field arithmetic on tuples of Fractions.
+"""Reference field arithmetic and parsing on tuples of Fractions.
 
 This is the representation pafix.exactnum used before it moved to integer
 numerators over one denominator: products reduce with a Fraction table of
@@ -6,9 +6,19 @@ g^d .. g^(2d-2), inverses come from the extended Euclidean algorithm, and
 signs from interval Horner on Fractions over a root bracket that this
 module refines by its own bisection.  The tests compare the integer
 arithmetic against it.
+
+The parser is the one pafix.exactnum used before it parsed in integer
+pairs: a token loop of anchored matches, and a recursive descent that sums
+each power's coefficient in Fractions.  parse_poly and RefField.parse give
+its values; the tests compare exactnum's parsers, values and ParseError
+messages alike, against them.
 """
 
+import math
+import re
 from fractions import Fraction
+
+from pafix.errors import ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -148,3 +158,114 @@ class RefField:
 
     def hash(self, a):
         return hash((self.minpoly, a))
+
+    def parse(self, text):
+        """The element a polynomial in g denotes, as a coefficient tuple:
+        sum c_k * g^k with g^k a product of generators."""
+        gen = self.vec([self.lo] if self.degree == 1 else [0, 1])
+        out, power = self.vec([]), self.vec([1])
+        for c in parse_coeffs(text, "g"):
+            out = self.add(out, self.mul(self.vec([c]), power))
+            power = self.mul(power, gen)
+        return out
+
+
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\+|-|\*|/|\(|\))")
+
+
+def _tokenize(text):
+    text = text.strip()
+    pos, out = 0, []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError("unexpected character %r in %r" % (text[pos], text))
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def parse_coeffs(text, var):
+    """Parse a sum of terms like '3*x^2 - x/2 + 5' into ascending Fraction
+    coefficients.  Only the single variable `var` is allowed."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    coeffs = {}
+    i = 0
+    n = len(tokens)
+
+    def fail(msg):
+        raise ParseError("%s in %r" % (msg, text))
+
+    first = True
+    while i < n:
+        sign = 1
+        saw_sign = False
+        while i < n and tokens[i] in "+-":
+            saw_sign = True
+            if tokens[i] == "-":
+                sign = -sign
+            i += 1
+        if not first and not saw_sign:
+            fail("missing operator between terms")
+        first = False
+        coeff = None
+        power = 0
+        saw_factor = False
+        expect_factor = True
+        while i < n and (expect_factor or tokens[i] in ("*", "/")):
+            op = None
+            if tokens[i] in ("*", "/") and saw_factor:
+                op = tokens[i]
+                i += 1
+                if i >= n:
+                    fail("dangling operator")
+            tok = tokens[i]
+            if tok.isdigit():
+                val = Fraction(int(tok))
+                i += 1
+                if op == "/":
+                    if val == 0:
+                        fail("division by zero")
+                    coeff = (coeff if coeff is not None else _ONE) / val
+                else:
+                    coeff = (coeff if coeff is not None else _ONE) * val
+            elif tok == var:
+                if op == "/":
+                    fail("cannot divide by the generator")
+                i += 1
+                p = 1
+                if i < n and tokens[i] == "^":
+                    i += 1
+                    if i >= n or not tokens[i].isdigit():
+                        fail("exponent must be a nonnegative integer")
+                    p = int(tokens[i])
+                    i += 1
+                power += p
+            else:
+                if op is not None:
+                    fail("unexpected token %r" % tok)
+                break
+            saw_factor = True
+            expect_factor = False
+        if not saw_factor:
+            fail("empty term")
+        c = sign * (coeff if coeff is not None else _ONE)
+        coeffs[power] = coeffs.get(power, _ZERO) + c
+    deg = max(coeffs) if coeffs else 0
+    return _strip([coeffs.get(k, _ZERO) for k in range(deg + 1)])
+
+
+def parse_poly(text, var):
+    """Integer coefficients, ascending, with no common factor and a
+    positive leading one."""
+    coeffs = parse_coeffs(text, var)
+    if len(coeffs) < 2:
+        raise ParseError("defining polynomial must have degree at least 1")
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return tuple(c // content for c in ints)

@@ -1,10 +1,11 @@
 import doctest
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pafix.exactnum as exactnum
@@ -25,6 +26,7 @@ from pafix.exactnum import (
     parse_poly,
 )
 
+import fracref
 from fracref import RefField
 from minpoly import element_minimal_polynomial
 from props import check_ring_axioms, element_vectors
@@ -321,6 +323,78 @@ class TestParsing:
     def test_whitespace_insensitive(self):
         K = trace3_field()
         assert parse_element(K, " 2*g-1 ") == parse_element(K, "2 * g - 1")
+
+
+# (ascending minpoly, root bracket) of trace3_field(), x^3 - 2 and 2x - 3
+PARSE_FIELDS = [((1, -3, 1), 2, 3), ((-2, 0, 0, 1), 1, 2), ((-3, 2), 1, 2)]
+GARBAGE = ["", "1.5", "g**2", "2 2", "y + 1", "g^-1", "3//2", "(g",
+           "1 . 5", "2*g +\t#", "1/0", "g/2/g", "2*", "- +", "g^"]
+
+
+def _outcome(parse):
+    """parse()'s value, or its ParseError message."""
+    try:
+        return "value", parse()
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def _spaced(draw, tokens):
+    """The tokens joined with random runs of whitespace, ends included."""
+    space = st.text(alphabet=" \t", max_size=2)
+    return "".join(draw(space) + tok for tok in tokens) + draw(space)
+
+
+@st.composite
+def polynomial_texts(draw, top_power=6):
+    """Signed sums of products and quotients of digits and powers of g,
+    powers repeated and above the field degree."""
+    tokens = []
+    for k in range(draw(st.integers(1, 6))):
+        signs = draw(st.sampled_from(["", "+", "-", "--", "+-"]))
+        if k and not signs:
+            signs = "+"
+        tokens += list(signs)
+        factors = draw(st.lists(st.one_of(
+            st.integers(0, 400).map(str),
+            st.just("g"),
+            st.integers(0, top_power).map("g^{}".format)), min_size=1, max_size=4))
+        tokens.append(factors[0])
+        for f in factors[1:]:
+            if draw(st.booleans()):
+                tokens += ["/", str(draw(st.integers(1, 30)))]
+            tokens += ["*", f]
+        if draw(st.booleans()):
+            tokens += ["/", str(draw(st.integers(1, 30)))]
+    return _spaced(draw, tokens)
+
+
+@st.composite
+def token_soup(draw):
+    """Strings of valid and invalid tokens, exponents below 100."""
+    pieces = ["g", "x", "y", "0", "3", "12", "^", "*", "/", "+", "-", "(",
+              ")", ".", "**", "#"]
+    text = _spaced(draw, draw(st.lists(st.sampled_from(pieces), max_size=8)))
+    assume(all(int(e) < 100 for e in re.findall(r"\^\s*(\d+)", text)))
+    return text
+
+
+@pytest.mark.parametrize("poly, lo, hi", PARSE_FIELDS)
+def test_parsers_agree_with_the_fraction_reference(poly, lo, hi):
+    K = RealNumberField.create(poly, lo, hi)
+    ref = RefField(poly, lo, hi)
+
+    def check(text):
+        assert (_outcome(lambda: parse_element(K, text).coeffs)
+                == _outcome(lambda: ref.parse(text)))
+        assert (_outcome(lambda: parse_poly(text, "g"))
+                == _outcome(lambda: fracref.parse_poly(text, "g")))
+
+    for text in GARBAGE:
+        assert _outcome(lambda: ref.parse(text))[0] == "error"
+        check(text)
+    given(polynomial_texts(K.degree + 3) | token_soup())(
+        settings(max_examples=200, deadline=None)(check))()
 
 
 FIELD_FOR_PROPS = trace3_field()

@@ -713,6 +713,27 @@ class TestMapValidation:
             PiecewiseAffineMap(g.surface, g.pieces)
         assert calls == Counter()
 
+    def test_images_must_tile_every_chart(self):
+        # two copies of the cat torus, each glued to itself with its
+        # vertex marked, and two copies of the cat map: sending both onto
+        # chart 0 is continuous, but chart 0 is covered twice
+        surf, cat = torus_from_matrix([[2, 1], [1, 1]])
+        poly = surf.polygons[0]
+        gluings = {(c, e): ((c, (e + 2) % 4), "translation")
+                   for c in (0, 1) for e in range(4)}
+        tori = FlatSurface(surf.field, [poly, poly], gluings,
+                           marked_corners=[(0, 0), (1, 0)])
+
+        def pieces(target_of_1):
+            return [Piece(c, p.region, p.map, target_of_1 if c else 0)
+                    for c in (0, 1) for p in cat.pieces]
+        with pytest.raises(NotBijective) as exc:
+            AffineAutomorphism(tori, pieces(0), cat.lambda_)
+        assert str(exc.value) == (
+            "image regions of chart 0 cover area 8/5*g - 12/5 of 4/5*g - 6/5")
+        f = AffineAutomorphism(tori, pieces(1), cat.lambda_)
+        assert f.singularity_permutation == {0: 0, 1: 1}
+
     def test_source_not_tiled(self):
         t = square_torus()
         f = t.field

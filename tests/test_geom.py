@@ -6,7 +6,9 @@
 from float intervals only when the interval decides it, and
 `ConvexPolygon.contains` no longer re-checks edge spans; `geomref` keeps
 the exact versions, and `overlaps` is checked against the clipped
-polygon of `ConvexPolygon.intersect`.  The inputs mix random
+polygon of `ConvexPolygon.intersect`, itself checked against
+`geomref.clip_halfplane` applied one edge line at a time, a polygon
+built after each, as `intersect` once did.  The inputs mix random
 points, exactly degenerate configurations (collinear and axis-parallel
 segments, shared points, segments along a box edge, through a box corner
 or ending on the box boundary) and near-degenerate ones whose cross
@@ -287,6 +289,17 @@ def reflected(K, verts, centre):
     return ConvexPolygon([centre.scale(two) - v for v in verts])
 
 
+def intersect_as_clips(P, Q):
+    """P.intersect(Q)'s vertices, checked against the reference clipping
+    P by Q's edge lines one at a time, a polygon built after each."""
+    got = P.intersect(Q)
+    want = tuple(P.vertices)
+    for a, b in Q.edges():
+        want = want and geomref.clip_halfplane(want, a, b - a)
+    assert (got and got.vertices) == want
+    return got
+
+
 @pytest.mark.parametrize("poly, lo, hi", FIELDS)
 def test_overlaps_matches_intersect(poly, lo, hi):
     K = RealNumberField.create(poly, lo, hi)
@@ -302,7 +315,7 @@ def test_overlaps_matches_intersect(poly, lo, hi):
         # part of it), just off an edge, on a diagonal and at random
         for centre in points:
             Q = reflected(K, verts, centre)
-            want = P.intersect(Q) is not None
+            want = intersect_as_clips(P, Q) is not None
             assert P.overlaps(Q) == want
             assert Q.overlaps(P) == want
         half = K.rational(Fraction(1, 2))
@@ -320,11 +333,11 @@ def test_overlaps_matches_intersect(poly, lo, hi):
             for k in (Fraction(1, 2), Fraction(1)):
                 shift = (v - m).scale(K.rational(k))
                 T = ConvexPolygon([p + shift, v + shift, mid + shift])
-                want = P.intersect(T) is not None
+                want = intersect_as_clips(P, T) is not None
                 assert want == (k < 1)
                 assert P.overlaps(T) == want
                 assert T.overlaps(P) == want
-        assert P.overlaps(P)
+        assert P.overlaps(P) and P.intersect(P) is P
 
     check()
 
