@@ -45,7 +45,7 @@ from .geom import (
     float_box,
     orient,
 )
-from .saddle import _place_cross, chord_in_region, cover
+from .saddle import _place_cross, cover
 from .veering import edge_cache
 
 # Placements expanded while covering the image of one polygon in develop.
@@ -104,23 +104,29 @@ class PiecewiseAffineMap:
 
     def _validate_source_tiling(self):
         for chart, poly in enumerate(self.surface.polygons):
-            pieces = self._by_chart[chart]
-            total = self.surface.field.zero()
-            for piece in pieces:
-                for v in piece.region.vertices:
+            regions = [piece.region for piece in self._by_chart[chart]]
+            for region in regions:
+                for v in region.vertices:
                     if poly.contains(v) == 0:
                         raise InputError(
                             "piece region vertex %r outside its chart %d" % (v, chart))
-                total = total + piece.region.area2()
-            if total != poly.area2():
-                raise NotBijective(
-                    "piece regions of chart %d cover area %s of %s"
-                    % (chart, total, poly.area2()))
-            for i in range(len(pieces)):
-                for j in range(i + 1, len(pieces)):
-                    if pieces[i].region.overlaps(pieces[j].region):
-                        raise NotBijective(
-                            "piece regions overlap in chart %d" % chart)
+            self._check_tiling("piece", chart, regions)
+
+    def _check_tiling(self, what: str, chart: int, regions):
+        """The regions, all in one chart, must cover its area and have
+        pairwise disjoint interiors; what names them in the errors."""
+        area = self.surface.polygons[chart].area2()
+        total = self.surface.field.zero()
+        for region in regions:
+            total = total + region.area2()
+        if total != area:
+            raise NotBijective("%s regions of chart %d cover area %s of %s"
+                               % (what, chart, total, area))
+        for i in range(len(regions)):
+            for j in range(i + 1, len(regions)):
+                if regions[i].overlaps(regions[j]):
+                    raise NotBijective(
+                        "%s regions overlap in chart %d" % (what, chart))
 
     def _validate_continuity(self) -> dict:
         """The map must agree wherever two piece regions touch, including
@@ -217,23 +223,11 @@ class PiecewiseAffineMap:
         _validate_continuity computed, must tile every chart.  Every
         derivative is +-diag(lambda, 1/lambda), of determinant 1, so the
         images keep the counterclockwise order and need no reversal."""
-        surface = self.surface
-        by_target: List[list] = [[] for _ in surface.polygons]
+        by_target: List[list] = [[] for _ in self.surface.polygons]
         for piece in self.pieces:
             by_target[piece.target].append(ConvexPolygon(images[piece]))
-        for chart, poly in enumerate(surface.polygons):
-            total = surface.field.zero()
-            for img in by_target[chart]:
-                total = total + img.area2()
-            if total != poly.area2():
-                raise NotBijective(
-                    "image regions of chart %d cover area %s of %s"
-                    % (chart, total, poly.area2()))
-            imgs = by_target[chart]
-            for i in range(len(imgs)):
-                for j in range(i + 1, len(imgs)):
-                    if imgs[i].overlaps(imgs[j]):
-                        raise NotBijective("image regions overlap in chart %d" % chart)
+        for chart, regions in enumerate(by_target):
+            self._check_tiling("image", chart, regions)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -299,8 +293,7 @@ class PiecewiseAffineMap:
         raise InputError("no piece at corner %s holds direction %r"
                          % (corner, d))
 
-    def compose_with(self, inner: "PiecewiseAffineMap",
-                     validate: bool = False) -> "PiecewiseAffineMap":
+    def compose_with(self, inner: "PiecewiseAffineMap") -> "PiecewiseAffineMap":
         """self after inner, pieces refined by exact polygon intersection."""
         if inner.surface is not self.surface:
             raise InputError("maps live on different surfaces")
@@ -318,7 +311,7 @@ class PiecewiseAffineMap:
                     continue
                 region = overlap.transform(inv)
                 out.append(Piece(ip.chart, region, op.map.compose(ip.map), op.target))
-        return PiecewiseAffineMap(self.surface, out, validate=validate)
+        return PiecewiseAffineMap(self.surface, out, validate=False)
 
     def __repr__(self):
         return "PiecewiseAffineMap(%d pieces)" % len(self.pieces)
@@ -330,7 +323,7 @@ class AffineAutomorphism(PiecewiseAffineMap):
     1/lambda)."""
 
     def __init__(self, surface: FlatSurface, pieces: Sequence[Piece],
-                 lambda_: FieldElement, validate: bool = True):
+                 lambda_: FieldElement):
         if (lambda_ - 1).sign() <= 0:
             raise LambdaNotExpanding("stretch factor %s is not > 1" % lambda_)
         if not pieces:
@@ -348,7 +341,7 @@ class AffineAutomorphism(PiecewiseAffineMap):
         # read off a piece, so 1/lambda costs no division
         m = pieces[0].map.mat
         self.derivative = m if m.a == lambda_ else -m
-        super().__init__(surface, pieces, validate=validate)
+        super().__init__(surface, pieces)
         self.singularity_permutation = self._compute_singularity_permutation()
 
     def _validate(self) -> dict:
@@ -517,8 +510,7 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
         lin = D if eps == 1 else -D
         c = D.apply(shift - v) + w
         region = surface.polygons[chart].transform(AffineMap(lin, c))
-        cut = cover(surface, seeds, region,
-                    lambda a, b: chord_in_region(region, a, b), budget)
+        cut = cover(surface, seeds, region, budget)
         if cut is None:
             raise NotBijective(
                 "D carries polygon %d over a vertex: %r is not the "

@@ -31,7 +31,7 @@ from .exactnum import FieldElement
 from .fileio import format_element
 from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
-from .saddle import SaddleConnection, _place_unapply, chord_in_region, cover
+from .saddle import SaddleConnection, _place_unapply, cover
 from .veering import (
     Section,
     _germ_of,
@@ -450,11 +450,8 @@ def _face_development(face):
 
 
 def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon):
-    """saddle.cover of a developed convex region, expanding across every
-    gluing whose edge meets the region in a chord."""
-    out = cover(surface, seeds, region,
-                lambda a, b: chord_in_region(region, a, b),
-                ("_COVER_CAP", _COVER_CAP))
+    """saddle.cover of a developed convex region."""
+    out = cover(surface, seeds, region, ("_COVER_CAP", _COVER_CAP))
     if out is None:
         raise InternalCheckError("developed region covers a singular point")
     return out

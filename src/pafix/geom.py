@@ -37,21 +37,16 @@ predicates).  The filtered predicates are:
 - the `FieldElement` comparisons outside degree 2: disjoint float bounds
   decide.  Bounds that overlap, or only share an end, cost a subtraction
   and an exact sign, since `float_bounds` promises no more than
-  lo <= x <= hi;
-- `saddle._seg_meets_box`, whether the open segment meets the open box,
-  which runs three stages: it rejects when the segment's float box
-  misses the box's outer float box, accepts when an endpoint's float box
-  lies strictly inside the box's inner float box, and otherwise clips
-  over intervals (Liang-Barsky), accepting when the interval of the
-  clipped length lies above 0; the exact clip decides the rest.
+  lo <= x <= hi.
 
 `cross_sign` and the comparisons carry the cone, wedge and exit-edge
 tests of the saddle search and `trace`, and the bound tests of the
 spanning rectangles and the fixed-point solver.  A few exact paths answer
 without arithmetic: outside degree 2 a repeated point makes `orient` 0,
-and identical segments overlap in themselves.  The float box prefilters
-(`float_box`, `boxes_disjoint` and `saddle._seg_meets_box`) serve every
-degree; they may claim "maybe" but never lie about "no".
+and identical segments overlap in themselves.  The float box prefilter
+(`float_box` and `boxes_disjoint`, which `ConvexPolygon.intersect`,
+`overlaps` and `saddle.chord_in_region` run first) serves every degree;
+it may claim "maybe" but never lies about "no".
 
 The visibility prune of `saddle._box_candidates` is float only, with no
 exact fallback: it may say "maybe" but is never wrong about "misses".
@@ -153,9 +148,6 @@ class Mat2:
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> FieldElement:
-        return self.a + self.d
-
     def inverse(self) -> "Mat2":
         dt = self.det()
         return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
@@ -256,27 +248,6 @@ def _idot(u, v):
     return _iadd(_imul(u[0], v[0]), _imul(u[1], v[1]))
 
 
-def _iclip(p, q, box):
-    """Liang-Barsky over intervals: the float interval of hi - lo, where
-    [lo, hi] is the parameter range of the segment from p to q (interval
-    vectors) inside the axis box (x0, x1, y0, y1) of intervals, clipped to
-    [0, 1].  None when a coordinate's direction interval holds 0."""
-    t0 = (0.0, 0.0)
-    t1 = (1.0, 1.0)
-    for pv, qv, lo, hi in ((p[0], q[0], box[0], box[1]),
-                           (p[1], q[1], box[2], box[3])):
-        dv = _isub(qv, pv)
-        if dv[0] <= 0 <= dv[1]:
-            return None
-        ta = _idiv(_isub(lo, pv), dv)
-        tb = _idiv(_isub(hi, pv), dv)
-        if dv[1] < 0:
-            ta, tb = tb, ta
-        t0 = (max(t0[0], ta[0]), max(t0[1], ta[1]))
-        t1 = (min(t1[0], tb[0]), min(t1[1], tb[1]))
-    return _isub(t1, t0)
-
-
 def _filtered_sign(interval, exact) -> int:
     """The sign of a value, given its outward-rounded float interval: from
     the interval when it excludes 0, else from exact()."""
@@ -342,15 +313,6 @@ def cross_sign(u: Vec2, v: Vec2) -> int:
                      *vx.num, vx.den, *vy.num, vy.den)
     return _filtered_sign(_icross(_ibox(u), _ibox(v)),
                           lambda: u.cross(v).sign())
-
-
-def on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
-    """Is p on the closed segment ab (a != b)?"""
-    if orient(a, b, p) != 0:
-        return False
-    d = b - a
-    t = (p - a).dot(d)
-    return t.sign() >= 0 and (t - d.dot(d)).sign() <= 0
 
 
 def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
@@ -539,9 +501,6 @@ class ConvexPolygon:
         if self._box is None:
             self._box = float_box(self.vertices)
         return self._box
-
-    def translate(self, t: Vec2) -> "ConvexPolygon":
-        return ConvexPolygon([v + t for v in self.vertices])
 
     def transform(self, m: "AffineMap") -> "ConvexPolygon":
         verts = [m.apply(v) for v in self.vertices]

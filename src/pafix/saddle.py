@@ -1,14 +1,14 @@
 """Saddle connections and their exact geometry.
 
-Everything here rides on three primitives, all exact in the field:
-trace walks a straight segment across the surface, unfold develops chart
-placements depth first across every gluing whose placed edge meets a
-region, and cover unfolds over a developed convex region and cuts it
-into chart pieces.  On top of them sit saddle connection enumeration
-(polygon unfolding pruned by a holonomy box), spanning rectangles with
-certified immersion degree, and transverse crossings and intersection
-numbers.  cover also serves the oracle's triangles
-(fixcount._cover_region) and map building (affine.develop).
+Everything here rides on two primitives, both exact in the field: trace
+walks a straight segment across the surface, and cover develops chart
+placements depth first over a convex region, across every glued edge
+that meets the region in a chord, and cuts the region into chart
+pieces.  On top of them sit saddle connection enumeration (polygon
+unfolding pruned by a holonomy box), spanning rectangles with certified
+immersion degree, and transverse crossings and intersection numbers.
+cover also serves the oracle's triangles (fixcount._cover_region) and
+map building (affine.develop).
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -31,7 +31,6 @@ from .geom import (
     Vec2,
     _ibox,
     _icross,
-    _iclip,
     _idiv,
     _isub,
     _ivec,
@@ -107,18 +106,32 @@ def _place_key(chart: int, eps: int, shift: Vec2):
     return (chart, eps, shift.x, shift.y)
 
 
-def unfold(surface: FlatSurface, seeds, meets_edge, budget):
-    """Develop chart placements from seed placements (chart, eps, shift).
+def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
+    """Cut the developed convex region into chart pieces.
 
-    Yields (chart, eps, shift, placed vertices) once per placement, in
-    first-reached order, deduplicated by _place_key.  Expansion is depth
-    first, the last reached placement first, across every glued edge whose
-    placed endpoints a, b satisfy meets_edge(a, b).  A caller may stop
-    early by leaving the loop.  budget is (name, limit) of the constant
-    capping the expanded placements; the overflow error names it."""
+    Develops chart placements (chart, eps, shift) from the seed
+    placements, deduplicated by _place_key, depth first with the last
+    reached placement first, across every glued edge whose placed ends a,
+    b satisfy chord_in_region(region, a, b).  Returns
+    [(chart, eps, shift, piece)] in first-reached order, one per placement
+    whose polygon meets the region with positive area, piece the
+    chart-coordinate pullback of the region clipped to the placed polygon;
+    or None as soon as a placed vertex lies in the region's interior.
+    budget is (name, limit) of the constant capping the expanded
+    placements; the overflow error names it.
+
+    A chord on the region's boundary counts, so the search also crosses
+    a placed edge lying along a side of the region.  The placement across
+    it lies in the closed outer half-plane of that side: it meets the
+    region with zero area, so it adds no piece; none of its vertices is
+    inside the region; and its only chord of the region is the edge it
+    was reached through, whose crossing leads back to a placement already
+    seen.  The pieces are therefore those of the open region's unfolding,
+    in the same order."""
     name, limit = budget
     seen = set()
     stack = []
+    out = []
     fresh = seeds
     expanded = 0
     while True:
@@ -129,10 +142,18 @@ def unfold(surface: FlatSurface, seeds, meets_edge, budget):
             seen.add(key)
             placed = [_place_apply(eps, shift, v)
                       for v in surface.polygons[chart].vertices]
-            yield chart, eps, shift, placed
+            for w in placed:
+                if region.contains(w) == 2:
+                    return None
+            clip = ConvexPolygon(placed).intersect(region)
+            if clip is not None:
+                # eps = -1 is a rotation by pi, so vertex order stays CCW
+                piece = ConvexPolygon([_place_unapply(eps, shift, v)
+                                       for v in clip.vertices])
+                out.append((chart, eps, shift, piece))
             stack.append((chart, eps, shift, placed))
         if not stack:
-            return
+            return out
         chart, eps, shift, placed = stack.pop()
         expanded += 1
         if expanded > limit:
@@ -141,35 +162,10 @@ def unfold(surface: FlatSurface, seeds, meets_edge, budget):
         m = len(placed)
         fresh = []
         for e in range(m):
-            if meets_edge(placed[e], placed[(e + 1) % m]):
+            if chord_in_region(region, placed[e], placed[(e + 1) % m]):
                 tr = surface.transitions[(chart, e)]
                 eps2, shift2 = _place_cross(eps, shift, tr)
                 fresh.append((tr.target[0], eps2, shift2))
-
-
-def cover(surface: FlatSurface, seeds, region: ConvexPolygon, meets_edge,
-          budget):
-    """Cut the developed convex region into chart pieces.
-
-    Unfolds from the seed placements as unfold does, with the same
-    meets_edge and budget.  Returns [(chart, eps, shift, piece)] in
-    first-reached order, one per placement whose polygon meets the region
-    with positive area, piece the chart-coordinate pullback of the region
-    clipped to the placed polygon; or None as soon as a placed vertex lies
-    in the region's interior."""
-    out = []
-    for chart, eps, shift, placed in unfold(surface, seeds, meets_edge,
-                                            budget):
-        for w in placed:
-            if region.contains(w) == 2:
-                return None
-        clip = ConvexPolygon(placed).intersect(region)
-        if clip is not None:
-            # eps = -1 is a rotation by pi, so vertex order stays CCW
-            piece = ConvexPolygon([_place_unapply(eps, shift, v)
-                                   for v in clip.vertices])
-            out.append((chart, eps, shift, piece))
-    return out
 
 
 def chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
@@ -180,7 +176,10 @@ def chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
     region, or the segment's own line, has the two on opposite closed
     sides.  Then a chord can only run along an edge whose line holds the
     segment, and the edge lines are tried first: one shared_segment call
-    decides.  Orient signs decide the rest, with no division."""
+    decides.  Orient signs decide the rest, with no division, after disjoint
+    float boxes reject."""
+    if boxes_disjoint(float_box((a, b)), region.float_bbox()):
+        return False
     vs = region.vertices
     n = len(vs)
     for i in range(n):
@@ -512,7 +511,7 @@ def _window_misses_box(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2, box) -> bool:
     counterclockwise to ray hi certainly misses the float box
     (x0, x1, y0, y1); False means maybe.
 
-    Liang-Barsky over float intervals, in the scheme of geom._iclip: along
+    Liang-Barsky over float intervals, each rounded outward: along
     a + t(b - a), t in [0, 1], each window half-plane and each box side
     bounds t from one side, taken at the end of its interval that widens
     the range.  The search's rays lie in the cone from a to b, so
@@ -545,48 +544,6 @@ def _window_misses_box(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2, box) -> bool:
         t_lo = max(t_lo, ta[0])
         t_hi = min(t_hi, tb[1])
     return t_hi < t_lo
-
-
-def _seg_meets_box(a: Vec2, b: Vec2, bounds) -> bool:
-    """Does the open segment ab (a != b) meet the open axis box
-    (x0, x1, y0, y1)?
-
-    Floats decide first: disjoint float boxes reject, an endpoint strictly
-    inside the box accepts (near it, the open segment is inside the open
-    box), and Liang-Barsky clipping over intervals accepts when the
-    interval of the clipped length lies above 0.  Exact clipping decides
-    the rest."""
-    fx0, fx1, fy0, fy1 = fbox = tuple(v.float_bounds() for v in bounds)
-    (ax, ay), (bx, by) = fa, fb = _ibox(a), _ibox(b)
-    seg = (min(ax[0], bx[0]), max(ax[1], bx[1]),
-           min(ay[0], by[0]), max(ay[1], by[1]))
-    if boxes_disjoint(seg, (fx0[0], fx1[1], fy0[0], fy1[1])):
-        return False
-    for px, py in (fa, fb):
-        if fx0[1] < px[0] and px[1] < fx1[0] and fy0[1] < py[0] and py[1] < fy1[0]:
-            return True
-    length = _iclip(fa, fb, fbox)
-    if length is not None and length[0] > 0:
-        return True
-    x0, x1, y0, y1 = bounds
-    field = a.x.field
-    lo = field.zero()
-    hi = field.one()
-    d = b - a
-    for av, dv, blo, bhi in ((a.x, d.x, x0, x1), (a.y, d.y, y0, y1)):
-        if dv.is_zero():
-            if (av - blo).sign() <= 0 or (av - bhi).sign() >= 0:
-                return False
-            continue
-        t_lo = (blo - av) / dv
-        t_hi = (bhi - av) / dv
-        if t_hi < t_lo:
-            t_lo, t_hi = t_hi, t_lo
-        if t_lo > lo:
-            lo = t_lo
-        if t_hi < hi:
-            hi = t_hi
-    return (hi - lo).sign() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +593,8 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
     bounds = (x0, x1, y0, y1)
     box = ConvexPolygon([Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1),
                          Vec2(x0, y1)])
-    # unfold the open rectangle, seeded by the diagonal's own chain
+    # cover the rectangle, seeded by the diagonal's own chain
     pieces = cover(surface, sc.placements, box,
-                   lambda a, b: _seg_meets_box(a, b, bounds),
                    ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES))
     if pieces is None:
         return None

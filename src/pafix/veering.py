@@ -642,17 +642,22 @@ def flip_down(section: Section, edge: SaddleConnection) -> Section:
 # ---------------------------------------------------------------------------
 # the section order
 
-def section_leq(lower: Section, upper: Section) -> bool:
-    """True when every crossing pair has the lower section's edge below
-    the upper section's edge."""
-    cache = lower.cache
-    for a in lower.edges:
-        for b in upper.edges:
+def _all_below(cache: EdgeCache, lows, highs) -> bool:
+    """True when every crossing pair (a, b), a in lows and b in highs,
+    has a below b; pairs are tried in lows-major order."""
+    for a in lows:
+        for b in highs:
             if cache.crossings(a, b) == 0:
                 continue
             if edge_order(a, b) != "below":
                 return False
     return True
+
+
+def section_leq(lower: Section, upper: Section) -> bool:
+    """True when every crossing pair has the lower section's edge below
+    the upper section's edge."""
+    return _all_below(lower.cache, lower.edges, upper.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -693,18 +698,10 @@ def f_section(f, start: Optional[Section] = None) -> Section:
     cur = start
     images = {e: cache.canonical(cache.image(f, e)) for e in cur.edges}
     for _ in range(_SWEEP_CAP):
-        offenders = []
-        for e in cur.edges:
-            bad = False
-            for src in cur.edges:
-                a = images[src]
-                if cache.crossings(a, e) == 0:
-                    continue
-                if edge_order(a, e) == "above":
-                    bad = True
-                    break
-            if bad:
-                offenders.append(e)
+        lows = [images[src] for src in cur.edges]
+        # crossing edges are ordered, so an image not below e is above it
+        offenders = [e for e in cur.edges
+                     if not _all_below(cache, lows, (e,))]
         if not offenders:
             return cur
         moved = False
@@ -810,16 +807,9 @@ def flip_path(lower: Section, upper: Section) -> List[FlipStep]:
                 nxt, new_c, walked = _flip(cur, e, True)
             except NotFlippable:
                 continue
-            if new_c not in upper.edge_set:
-                ok = True
-                for u in upper.edges:
-                    if cache.crossings(new_c, u) == 0:
-                        continue
-                    if edge_order(new_c, u) != "below":
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if (new_c not in upper.edge_set
+                    and not _all_below(cache, (new_c,), upper.edges)):
+                continue
             steps.append(FlipStep(cur, e, nxt, new_c, walked))
             cur = nxt
             moved = True

@@ -1,25 +1,37 @@
 """Reference plane predicates decided by exact field signs alone.
 
-These are pafix.geom's orient, on_segment, segment_intersection,
-ConvexPolygon.contains and ConvexPolygon.clip_halfplane, and
-pafix.saddle's _seg_meets_box, as they were before the float interval
+orient, segment_intersection, contains and clip_halfplane are
+pafix.geom's orient, segment_intersection, ConvexPolygon.contains and
+ConvexPolygon.clip_halfplane as they were before the float interval
 filters: every sign is an exact FieldElement.sign of a difference or a
 cross product, and contains re-checks a point on an edge line against the
-edge spans.  clip_to_cone, followed by seg_meets_box with closed=True, is
-the exact edge test that pafix.saddle's visibility search ran before its
-float prune.  chord_in_region is the clipping test that
-pafix.saddle.chord_in_region replaced with orient signs.  canonical_point is FlatSurface.canonical_point as it was
-before the one-pass classifier: contains first, then a search of the
-edges with on_segment.  validate_continuity is
-PiecewiseAffineMap's continuity check as it was before the vertex stars:
-every pair of piece sides, and every piece side against every glued
-polygon edge, compared at the ends of their shared segment.  The tests
-compare the filtered predicates and the star check against them.
+edge spans with on_segment.  seg_meets_box is the exact Liang-Barsky
+test of a segment against an axis box, open or closed.  clip_to_cone,
+followed by seg_meets_box with closed=True, is the exact edge test that
+pafix.saddle's visibility search ran before its float prune.
+chord_in_region is the clipping test that pafix.saddle.chord_in_region
+replaced with orient signs.  rect_placements is the cover of a spanning
+rectangle as pafix.saddle built it before every cover expanded across
+the chords of its own region: across the edges whose open segment meets
+the open rectangle.  canonical_point is FlatSurface.canonical_point as
+it was before the one-pass classifier: contains first, then a search of
+the edges with on_segment.  validate_continuity is PiecewiseAffineMap's
+continuity check as it was before the vertex stars: every pair of piece
+sides, and every piece side against every glued polygon edge, compared
+at the ends of their shared segment.  The tests compare the filtered
+predicates, the cover and the star check against them.
 """
 
 from pafix.errors import Discontinuous, InputError, NonConvexPolygon
 from pafix.flatsurf import SurfacePoint
-from pafix.geom import ConvexPolygon, boxes_disjoint, float_box, shared_segment
+from pafix.geom import (
+    ConvexPolygon,
+    Vec2,
+    boxes_disjoint,
+    float_box,
+    shared_segment,
+)
+from pafix.saddle import _place_apply, _place_cross, _place_unapply
 
 
 def orient(a, b, c):
@@ -138,6 +150,52 @@ def seg_meets_box(a, b, bounds, closed):
             hi = t_hi
     s = (hi - lo).sign()
     return s >= 0 if closed else s > 0
+
+
+def rect_placements(sc):
+    """(bounds, pieces) of the rectangle with sc as its diagonal, or None
+    when a placed vertex lies inside it.  Placements develop from sc's own
+    chain, depth first with the last reached first, across every glued
+    edge whose open segment meets the open rectangle; pieces are
+    [(chart, eps, shift, piece)] in first-reached order, one per placement
+    meeting the rectangle with positive area, piece in chart coordinates."""
+    surface = sc.surface
+    p0 = sc.start_point().pos
+    p1 = p0 + sc.hol
+    x0, x1 = min(p0.x, p1.x), max(p0.x, p1.x)
+    y0, y1 = min(p0.y, p1.y), max(p0.y, p1.y)
+    bounds = (x0, x1, y0, y1)
+    box = ConvexPolygon([Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1),
+                         Vec2(x0, y1)])
+    seen = set()
+    stack = []
+    pieces = []
+    fresh = list(sc.placements)
+    while True:
+        for chart, eps, shift in fresh:
+            if (chart, eps, shift) in seen:
+                continue
+            seen.add((chart, eps, shift))
+            placed = [_place_apply(eps, shift, v)
+                      for v in surface.polygons[chart].vertices]
+            if any(contains(box.vertices, w) == 2 for w in placed):
+                return None
+            clip = ConvexPolygon(placed).intersect(box)
+            if clip is not None:
+                piece = ConvexPolygon([_place_unapply(eps, shift, v)
+                                       for v in clip.vertices])
+                pieces.append((chart, eps, shift, piece))
+            stack.append((chart, eps, shift, placed))
+        if not stack:
+            return bounds, pieces
+        chart, eps, shift, placed = stack.pop()
+        m = len(placed)
+        fresh = []
+        for e in range(m):
+            if seg_meets_box(placed[e], placed[(e + 1) % m], bounds,
+                             closed=False):
+                tr = surface.transitions[(chart, e)]
+                fresh.append((tr.target[0], *_place_cross(eps, shift, tr)))
 
 
 def clip_to_cone(a, b, lo, hi):

@@ -110,12 +110,14 @@ class TestGeom:
 
     def test_intersect_polygons(self):
         a = square_polygon(self.f)
-        b = a.translate(self.v(Fraction(1, 2), Fraction(1, 2)))
-        c = a.intersect(b)
+
+        def moved(x, y):
+            return ConvexPolygon([v + self.v(x, y) for v in a.vertices])
+        c = a.intersect(moved(Fraction(1, 2), Fraction(1, 2)))
         assert c is not None and c.area2().as_fraction() == Fraction(1, 2)
-        assert a.intersect(a.translate(self.v(5, 5))) is None
+        assert a.intersect(moved(5, 5)) is None
         # touching along an edge has no interior overlap
-        assert a.intersect(a.translate(self.v(1, 0))) is None
+        assert a.intersect(moved(1, 0)) is None
 
     def test_affine_map_compose_inverse(self):
         m = AffineMap(Mat2(self.f.rational(2), self.f.one(),
@@ -742,6 +744,19 @@ class TestMapValidation:
         pieces = [Piece(0, half, AffineMap(Mat2.identity(f), vec(f, 0, 0)), 0)]
         with pytest.raises(NotBijective):
             PiecewiseAffineMap(t, pieces)
+
+    def test_source_pieces_must_not_overlap(self):
+        # two identity pieces on the lower half cover the square's area
+        # between them, so only the pairwise overlap test rejects them
+        t = square_torus()
+        f = t.field
+        half = ConvexPolygon([vec(f, 0, 0), vec(f, 1, 0), vec(f, 1, Fraction(1, 2)),
+                              vec(f, 0, Fraction(1, 2))])
+        ident = AffineMap(Mat2.identity(f), vec(f, 0, 0))
+        with pytest.raises(NotBijective) as exc:
+            PiecewiseAffineMap(t, [Piece(0, half, ident, 0),
+                                   Piece(0, half, ident, 0)])
+        assert str(exc.value) == "piece regions overlap in chart 0"
 
 
 _SHIFTS = ((Fraction(1, 7), 0), (0, Fraction(1, 5)),

@@ -1,8 +1,8 @@
 """The float-filtered plane predicates against exact references.
 
 `orient`, `cross_sign`, `segment_intersection`, `shared_segment`,
-`on_segment`, `ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`,
-`saddle._seg_meets_box` and the `FieldElement` comparisons take an answer
+`ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`,
+`saddle.chord_in_region` and the `FieldElement` comparisons take an answer
 from float intervals only when the interval decides it, and
 `ConvexPolygon.contains` no longer re-checks edge spans; `geomref` keeps
 the exact versions, and `overlaps` is checked against the clipped
@@ -21,10 +21,11 @@ and no fallback: they are checked against a model of the field in the
 basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
 filter decides, and that it falls back, run on x^3 - 2.
 
-`saddle.chord_in_region`, which decides from orient signs alone, is
-checked against `geomref.chord_in_region`, the division-based clip it
-replaced.  `saddle._window_misses_box`, the float-only prune of the
-saddle search, is checked one-sided: whenever it says "misses",
+`saddle.chord_in_region`, which decides from a float box reject and
+orient signs, with no division, is checked against
+`geomref.chord_in_region`, the division-based clip it replaced.
+`saddle._window_misses_box`, the float-only prune of the saddle search,
+is checked one-sided: whenever it says "misses",
 `geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
 
 import math
@@ -42,12 +43,11 @@ from pafix.geom import (
     ConvexPolygon,
     Vec2,
     cross_sign,
-    on_segment,
     orient,
     segment_intersection,
     shared_segment,
 )
-from pafix.saddle import _seg_meets_box, _window_misses_box, chord_in_region
+from pafix.saddle import _window_misses_box, chord_in_region
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -169,8 +169,6 @@ def test_filtered_predicates_match_the_exact_reference(poly, lo, hi):
         for p, q, s in ((a, b, c), (a, b, d), (c, d, a), (b, a, c)):
             assert orient(p, q, s) == geomref.orient(p, q, s)
             assert cross_sign(q - p, s - p) == (q - p).cross(s - p).sign()
-        for p, q, s in ((c, a, b), (d, a, b), (a, c, d), (b, c, d)):
-            assert on_segment(p, q, s) == geomref.on_segment(p, q, s)
         assert segment_intersection(a, b, c, d) == \
             geomref.segment_intersection(a, b, c, d)
         assert segment_intersection(c, d, b, a) == \
@@ -203,11 +201,7 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
         a, b, c, d = configuration(K, *args)
         if a == b or c == d:
             return
-        bounds = box_of(c, d)
-        for p, q in ((a, b), (b, a)):
-            assert _seg_meets_box(p, q, bounds) == \
-                geomref.seg_meets_box(p, q, bounds, closed=False)
-        x0, x1, y0, y1 = bounds
+        x0, x1, y0, y1 = box_of(c, d)
         if x0 == x1 or y0 == y1:
             return
         corners = [Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1)]
@@ -580,19 +574,21 @@ def test_filters_need_only_an_enclosure():
     assert not x < y and x <= y and not x > y and x >= y
     assert not y < x and y <= x and not y > x and y >= x
     # segments between grid points with exact enclosures, against the
-    # unit box with the cached (wider) ones: touching segments have float
-    # boxes that reach the box's outer float box but not its inner one
+    # unit square with the cached (wider) ones: a segment along a side or
+    # through a corner has a float box that may only touch the square's, so
+    # the float reject must leave it to the orient signs
     grid = [Fraction(k, 2) for k in range(-2, 5)]
     points = [Vec2(enclosed(K, gx, (float(gx), float(gx))),
                    enclosed(K, gy, (float(gy), float(gy))))
               for gx in grid for gy in grid]
-    bounds = (K.zero(), K.one(), K.zero(), K.one())
+    square = ConvexPolygon([Vec2(K.zero(), K.zero()), Vec2(K.one(), K.zero()),
+                            Vec2(K.one(), K.one()), Vec2(K.zero(), K.one())])
     for a in points:
         for b in points:
             if a == b:
                 continue
-            assert _seg_meets_box(a, b, bounds) == \
-                geomref.seg_meets_box(a, b, bounds, closed=False)
+            assert chord_in_region(square, a, b) == \
+                geomref.chord_in_region(square, a, b)
 
 
 def surd_model(K):

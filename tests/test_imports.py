@@ -1,6 +1,6 @@
 """Every name a pafix module imports is read there or exported, and every
-private (underscore) function, class or method that pafix defines is read
-somewhere in pafix."""
+private (underscore) function, class, method or module-level constant
+that pafix defines is read somewhere in pafix."""
 
 import ast
 import pathlib
@@ -39,22 +39,37 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == EXEMPT
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
 def test_no_private_helper_is_orphaned():
-    # a private name counts as read wherever pafix names it: as a plain
-    # name, or as an attribute (self._helper, module._helper)
+    # a private function, class, method or module-level constant
+    # (_NAME = ...) counts as read wherever pafix loads it: as a plain
+    # name, or as an attribute (self._helper, module._helper); assigning
+    # a name is not reading it
     src = pathlib.Path(pafix.__file__).parent
     defined = set()
     read = set()
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and _private(name.id):
+                            defined.add((path.stem, name.id))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                name = node.name
-                if name.startswith("_") and not (name.startswith("__")
-                                                 and name.endswith("__")):
-                    defined.add((path.stem, name))
+                if _private(node.name):
+                    defined.add((path.stem, node.name))
             elif isinstance(node, ast.Name):
-                read.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted((m, n) for m, n in defined if n not in read) == []

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import geomref
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
@@ -23,6 +24,7 @@ from pafix.geom import ConvexPolygon, Mat2
 from pafix.saddle import (
     SaddleConnection,
     _meetings,
+    _rect_degree,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -319,6 +321,29 @@ def test_tall_thin_cylinder_degree():
     assert not rect.ambiguous
     # deck translation is horizontal: the circumference-1 direction
     assert rect.translation.y.is_zero()
+
+
+@pytest.mark.parametrize("make", [square_torus, octagon_surface, pillowcase])
+def test_rectangle_cover_matches_the_open_box_reference(make):
+    # the square torus and the pillowcase have axis-parallel polygon edges,
+    # which the cover crosses when they lie along a side of the rectangle;
+    # the eigen tori of the pinned records have none
+    surface = make()
+    conns = [sc for sc in enumerate_saddles(surface, 3, 3)
+             if not (sc.is_horizontal() or sc.is_vertical())]
+    assert conns
+    for sc in conns:
+        rect = is_veering_edge(sc)
+        ref = geomref.rect_placements(sc)
+        if ref is None:
+            assert rect is None, sc
+            continue
+        bounds, pieces = ref
+        assert rect is not None, sc
+        assert rect.bounds == bounds
+        assert rect.placements == [(c, e, t) for c, e, t, _ in pieces]
+        assert (rect.degree, rect.ambiguous, rect.translation) == \
+            _rect_degree(pieces, rect.width, rect.height)
 
 
 # ---------------------------------------------------------------------------
