@@ -77,6 +77,30 @@ def pillowcase():
     return FlatSurface(field, [a, b], gluings, names=["A", "B"])
 
 
+def origami(right, top, names):
+    """Unit squares glued by translations: the right side of square i to
+    the left side of square right[i], its top to the bottom of top[i]."""
+    field = rational_field()
+    gluings = {}
+    for i, (r, u) in enumerate(zip(right, top)):
+        gluings[(i, 1)] = ((r, 3), "translation")
+        gluings[(r, 3)] = ((i, 1), "translation")
+        gluings[(i, 2)] = ((u, 0), "translation")
+        gluings[(u, 0)] = ((i, 2), "translation")
+    return FlatSurface(field, [square_polygon(field) for _ in right],
+                       gluings, names=names)
+
+
+def l_origami():
+    """The L-shaped 3-square origami: genus 2, one 6*pi cone point."""
+    return origami([1, 0, 2], [2, 1, 0], ["A", "B", "C"])
+
+
+def h11_origami():
+    """A 4-square origami in H(1,1): genus 2, two 4*pi cone points."""
+    return origami([0, 1, 3, 2], [2, 3, 0, 1], ["A", "B", "C", "D"])
+
+
 def point(surface, chart, x, y):
     f = surface.field
     return SurfacePoint(chart, Vec2(f.rational(Fraction(x)), f.rational(Fraction(y))))

@@ -38,8 +38,9 @@ from pafix.fixcount import _horizontal_germs, count_fixed_points
 
 import geomref
 from minpoly import element_minimal_polynomial
-from surfbuild import (octagon_surface, pillowcase, point, rational_field,
-                       square_polygon, square_torus, vec)
+from surfbuild import (h11_origami, l_origami, octagon_surface, pillowcase,
+                       point, rational_field, square_polygon, square_torus,
+                       vec)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +244,13 @@ class TestHalfTranslation:
 
 # ---------------------------------------------------------------------------
 # vertex primitives beyond the torus: a 6*pi point with 8 corners, halfturn
-# gluings around pi points, and the square torus
+# gluings around pi points, the square torus, and two genus-2 origamis of
+# unit squares (a 6*pi point with 12 corners, two 4*pi points)
 
 VERTEX_SURFACES = pytest.mark.parametrize(
-    "make", [octagon_surface, pillowcase, square_torus],
-    ids=["octagon", "pillowcase", "torus"])
+    "make", [octagon_surface, pillowcase, square_torus, l_origami,
+             h11_origami],
+    ids=["octagon", "pillowcase", "torus", "l-origami", "h11-origami"])
 
 
 def _reference_fan_positions(surface):
@@ -320,7 +323,9 @@ def test_every_line_through_a_vertex_has_one_owned_ray_per_half_turn(make):
     (octagon_surface, [6]),
     (pillowcase, [1, 1, 1, 1]),
     (square_torus, [2]),
-], ids=["octagon", "pillowcase", "torus"])
+    (l_origami, [6]),
+    (h11_origami, [4, 4]),
+], ids=["octagon", "pillowcase", "torus", "l-origami", "h11-origami"])
 def test_horizontal_germs_give_one_germ_per_prong(make, prongs):
     s = make()
     plus = vec(s.field, 1, 0)

@@ -11,6 +11,7 @@ from pafix import saddle, veering
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     InputError,
+    InternalCheckError,
     NotFlippable,
     NotVeering,
     UnsupportedSurface,
@@ -291,6 +292,27 @@ def test_annular_avoiding_section_is_kept_on_the_map():
     assert annular_avoiding_f_section(f.power(3)) is T
 
 
+def test_annular_sweep_flips_down_while_it_keeps_an_f_section(monkeypatch):
+    # the f-sections of these maps carry one rectangle of degree 2, so a
+    # threshold of 2 makes the sweep flip down
+    monkeypatch.setattr(veering, "_DEGREE_THRESHOLD", 2)
+    surface, f = torus_from_matrix([[3, 1], [2, 1]])
+    base = f_section(f)
+    assert sorted(base.cache.rect(e).degree for e in base.edges) == [1, 1, 2]
+    T = annular_avoiding_f_section(f)
+    assert len(T.edge_set - base.edge_set) == 1
+    assert [T.cache.rect(e).degree for e in T.edges] == [1, 1, 1]
+    assert section_leq(apply_to_section(f, T), T)
+    # here the only down-flip leaves the f-sections
+    surface, f = torus_from_matrix([[5, 2], [2, 1]])
+    base = f_section(f)
+    assert sorted(base.cache.rect(e).degree for e in base.edges) == [1, 1, 2]
+    with pytest.raises(InternalCheckError,
+                       match="cannot reduce rectangle degrees and keep an "
+                             "f-section"):
+        annular_avoiding_f_section(f)
+
+
 def test_sections_on_one_surface_share_its_edge_cache():
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     cache = edge_cache(surface)
@@ -429,7 +451,7 @@ def _square_torus():
 def test_square_torus_has_no_section():
     surf = _square_torus()
     with pytest.raises(UnsupportedSurface):
-        complete_to_section(surf, max_doublings=2)
+        complete_to_section(surf)
 
 
 def test_axis_seed_rejected():
@@ -440,7 +462,7 @@ def test_axis_seed_rejected():
     sc = SaddleConnection.walk(surf, corner, ray)
     assert sc is not None and sc.is_horizontal()
     with pytest.raises(NotVeering):
-        complete_to_section(surf, [sc], max_doublings=2)
+        complete_to_section(surf, [sc])
 
 
 @pytest.mark.parametrize("make, edge", [
