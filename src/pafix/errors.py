@@ -66,10 +66,6 @@ class NonConvexPolygon(InputError):
     """Polygon is not strictly convex and counterclockwise."""
 
 
-class ConeAngleError(InputError):
-    """Vertex class has a cone angle that is not a positive multiple of pi."""
-
-
 class GaussBonnetViolation(InputError):
     """Total cone angle excess disagrees with the Euler characteristic."""
 

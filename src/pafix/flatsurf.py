@@ -4,8 +4,9 @@ A surface is a finite list of strictly convex polygons with an involutive
 edge pairing.  Each pairing is a `translation` (partner edge vector is the
 negative) or a `halfturn` (partner edge vector is equal, glued by a point
 reflection).  Every polygon vertex lands in a vertex class; classes carry a
-cone angle that is an exact integer multiple of pi, computed by developing
-the corner fan around the class.
+cone angle that is an exact integer multiple of pi, counted along one line
+through the vertex: the corner wedges [out, back) tile the cone, so a cone
+of angle k*pi owns exactly k rays of any such line.
 
 The surface owns the vertex primitives that every other module reads a
 singularity through: corner_rays (a corner's out and back edge rays),
@@ -13,8 +14,8 @@ owns_ray (the one corner whose wedge holds a ray at a vertex), fan_step
 (the hop across a corner's back edge to the next corner of the fan),
 owning_corner (the fan walk from any corner to the owner of a ray),
 fan_position (each corner's class and place in its counterclockwise fan,
-recorded by the angle walk) and vertex_index (which vertex of a chart
-sits at a position).
+recorded by the walk that counts the angle) and vertex_index (which vertex
+of a chart sits at a position).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
-    ConeAngleError,
     GaussBonnetViolation,
     InputError,
     InternalCheckError,
@@ -220,65 +220,25 @@ class FlatSurface:
                 self.corner_class[c] = i
 
     def _compute_cone_angles(self):
+        """Walk each class's fan once from its least corner, recording
+        fan positions and counting the rays of the start corner's
+        out-edge line that the corners own (transitions are +-I)."""
         self.cone_points: List[ConePoint] = []
         self.fan_position: Dict[EdgeRef, Tuple[int, int]] = {}
-        for cls_index, corners in enumerate(self._class_corners):
-            angle = self._develop_angle(cls_index, corners)
-            self.cone_points.append(
-                ConePoint(cls_index, angle, False, corners))
-
-    def _develop_angle(self, cls: int, expected_corners: frozenset) -> int:
-        """Walk the corner fan around a vertex class from its least corner,
-        counting half-turns and recording each corner's fan position."""
-        start = min(expected_corners)
-        d0, _ = self.corner_rays(start)
-        d = d0
-        crossings = 0
-        flips = 0
-        corner = start
-        visited = 0
-        while True:
-            out, back = self.corner_rays(corner)
-            # rotate d by the corner angle: the scaled rotation taking ray
-            # `out` to ray `back` (counterclockwise, interior angle < pi)
-            if out.cross(back).sign() <= 0:
-                raise InternalCheckError("corner angle not in (0, pi)")
-            r = _ray_rotation(out, back)
-            s_before = d0.cross(d).sign()
-            d = r.apply(d)
-            s_after = d0.cross(d).sign()
-            if s_after == 0:
-                crossings += 1
-            elif s_before != 0 and s_before != s_after:
-                crossings += 1
-            self.fan_position[corner] = (cls, visited)
-            visited += 1
-            tr = self.fan_step(corner)
-            if tr.flip:
-                # chart change negates coordinates; the geometric ray and the
-                # reference line are unchanged, so this is not a crossing
-                d = -d
-                flips += 1
-            corner = tr.target
-            if corner == start:
-                break
-            if visited > 4 * len(expected_corners) + 8:
-                raise InternalCheckError("vertex fan walk did not close")
-        if visited != len(expected_corners):
-            raise InternalCheckError(
-                "fan walk visited %d corners, class has %d"
-                % (visited, len(expected_corners)))
-        if d0.cross(d).sign() != 0:
-            raise ConeAngleError(
-                "developing walk around %s does not close on a multiple of pi"
-                % (start,))
-        if d0.dot(d).sign() != (1 if (crossings + flips) % 2 == 0 else -1):
-            raise ConeAngleError(
-                "developing walk around %s closes with inconsistent parity"
-                % (start,))
-        if crossings < 1:
-            raise ConeAngleError("vertex class %s has zero angle" % (start,))
-        return crossings
+        for cls, corners in enumerate(self._class_corners):
+            start = corner = min(corners)
+            d, _ = self.corner_rays(start)
+            angle = 0
+            for pos in range(len(corners)):
+                self.fan_position[corner] = (cls, pos)
+                angle += self.owns_ray(corner, d) + self.owns_ray(corner, -d)
+                tr = self.fan_step(corner)
+                corner, d = tr.target, -d if tr.flip else d
+            if corner != start or not corners <= self.fan_position.keys():
+                raise InternalCheckError(
+                    "fan walk around %s does not close after its %d corners"
+                    % (start, len(corners)))
+            self.cone_points.append(ConePoint(cls, angle, False, corners))
 
     def _apply_marks(self, marked_corners):
         marked_classes = set()
@@ -429,10 +389,3 @@ class FlatSurface:
         return "FlatSurface(%d polygons, genus %d, %d cone points)" % (
             len(self.polygons), self.genus, len(self.cone_points))
 
-
-def _ray_rotation(u: Vec2, w: Vec2) -> Mat2:
-    """The rotation-and-scale fixing 0 and taking ray u to ray w."""
-    nn = u.dot(u)
-    alpha = (u.x * w.x + u.y * w.y) / nn
-    beta = (u.x * w.y - u.y * w.x) / nn
-    return Mat2(alpha, -beta, beta, alpha)

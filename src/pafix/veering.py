@@ -79,8 +79,8 @@ __all__ = [
     "mapping_torus_layering",
 ]
 
-# Steps of one section sweep: flips in f_section, annular_avoiding_f_section
-# and flip_path.
+# Flips of one section sweep: the cap of _sweep, the flip loop that serves
+# f_section, annular_avoiding_f_section and flip_path.
 _SWEEP_CAP = 20000
 _BOX_DOUBLINGS = 4
 _DEGREE_THRESHOLD = 16
@@ -458,8 +458,7 @@ class Section:
 
 
 def complete_to_section(surface: FlatSurface,
-                        edges: Sequence[SaddleConnection] = (),
-                        max_doublings: int = _BOX_DOUBLINGS) -> Section:
+                        edges: Sequence[SaddleConnection] = ()) -> Section:
     """Extend pairwise noncrossing veering edges to a full section.
 
     Greedy and deterministic: candidate edges come from holonomy boxes
@@ -497,7 +496,7 @@ def complete_to_section(surface: FlatSurface,
                     "triangulation" % ((chart, e), hol.x, hol.y))
     target = section_size(surface)
     box = 1
-    for _ in range(max_doublings + 1):
+    for _ in range(_BOX_DOUBLINGS + 1):
         for c in cache.box_candidates(box):
             if len(chosen) == target:
                 break
@@ -683,6 +682,31 @@ def apply_to_section(f, section: Section) -> Section:
     return Section(section.surface, images)
 
 
+def _sweep(cur: Section, offenders, accept, up: bool, what: str,
+           stuck: str) -> Section:
+    """The one flip loop of the section sweeps.  Up to _SWEEP_CAP times,
+    flip the first of offenders(cur) that _flip accepts and that
+    accept(cur, edge, (next section, new edge, walked copy)) keeps;
+    return cur once offenders(cur) is empty, and raise stuck when no
+    offender moves."""
+    for _ in range(_SWEEP_CAP):
+        todo = offenders(cur)
+        if not todo:
+            return cur
+        for e in todo:
+            try:
+                flipped = _flip(cur, e, up)
+            except NotFlippable:
+                continue
+            if accept(cur, e, flipped):
+                cur = flipped[0]
+                break
+        else:
+            raise InternalCheckError(stuck)
+    raise InternalCheckError(
+        "%s exceeded _SWEEP_CAP = %d flips" % (what, _SWEEP_CAP))
+
+
 def f_section(f, start: Optional[Section] = None) -> Section:
     """A section T with f(T) <= T: the maximum of the translate family
     over the start section, reached by flipping up exactly the edges
@@ -695,31 +719,15 @@ def f_section(f, start: Optional[Section] = None) -> Section:
     if start is None:
         start = complete_to_section(f.surface)
     cache = start.cache
-    cur = start
-    images = {e: cache.canonical(cache.image(f, e)) for e in cur.edges}
-    for _ in range(_SWEEP_CAP):
-        lows = [images[src] for src in cur.edges]
+
+    def below_an_image(cur):
+        lows = [cache.canonical(cache.image(f, e)) for e in cur.edges]
         # crossing edges are ordered, so an image not below e is above it
-        offenders = [e for e in cur.edges
-                     if not _all_below(cache, lows, (e,))]
-        if not offenders:
-            return cur
-        moved = False
-        for e in offenders:
-            try:
-                nxt, new_c, _ = _flip(cur, e, True)
-            except NotFlippable:
-                continue
-            del images[e]
-            images[new_c] = cache.canonical(cache.image(f, new_c))
-            cur = nxt
-            moved = True
-            break
-        if not moved:
-            raise InternalCheckError(
-                "no edge below the image section is up-flippable")
-    raise InternalCheckError(
-        "f-section sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
+        return [e for e in cur.edges if not _all_below(cache, lows, (e,))]
+
+    return _sweep(start, below_an_image, lambda *_: True, True,
+                  "f-section sweep",
+                  "no edge below the image section is up-flippable")
 
 
 def annular_avoiding_f_section(f) -> Section:
@@ -739,29 +747,19 @@ def annular_avoiding_f_section(f) -> Section:
     if f.base is not None:
         f._section = annular_avoiding_f_section(f.base)
         return f._section
-    cur = f_section(f)
-    cache = cur.cache
-    for _ in range(_SWEEP_CAP):
-        offenders = [e for e in cur.edges
-                     if cache.rect(e).degree >= _DEGREE_THRESHOLD]
-        if not offenders:
-            f._section = cur
-            return cur
-        moved = False
-        for e in offenders:
-            try:
-                nxt = _flip(cur, e, False)[0]
-            except NotFlippable:
-                continue
-            if section_leq(apply_to_section(f, nxt), nxt):
-                cur = nxt
-                moved = True
-                break
-        if not moved:
-            raise InternalCheckError(
-                "cannot reduce rectangle degrees and keep an f-section")
-    raise InternalCheckError(
-        "annular-avoiding sweep exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
+
+    def deep(cur):
+        return [e for e in cur.edges
+                if cur.cache.rect(e).degree >= _DEGREE_THRESHOLD]
+
+    def still_f_section(cur, e, flipped):
+        return section_leq(apply_to_section(f, flipped[0]), flipped[0])
+
+    f._section = _sweep(f_section(f), deep, still_f_section, False,
+                        "annular-avoiding sweep",
+                        "cannot reduce rectangle degrees and keep an "
+                        "f-section")
+    return f._section
 
 
 # ---------------------------------------------------------------------------
@@ -797,28 +795,20 @@ def flip_path(lower: Section, upper: Section) -> List[FlipStep]:
     if not section_leq(lower, upper):
         raise WrongOrder("start section is not below the target section")
     steps: List[FlipStep] = []
-    cur = lower
-    while cur.edge_set != upper.edge_set:
-        moved = False
-        for e in cur.edges:
-            if e in upper.edge_set:
-                continue
-            try:
-                nxt, new_c, walked = _flip(cur, e, True)
-            except NotFlippable:
-                continue
-            if (new_c not in upper.edge_set
-                    and not _all_below(cache, (new_c,), upper.edges)):
-                continue
-            steps.append(FlipStep(cur, e, nxt, new_c, walked))
-            cur = nxt
-            moved = True
-            break
-        if not moved:
-            raise InternalCheckError("flip path is stuck below the target")
-        if len(steps) > _SWEEP_CAP:
-            raise InternalCheckError(
-                "flip path exceeded _SWEEP_CAP = %d flips" % _SWEEP_CAP)
+
+    def outside(cur):
+        return [e for e in cur.edges if e not in upper.edge_set]
+
+    def not_above(cur, e, flipped):
+        new_c = flipped[1]
+        if (new_c in upper.edge_set
+                or _all_below(cache, (new_c,), upper.edges)):
+            steps.append(FlipStep(cur, e, *flipped))
+            return True
+        return False
+
+    _sweep(lower, outside, not_above, True, "flip path",
+           "flip path is stuck below the target")
     return steps
 
 

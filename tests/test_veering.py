@@ -303,13 +303,25 @@ def test_annular_sweep_flips_down_while_it_keeps_an_f_section(monkeypatch):
     assert len(T.edge_set - base.edge_set) == 1
     assert [T.cache.rect(e).degree for e in T.edges] == [1, 1, 1]
     assert section_leq(apply_to_section(f, T), T)
-    # here the only down-flip leaves the f-sections
+    # here the degree-2 edge is not the tallest edge of its two faces, so
+    # no offender flips down
     surface, f = torus_from_matrix([[5, 2], [2, 1]])
     base = f_section(f)
     assert sorted(base.cache.rect(e).degree for e in base.edges) == [1, 1, 2]
     with pytest.raises(InternalCheckError,
                        match="cannot reduce rectangle degrees and keep an "
                              "f-section"):
+        annular_avoiding_f_section(f)
+
+
+def test_sweep_overflow_names_its_budget(monkeypatch):
+    # with a threshold of 1 every edge stays an offender, and each
+    # down-flip of these f-sections is again an f-section
+    monkeypatch.setattr(veering, "_DEGREE_THRESHOLD", 1)
+    monkeypatch.setattr(veering, "_SWEEP_CAP", 6)
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    with pytest.raises(InternalCheckError,
+                       match="annular-avoiding sweep exceeded _SWEEP_CAP = 6 "):
         annular_avoiding_f_section(f)
 
 
