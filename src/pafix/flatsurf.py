@@ -46,7 +46,10 @@ EdgeRef = Tuple[int, int]  # (polygon index, edge index)
 
 
 class Transition:
-    """Chart change when crossing a glued edge."""
+    """Chart change when crossing a glued edge: z -> z + t for a
+    translation, z -> -z + t for a halfturn (flip).  flip and the shift t
+    of map are the whole map, so points move by apply and directions by
+    negation on a flip, with no matrix product."""
 
     __slots__ = ("source", "target", "map", "flip")
 
@@ -55,6 +58,11 @@ class Transition:
         self.target = target
         self.map = map_
         self.flip = flip  # True for halfturn
+
+    def apply(self, pos: Vec2) -> Vec2:
+        """The point pos of the source chart in the target chart."""
+        shift = self.map.shift
+        return shift - pos if self.flip else pos + shift
 
     def __repr__(self):
         return "Transition(%s -> %s%s)" % (
@@ -109,6 +117,14 @@ class FlatSurface:
                  names: Optional[Sequence[str]] = None):
         self.field = field
         self.polygons = list(polygons)
+        # each chart's edge vectors, edge e running from vertex e to e + 1
+        self.edge_vectors: List[Tuple[Vec2, ...]] = [
+            tuple(poly.edge_vector(e) for e in range(len(poly)))
+            for poly in self.polygons]
+        self._rays: Dict[EdgeRef, Tuple[Vec2, Vec2]] = {
+            (p, v): (vecs[v], -vecs[v - 1])
+            for p, vecs in enumerate(self.edge_vectors)
+            for v in range(len(vecs))}
         self.names = list(names) if names is not None else [
             "P%d" % i for i in range(len(self.polygons))]
         if len(set(self.names)) != len(self.names):
@@ -155,8 +171,8 @@ class FlatSurface:
                     "gluing is not an involution at %s <-> %s" % (edge, partner))
         # edge vector compatibility
         for edge, (partner, kind) in seen.items():
-            v = self.polygons[edge[0]].edge_vector(edge[1])
-            w = self.polygons[partner[0]].edge_vector(partner[1])
+            v = self.edge_vectors[edge[0]][edge[1]]
+            w = self.edge_vectors[partner[0]][partner[1]]
             if kind == "translation":
                 if not (v + w).is_zero():
                     raise LengthMismatch(
@@ -307,10 +323,8 @@ class FlatSurface:
 
     def corner_rays(self, corner: EdgeRef) -> Tuple[Vec2, Vec2]:
         """Outgoing edge direction and direction toward the previous vertex,
-        both based at the corner."""
-        p, v = corner
-        verts = self.polygons[p].vertices
-        return verts[(v + 1) % len(verts)] - verts[v], verts[v - 1] - verts[v]
+        both based at the corner, built once with the surface."""
+        return self._rays[corner]
 
     def owns_ray(self, corner: EdgeRef, d: Vec2) -> bool:
         """Ray d inside the corner cone [out, back): strictly interior or
@@ -342,7 +356,7 @@ class FlatSurface:
                 return c, cur
             tr = self.fan_step(c)
             c = tr.target
-            cur = tr.map.mat.apply(cur)
+            cur = -cur if tr.flip else cur
         raise InternalCheckError("ray %r has no owning corner at (%d, %d)"
                                  % (d, chart, vidx))
 
@@ -350,7 +364,7 @@ class FlatSurface:
 
     def cross_edge(self, edge: EdgeRef, pos: Vec2) -> SurfacePoint:
         tr = self.transitions[edge]
-        return SurfacePoint(tr.target[0], tr.map.apply(pos))
+        return SurfacePoint(tr.target[0], tr.apply(pos))
 
     def canonical_point(self, sp: SurfacePoint) -> Tuple[str, object, SurfacePoint]:
         """Classify and canonicalize: returns (kind, key, representative).

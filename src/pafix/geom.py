@@ -1,12 +1,15 @@
 """Exact planar geometry over a real number field.
 
 Every answer here is the exact one.  In a quadratic field (the field's
-``_quad`` set), `orient`, `cross_sign`, the side list of
-`ConvexPolygon.clip_halfplane` and the `FieldElement` comparisons `<`,
-`<=`, `>` and `>=` are integer kernels: each cross-multiplies the
-coordinates' numerators by their denominators, forms the products with
-the field's reduction constants and takes the closed-form sign
+``_quad`` set), `orient`, `cross_sign`, `side_of` (the side of a point
+against a directed line, which `ConvexPolygon.clip_halfplane` and
+`saddle.cover` read) and the `FieldElement` comparisons `<`, `<=`, `>`
+and `>=` are integer kernels: each cross-multiplies the coordinates'
+numerators by their denominators, forms the products with the field's
+reduction constants and takes the closed-form sign
 (`exactnum.quad_sign`), with no float enclosure and no element built.
+On a vertical or horizontal line `side_of` is a comparison of one
+coordinate.
 
 Every other predicate, and in every other degree these four too, is
 float filtered.  Floats enter only as enclosures: each coordinate's
@@ -17,9 +20,8 @@ its answer from floats only when the interval excludes 0, and whenever it
 holds 0 the exact field arithmetic decides (Shewchuk's filtered
 predicates).  The filtered predicates are:
 
-- `orient`, `cross_sign` and the side list of
-  `ConvexPolygon.clip_halfplane` outside degree 2: the sign of a cross
-  product;
+- `orient`, `cross_sign` and `side_of` outside degree 2: the sign of a
+  cross product, or of a difference on an axis-parallel line;
 - `segment_intersection`: "none" when the denominator's interval excludes
   0 and a parameter's interval lies outside [0, 1];
 - `shared_segment`: None when the interval of the two directions' cross
@@ -430,16 +432,12 @@ class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order.
 
     Validation rejects repeated vertices, collinear triples, and clockwise
-    order.  `relaxed` construction (used internally for clipped pieces)
-    allows collinear vertices but still requires positive area and CCW.
-    """
+    order."""
 
     __slots__ = ("vertices", "_box")
 
-    def __init__(self, vertices: Sequence[Vec2], relaxed: bool = False):
+    def __init__(self, vertices: Sequence[Vec2]):
         verts = list(vertices)
-        if relaxed:
-            verts = _drop_collinear(verts)
         if len(verts) < 3:
             raise NonConvexPolygon("polygon needs at least 3 vertices")
         n = len(verts)
@@ -528,15 +526,19 @@ class ConvexPolygon:
         return self._rebuilt(vs)
 
     def _rebuilt(self, vs) -> Optional["ConvexPolygon"]:
-        """The polygon on a vertex list that _clip returned."""
+        """The polygon on a vertex list that _clip returned: None for None,
+        self for its own vertices, else a new polygon, which _clip's proof
+        makes strictly convex, so a failed validation is an internal
+        fault."""
         if vs is None:
             return None
         if vs is self.vertices:
             return self
         try:
-            return ConvexPolygon(vs, relaxed=True)
-        except NonConvexPolygon:
-            return None
+            return ConvexPolygon(vs)
+        except NonConvexPolygon as exc:
+            raise InternalCheckError(
+                "a clipped polygon is not strictly convex: %s" % exc) from exc
 
     def overlaps(self, other: "ConvexPolygon") -> bool:
         """Do the interiors meet?  The same answer as intersect(other) is
@@ -560,36 +562,74 @@ class ConvexPolygon:
         return "ConvexPolygon(%s)" % (list(self.vertices),)
 
 
-def _clip(vs, p: Vec2, d: Vec2):
+def side_of(p: Vec2, d: Vec2):
+    """The exact side function of the directed line through p with
+    direction d (d nonzero): v -> the sign of (v - p) x d, so -1 strictly
+    left of the line, 0 on it and 1 strictly right.
+
+    On a vertical or horizontal line it is a comparison of one coordinate
+    with p's.  Otherwise it is the integer kernel in a quadratic field,
+    with d's numerators read once, and the float filter with an exact
+    fallback in every other degree."""
+    px, py = p.x, p.y
+    if d.x.is_zero():
+        # (v - p) x d = (v.x - p.x) d.y
+        if d.y > 0:
+            return lambda v: v.x._compare(px)
+        return lambda v: px._compare(v.x)
+    if d.y.is_zero():
+        # (v - p) x d = (p.y - v.y) d.x
+        if d.x > 0:
+            return lambda v: py._compare(v.y)
+        return lambda v: v.y._compare(py)
+    quad = px.field._quad
+    if quad is not None:
+        dx = (*d.x.num, d.x.den)
+        dy = (*d.y.num, d.y.den)
+        return lambda v: _det2(quad, *_sub2(px, v.x), *_sub2(py, v.y),
+                               *dx, *dy)
+    d_box = _ibox(d)
+    return lambda v: _filtered_sign(_icross(_ivec(p, v), d_box),
+                                    lambda: (v - p).cross(d).sign())
+
+
+def _clip(vs, p: Vec2, d: Vec2, known=None):
     """The vertices of a strictly convex counterclockwise polygon clipped
     to the closed halfplane left of the directed line through p with
     direction d: vs itself when every vertex is in it, None when no vertex
     is strictly inside.
+
+    A vertex v's side is side_of(p, d)(v), and v is kept when it is <= 0.
+    known, when given, lists a side for each vertex of vs, or None
+    where _clip is to compute it: a caller that has the signs of a
+    polygon's own vertices against the line passes them, so that only the
+    crossing points of earlier clips cost a sign here.
 
     Otherwise the kept vertices and the crossing points of the line, in
     order.  The signs are exact, so the line meets the interior; the
     clipped polygon is again strictly convex, with exactly two points on
     the line (a vertex on it, or a crossing strictly inside an edge), so
     clipping again needs no collinear drop and the vertex order never
-    changes."""
-    n = len(vs)
-    # left of the directed line: cross(d, z - p) >= 0, i.e. side <= 0
-    px, py = p.x, p.y
-    quad = px.field._quad
-    if quad is not None:
-        dx = (*d.x.num, d.x.den)
-        dy = (*d.y.num, d.y.den)
-        sides = [_det2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
-                 for v in vs]
+    changes.
+
+    The crossing on edge ab is a + t(b - a) with t = (p - a) x d /
+    ((b - a) x d).  On an axis-parallel line it takes the line's own
+    coordinate and one product and one division for the other: on a
+    vertical line x = p.x and y = a.y + (b.y - a.y)(p.x - a.x)/(b.x - a.x),
+    on a horizontal one the same with x and y swapped.  The arithmetic is
+    exact, so both give the same point."""
+    side = side_of(p, d)
+    if known is None:
+        sides = [side(v) for v in vs]
     else:
-        d_box = _ibox(d)
-        sides = [_filtered_sign(_icross(_ivec(p, v), d_box),
-                                lambda: (v - p).cross(d).sign())
-                 for v in vs]
+        sides = [side(v) if s is None else s for v, s in zip(vs, known)]
     if all(s <= 0 for s in sides):
         return vs
     if not any(s < 0 for s in sides):
         return None
+    px, py = p.x, p.y
+    vertical, horizontal = d.x.is_zero(), d.y.is_zero()
+    n = len(vs)
     out = []
     for i in range(n):
         j = (i + 1) % n
@@ -597,9 +637,16 @@ def _clip(vs, p: Vec2, d: Vec2):
             out.append(vs[i])
         if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
             a, b = vs[i], vs[j]
-            r = b - a
-            t = (p - a).cross(d) / r.cross(d)
-            out.append(a + r.scale(t))
+            if vertical:
+                out.append(Vec2(px, a.y + (b.y - a.y) * (px - a.x)
+                                / (b.x - a.x)))
+            elif horizontal:
+                out.append(Vec2(a.x + (b.x - a.x) * (py - a.y)
+                                / (b.y - a.y), py))
+            else:
+                r = b - a
+                t = (p - a).cross(d) / r.cross(d)
+                out.append(a + r.scale(t))
         # vertices exactly on the line are kept once above
     return out
 
@@ -613,25 +660,6 @@ def _edge_line_separates(vs, others) -> bool:
         if all(orient(a, b, p) <= 0 for p in others):
             return True
     return False
-
-
-def _drop_collinear(verts):
-    out = list(verts)
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        n = len(out)
-        for i in range(n):
-            a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
-            if b == a:
-                out.pop(i)
-                changed = True
-                break
-            if orient(a, b, c) == 0:
-                out.pop(i)
-                changed = True
-                break
-    return out
 
 
 def convex_hull_is_quad_strict(pts) -> bool:

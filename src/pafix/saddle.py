@@ -4,11 +4,18 @@ Everything here rides on two primitives, both exact in the field: trace
 walks a straight segment across the surface, and cover develops chart
 placements depth first over a convex region, across every glued edge
 that meets the region in a chord, and cuts the region into chart
-pieces.  On top of them sit saddle connection enumeration (polygon
-unfolding pruned by a holonomy box), spanning rectangles with certified
-immersion degree, and transverse crossings and intersection numbers.
-cover also serves the oracle's triangles (fixcount._cover_region) and
-map building (affine.develop).
+pieces.  Both work in each chart's own frame.  Every gluing transition
+and every placement is z -> +-z + t, so trace carries its direction
+only up to sign, and cover pulls the region back into each placed chart
+and reads its vertex, clip and chord tests from one table of the exact
+sides (geom.side_of) of the chart's vertices against the region's edge
+lines; a region side that is axis-parallel, as every side of a spanning
+rectangle is, decides sides by comparing one coordinate and clips with
+one product and one division per crossing.  On top of them sit saddle
+connection enumeration (polygon unfolding pruned by a holonomy box),
+spanning rectangles with certified immersion degree, and transverse
+crossings and intersection numbers.  cover also serves the oracle's
+triangles (fixcount._cover_region) and map building (affine.develop).
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -29,6 +36,7 @@ from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import (
     ConvexPolygon,
     Vec2,
+    _clip,
     _ibox,
     _icross,
     _idiv,
@@ -37,9 +45,9 @@ from .geom import (
     boxes_disjoint,
     cross_sign,
     float_box,
-    orient,
     segment_intersection,
     shared_segment,
+    side_of,
 )
 
 # Search budgets; each overflow error names its own.
@@ -111,14 +119,30 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
 
     Develops chart placements (chart, eps, shift) from the seed
     placements, deduplicated by _place_key, depth first with the last
-    reached placement first, across every glued edge whose placed ends a,
-    b satisfy chord_in_region(region, a, b).  Returns
+    reached placement first, across every glued edge of the placed chart
+    that meets the region in a chord (chord_in_region's answer).  Returns
     [(chart, eps, shift, piece)] in first-reached order, one per placement
-    whose polygon meets the region with positive area, piece the
-    chart-coordinate pullback of the region clipped to the placed polygon;
-    or None as soon as a placed vertex lies in the region's interior.
-    budget is (name, limit) of the constant capping the expanded
-    placements; the overflow error names it.
+    whose polygon meets the region with positive area, piece the region
+    clipped to the placed polygon, in chart coordinates; or None as soon
+    as a placed vertex lies in the region's interior.  budget is (name,
+    limit) of the constant capping the expanded placements; the overflow
+    error names it.
+
+    Each placement works in its chart's own frame: the region is pulled
+    back by the placement (eps = -1 is a rotation by pi, so its vertex
+    order stays counterclockwise), and one table holds, for every
+    pulled-back region edge line i and chart vertex j, the side of the
+    vertex against the line (geom.side_of, minus the orient sign).  The
+    table gives all three tests.  A vertex strictly left of every line is
+    inside the region.  Clipping the chart polygon by the lines in turn
+    (_chart_piece) reads the sides of the chart's own vertices from it,
+    so _clip computes sides only for the crossing points earlier lines
+    added; a line with every chart vertex on its closed left clips
+    nothing, and the piece of an unclipped chart is its own polygon.
+    The chord test of an edge reads the sides of its two ends (_chord).
+    Signs and arithmetic are exact and the placements are isometries, so
+    every answer, and every piece vertex, is the one the region's own
+    frame gives.
 
     A chord on the region's boundary counts, so the search also crosses
     a placed edge lying along a side of the region.  The placement across
@@ -129,6 +153,10 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
     seen.  The pieces are therefore those of the open region's unfolding,
     in the same order."""
     name, limit = budget
+    rverts = region.vertices
+    # the edge directions, pulled back by negation when eps = -1
+    dirs = [b - a for a, b in region.edges()]
+    flipped = [-d for d in dirs]
     seen = set()
     stack = []
     out = []
@@ -140,59 +168,90 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
             if key in seen:
                 continue
             seen.add(key)
-            placed = [_place_apply(eps, shift, v)
-                      for v in surface.polygons[chart].vertices]
-            for w in placed:
-                if region.contains(w) == 2:
-                    return None
-            clip = ConvexPolygon(placed).intersect(region)
-            if clip is not None:
-                # eps = -1 is a rotation by pi, so vertex order stays CCW
-                piece = ConvexPolygon([_place_unapply(eps, shift, v)
-                                       for v in clip.vertices])
+            poly = surface.polygons[chart]
+            local = [_place_unapply(eps, shift, w) for w in rverts]
+            lines = list(zip(local, dirs if eps == 1 else flipped))
+            table = [list(map(side_of(p, d), poly.vertices))
+                     for p, d in lines]
+            cols = list(zip(*table))
+            if any(max(col) < 0 for col in cols):
+                return None
+            piece = _chart_piece(poly, lines, table)
+            if piece is not None:
                 out.append((chart, eps, shift, piece))
-            stack.append((chart, eps, shift, placed))
+            stack.append((chart, eps, shift, local, cols))
         if not stack:
             return out
-        chart, eps, shift, placed = stack.pop()
+        chart, eps, shift, local, cols = stack.pop()
         expanded += 1
         if expanded > limit:
             raise InternalCheckError(
                 "unfolding exceeded %s = %d placements" % (name, limit))
-        m = len(placed)
+        verts = surface.polygons[chart].vertices
+        m = len(verts)
         fresh = []
         for e in range(m):
-            if chord_in_region(region, placed[e], placed[(e + 1) % m]):
+            e1 = (e + 1) % m
+            if _chord(verts[e], verts[e1], local, zip(cols[e], cols[e1])):
                 tr = surface.transitions[(chart, e)]
                 eps2, shift2 = _place_cross(eps, shift, tr)
                 fresh.append((tr.target[0], eps2, shift2))
 
 
+def _chart_piece(poly: ConvexPolygon, lines, table) -> Optional[ConvexPolygon]:
+    """poly clipped to the closed left of each directed line (p, d) in
+    turn, or None when that has empty interior; table[i][j] is the side of
+    poly's vertex j against line i.
+
+    The clipped polygon lies in poly, so a line with every vertex of poly
+    on its closed left clips nothing, and one with every vertex on its
+    closed right leaves nothing.  Otherwise the vertices of poly still in
+    the polygon, which _clip keeps as the same objects, take their sides
+    from the table, and _clip computes the rest."""
+    vs = poly.vertices
+    own = {id(v): j for j, v in enumerate(vs)}
+    for (p, d), row in zip(lines, table):
+        if max(row) <= 0:
+            continue
+        if min(row) >= 0:
+            return None
+        known = [None if j is None else row[j]
+                 for j in map(own.get, map(id, vs))]
+        vs = _clip(vs, p, d, known)
+        if vs is None:
+            return None
+    return poly._rebuilt(vs)
+
+
 def chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
     """Does segment ab (a != b) meet the closed convex region in a chord of
     positive length?  Boundary chords count, so a cover walks around it.
+    Disjoint float boxes reject first; _chord decides the rest."""
+    if boxes_disjoint(float_box((a, b)), region.float_bbox()):
+        return False
+    lines = (side_of(p, q - p) for p, q in region.edges())
+    return _chord(a, b, region.vertices,
+                  ((side(a), side(b)) for side in lines))
+
+
+def _chord(a: Vec2, b: Vec2, vs, sides) -> bool:
+    """chord_in_region's answer for segment ab and the closed convex
+    polygon vs, where sides yields the sides (geom.side_of) of a and b
+    against each edge line of vs in turn.
 
     The segment misses the interior exactly when some edge line of the
     region, or the segment's own line, has the two on opposite closed
     sides.  Then a chord can only run along an edge whose line holds the
     segment, and the edge lines are tried first: one shared_segment call
-    decides.  Orient signs decide the rest, with no division, after disjoint
-    float boxes reject."""
-    if boxes_disjoint(float_box((a, b)), region.float_bbox()):
-        return False
-    vs = region.vertices
+    decides.  Exact sides decide the rest, with no division."""
     n = len(vs)
-    for i in range(n):
-        p, q = vs[i], vs[(i + 1) % n]
-        sa = orient(p, q, a)
-        if sa > 0:
+    for i, (sa, sb) in enumerate(sides):
+        if sa < 0 or sb < 0:
             continue
-        sb = orient(p, q, b)
-        if sb > 0:
-            continue
-        return sa == 0 == sb and shared_segment(a, b, p, q) is not None
-    sides = {orient(a, b, v) for v in vs}
-    return 1 in sides and -1 in sides
+        return sa == 0 == sb and \
+            shared_segment(a, b, vs[i], vs[(i + 1) % n]) is not None
+    signs = set(map(side_of(a, b - a), vs))
+    return 1 in signs and -1 in signs
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +280,24 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
     """Walk the straight segment pos -> pos + vec across the surface.
 
     Stops early (status "vertex", consumed < 1) when the open segment runs
-    into a polygon vertex, i.e. a cone or marked point."""
+    into a polygon vertex, i.e. a cone or marked point.
+
+    Every transition is +-I, so the direction d in the current chart is
+    vec or -vec, and the walk keeps the fraction of vec still left.  In
+    each chart the exit edge is the first one hit along d, at the smallest
+    parameter u with pos + u d on its line; the segment ends in the chart
+    when u reaches what is left.  A crossing maps the point by the
+    transition (z -> +-z + t) and negates d on a flip, with no matrix
+    product and no rescaling.  The end point is the plane end pos + vec
+    pulled back by the current placement, since each placement is the
+    composition of the crossings that reached it."""
     field = surface.field
     one = field.one()
     if vec.is_zero():
         raise InputError("cannot trace a zero vector")
-    rem = vec
-    s_total = field.zero()
+    end = pos + vec
+    d = vec
+    left = one
     sign = 1
     eps, shift = 1, Vec2(field.zero(), field.zero())
     pieces, crossings, placements = [], [], []
@@ -238,47 +308,43 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             raise InternalCheckError(
                 "trace exceeded _TRACE_CROSSINGS = %d crossings"
                 % _TRACE_CROSSINGS)
-        poly = surface.polygons[chart]
-        n = len(poly)
-        best_t = None
+        verts = surface.polygons[chart].vertices
+        best_u = None
         best_edge = -1
-        for e in range(n):
-            a = poly.vertices[e]
-            b = poly.vertices[(e + 1) % n]
-            ev = b - a
-            if cross_sign(ev, rem) >= 0:
+        for e, ev in enumerate(surface.edge_vectors[chart]):
+            if cross_sign(ev, d) >= 0:
                 continue
-            t = ev.cross(pos - a) / (-ev.cross(rem))
-            if best_t is None or t < best_t:
-                best_t = t
+            u = ev.cross(pos - verts[e]) / (-ev.cross(d))
+            if best_u is None or u < best_u:
+                best_u = u
                 best_edge = e
-        if best_t is None or best_t >= one:
+        if best_u is None or best_u >= left:
             # segment ends inside this polygon (possibly on its boundary)
-            x = pos + rem
+            x = _place_unapply(eps, shift, end)
             pieces.append((chart, pos, x))
             placements.append((chart, eps, shift))
             end_vertex = surface.vertex_index(chart, x)
             status = "vertex" if end_vertex is not None else "end"
             return TraceResult(status, one, pieces, crossings, placements,
                                chart, x, end_vertex, sign)
-        t = best_t
-        x = pos if t.is_zero() else pos + rem.scale(t)
+        u = best_u
+        x = pos if u.is_zero() else pos + d.scale(u)
         if x != pos:
             pieces.append((chart, pos, x))
             placements.append((chart, eps, shift))
-        s_total = s_total + (one - s_total) * t
+        left = left - u
         hit_vertex = surface.vertex_index(chart, x)
         if hit_vertex is not None:
-            return TraceResult("vertex", s_total, pieces, crossings,
+            return TraceResult("vertex", one - left, pieces, crossings,
                                placements, chart, x, hit_vertex, sign)
         tr = surface.transitions[(chart, best_edge)]
         q, e2 = tr.target
         crossings.append((chart, best_edge, q, e2))
-        rem = tr.map.mat.apply(rem.scale(one - t))
-        pos = tr.map.apply(x)
-        eps, shift = _place_cross(eps, shift, tr)
+        pos = tr.apply(x)
         if tr.flip:
+            d = -d
             sign = -sign
+        eps, shift = _place_cross(eps, shift, tr)
         chart = q
 
 

@@ -486,9 +486,8 @@ def complete_to_section(surface: FlatSurface,
             except OverlappingSegments:
                 raise NotNoncrossing("seed edges overlap")
         chosen.append(c)
-    for chart, poly in enumerate(surface.polygons):
-        for e in range(len(poly)):
-            hol = poly.edge_vector(e)
+    for chart, vecs in enumerate(surface.edge_vectors):
+        for e, hol in enumerate(vecs):
             if hol.x.is_zero() or hol.y.is_zero():
                 raise UnsupportedSurface(
                     "polygon edge %s has holonomy (%s, %s), an axis-parallel "

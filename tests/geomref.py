@@ -18,10 +18,18 @@ it was before the one-pass classifier: contains first, then a search of
 the edges with on_segment.  validate_continuity is PiecewiseAffineMap's
 continuity check as it was before the vertex stars: every pair of piece
 sides, and every piece side against every glued polygon edge, compared
-at the ends of their shared segment.  The tests compare the filtered
-predicates, the cover and the star check against them.
+at the ends of their shared segment.  cover and trace are
+pafix.saddle's cover and trace as they were before they worked in the
+chart's own frame: cover places each chart in the region's frame, tests
+its vertices with contains, intersects the placed polygon with the
+region and pulls the piece back, and crosses the edges that
+region_chord, the orient-sign chord test it called, accepts; trace
+rescales its remaining vector by each transition's matrix.  The tests
+compare the filtered predicates, the covers, the trace and the star
+check against them.
 """
 
+from pafix import geom
 from pafix.errors import Discontinuous, InputError, NonConvexPolygon
 from pafix.flatsurf import SurfacePoint
 from pafix.geom import (
@@ -31,7 +39,13 @@ from pafix.geom import (
     float_box,
     shared_segment,
 )
-from pafix.saddle import _place_apply, _place_cross, _place_unapply
+from pafix.saddle import (
+    TraceResult,
+    _place_apply,
+    _place_cross,
+    _place_key,
+    _place_unapply,
+)
 
 
 def orient(a, b, c):
@@ -116,9 +130,27 @@ def clip_halfplane(vertices, p, d, side=None):
             t = (p - a).cross(d) / r.cross(d)
             out.append(a + r.scale(t))
     try:
-        return ConvexPolygon(out, relaxed=True).vertices
+        return ConvexPolygon(drop_collinear(out)).vertices
     except NonConvexPolygon:
         return None
+
+
+def drop_collinear(verts):
+    """verts without repeated points and without any point collinear with
+    its two neighbours, dropped one at a time by pafix.geom's orient: the
+    relaxed polygon construction clip_halfplane was checked against."""
+    out = list(verts)
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        n = len(out)
+        for i in range(n):
+            a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
+            if b == a or geom.orient(a, b, c) == 0:
+                out.pop(i)
+                changed = True
+                break
+    return out
 
 
 def seg_meets_box(a, b, bounds, closed):
@@ -330,3 +362,120 @@ def validate_continuity(m):
                         raise Discontinuous(
                             "pieces disagree across edge %s at %r"
                             % (edge, pt))
+
+
+def region_chord(region, a, b):
+    """Does segment ab meet the closed convex region in a chord of positive
+    length?  Float boxes reject, then each edge line is tried with the
+    orient sign of a and, unless a is strictly inside it, of b; then the
+    segment's own line."""
+    if boxes_disjoint(float_box((a, b)), region.float_bbox()):
+        return False
+    vs = region.vertices
+    n = len(vs)
+    for i in range(n):
+        p, q = vs[i], vs[(i + 1) % n]
+        sa = geom.orient(p, q, a)
+        if sa > 0:
+            continue
+        sb = geom.orient(p, q, b)
+        if sb > 0:
+            continue
+        return sa == 0 == sb and shared_segment(a, b, p, q) is not None
+    sides = {geom.orient(a, b, v) for v in vs}
+    return 1 in sides and -1 in sides
+
+
+def cover(surface, seeds, region, budget):
+    """[(chart, eps, shift, piece)] of the region, or None when a placed
+    vertex lies inside it, with each chart placed in the region's frame."""
+    name, limit = budget
+    seen = set()
+    stack = []
+    out = []
+    fresh = seeds
+    expanded = 0
+    while True:
+        for chart, eps, shift in fresh:
+            key = _place_key(chart, eps, shift)
+            if key in seen:
+                continue
+            seen.add(key)
+            placed = [_place_apply(eps, shift, v)
+                      for v in surface.polygons[chart].vertices]
+            for w in placed:
+                if region.contains(w) == 2:
+                    return None
+            clip = ConvexPolygon(placed).intersect(region)
+            if clip is not None:
+                piece = ConvexPolygon([_place_unapply(eps, shift, v)
+                                       for v in clip.vertices])
+                out.append((chart, eps, shift, piece))
+            stack.append((chart, eps, shift, placed))
+        if not stack:
+            return out
+        chart, eps, shift, placed = stack.pop()
+        expanded += 1
+        if expanded > limit:
+            raise AssertionError("unfolding exceeded %s = %d placements"
+                                 % (name, limit))
+        m = len(placed)
+        fresh = []
+        for e in range(m):
+            if region_chord(region, placed[e], placed[(e + 1) % m]):
+                tr = surface.transitions[(chart, e)]
+                fresh.append((tr.target[0], *_place_cross(eps, shift, tr)))
+
+
+def trace(surface, chart, pos, vec):
+    """The TraceResult of the walk pos -> pos + vec, carrying the vector
+    still to walk through each transition's map."""
+    field = surface.field
+    one = field.one()
+    rem = vec
+    s_total = field.zero()
+    sign = 1
+    eps, shift = 1, Vec2(field.zero(), field.zero())
+    pieces, crossings, placements = [], [], []
+    while True:
+        poly = surface.polygons[chart]
+        n = len(poly)
+        best_t = None
+        best_edge = -1
+        for e in range(n):
+            a = poly.vertices[e]
+            b = poly.vertices[(e + 1) % n]
+            ev = b - a
+            if ev.cross(rem).sign() >= 0:
+                continue
+            t = ev.cross(pos - a) / (-ev.cross(rem))
+            if best_t is None or t < best_t:
+                best_t = t
+                best_edge = e
+        if best_t is None or best_t >= one:
+            x = pos + rem
+            pieces.append((chart, pos, x))
+            placements.append((chart, eps, shift))
+            end_vertex = surface.vertex_index(chart, x)
+            status = "vertex" if end_vertex is not None else "end"
+            return TraceResult(status, one, pieces, crossings, placements,
+                               chart, x, end_vertex, sign)
+        t = best_t
+        x = pos if t.is_zero() else pos + rem.scale(t)
+        if x != pos:
+            pieces.append((chart, pos, x))
+            placements.append((chart, eps, shift))
+        s_total = s_total + (one - s_total) * t
+        hit_vertex = surface.vertex_index(chart, x)
+        if hit_vertex is not None:
+            return TraceResult("vertex", s_total, pieces, crossings,
+                               placements, chart, x, hit_vertex, sign)
+        tr = surface.transitions[(chart, best_edge)]
+        q, e2 = tr.target
+        crossings.append((chart, best_edge, q, e2))
+        rem = tr.map.mat.apply(rem.scale(one - t))
+        pos = tr.map.apply(x)
+        eps, shift = _place_cross(eps, shift, tr)
+        if tr.flip:
+            sign = -sign
+        chart = q

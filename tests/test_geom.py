@@ -22,8 +22,12 @@ basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
 filter decides, and that it falls back, run on x^3 - 2.
 
 `saddle.chord_in_region`, which decides from a float box reject and
-orient signs, with no division, is checked against
-`geomref.chord_in_region`, the division-based clip it replaced.
+exact sides, with no division, is checked against
+`geomref.chord_in_region`, the division-based clip it replaced.  On
+vertical and horizontal lines `side_of` compares one coordinate and
+`_clip` crosses with one product and one division; both are checked
+against the exact reference, and so is a second clip whose known sides
+are those of the polygon's own vertices, as `saddle.cover` passes them.
 `saddle._window_misses_box`, the float-only prune of the saddle search,
 is checked one-sided: whenever it says "misses",
 `geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
@@ -39,13 +43,16 @@ from hypothesis import strategies as st
 import geomref
 from pafix.affine import torus_from_matrix
 from pafix.exactnum import FieldElement, RealNumberField
+from pafix.errors import InternalCheckError
 from pafix.geom import (
     ConvexPolygon,
     Vec2,
+    _clip,
     cross_sign,
     orient,
     segment_intersection,
     shared_segment,
+    side_of,
 )
 from pafix.saddle import _window_misses_box, chord_in_region
 
@@ -254,6 +261,19 @@ def test_visibility_prune_misses_only_what_the_exact_clip_misses(poly, lo, hi):
     assert misses
 
 
+def test_a_rebuilt_clip_that_is_not_strictly_convex_is_an_internal_fault():
+    # _clip's result is strictly convex, so _rebuilt validates it strictly
+    # and a list that fails is a fault of the clip, not of the input
+    K = RealNumberField.create(*FIELDS[0])
+    square = ConvexPolygon([Vec2(K.rational(x), K.rational(y))
+                            for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    straight = [Vec2(K.rational(x), K.zero()) for x in (0, 1, 2)]
+    with pytest.raises(InternalCheckError):
+        square._rebuilt(straight)
+    assert square._rebuilt(square.vertices) is square
+    assert square._rebuilt(None) is None
+
+
 def test_shared_segment_of_nested_and_touching_sides():
     K = RealNumberField.create(*FIELDS[0])
     g = K.gen()
@@ -379,6 +399,47 @@ def test_contains_matches_the_exact_reference(poly, lo, hi):
             got = poly.clip_halfplane(p, q - p)
             want = geomref.clip_halfplane(verts, p, q - p)
             assert (got and got.vertices) == want
+
+    check()
+
+
+@pytest.mark.parametrize("poly, lo, hi", [FIELDS[0], FIELDS[2]])
+def test_axis_parallel_clips_match_the_exact_reference(poly, lo, hi):
+    # vertical and horizontal lines, both ways, through the vertices, points
+    # on and near the edges and a random point: side_of compares one
+    # coordinate, and _clip takes the crossing from one product and one
+    # division; a second clip across the first, with the sides of the
+    # pentagon's own vertices given, is the cover's use of a table
+    K = RealNumberField.create(poly, lo, hi)
+    one, zero = K.one(), K.zero()
+    axes = [Vec2(zero, one), Vec2(zero, -one), Vec2(one, zero),
+            Vec2(-one, zero)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(coefficients(7 * K.degree), ratio, st.integers(75, 100),
+           st.booleans())
+    def check(cs, t, bits, negative):
+        verts, points = polygon_and_points(K, cs, t, bits, negative)
+        clipped = 0
+        for k, p in enumerate(points):
+            q = points[(k + 1) % len(points)]
+            for d, e in zip(axes, axes[2:] + axes[:2]):
+                side = side_of(p, d)
+                exact = [(v - p).cross(d).sign() for v in verts]
+                assert [side(v) for v in verts] == exact
+                got = _clip(verts, p, d)
+                want = geomref.clip_halfplane(verts, p, d)
+                assert (got and tuple(got)) == want
+                if not got or got is verts:
+                    continue
+                clipped += 1
+                # across the first line, through the next point
+                known = [(v - q).cross(e).sign() for v in verts]
+                own = dict(zip(map(id, verts), known))
+                again = _clip(got, q, e, [own.get(id(v)) for v in got])
+                assert (again and tuple(again)) == \
+                    geomref.clip_halfplane(want, q, e)
+        assert clipped
 
     check()
 

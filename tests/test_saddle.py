@@ -8,11 +8,15 @@ angles above and below 2 pi."""
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import geomref
+import pafix.geom
+import pafix.saddle
+from pafix import fixcount
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
@@ -20,18 +24,37 @@ from pafix.errors import (
     OverlappingSegments,
 )
 from pafix.flatsurf import FlatSurface, SurfacePoint
-from pafix.geom import ConvexPolygon, Mat2
+from pafix.geom import ConvexPolygon, Mat2, Vec2
 from pafix.saddle import (
+    _RECT_UNFOLD_NODES,
     SaddleConnection,
+    _box_candidates,
     _meetings,
+    _place_apply,
     _rect_degree,
+    cover,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
     trace,
 )
+from pafix.veering import annular_avoiding_f_section
 
-from surfbuild import octagon_surface, pillowcase, rational_field, square_torus, vec
+from surfbuild import (
+    h11_origami,
+    l_origami,
+    octagon_surface,
+    pillowcase,
+    rational_field,
+    square_torus,
+    vec,
+)
+
+# one square chart; one octagon chart around a 6 pi point; two charts
+# glued by halfturns; and square charts around a 6 pi point or two 4 pi
+# points
+COVER_SURFACES = [square_torus, octagon_surface, pillowcase, l_origami,
+                  h11_origami]
 
 
 def conn(surface, x, y):
@@ -99,6 +122,38 @@ def test_trace_zero_vector_rejected():
     with pytest.raises(InputError):
         trace(t, 0, vec(t.field, Fraction(1, 2), Fraction(1, 2)),
               vec(t.field, 0, 0))
+
+
+def trace_fields(res):
+    return (res.status, res.consumed, res.pieces, res.crossings,
+            res.placements, res.end_chart, res.end_pos, res.end_vertex,
+            res.sign)
+
+
+@pytest.mark.parametrize("make", COVER_SURFACES)
+def test_trace_matches_the_rescaling_reference(make):
+    # every walk the box-3 search tries, from its corner, and the same
+    # vector from a point inside the start chart, which ends at regular
+    # points too
+    surface = make()
+    three = surface.field.coerce(3)
+    statuses = Counter()
+    for corner in sorted(surface.corner_class):
+        chart, vidx = corner
+        verts = surface.polygons[chart].vertices
+        inner = (verts[0] + verts[1] + verts[2]).scale(
+            surface.field.rational(Fraction(1, 3)))
+        for cand in _box_candidates(surface, corner, three, three):
+            if not surface.owns_ray(corner, cand):
+                continue
+            for pos in (verts[vidx], inner):
+                got = trace(surface, chart, pos, cand)
+                want = geomref.trace(surface, chart, pos, cand)
+                assert trace_fields(got) == trace_fields(want)
+                statuses[got.status, got.sign, got.consumed == 1] += 1
+    assert statuses[("vertex", 1, True)] and statuses[("end", 1, True)]
+    if make is pillowcase:
+        assert statuses[("vertex", -1, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +399,87 @@ def test_rectangle_cover_matches_the_open_box_reference(make):
         assert rect.placements == [(c, e, t) for c, e, t, _ in pieces]
         assert (rect.degree, rect.ambiguous, rect.translation) == \
             _rect_degree(pieces, rect.width, rect.height)
+
+
+def rectangle_box(sc):
+    """The closed rectangle with sc as its diagonal, as is_veering_edge
+    builds it."""
+    p0 = sc.start_point().pos
+    p1 = p0 + sc.hol
+    x0, x1 = min(p0.x, p1.x), max(p0.x, p1.x)
+    y0, y1 = min(p0.y, p1.y), max(p0.y, p1.y)
+    return ConvexPolygon([Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1),
+                          Vec2(x0, y1)])
+
+
+def cover_pieces(cut):
+    return cut if cut is None else \
+        [(c, e, t, piece.vertices) for c, e, t, piece in cut]
+
+
+RECT_BUDGET = ("_RECT_UNFOLD_NODES", _RECT_UNFOLD_NODES)
+
+
+@pytest.mark.parametrize("make", COVER_SURFACES)
+def test_rectangle_cover_matches_the_region_frame_reference(make):
+    surface = make()
+    conns = [sc for sc in enumerate_saddles(surface, 3, 3)
+             if not (sc.is_horizontal() or sc.is_vertical())]
+    cuts = Counter()
+    for sc in conns:
+        box = rectangle_box(sc)
+        got = cover(surface, sc.placements, box, RECT_BUDGET)
+        assert cover_pieces(got) == cover_pieces(
+            geomref.cover(surface, sc.placements, box, RECT_BUDGET)), sc
+        cuts[got is None] += 1
+    assert cuts[True] and cuts[False]
+
+
+@pytest.mark.parametrize("m", [[[2, 1], [1, 1]], [[-3, -1], [-2, -1]]])
+def test_oracle_triangle_covers_match_the_region_frame_reference(m):
+    # the triangles of the section and their images, developed as the
+    # oracle develops them
+    surface, f = torus_from_matrix(m)
+    section = annular_avoiding_f_section(f)
+    budget = ("_COVER_CAP", fixcount._COVER_CAP)
+    for face in section.triangles:
+        images = tuple(section.cache.image(f, r) for r in face)
+        for edges in (face, images):
+            tri, seeds = fixcount._face_development(edges)
+            got = cover(surface, seeds, tri, budget)
+            assert got
+            assert cover_pieces(got) == cover_pieces(
+                geomref.cover(surface, seeds, tri, budget))
+
+
+def test_rectangle_cover_places_no_polygon_and_clips_in_the_chart(
+        monkeypatch):
+    # the pillowcase's rectangles cross many boundary chords: the cover
+    # pulls each region back instead of placing the chart, builds no
+    # placed polygon to intersect, and takes its sides from one table
+    surface = pillowcase()
+    rects = [(sc.placements, rectangle_box(sc))
+             for sc in enumerate_saddles(surface, 3, 3)
+             if not (sc.is_horizontal() or sc.is_vertical())]
+    calls = Counter()
+
+    def count(owner, name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(pafix.saddle, "_place_apply", _place_apply)
+    count(ConvexPolygon, "intersect", ConvexPolygon.intersect)
+    count(pafix.geom, "orient", pafix.geom.orient)
+    for seeds, box in rects:
+        cover(surface, seeds, box, RECT_BUDGET)
+    assert calls["_place_apply"] == 0 and calls["intersect"] == 0
+    new_orients = calls["orient"]
+    calls.clear()
+    for seeds, box in rects:
+        geomref.cover(surface, seeds, box, RECT_BUDGET)
+    assert calls["intersect"] > 0
+    assert new_orients < calls["orient"]
 
 
 # ---------------------------------------------------------------------------
