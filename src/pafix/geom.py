@@ -8,8 +8,6 @@ and `>=` are integer kernels: each cross-multiplies the coordinates'
 numerators by their denominators, forms the products with the field's
 reduction constants and takes the closed-form sign
 (`exactnum.quad_sign`), with no float enclosure and no element built.
-On a vertical or horizontal line `side_of` is a comparison of one
-coordinate.
 
 Every other predicate, and in every other degree these four too, is
 float filtered.  Floats enter only as enclosures: each coordinate's
@@ -21,7 +19,7 @@ holds 0 the exact field arithmetic decides (Shewchuk's filtered
 predicates).  The filtered predicates are:
 
 - `orient`, `cross_sign` and `side_of` outside degree 2: the sign of a
-  cross product, or of a difference on an axis-parallel line;
+  cross product;
 - `segment_intersection`: "none" when the denominator's interval excludes
   0 and a parameter's interval lies outside [0, 1];
 - `shared_segment`: None when the interval of the two directions' cross
@@ -46,8 +44,8 @@ tests of the saddle search and `trace`, and the bound tests of the
 spanning rectangles and the fixed-point solver.  A few exact paths answer
 without arithmetic: outside degree 2 a repeated point makes `orient` 0,
 and identical segments overlap in themselves.  The float box prefilter
-(`float_box` and `boxes_disjoint`, which `ConvexPolygon.intersect`,
-`overlaps` and `saddle.chord_in_region` run first) serves every degree;
+(`float_box` and `boxes_disjoint`, which `ConvexPolygon.intersect` and
+`overlaps` run first) serves every degree;
 it may claim "maybe" but never lies about "no".
 
 The visibility prune of `saddle._box_candidates` is float only, with no
@@ -69,7 +67,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-from .errors import InternalCheckError, NonConvexPolygon
+from .errors import InputError, InternalCheckError, NonConvexPolygon
 from .exactnum import FieldElement, RealNumberField, quad_sign
 
 
@@ -509,7 +507,8 @@ class ConvexPolygon:
     def clip_halfplane(self, p: Vec2, d: Vec2) -> Optional["ConvexPolygon"]:
         """Intersection with {z : cross(d, z - p) >= 0}, the closed halfplane
         to the left of the directed line through p with direction d.
-        Returns None when the intersection has empty interior."""
+        Returns None when the intersection has empty interior; a zero d
+        is an InputError."""
         return self._rebuilt(_clip(self.vertices, p, d))
 
     def intersect(self, other: "ConvexPolygon") -> Optional["ConvexPolygon"]:
@@ -564,24 +563,15 @@ class ConvexPolygon:
 
 def side_of(p: Vec2, d: Vec2):
     """The exact side function of the directed line through p with
-    direction d (d nonzero): v -> the sign of (v - p) x d, so -1 strictly
-    left of the line, 0 on it and 1 strictly right.
+    direction d: v -> the sign of (v - p) x d, so -1 strictly left of the
+    line, 0 on it and 1 strictly right.
 
-    On a vertical or horizontal line it is a comparison of one coordinate
-    with p's.  Otherwise it is the integer kernel in a quadratic field,
-    with d's numerators read once, and the float filter with an exact
-    fallback in every other degree."""
+    It is the integer kernel in a quadratic field, with d's numerators
+    read once, and the float filter with an exact fallback in every other
+    degree.  A zero d is an InputError."""
+    if d.is_zero():
+        raise InputError("a directed line needs a nonzero direction")
     px, py = p.x, p.y
-    if d.x.is_zero():
-        # (v - p) x d = (v.x - p.x) d.y
-        if d.y > 0:
-            return lambda v: v.x._compare(px)
-        return lambda v: px._compare(v.x)
-    if d.y.is_zero():
-        # (v - p) x d = (p.y - v.y) d.x
-        if d.x > 0:
-            return lambda v: py._compare(v.y)
-        return lambda v: v.y._compare(py)
     quad = px.field._quad
     if quad is not None:
         dx = (*d.x.num, d.x.den)
@@ -593,42 +583,24 @@ def side_of(p: Vec2, d: Vec2):
                                     lambda: (v - p).cross(d).sign())
 
 
-def _clip(vs, p: Vec2, d: Vec2, known=None):
+def _clip(vs, p: Vec2, d: Vec2):
     """The vertices of a strictly convex counterclockwise polygon clipped
     to the closed halfplane left of the directed line through p with
     direction d: vs itself when every vertex is in it, None when no vertex
     is strictly inside.
 
     A vertex v's side is side_of(p, d)(v), and v is kept when it is <= 0.
-    known, when given, lists a side for each vertex of vs, or None
-    where _clip is to compute it: a caller that has the signs of a
-    polygon's own vertices against the line passes them, so that only the
-    crossing points of earlier clips cost a sign here.
-
     Otherwise the kept vertices and the crossing points of the line, in
     order.  The signs are exact, so the line meets the interior; the
     clipped polygon is again strictly convex, with exactly two points on
     the line (a vertex on it, or a crossing strictly inside an edge), so
     clipping again needs no collinear drop and the vertex order never
-    changes.
-
-    The crossing on edge ab is a + t(b - a) with t = (p - a) x d /
-    ((b - a) x d).  On an axis-parallel line it takes the line's own
-    coordinate and one product and one division for the other: on a
-    vertical line x = p.x and y = a.y + (b.y - a.y)(p.x - a.x)/(b.x - a.x),
-    on a horizontal one the same with x and y swapped.  The arithmetic is
-    exact, so both give the same point."""
-    side = side_of(p, d)
-    if known is None:
-        sides = [side(v) for v in vs]
-    else:
-        sides = [side(v) if s is None else s for v, s in zip(vs, known)]
+    changes."""
+    sides = list(map(side_of(p, d), vs))
     if all(s <= 0 for s in sides):
         return vs
     if not any(s < 0 for s in sides):
         return None
-    px, py = p.x, p.y
-    vertical, horizontal = d.x.is_zero(), d.y.is_zero()
     n = len(vs)
     out = []
     for i in range(n):
@@ -637,16 +609,9 @@ def _clip(vs, p: Vec2, d: Vec2, known=None):
             out.append(vs[i])
         if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
             a, b = vs[i], vs[j]
-            if vertical:
-                out.append(Vec2(px, a.y + (b.y - a.y) * (px - a.x)
-                                / (b.x - a.x)))
-            elif horizontal:
-                out.append(Vec2(a.x + (b.x - a.x) * (py - a.y)
-                                / (b.y - a.y), py))
-            else:
-                r = b - a
-                t = (p - a).cross(d) / r.cross(d)
-                out.append(a + r.scale(t))
+            r = b - a
+            t = (p - a).cross(d) / r.cross(d)
+            out.append(a + r.scale(t))
         # vertices exactly on the line are kept once above
     return out
 

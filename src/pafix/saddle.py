@@ -9,13 +9,11 @@ and every placement is z -> +-z + t, so trace carries its direction
 only up to sign, and cover pulls the region back into each placed chart
 and reads its vertex, clip and chord tests from one table of the exact
 sides (geom.side_of) of the chart's vertices against the region's edge
-lines; a region side that is axis-parallel, as every side of a spanning
-rectangle is, decides sides by comparing one coordinate and clips with
-one product and one division per crossing.  On top of them sit saddle
-connection enumeration (polygon unfolding pruned by a holonomy box),
-spanning rectangles with certified immersion degree, and transverse
-crossings and intersection numbers.  cover also serves the oracle's
-triangles (fixcount._cover_region) and map building (affine.develop).
+lines.  On top of them sit saddle connection enumeration (polygon
+unfolding pruned by a holonomy box), spanning rectangles with certified
+immersion degree, and transverse crossings and intersection numbers.
+cover also serves the oracle's triangles (fixcount._cover_region) and
+map building (affine.develop).
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -120,7 +118,7 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
     Develops chart placements (chart, eps, shift) from the seed
     placements, deduplicated by _place_key, depth first with the last
     reached placement first, across every glued edge of the placed chart
-    that meets the region in a chord (chord_in_region's answer).  Returns
+    that meets the closed region in a chord of positive length.  Returns
     [(chart, eps, shift, piece)] in first-reached order, one per placement
     whose polygon meets the region with positive area, piece the region
     clipped to the placed polygon, in chart coordinates; or None as soon
@@ -135,10 +133,8 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
     vertex against the line (geom.side_of, minus the orient sign).  The
     table gives all three tests.  A vertex strictly left of every line is
     inside the region.  Clipping the chart polygon by the lines in turn
-    (_chart_piece) reads the sides of the chart's own vertices from it,
-    so _clip computes sides only for the crossing points earlier lines
-    added; a line with every chart vertex on its closed left clips
-    nothing, and the piece of an unclipped chart is its own polygon.
+    (_chart_piece) skips a line with every chart vertex on its closed
+    left, and the piece of an unclipped chart is its own polygon.
     The chord test of an edge reads the sides of its two ends (_chord).
     Signs and arithmetic are exact and the placements are isometries, so
     every answer, and every piece vertex, is the one the region's own
@@ -205,42 +201,27 @@ def _chart_piece(poly: ConvexPolygon, lines, table) -> Optional[ConvexPolygon]:
 
     The clipped polygon lies in poly, so a line with every vertex of poly
     on its closed left clips nothing, and one with every vertex on its
-    closed right leaves nothing.  Otherwise the vertices of poly still in
-    the polygon, which _clip keeps as the same objects, take their sides
-    from the table, and _clip computes the rest."""
+    closed right leaves nothing; _clip takes the other lines."""
     vs = poly.vertices
-    own = {id(v): j for j, v in enumerate(vs)}
     for (p, d), row in zip(lines, table):
         if max(row) <= 0:
             continue
         if min(row) >= 0:
             return None
-        known = [None if j is None else row[j]
-                 for j in map(own.get, map(id, vs))]
-        vs = _clip(vs, p, d, known)
+        vs = _clip(vs, p, d)
         if vs is None:
             return None
     return poly._rebuilt(vs)
 
 
-def chord_in_region(region: ConvexPolygon, a: Vec2, b: Vec2) -> bool:
-    """Does segment ab (a != b) meet the closed convex region in a chord of
-    positive length?  Boundary chords count, so a cover walks around it.
-    Disjoint float boxes reject first; _chord decides the rest."""
-    if boxes_disjoint(float_box((a, b)), region.float_bbox()):
-        return False
-    lines = (side_of(p, q - p) for p, q in region.edges())
-    return _chord(a, b, region.vertices,
-                  ((side(a), side(b)) for side in lines))
-
-
 def _chord(a: Vec2, b: Vec2, vs, sides) -> bool:
-    """chord_in_region's answer for segment ab and the closed convex
-    polygon vs, where sides yields the sides (geom.side_of) of a and b
-    against each edge line of vs in turn.
+    """Does segment ab (a != b) meet the closed convex polygon vs in a
+    chord of positive length?  sides yields the sides (geom.side_of) of a
+    and b against each edge line of vs in turn.  Boundary chords count,
+    so a cover walks around its region.
 
-    The segment misses the interior exactly when some edge line of the
-    region, or the segment's own line, has the two on opposite closed
+    The segment misses the interior exactly when some edge line of vs,
+    or the segment's own line, has the two on opposite closed
     sides.  Then a chord can only run along an edge whose line holds the
     segment, and the edge lines are tried first: one shared_segment call
     decides.  Exact sides decide the rest, with no division."""

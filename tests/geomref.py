@@ -9,8 +9,8 @@ edge spans with on_segment.  seg_meets_box is the exact Liang-Barsky
 test of a segment against an axis box, open or closed.  clip_to_cone,
 followed by seg_meets_box with closed=True, is the exact edge test that
 pafix.saddle's visibility search ran before its float prune.
-chord_in_region is the clipping test that pafix.saddle.chord_in_region
-replaced with orient signs.  rect_placements is the cover of a spanning
+chord_in_region is the clipping test that pafix.saddle._chord
+replaced with exact sides.  rect_placements is the cover of a spanning
 rectangle as pafix.saddle built it before every cover expanded across
 the chords of its own region: across the edges whose open segment meets
 the open rectangle.  canonical_point is FlatSurface.canonical_point as

@@ -1,8 +1,8 @@
 """The float-filtered plane predicates against exact references.
 
 `orient`, `cross_sign`, `segment_intersection`, `shared_segment`,
-`ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`,
-`saddle.chord_in_region` and the `FieldElement` comparisons take an answer
+`ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`, the chord test
+`saddle._chord` and the `FieldElement` comparisons take an answer
 from float intervals only when the interval decides it, and
 `ConvexPolygon.contains` no longer re-checks edge spans; `geomref` keeps
 the exact versions, and `overlaps` is checked against the clipped
@@ -15,19 +15,19 @@ or ending on the box boundary) and near-degenerate ones whose cross
 product or difference is below 2**-60, where only the exact fallback can
 decide.
 
-In a quadratic field `orient`, `cross_sign`, the side list of
-`clip_halfplane` and the comparisons are integer kernels with no filter
+In a quadratic field `orient`, `cross_sign`, `side_of` and the
+comparisons are integer kernels with no filter
 and no fallback: they are checked against a model of the field in the
 basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
 filter decides, and that it falls back, run on x^3 - 2.
 
-`saddle.chord_in_region`, which decides from a float box reject and
-exact sides, with no division, is checked against
-`geomref.chord_in_region`, the division-based clip it replaced.  On
-vertical and horizontal lines `side_of` compares one coordinate and
-`_clip` crosses with one product and one division; both are checked
-against the exact reference, and so is a second clip whose known sides
-are those of the polygon's own vertices, as `saddle.cover` passes them.
+`saddle._chord`, which decides from exact sides with no division, is
+fed the sides of a segment's ends against a region's edge lines, as
+`saddle.cover` reads them from its table, and checked against
+`geomref.chord_in_region`, the division-based clip it replaced.
+`side_of` and `_clip` on vertical and horizontal lines, the sides of
+every spanning rectangle, are checked against the exact reference, one
+clip and then a second across it.  A zero direction is rejected.
 `saddle._window_misses_box`, the float-only prune of the saddle search,
 is checked one-sided: whenever it says "misses",
 `geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 import geomref
 from pafix.affine import torus_from_matrix
 from pafix.exactnum import FieldElement, RealNumberField
-from pafix.errors import InternalCheckError
+from pafix.errors import InputError, InternalCheckError
 from pafix.geom import (
     ConvexPolygon,
     Vec2,
@@ -54,7 +54,7 @@ from pafix.geom import (
     shared_segment,
     side_of,
 )
-from pafix.saddle import _window_misses_box, chord_in_region
+from pafix.saddle import _chord, _window_misses_box
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -158,6 +158,13 @@ def exact_compare(u, v):
 def box_of(c, d):
     """The axis box with diagonal cd, as (x0, x1, y0, y1)."""
     return (min(c.x, d.x), max(c.x, d.x), min(c.y, d.y), max(c.y, d.y))
+
+
+def chord(region, a, b):
+    """saddle._chord of segment ab and region, on the sides of a and b
+    against the region's edge lines."""
+    lines = [side_of(p, q - p) for p, q in region.edges()]
+    return _chord(a, b, region.vertices, [(s(a), s(b)) for s in lines])
 
 
 @pytest.mark.parametrize("poly, lo, hi", FIELDS)
@@ -270,6 +277,18 @@ def test_a_rebuilt_clip_that_is_not_strictly_convex_is_an_internal_fault():
     straight = [Vec2(K.rational(x), K.zero()) for x in (0, 1, 2)]
     with pytest.raises(InternalCheckError):
         square._rebuilt(straight)
+
+
+def test_a_clip_line_needs_a_direction():
+    # a zero direction names no line: every side would read 0
+    K = RealNumberField.create(*FIELDS[0])
+    square = ConvexPolygon([Vec2(K.rational(x), K.rational(y))
+                            for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    p, zero = square.vertices[1], Vec2(K.zero(), K.zero())
+    with pytest.raises(InputError):
+        side_of(p, zero)
+    with pytest.raises(InputError):
+        square.clip_halfplane(p, zero)
     assert square._rebuilt(square.vertices) is square
     assert square._rebuilt(None) is None
 
@@ -406,10 +425,9 @@ def test_contains_matches_the_exact_reference(poly, lo, hi):
 @pytest.mark.parametrize("poly, lo, hi", [FIELDS[0], FIELDS[2]])
 def test_axis_parallel_clips_match_the_exact_reference(poly, lo, hi):
     # vertical and horizontal lines, both ways, through the vertices, points
-    # on and near the edges and a random point: side_of compares one
-    # coordinate, and _clip takes the crossing from one product and one
-    # division; a second clip across the first, with the sides of the
-    # pentagon's own vertices given, is the cover's use of a table
+    # on and near the edges and a random point, as every side of a spanning
+    # rectangle is; a second clip across the first cuts a corner, as
+    # cover's clips of a chart by a rectangle do
     K = RealNumberField.create(poly, lo, hi)
     one, zero = K.one(), K.zero()
     axes = [Vec2(zero, one), Vec2(zero, -one), Vec2(one, zero),
@@ -434,9 +452,7 @@ def test_axis_parallel_clips_match_the_exact_reference(poly, lo, hi):
                     continue
                 clipped += 1
                 # across the first line, through the next point
-                known = [(v - q).cross(e).sign() for v in verts]
-                own = dict(zip(map(id, verts), known))
-                again = _clip(got, q, e, [own.get(id(v)) for v in got])
+                again = _clip(got, q, e)
                 assert (again and tuple(again)) == \
                     geomref.clip_halfplane(want, q, e)
         assert clipped
@@ -463,7 +479,7 @@ def test_chord_in_region_matches_the_clipping_reference(poly, lo, hi):
         segments += [(a + a - b, b + b - a)
                      for a, b in zip(verts, verts[1:] + verts[:1])]
         for a, b in segments:
-            assert chord_in_region(region, a, b) == \
+            assert chord(region, a, b) == \
                 geomref.chord_in_region(region, a, b)
 
     check()
@@ -635,9 +651,9 @@ def test_filters_need_only_an_enclosure():
     assert not x < y and x <= y and not x > y and x >= y
     assert not y < x and y <= x and not y > x and y >= x
     # segments between grid points with exact enclosures, against the
-    # unit square with the cached (wider) ones: a segment along a side or
-    # through a corner has a float box that may only touch the square's, so
-    # the float reject must leave it to the orient signs
+    # unit square with the cached (wider) ones: an end on a side's line
+    # has a side interval that only reaches 0, so the filter of side_of
+    # must leave it to the exact sign
     grid = [Fraction(k, 2) for k in range(-2, 5)]
     points = [Vec2(enclosed(K, gx, (float(gx), float(gx))),
                    enclosed(K, gy, (float(gy), float(gy))))
@@ -648,7 +664,7 @@ def test_filters_need_only_an_enclosure():
         for b in points:
             if a == b:
                 continue
-            assert chord_in_region(square, a, b) == \
+            assert chord(square, a, b) == \
                 geomref.chord_in_region(square, a, b)
 
 
