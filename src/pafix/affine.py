@@ -471,9 +471,7 @@ class PowerAutomorphism(AffineAutomorphism):
         raise InputError("invert the base map and take its power instead")
 
     def power(self, n: int):
-        if n < 1:
-            raise InputError("power expects n >= 1")
-        return PowerAutomorphism(self.base, self.n * n)
+        return self if n == 1 else self.base.power(self.n * n)
 
     def __repr__(self):
         return "PowerAutomorphism(%r, n=%d)" % (self.base, self.n)
@@ -490,9 +488,11 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
 
     The polygons are placed around corner's chart by a breadth-first
     spanning tree of the gluings; each placed P goes to D.P in
-    image_corner's frame, which saddle.cover cuts into map pieces, seeded
-    by the cover of P's tree parent.  A D outside the Veech group puts a
-    vertex inside some D.P (NotBijective) or fails validation."""
+    image_corner's frame, which saddle.cover cuts into map pieces.  The
+    cover of corner's chart is seeded by image_corner's chart, and that of
+    every other P by the cover of its tree parent (_child_seeds).  A D
+    outside the Veech group puts a vertex inside some D.P (NotBijective)
+    or fails validation."""
     field = surface.field
     zero = Vec2(field.zero(), field.zero())
     chart0, v0 = corner
@@ -520,14 +520,33 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
             m = AffineMap(lin, c - t) if e == 1 else AffineMap(-lin, t - c)
             pieces.append(Piece(chart, piece.transform(m.inverse()), m,
                                 target))
-        placements = [(target, e, t) for target, e, t, _ in cut]
+        child_seeds = None
         for k in range(len(surface.polygons[chart])):
             tr = surface.transitions[(chart, k)]
             child = tr.target[0]
             if child not in tree:
-                tree[child] = (*_place_cross(eps, shift, tr), placements)
+                if child_seeds is None:
+                    child_seeds = _child_seeds(surface, cut)
+                tree[child] = (*_place_cross(eps, shift, tr), child_seeds)
                 order.append(child)
     return AffineAutomorphism(surface, pieces, lambda_)
+
+
+def _child_seeds(surface: FlatSurface, cut):
+    """Seeds for the cover of D.P, P a tree child of Q, from the cut of
+    D.Q: its placements and their neighbours across every chart edge.
+
+    cover crosses only edges through its region's interior, so some seed
+    must meet D.P with positive area, and one of these does: a point
+    inside the edge D.P shares with D.Q lies in a placement of the cut,
+    inside it, or on an edge of it that crosses the shared edge, or on
+    one that runs along it, with the neighbour across on D.P's side."""
+    seeds = [(target, e, t) for target, e, t, _ in cut]
+    for target, e, t, _ in cut:
+        for j in range(len(surface.polygons[target])):
+            tr = surface.transitions[(target, j)]
+            seeds.append((tr.target[0], *_place_cross(e, t, tr)))
+    return seeds
 
 
 def torus_from_matrix(m_rows: Sequence[Sequence[int]]

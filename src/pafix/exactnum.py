@@ -242,39 +242,6 @@ class RationalInterval:
     def contains(self, x: Rat) -> bool:
         return self.lo <= x <= self.hi
 
-    __contains__ = contains
-
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalInterval") -> "RationalInterval":
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return RationalInterval(min(p), max(p))
-
-    def sign(self):
-        """+1, -1, or None when the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        return None
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalInterval)
-                and self.lo == other.lo and self.hi == other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def __repr__(self):
         return f"RationalInterval({self.lo}, {self.hi})"
 

@@ -21,14 +21,9 @@ predicates).  The filtered predicates are:
 - `orient`, `cross_sign` and `side_of` outside degree 2: the sign of a
   cross product;
 - `segment_intersection`: "none" when the denominator's interval excludes
-  0 and a parameter's interval lies outside [0, 1];
-- `shared_segment`: None when the interval of the two directions' cross
-  product excludes 0, since segments that are not parallel share at most
-  a point, or when the interval of (c - a) x (b - a) does, since parallel
-  segments on different lines share nothing.  Collinear ends are then
+  0 and a parameter's interval lies outside [0, 1].  Collinear ends are
   ordered along b - a by filtered signs of dot products, with no
-  division; the collinear branch of `segment_intersection` is the same
-  code;
+  division;
 - `ConvexPolygon.overlaps`, a separating-axis test whose every step is a
   filtered `orient`: a vertex strictly left of an edge line rules that
   line out as a separator, and the sign it reads is the exact one, so
@@ -356,27 +351,6 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
     if ca.cross(r).sign() != 0:
         return ("none",)
     return _collinear_meet(a, b, c, d, r_box)
-
-
-def shared_segment(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
-    """The shared segment of positive length of closed segments ab and cd,
-    as (p, q) with p the end nearer a, or None when they share at most a
-    point: segment_intersection's "overlap" answer, without its division.
-
-    Float intervals return None when they show the segments are not
-    parallel, or parallel on different lines; the exact signs decide when
-    they hold 0.  Degenerate (zero-length) segments are not supported."""
-    if (c == a and d == b) or (c == b and d == a):
-        return (a, b)
-    r_box = _ivec(a, b)
-    if _filtered_sign(_icross(r_box, _ivec(c, d)),
-                      lambda: (b - a).cross(d - c).sign()) != 0:
-        return None
-    if _filtered_sign(_icross(_ivec(a, c), r_box),
-                      lambda: (c - a).cross(b - a).sign()) != 0:
-        return None
-    hit = _collinear_meet(a, b, c, d, r_box)
-    return hit[1:] if hit[0] == "overlap" else None
 
 
 def _collinear_meet(a: Vec2, b: Vec2, c: Vec2, d: Vec2, r_box):

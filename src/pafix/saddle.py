@@ -3,7 +3,7 @@
 Everything here rides on two primitives, both exact in the field: trace
 walks a straight segment across the surface, and cover develops chart
 placements depth first over a convex region, across every glued edge
-that meets the region in a chord, and cuts the region into chart
+that meets the region's interior, and cuts the region into chart
 pieces.  Both work in each chart's own frame.  Every gluing transition
 and every placement is z -> +-z + t, so trace carries its direction
 only up to sign, and cover pulls the region back into each placed chart
@@ -44,7 +44,6 @@ from .geom import (
     cross_sign,
     float_box,
     segment_intersection,
-    shared_segment,
     side_of,
 )
 
@@ -118,13 +117,15 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
     Develops chart placements (chart, eps, shift) from the seed
     placements, deduplicated by _place_key, depth first with the last
     reached placement first, across every glued edge of the placed chart
-    that meets the closed region in a chord of positive length.  Returns
+    whose segment meets the region's interior.  Returns
     [(chart, eps, shift, piece)] in first-reached order, one per placement
     whose polygon meets the region with positive area, piece the region
     clipped to the placed polygon, in chart coordinates; or None as soon
     as a placed vertex lies in the region's interior.  budget is (name,
     limit) of the constant capping the expanded placements; the overflow
-    error names it.
+    error names it.  The pieces are all of the region's when some seed
+    meets it with positive area: the open region holds no vertex, so its
+    placements are linked across edges through its interior.
 
     Each placement works in its chart's own frame: the region is pulled
     back by the placement (eps = -1 is a rotation by pi, so its vertex
@@ -140,14 +141,9 @@ def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
     every answer, and every piece vertex, is the one the region's own
     frame gives.
 
-    A chord on the region's boundary counts, so the search also crosses
-    a placed edge lying along a side of the region.  The placement across
-    it lies in the closed outer half-plane of that side: it meets the
-    region with zero area, so it adds no piece; none of its vertices is
-    inside the region; and its only chord of the region is the edge it
-    was reached through, whose crossing leads back to a placement already
-    seen.  The pieces are therefore those of the open region's unfolding,
-    in the same order."""
+    Every placement past the seeds adds a piece: it is reached across an
+    edge through the region's interior, so near a point of that edge
+    inside the region it holds a half-disc of the region."""
     name, limit = budget
     rverts = region.vertices
     # the edge directions, pulled back by negation when eps = -1
@@ -215,22 +211,17 @@ def _chart_piece(poly: ConvexPolygon, lines, table) -> Optional[ConvexPolygon]:
 
 
 def _chord(a: Vec2, b: Vec2, vs, sides) -> bool:
-    """Does segment ab (a != b) meet the closed convex polygon vs in a
-    chord of positive length?  sides yields the sides (geom.side_of) of a
-    and b against each edge line of vs in turn.  Boundary chords count,
-    so a cover walks around its region.
+    """Does segment ab (a != b) meet the interior of the convex polygon
+    vs?  sides yields the sides (geom.side_of) of a and b against each
+    edge line of vs in turn.
 
-    The segment misses the interior exactly when some edge line of vs,
-    or the segment's own line, has the two on opposite closed
-    sides.  Then a chord can only run along an edge whose line holds the
-    segment, and the edge lines are tried first: one shared_segment call
-    decides.  Exact sides decide the rest, with no division."""
-    n = len(vs)
-    for i, (sa, sb) in enumerate(sides):
-        if sa < 0 or sb < 0:
-            continue
-        return sa == 0 == sb and \
-            shared_segment(a, b, vs[i], vs[(i + 1) % n]) is not None
+    The closed segment and the open polygon are disjoint exactly when a
+    line separates them: an edge line of vs with a and b on its closed
+    right, or the segment's own line with every vertex of vs on one
+    closed side.  Exact sides decide, with no division."""
+    for sa, sb in sides:
+        if sa >= 0 and sb >= 0:
+            return False
     signs = set(map(side_of(a, b - a), vs))
     return 1 in signs and -1 in signs
 

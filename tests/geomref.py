@@ -9,13 +9,14 @@ edge spans with on_segment.  seg_meets_box is the exact Liang-Barsky
 test of a segment against an axis box, open or closed.  clip_to_cone,
 followed by seg_meets_box with closed=True, is the exact edge test that
 pafix.saddle's visibility search ran before its float prune.
-chord_in_region is the clipping test that pafix.saddle._chord
-replaced with exact sides.  rect_placements is the cover of a spanning
-rectangle as pafix.saddle built it before every cover expanded across
-the chords of its own region: across the edges whose open segment meets
-the open rectangle.  canonical_point is FlatSurface.canonical_point as
-it was before the one-pass classifier: contains first, then a search of
-the edges with on_segment.  validate_continuity is PiecewiseAffineMap's
+chord_in_region is a clipping test of a segment against a convex
+region, closed or open; its open form is the interior test that
+pafix.saddle._chord decides from exact sides.  rect_placements is the
+cover of a spanning rectangle as pafix.saddle built it with the box
+test: across the edges whose open segment meets the open rectangle.
+canonical_point is FlatSurface.canonical_point as it was before the
+one-pass classifier: contains first, then a search of the edges with
+on_segment.  validate_continuity is PiecewiseAffineMap's
 continuity check as it was before the vertex stars: every pair of piece
 sides, and every piece side against every glued polygon edge, compared
 at the ends of their shared segment.  cover and trace are
@@ -23,7 +24,9 @@ pafix.saddle's cover and trace as they were before they worked in the
 chart's own frame: cover places each chart in the region's frame, tests
 its vertices with contains, intersects the placed polygon with the
 region and pulls the piece back, and crosses the edges that
-region_chord, the orient-sign chord test it called, accepts; trace
+region_chord, the orient-sign chord test it called, accepts: every edge
+meeting the closed region in a chord of positive length, so also the
+edges along the region's sides, which add no piece; trace
 rescales its remaining vector by each transition's matrix.  The tests
 compare the filtered predicates, the covers, the trace and the star
 check against them.
@@ -37,7 +40,6 @@ from pafix.geom import (
     Vec2,
     boxes_disjoint,
     float_box,
-    shared_segment,
 )
 from pafix.saddle import (
     TraceResult,
@@ -280,11 +282,12 @@ def canonical_point(surface, sp):
     raise AssertionError("boundary point not on any edge")
 
 
-def chord_in_region(region, a, b):
+def chord_in_region(region, a, b, closed):
     """Does segment ab meet the closed convex region in a chord of positive
     length?  Liang-Barsky: clip the parameter range [0, 1] of ab to each
     edge's closed inner halfplane, dividing by each edge's cross product,
-    then test the middle of what is left."""
+    then test the middle of what is left.  closed=False asks the segment
+    to meet the region's interior: the middle to lie strictly inside."""
     field = a.x.field
     lo, hi = field.zero(), field.one()
     r = b - a
@@ -308,7 +311,7 @@ def chord_in_region(region, a, b):
         if (hi - lo).sign() <= 0:
             return False
     mid = a + r.scale((lo + hi) / 2)
-    return contains(vs, mid) >= 1
+    return contains(vs, mid) >= (1 if closed else 2)
 
 
 def validate_continuity(m):
@@ -329,10 +332,10 @@ def validate_continuity(m):
                     for c, d, box2 in sides[pieces[j]]:
                         if boxes_disjoint(box1, box2):
                             continue
-                        hit = shared_segment(a, b, c, d)
-                        if hit is None:
+                        hit = segment_intersection(a, b, c, d)
+                        if hit[0] != "overlap":
                             continue
-                        for pt in hit:
+                        for pt in hit[1:]:
                             p1 = SurfacePoint(pieces[i].target,
                                               pieces[i].map.apply(pt))
                             p2 = SurfacePoint(pieces[j].target,
@@ -351,10 +354,10 @@ def validate_continuity(m):
             for c, d, box2 in sides[piece]:
                 if boxes_disjoint(box1, box2):
                     continue
-                hit = shared_segment(a, b, c, d)
-                if hit is None:
+                hit = segment_intersection(a, b, c, d)
+                if hit[0] != "overlap":
                     continue
-                for pt in hit:
+                for pt in hit[1:]:
                     other = surface.cross_edge(edge, pt)
                     img1 = SurfacePoint(piece.target, piece.map.apply(pt))
                     img2 = m.apply(other)
@@ -381,7 +384,8 @@ def region_chord(region, a, b):
         sb = geom.orient(p, q, b)
         if sb > 0:
             continue
-        return sa == 0 == sb and shared_segment(a, b, p, q) is not None
+        return sa == 0 == sb and \
+            segment_intersection(a, b, p, q)[0] == "overlap"
     sides = {geom.orient(a, b, v) for v in vs}
     return 1 in sides and -1 in sides
 

@@ -55,6 +55,7 @@ from pafix.veering import (
     f_section,
 )
 
+import geomref
 from surfbuild import octagon_surface, pillowcase, square_torus, vec
 
 # 2 - tr(M^n) for M = [[2,1],[1,1]]; all traces exceed 2 so the fixed
@@ -378,17 +379,29 @@ def two_triangle_torus(rows):
     return cut, d_mat, image_corner, f.lambda_
 
 
-@pytest.mark.parametrize("rows, pieces", [
+def two_triangle_map(rows):
+    surface, d_mat, image_corner, lam = two_triangle_torus(rows)
+    return develop(surface, d_mat, (0, 0), image_corner, lam)
+
+
+# in the last two, D takes the edge across which develop reaches the
+# second triangle onto the diagonal, a chart edge: the placements that
+# cover the first triangle's image meet the second's only along it
+TWO_TRIANGLE_MAPS = [
     ([[2, 1], [1, 1]], 8),
     ([[3, 1], [2, 1]], 12),
     ([[-3, -1], [-2, -1]], 12),
     ([[-2, -1], [-1, -1]], 8),
-])
+    ([[1, 1], [1, 2]], 8),
+    ([[-1, -1], [-1, -2]], 8),
+]
+
+
+@pytest.mark.parametrize("rows, pieces", TWO_TRIANGLE_MAPS)
 def test_develop_on_two_triangles_counts_like_the_torus(rows, pieces):
     # a second surface for the same maps: every count route agrees with
     # |det(M^n - I)|, and L with the index sum
-    surface, d_mat, image_corner, lam = two_triangle_torus(rows)
-    f = develop(surface, d_mat, (0, 0), image_corner, lam)
+    f = two_triangle_map(rows)
     assert len(f.pieces) == pieces
     (a, b), (c, d) = rows
     m = ((1, 0), (0, 1))
@@ -401,6 +414,21 @@ def test_develop_on_two_triangles_counts_like_the_torus(rows, pieces):
         oracle = oracle_count_fixed_points(fn, annular_avoiding_f_section(fn))
         assert report.total == want == abs(report.lefschetz) == oracle.total
         assert report.index_sum == report.lefschetz
+
+
+@pytest.mark.parametrize("build, rows", [
+    (lambda rows: torus_from_matrix(rows)[1], rows)
+    for rows in ([[2, 1], [1, 1]], [[-3, -1], [-2, -1]])
+] + [(two_triangle_map, rows) for rows, _ in TWO_TRIANGLE_MAPS])
+def test_develop_matches_the_region_frame_reference(build, rows, monkeypatch):
+    # the same pieces, in the same order, from the reference cover, which
+    # also crosses the edges along its region's sides
+    def pieces():
+        return [(p.chart, p.region.vertices, p.map, p.target)
+                for p in build(rows).pieces]
+    got = pieces()
+    monkeypatch.setattr(affine, "cover", geomref.cover)
+    assert pieces() == got
 
 
 def test_develop_rejects_a_derivative_outside_the_veech_group():

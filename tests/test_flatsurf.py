@@ -23,7 +23,7 @@ from pafix.errors import (
 )
 from pafix.exactnum import FieldElement, RealNumberField
 from pafix.geom import (AffineMap, ConvexPolygon, Mat2, Vec2,
-                        segment_intersection, shared_segment)
+                        segment_intersection)
 from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.affine import (
     AffineAutomorphism,
@@ -455,6 +455,18 @@ class TestTorusFromMatrix:
         via_iterate = f.apply(f.apply(f.apply(p)))
         assert surf.same_point(via_power, via_iterate)
 
+    def test_power_of_a_power(self):
+        # power(1) is the map itself, with its edge images and Lefschetz
+        # number, for a power as for its base
+        _, f = torus_from_matrix([[2, 1], [1, 1]])
+        f2 = f.power(2)
+        assert f.power(1) is f and f2.power(1) is f2
+        f6 = f2.power(3)
+        assert (f6.base, f6.n) == (f, 6)
+        for n in (0, -1):
+            with pytest.raises(InputError):
+                f2.power(n)
+
     def test_power_materializes_pieces(self):
         surf, f = torus_from_matrix([[2, 1], [1, 1]])
         f2 = f.power(2)
@@ -714,7 +726,7 @@ class TestMapValidation:
         # every crossed boundary vertex is a piece vertex of its chart, so
         # no crossing falls back to piece_at
         for module in (pafix.geom, pafix.affine, pafix.saddle):
-            count(module, "shared_segment", shared_segment)
+            count(module, "segment_intersection", segment_intersection)
         count(PiecewiseAffineMap, "piece_at", PiecewiseAffineMap.piece_at)
         for g in (cat, other, loaded):
             PiecewiseAffineMap(g.surface, g.pieces)

@@ -1,8 +1,8 @@
 """The float-filtered plane predicates against exact references.
 
-`orient`, `cross_sign`, `segment_intersection`, `shared_segment`,
-`ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`, the chord test
-`saddle._chord` and the `FieldElement` comparisons take an answer
+`orient`, `cross_sign`, `segment_intersection`,
+`ConvexPolygon.clip_halfplane`, `ConvexPolygon.overlaps`, the interior
+test `saddle._chord` and the `FieldElement` comparisons take an answer
 from float intervals only when the interval decides it, and
 `ConvexPolygon.contains` no longer re-checks edge spans; `geomref` keeps
 the exact versions, and `overlaps` is checked against the clipped
@@ -21,10 +21,13 @@ and no fallback: they are checked against a model of the field in the
 basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
 filter decides, and that it falls back, run on x^3 - 2.
 
-`saddle._chord`, which decides from exact sides with no division, is
-fed the sides of a segment's ends against a region's edge lines, as
-`saddle.cover` reads them from its table, and checked against
-`geomref.chord_in_region`, the division-based clip it replaced.
+`saddle._chord`, which decides from exact sides with no division
+whether a segment meets a region's interior, is fed the sides of the
+segment's ends against the region's edge lines, as `saddle.cover` reads
+them from its table, and checked against the open
+`geomref.chord_in_region`, a division-based clip; its closed form
+checks `geomref.region_chord`, the closed chord test of the reference
+cover.
 `side_of` and `_clip` on vertical and horizontal lines, the sides of
 every spanning rectangle, are checked against the exact reference, one
 clip and then a second across it.  A zero direction is rejected.
@@ -51,7 +54,6 @@ from pafix.geom import (
     cross_sign,
     orient,
     segment_intersection,
-    shared_segment,
     side_of,
 )
 from pafix.saddle import _chord, _window_misses_box
@@ -190,11 +192,6 @@ def test_filtered_predicates_match_the_exact_reference(poly, lo, hi):
         for p, q in ((a, b), (b, a)):
             assert segment_intersection(a, b, p, q) == \
                 geomref.segment_intersection(a, b, p, q)
-        for quad in ((a, b, c, d), (a, b, d, c), (b, a, c, d), (c, d, a, b),
-                     (a, b, b, a)):
-            want = geomref.segment_intersection(*quad)
-            assert shared_segment(*quad) == \
-                (want[1:] if want[0] == "overlap" else None)
         coords = (a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
         small = tiny(K, args[4], args[5], rational=args[2] > 0)
         pairs = [(u, v) for u in coords for v in coords]
@@ -291,29 +288,6 @@ def test_a_clip_line_needs_a_direction():
         square.clip_halfplane(p, zero)
     assert square._rebuilt(square.vertices) is square
     assert square._rebuilt(None) is None
-
-
-def test_shared_segment_of_nested_and_touching_sides():
-    K = RealNumberField.create(*FIELDS[0])
-    g = K.gen()
-    r = Vec2(K.one(), g)
-
-    def at(t):
-        return r.scale(K.rational(t))
-
-    a, b = at(0), at(1)
-    assert shared_segment(a, b, at(Fraction(1, 4)), at(Fraction(3, 4))) == \
-        (at(Fraction(1, 4)), at(Fraction(3, 4)))
-    assert shared_segment(a, b, at(2), at(Fraction(1, 2))) == \
-        (at(Fraction(1, 2)), b)
-    assert shared_segment(a, b, at(-1), at(2)) == (a, b)
-    assert shared_segment(a, b, b, a) == (a, b)
-    # end to end: one shared point, no segment
-    assert shared_segment(a, b, b, at(2)) is None
-    assert segment_intersection(a, b, b, at(2))[0] == "point"
-    # parallel on another line
-    assert shared_segment(a, b, a + Vec2(K.one(), K.zero()),
-                          b + Vec2(K.one(), K.zero())) is None
 
 
 def reflected(K, verts, centre):
@@ -480,7 +454,9 @@ def test_chord_in_region_matches_the_clipping_reference(poly, lo, hi):
                      for a, b in zip(verts, verts[1:] + verts[:1])]
         for a, b in segments:
             assert chord(region, a, b) == \
-                geomref.chord_in_region(region, a, b)
+                geomref.chord_in_region(region, a, b, closed=False)
+            assert geomref.region_chord(region, a, b) == \
+                geomref.chord_in_region(region, a, b, closed=True)
 
     check()
 
@@ -665,7 +641,7 @@ def test_filters_need_only_an_enclosure():
             if a == b:
                 continue
             assert chord(square, a, b) == \
-                geomref.chord_in_region(square, a, b)
+                geomref.chord_in_region(square, a, b, closed=False)
 
 
 def surd_model(K):

@@ -435,6 +435,31 @@ def test_rectangle_cover_matches_the_region_frame_reference(make):
     assert cuts[True] and cuts[False]
 
 
+@pytest.mark.parametrize("make", COVER_SURFACES)
+def test_every_rectangle_placement_adds_a_piece(make, monkeypatch):
+    # cover crosses only edges through its region's interior, and each
+    # diagonal's chain meets the open rectangle, so every placement, one
+    # _chart_piece call each, is a placement of the rectangle
+    surface = make()
+    calls = Counter()
+    real = pafix.saddle._chart_piece
+
+    def counted(*args):
+        calls["_chart_piece"] += 1
+        return real(*args)
+    monkeypatch.setattr(pafix.saddle, "_chart_piece", counted)
+    rects = 0
+    for sc in enumerate_saddles(surface, 3, 3):
+        if sc.is_horizontal() or sc.is_vertical():
+            continue
+        calls.clear()
+        rect = is_veering_edge(sc)
+        if rect is not None:
+            rects += 1
+            assert calls["_chart_piece"] == len(rect.placements), sc
+    assert rects
+
+
 @pytest.mark.parametrize("m", [[[2, 1], [1, 1]], [[-3, -1], [-2, -1]]])
 def test_oracle_triangle_covers_match_the_region_frame_reference(m):
     # the triangles of the section and their images, developed as the
@@ -454,9 +479,9 @@ def test_oracle_triangle_covers_match_the_region_frame_reference(m):
 
 def test_rectangle_cover_places_no_polygon_and_clips_in_the_chart(
         monkeypatch):
-    # the pillowcase's rectangles cross many boundary chords: the cover
-    # pulls each region back instead of placing the chart, builds no
-    # placed polygon to intersect, and takes its sides from one table
+    # the cover pulls each of the pillowcase's rectangles back instead of
+    # placing the chart, builds no placed polygon to intersect, and takes
+    # its sides from one table
     surface = pillowcase()
     rects = [(sc.placements, rectangle_box(sc))
              for sc in enumerate_saddles(surface, 3, 3)
