@@ -12,8 +12,12 @@ field stores once.  With g^2 = (r0 + r1*g)/t and x = (x0 + x1*g)/den:
 
 - sums and products are two integer numerators over one denominator,
   brought to lowest terms by one gcd;
-- 1/x = den*((t*x0 + r1*x1) - t*x1*g) / N by Cramer's rule on the 2x2
-  multiplication matrix, N = t*x0^2 + r1*x0*x1 - r0*x1^2;
+- a quotient a/b of a = (a0 + a1*g)/ad by b = (b0 + b1*g)/bd, given as
+  integer parts in any terms, is one integer product over ad*N by
+  Cramer's rule on b's 2x2 multiplication matrix, N = t*b0^2 + r1*b0*b1 -
+  r0*b1^2, brought to lowest terms by one gcd (`quad_quotient`).  1/x is
+  the quotient of 1 by x, and the geom constructions divide integer
+  numerators with it, building no element on the way;
 - for the minimal polynomial c0 + c1*x + c2*x^2 (c2 > 0) with
   discriminant D, 2*c2*(x0 + x1*g) = A + B*sqrt(D) with A = 2*c2*x0 -
   c1*x1 and B = x1 or -x1 as g is the larger or the smaller root, so the
@@ -195,6 +199,32 @@ def quad_sign(quad: tuple, x0: int, x1: int) -> int:
     if (a > 0) == (b > 0) or not a or a * a < b * b * quad[6]:
         return 1 if b > 0 else -1
     return 1 if a > 0 else -1
+
+
+def quad_quotient(field: "RealNumberField", a0: int, a1: int, ad: int,
+                  b0: int, b1: int, bd: int) -> "FieldElement":
+    """The element a/b of a quadratic field, for a = (a0 + a1*g)/ad and a
+    nonzero b = (b0 + b1*g)/bd with integer parts, ad and bd nonzero and
+    neither brought to lowest terms: one integer product, reduced once.
+
+    With g^2 = (r0 + r1*g)/t, Cramer's rule on b's multiplication matrix
+    gives (b0 + b1*g) * ((t*b0 + r1*b1) - t*b1*g) = N, N = t*b0^2 +
+    r1*b0*b1 - r0*b1^2, which is t times the field norm and nonzero for a
+    nonzero b.  Multiplied by a0 + a1*g, the factor t cancels:
+    a/b = bd*((t*a0*b0 + r1*a0*b1 - r0*a1*b1) + t*(a1*b0 - a0*b1)*g)
+    / (ad*N)."""
+    r0, r1, t = field._quad[:3]
+    norm = t * b0 * b0 + r1 * b0 * b1 - r0 * b1 * b1
+    if norm == 0:
+        if not (b0 or b1):
+            raise DivisionByZero("zero has no inverse")
+        raise InternalCheckError(
+            "multiplication matrix of a nonzero element is singular")
+    den = ad * norm
+    if den < 0:
+        den, bd = -den, -bd
+    return _reduced2(field, bd * (t * a0 * b0 + r1 * a0 * b1 - r0 * a1 * b1),
+                     bd * t * (a1 * b0 - a0 * b1), den)
 
 
 def _reduced(field: "RealNumberField", num: list, den: int) -> "FieldElement":
@@ -676,19 +706,8 @@ class FieldElement:
         if self.is_rational():
             s = 1 if num[0] > 0 else -1
             return FieldElement(field, (s * den,) + (0,) * (d - 1), s * num[0])
-        quad = field._quad
-        if quad is not None:
-            # Cramer's rule on the multiplication matrix; norm is t times
-            # the field norm of x0 + x1*g, nonzero for a nonzero element
-            r0, r1, t = quad[0], quad[1], quad[2]
-            x0, x1 = num
-            norm = t * x0 * x0 + r1 * x0 * x1 - r0 * x1 * x1
-            if norm == 0:
-                raise InternalCheckError(
-                    "multiplication matrix of a nonzero element is singular")
-            if norm < 0:
-                den, norm = -den, -norm
-            return _reduced2(field, den * (t * x0 + r1 * x1), -den * t * x1, norm)
+        if field._quad is not None:
+            return quad_quotient(field, 1, 0, 1, *num, den)
         # Column j of the integer matrix M is t * num * g^j, t the table
         # denominator, so M y = t * den * e_0 means y . (1, g, ..) * self
         # = 1.  Fraction-free Gauss-Jordan elimination on [M | rhs] leaves

@@ -650,17 +650,19 @@ def _full_width_crossings(rect_a, rect_b) -> int:
 def _perron_interval(n_matrix) -> Tuple[Fraction, Fraction]:
     """Collatz-Wielandt bracket for the Perron root, exact rationals.
 
-    Iterates N + I so the test vector stays positive, then shifts back."""
+    Iterates N + I on integer vectors so the test vector stays positive,
+    then shifts back.  The ratios w_i / v_i do not change when v is
+    rescaled, so no step divides: each is one Fraction at the end."""
     n = len(n_matrix)
-    v = [Fraction(1)] * n
+
+    def step(v):
+        return [sum(n_matrix[i][j] * v[j] for j in range(n)) + v[i]
+                for i in range(n)]
+    v = [1] * n
     for _ in range(12):
-        w = [sum(n_matrix[i][j] * v[j] for j in range(n)) + v[i]
-             for i in range(n)]
-        big = max(w)
-        v = [x / big for x in w]
-    w = [sum(n_matrix[i][j] * v[j] for j in range(n)) + v[i]
-         for i in range(n)]
-    ratios = [w[i] / v[i] for i in range(n)]
+        v = step(v)
+    w = step(v)
+    ratios = [Fraction(w[i], v[i]) for i in range(n)]
     return (min(ratios) - 1, max(ratios) - 1)
 
 

@@ -3,13 +3,22 @@
 Every answer here is the exact one.  In a quadratic field (the field's
 ``_quad`` set), `orient`, `cross_sign`, `side_of` (the side of a point
 against a directed line, which `ConvexPolygon.clip_halfplane` and
-`saddle.cover` read) and the `FieldElement` comparisons `<`, `<=`, `>`
-and `>=` are integer kernels: each cross-multiplies the coordinates'
-numerators by their denominators, forms the products with the field's
-reduction constants and takes the closed-form sign
-(`exactnum.quad_sign`), with no float enclosure and no element built.
+`saddle.cover` read), `segment_intersection` and the `FieldElement`
+comparisons `<`, `<=`, `>` and `>=` are integer kernels: each
+cross-multiplies the coordinates' numerators by their denominators,
+forms the products with the field's reduction constants (`_cross2`, the
+one value kernel, which gives x*w - y*z as integers over one
+denominator) and takes the closed-form sign (`exactnum.quad_sign`), with
+no float enclosure and no element built.  The constructions read the
+same integer values and build only their answer, each coordinate one
+quotient reduced once (`exactnum.quad_quotient`): a clip's crossing and
+segment_intersection's point are (sb*a - sa*b)/(sb - sa) from the side
+values sa, sb of a and b against the line (`_line_crossing`), its t and
+u are sa/(sa - sb) (`_parameter2`), and `saddle.trace` compares its
+exit parameters as integer fractions and divides once, for the edge it
+leaves by.
 
-Every other predicate, and in every other degree these four too, is
+Every other predicate, and in every other degree these five too, is
 float filtered.  Floats enter only as enclosures: each coordinate's
 cached `FieldElement.float_bounds()` holds it, and every float operation
 on them rounds outward by one `math.nextafter` step, so an interval
@@ -20,10 +29,10 @@ predicates).  The filtered predicates are:
 
 - `orient`, `cross_sign` and `side_of` outside degree 2: the sign of a
   cross product;
-- `segment_intersection`: "none" when the denominator's interval excludes
-  0 and a parameter's interval lies outside [0, 1].  Collinear ends are
-  ordered along b - a by filtered signs of dot products, with no
-  division;
+- `segment_intersection` outside degree 2: "none" when the denominator's
+  interval excludes 0 and a parameter's interval lies outside [0, 1].
+  Collinear ends are ordered along b - a by filtered signs of dot
+  products, with no division (exact integer signs in degree 2);
 - `ConvexPolygon.overlaps`, a separating-axis test whose every step is a
   filtered `orient`: a vertex strictly left of an edge line rules that
   line out as a separator, and the sign it reads is the exact one, so
@@ -34,13 +43,13 @@ predicates).  The filtered predicates are:
   and an exact sign, since `float_bounds` promises no more than
   lo <= x <= hi.
 
-`cross_sign` and the comparisons carry the cone, wedge and exit-edge
-tests of the saddle search and `trace`, and the bound tests of the
-spanning rectangles and the fixed-point solver.  A few exact paths answer
-without arithmetic: outside degree 2 a repeated point makes `orient` 0,
-and identical segments overlap in themselves.  The float box prefilter
-(`float_box` and `boxes_disjoint`, which `ConvexPolygon.intersect` and
-`overlaps` run first) serves every degree;
+`cross_sign` and the comparisons carry the cone and wedge tests of the
+saddle search, the exit-edge tests of `trace` outside degree 2, and the
+bound tests of the spanning rectangles and the fixed-point solver.  A
+few exact paths answer without arithmetic outside degree 2: a repeated
+point makes `orient` 0, and identical segments overlap in themselves.
+The float box prefilter (`float_box` and `boxes_disjoint`, which
+`ConvexPolygon.intersect` and `overlaps` run first) serves every degree;
 it may claim "maybe" but never lies about "no".
 
 The visibility prune of `saddle._box_candidates` is float only, with no
@@ -63,7 +72,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, NonConvexPolygon
-from .exactnum import FieldElement, RealNumberField, quad_sign
+from .exactnum import FieldElement, RealNumberField, quad_quotient, quad_sign
 
 
 class Vec2:
@@ -264,20 +273,67 @@ def _sub2(p: FieldElement, q: FieldElement) -> tuple:
     return q0 * pd - p0 * qd, q1 * pd - p1 * qd, pd * qd
 
 
-def _det2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> int:
-    """Exact sign of x*w - y*z in the quadratic field with constants quad,
-    for x = (x0 + x1*g)/xd and likewise y, z, w, every den positive.
+def _cross2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> tuple:
+    """x*w - y*z in the quadratic field with constants quad, for x = (x0 +
+    x1*g)/xd and likewise y, z, w, every den positive, as integers (n0, n1,
+    den), den > 0, not brought to lowest terms.
 
-    Cross multiplied by the four denominators, x*w - y*z is X*W - Y*Z with
-    X = x's numerator times yd*zd and Y = y's times xd*wd.  With g^2 =
-    (r0 + r1*g)/t, t times that is the integer pair below."""
+    Over the denominator xd*wd*yd*zd (xd*wd alone when it equals yd*zd),
+    x*w - y*z is X*W - Y*Z with X = x's numerator times yd*zd and Y = y's
+    times xd*wd.  With g^2 = (r0 + r1*g)/t, t times that is the integer
+    pair below, over that denominator times t."""
     dp, dq = xd * wd, yd * zd
     if dp != dq:
         x0, x1, y0, y1 = x0 * dq, x1 * dq, y0 * dp, y1 * dp
+        dp *= dq
     r0, r1, t = quad[0], quad[1], quad[2]
     m = x1 * w1 - y1 * z1
-    return quad_sign(quad, t * (x0 * w0 - y0 * z0) + r0 * m,
-                     t * (x0 * w1 + x1 * w0 - y0 * z1 - y1 * z0) + r1 * m)
+    return (t * (x0 * w0 - y0 * z0) + r0 * m,
+            t * (x0 * w1 + x1 * w0 - y0 * z1 - y1 * z0) + r1 * m, dp * t)
+
+
+def _det2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> int:
+    """Exact sign of x*w - y*z, for the arguments of _cross2."""
+    n0, n1, _ = _cross2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd,
+                        w0, w1, wd)
+    return quad_sign(quad, n0, n1)
+
+
+def _line2(quad, p: Vec2, dx: tuple, dy: tuple):
+    """v -> (v - p) x d as a _cross2 triple, in a quadratic field: the
+    side value of v against the line through p with direction d, whose
+    coordinates are given as triples (n0, n1, den), den > 0."""
+    px, py = p.x, p.y
+    return lambda v: _cross2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
+
+
+def _triple(x: FieldElement) -> tuple:
+    return (*x.num, x.den)
+
+
+def _parameter2(field: RealNumberField, sa: tuple, sb: tuple) -> FieldElement:
+    """sa/(sa - sb) for the _cross2 triples sa != sb: where a linear
+    function with values sa at a and sb at b vanishes along a + t(b - a)."""
+    s0, s1, sd = sa
+    q0, q1, qd = sb
+    return quad_quotient(field, s0, s1, sd,
+                         s0 * qd - q0 * sd, s1 * qd - q1 * sd, sd * qd)
+
+
+def _line_crossing(quad, a: Vec2, b: Vec2, sa: tuple, sb: tuple) -> Vec2:
+    """The point a + t(b - a), t = sa/(sa - sb), where segment ab crosses
+    a line, from the side values sa != sb (_cross2 triples) of a and b
+    against it: (sb*a - sa*b)/(sb - sa), each coordinate one integer
+    cross product and one quotient, reduced once."""
+    field = a.x.field
+    s0, s1, sd = sa
+    q0, q1, qd = sb
+    den = (q0 * sd - s0 * qd, q1 * sd - s1 * qd, sd * qd)
+    return Vec2(
+        quad_quotient(field, *_cross2(quad, *sb, *sa, *_triple(b.x),
+                                      *_triple(a.x)), *den),
+        quad_quotient(field, *_cross2(quad, *sb, *sa, *_triple(b.y),
+                                      *_triple(a.y)), *den))
 
 
 def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
@@ -287,8 +343,9 @@ def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
     ax, ay = a.x, a.y
     quad = ax.field._quad
     if quad is not None:
-        return _det2(quad, *_sub2(ax, b.x), *_sub2(ay, b.y),
-                     *_sub2(ax, c.x), *_sub2(ay, c.y))
+        n0, n1, _ = _cross2(quad, *_sub2(ax, b.x), *_sub2(ay, b.y),
+                            *_sub2(ax, c.x), *_sub2(ay, c.y))
+        return quad_sign(quad, n0, n1)
 
     def exact():
         if a == b or b == c or c == a:
@@ -304,8 +361,9 @@ def cross_sign(u: Vec2, v: Vec2) -> int:
     ux, uy, vx, vy = u.x, u.y, v.x, v.y
     quad = ux.field._quad
     if quad is not None:
-        return _det2(quad, *ux.num, ux.den, *uy.num, uy.den,
-                     *vx.num, vx.den, *vy.num, vy.den)
+        n0, n1, _ = _cross2(quad, *ux.num, ux.den, *uy.num, uy.den,
+                            *vx.num, vx.den, *vy.num, vy.den)
+        return quad_sign(quad, n0, n1)
     return _filtered_sign(_icross(_ibox(u), _ibox(v)),
                           lambda: u.cross(v).sign())
 
@@ -317,11 +375,23 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
       ("none",)
       ("point", p, t, u)   p = a + t(b-a) = c + u(d-c), t and u FieldElements in [0,1]
       ("overlap", p, q)    collinear with a shared segment [p, q] of positive length
-    Degenerate (zero-length) segments are not supported.
+    A zero-length segment is an InputError.
 
-    When float intervals show the segments are not parallel and t or u
-    lies outside [0, 1], the answer is ("none",) without field arithmetic.
+    In a quadratic field the four exact sides of a and b against line cd
+    and of c and d against line ab decide it: "none" when a pair is
+    strictly on one side, collinear segments when a and b are both on
+    line cd, and otherwise the point, whose coordinates and t and u are
+    each one quotient of the side values (_line_crossing, _parameter2).
+
+    In every other degree, when float intervals show the segments are not
+    parallel and t or u lies outside [0, 1], the answer is ("none",)
+    without field arithmetic.
     """
+    if a == b or c == d:
+        raise InputError("a segment needs two distinct ends")
+    quad = a.x.field._quad
+    if quad is not None:
+        return _segment_intersection2(quad, a, b, c, d)
     r_box, s_box, ca_box = _ivec(a, b), _ivec(c, d), _ivec(a, c)
     dlo, dhi = _icross(r_box, s_box)
     if dlo > 0 or dhi < 0:
@@ -350,24 +420,45 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
     # parallel
     if ca.cross(r).sign() != 0:
         return ("none",)
-    return _collinear_meet(a, b, c, d, r_box)
+
+    def along(p, q):
+        return _filtered_sign(_idot(_ivec(p, q), r_box),
+                              lambda: (q - p).dot(r).sign())
+    return _collinear_meet(a, b, c, d, along)
 
 
-def _collinear_meet(a: Vec2, b: Vec2, c: Vec2, d: Vec2, r_box):
+def _segment_intersection2(quad, a: Vec2, b: Vec2, c: Vec2, d: Vec2):
+    """segment_intersection in a quadratic field, from exact side values."""
+    on_cd = _line2(quad, c, _sub2(c.x, d.x), _sub2(c.y, d.y))
+    sa, sb = on_cd(a), on_cd(b)
+    ga, gb = quad_sign(quad, sa[0], sa[1]), quad_sign(quad, sb[0], sb[1])
+    if ga == gb != 0:
+        return ("none",)
+    rx, ry = _sub2(a.x, b.x), _sub2(a.y, b.y)
+    if ga == gb:
+        # a and b on line cd; q - p dotted with r is (q - p) x (-r.y, r.x)
+        neg_ry = (-ry[0], -ry[1], ry[2])
+        return _collinear_meet(a, b, c, d, lambda p, q: _det2(
+            quad, *_sub2(p.x, q.x), *_sub2(p.y, q.y), *neg_ry, *rx))
+    on_ab = _line2(quad, a, rx, ry)
+    sc, sd = on_ab(c), on_ab(d)
+    if quad_sign(quad, sc[0], sc[1]) == quad_sign(quad, sd[0], sd[1]) != 0:
+        return ("none",)
+    # the lines are not parallel, and meet in a point of both segments
+    field = a.x.field
+    return ("point", _line_crossing(quad, a, b, sa, sb),
+            _parameter2(field, sa, sb), _parameter2(field, sc, sd))
+
+
+def _collinear_meet(a: Vec2, b: Vec2, c: Vec2, d: Vec2, along):
     """segment_intersection's answer for collinear segments ab and cd,
-    where r_box holds the float intervals of r = b - a.
+    where along(p, q) is the exact sign of (q - p).r, r = b - a, which
+    orders p before q along r when positive.
 
     Each end of cd is placed against a and b by the sign of a dot product
     with r, so no division is needed: an end nearer a than b along r has a
     smaller (end - a).r.  The shared ends are the given points themselves,
     which are the exact a + t r of the parametrised answer."""
-    r = b - a
-
-    def along(p, q):
-        # sign of (q - p).r, which orders p before q along r when positive
-        return _filtered_sign(_idot(_ivec(p, q), r_box),
-                              lambda: (q - p).dot(r).sign())
-
     lo, hi = (c, d) if along(c, d) > 0 else (d, c)
     s_hi = along(a, hi)
     s_lo = along(b, lo)
@@ -543,18 +634,25 @@ def side_of(p: Vec2, d: Vec2):
     It is the integer kernel in a quadratic field, with d's numerators
     read once, and the float filter with an exact fallback in every other
     degree.  A zero d is an InputError."""
-    if d.is_zero():
-        raise InputError("a directed line needs a nonzero direction")
+    _check_direction(d)
     px, py = p.x, p.y
     quad = px.field._quad
     if quad is not None:
-        dx = (*d.x.num, d.x.den)
-        dy = (*d.y.num, d.y.den)
-        return lambda v: _det2(quad, *_sub2(px, v.x), *_sub2(py, v.y),
-                               *dx, *dy)
+        dx, dy = _triple(d.x), _triple(d.y)
+
+        def side(v):
+            n0, n1, _ = _cross2(quad, *_sub2(px, v.x), *_sub2(py, v.y),
+                                *dx, *dy)
+            return quad_sign(quad, n0, n1)
+        return side
     d_box = _ibox(d)
     return lambda v: _filtered_sign(_icross(_ivec(p, v), d_box),
                                     lambda: (v - p).cross(d).sign())
+
+
+def _check_direction(d: Vec2) -> None:
+    if d.is_zero():
+        raise InputError("a directed line needs a nonzero direction")
 
 
 def _clip(vs, p: Vec2, d: Vec2):
@@ -563,14 +661,26 @@ def _clip(vs, p: Vec2, d: Vec2):
     direction d: vs itself when every vertex is in it, None when no vertex
     is strictly inside.
 
-    A vertex v's side is side_of(p, d)(v), and v is kept when it is <= 0.
-    Otherwise the kept vertices and the crossing points of the line, in
-    order.  The signs are exact, so the line meets the interior; the
-    clipped polygon is again strictly convex, with exactly two points on
-    the line (a vertex on it, or a crossing strictly inside an edge), so
-    clipping again needs no collinear drop and the vertex order never
-    changes."""
-    sides = list(map(side_of(p, d), vs))
+    A vertex v's side is the sign of (v - p) x d, as side_of(p, d)(v)
+    reads it, and v is kept when it is <= 0.  Otherwise the kept vertices
+    and the crossing points of the line, in order.  The signs are exact,
+    so the line meets the interior; the clipped polygon is again strictly
+    convex, with exactly two points on the line (a vertex on it, or a
+    crossing strictly inside an edge), so clipping again needs no
+    collinear drop and the vertex order never changes.
+
+    In a quadratic field the sides are taken from the values of (v - p) x
+    d as integer triples, and each crossing is built from the values at
+    its edge's ends (_line_crossing), with no element on the way; in
+    every other degree it is a + t(b - a) for t = (p - a) x d / (b - a)
+    x d."""
+    quad = p.x.field._quad
+    if quad is None:
+        sides = list(map(side_of(p, d), vs))
+    else:
+        _check_direction(d)
+        values = list(map(_line2(quad, p, _triple(d.x), _triple(d.y)), vs))
+        sides = [quad_sign(quad, s[0], s[1]) for s in values]
     if all(s <= 0 for s in sides):
         return vs
     if not any(s < 0 for s in sides):
@@ -583,9 +693,12 @@ def _clip(vs, p: Vec2, d: Vec2):
             out.append(vs[i])
         if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
             a, b = vs[i], vs[j]
-            r = b - a
-            t = (p - a).cross(d) / r.cross(d)
-            out.append(a + r.scale(t))
+            if quad is None:
+                r = b - a
+                t = (p - a).cross(d) / r.cross(d)
+                out.append(a + r.scale(t))
+            else:
+                out.append(_line_crossing(quad, a, b, values[i], values[j]))
         # vertices exactly on the line are kept once above
     return out
 

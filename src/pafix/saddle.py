@@ -29,17 +29,21 @@ from .errors import (
     InternalCheckError,
     OverlappingSegments,
 )
-from .exactnum import FieldElement, format_element
+from .exactnum import FieldElement, format_element, quad_quotient, quad_sign
 from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import (
     ConvexPolygon,
     Vec2,
     _clip,
+    _cross2,
+    _det2,
     _ibox,
     _icross,
     _idiv,
     _isub,
     _ivec,
+    _sub2,
+    _triple,
     boxes_disjoint,
     cross_sign,
     float_box,
@@ -258,7 +262,9 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
     vec or -vec, and the walk keeps the fraction of vec still left.  In
     each chart the exit edge is the first one hit along d, at the smallest
     parameter u with pos + u d on its line; the segment ends in the chart
-    when u reaches what is left.  A crossing maps the point by the
+    when u reaches what is left (_exit, which in a quadratic field
+    compares the parameters on integer numerators and builds u for the
+    exit edge alone).  A crossing maps the point by the
     transition (z -> +-z + t) and negates d on a flip, with no matrix
     product and no rescaling.  The end point is the plane end pos + vec
     pulled back by the current placement, since each placement is the
@@ -280,17 +286,8 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             raise InternalCheckError(
                 "trace exceeded _TRACE_CROSSINGS = %d crossings"
                 % _TRACE_CROSSINGS)
-        verts = surface.polygons[chart].vertices
-        best_u = None
-        best_edge = -1
-        for e, ev in enumerate(surface.edge_vectors[chart]):
-            if cross_sign(ev, d) >= 0:
-                continue
-            u = ev.cross(pos - verts[e]) / (-ev.cross(d))
-            if best_u is None or u < best_u:
-                best_u = u
-                best_edge = e
-        if best_u is None or best_u >= left:
+        best_edge, u = _exit(surface, chart, pos, d, left)
+        if u is None:
             # segment ends inside this polygon (possibly on its boundary)
             x = _place_unapply(eps, shift, end)
             pieces.append((chart, pos, x))
@@ -299,7 +296,6 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             status = "vertex" if end_vertex is not None else "end"
             return TraceResult(status, one, pieces, crossings, placements,
                                chart, x, end_vertex, sign)
-        u = best_u
         x = pos if u.is_zero() else pos + d.scale(u)
         if x != pos:
             pieces.append((chart, pos, x))
@@ -318,6 +314,51 @@ def trace(surface: FlatSurface, chart: int, pos: Vec2,
             sign = -sign
         eps, shift = _place_cross(eps, shift, tr)
         chart = q
+
+
+def _exit(surface: FlatSurface, chart: int, pos: Vec2, d: Vec2, left):
+    """The edge of chart that pos + u d leaves it by, and its parameter
+    u: (e, u) for the least u, the first such edge on a tie, or (-1, None)
+    when no edge is hit before u reaches left.
+
+    Edge e, from vertex v with vector ev, is hit ahead when ev x d < 0,
+    at u = N_e / D_e with N_e = ev x (pos - v) and D_e = -(ev x d) > 0.
+    In a quadratic field N_e and D_e stay integer triples (geom._cross2),
+    two parameters compare by the sign of N_e D_f - N_f D_e, the winner
+    against left by that of N_e - left D_e, and u is built for the winner
+    alone, as one quotient.  In every other degree each u is an element."""
+    verts = surface.polygons[chart].vertices
+    edge_vectors = surface.edge_vectors[chart]
+    quad = surface.field._quad
+    if quad is None:
+        best_u, best_edge = None, -1
+        for e, ev in enumerate(edge_vectors):
+            if cross_sign(ev, d) >= 0:
+                continue
+            u = ev.cross(pos - verts[e]) / (-ev.cross(d))
+            if best_u is None or u < best_u:
+                best_u, best_edge = u, e
+        if best_u is None or best_u >= left:
+            return -1, None
+        return best_edge, best_u
+    dx, dy = _triple(d.x), _triple(d.y)
+    px, py = pos.x, pos.y
+    best = None
+    for e, ev in enumerate(edge_vectors):
+        ex, ey = _triple(ev.x), _triple(ev.y)
+        k0, k1, kd = _cross2(quad, *ex, *ey, *dx, *dy)
+        if quad_sign(quad, k0, k1) >= 0:
+            continue
+        v = verts[e]
+        n = _cross2(quad, *ex, *ey, *_sub2(v.x, px), *_sub2(v.y, py))
+        den = (-k0, -k1, kd)
+        if best is None or _det2(quad, *n, *best[1], *den, *best[2]) < 0:
+            best = (e, n, den)
+    if best is None or _det2(quad, *best[1], *_triple(left), *best[2],
+                             1, 0, 1) >= 0:
+        return -1, None
+    e, n, den = best
+    return e, quad_quotient(surface.field, *n, *den)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +792,7 @@ def _meetings(s1: SaddleConnection, s2: SaddleConnection):
                     continue
                 raise OverlappingSegments(
                     "connections share a parallel subsegment")
-            side = (b - a).cross(d - c).sign()
+            side = cross_sign(b - a, d - c)
             if side == 0:
                 # collinear endpoint touch; a genuine geodesic overlap
                 # surfaces as "overlap" in this or an adjacent chart pair

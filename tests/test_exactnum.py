@@ -24,6 +24,7 @@ from pafix.exactnum import (
     format_poly,
     parse_element,
     parse_poly,
+    quad_quotient,
 )
 
 import fracref
@@ -451,6 +452,11 @@ def test_integer_arithmetic_matches_fraction_reference(poly, lo, hi):
         if any(rb):
             assert_matches_reference(ref, b.inverse(), ref.inverse(rb))
             assert_matches_reference(ref, a / b, ref.div(ra, rb))
+            if d == 2:
+                # a and b in other terms: scaled, and over a negative den
+                assert_matches_reference(ref, quad_quotient(
+                    K, *(6 * n for n in a.num), 6 * a.den,
+                    *(-n for n in b.num), -b.den), ref.div(ra, rb))
         assert (a == b) == (ra == rb)
         assert (a == a + 0) and hash(a) == hash(a + 0)
 

@@ -15,10 +15,14 @@ or ending on the box boundary) and near-degenerate ones whose cross
 product or difference is below 2**-60, where only the exact fallback can
 decide.
 
-In a quadratic field `orient`, `cross_sign`, `side_of` and the
-comparisons are integer kernels with no filter
-and no fallback: they are checked against a model of the field in the
-basis (1, sqrt D) whose signs sympy evaluates.  The tests that the float
+In a quadratic field `orient`, `cross_sign`, `side_of`,
+`segment_intersection` and the comparisons are integer kernels with no
+filter and no fallback: they are checked against a model of the field in
+the basis (1, sqrt D) whose signs sympy evaluates, and
+`segment_intersection`'s point, t and u against the division formulas of
+`geomref.segment_intersection`, on 200-bit numerators.  Neither they nor
+`_clip` read a float bound or call `sign` or `inverse` there, and
+`saddle.trace` divides at most once per piece.  The tests that the float
 filter decides, and that it falls back, run on x^3 - 2.
 
 `saddle._chord`, which decides from exact sides with no division
@@ -30,7 +34,8 @@ checks `geomref.region_chord`, the closed chord test of the reference
 cover.
 `side_of` and `_clip` on vertical and horizontal lines, the sides of
 every spanning rectangle, are checked against the exact reference, one
-clip and then a second across it.  A zero direction is rejected.
+clip and then a second across it.  A zero direction, and a zero-length
+segment, are rejected.
 `saddle._window_misses_box`, the float-only prune of the saddle search,
 is checked one-sided: whenever it says "misses",
 `geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
@@ -47,6 +52,7 @@ import geomref
 from pafix.affine import torus_from_matrix
 from pafix.exactnum import FieldElement, RealNumberField
 from pafix.errors import InputError, InternalCheckError
+from pafix.flatsurf import FlatSurface
 from pafix.geom import (
     ConvexPolygon,
     Vec2,
@@ -56,7 +62,7 @@ from pafix.geom import (
     segment_intersection,
     side_of,
 )
-from pafix.saddle import _chord, _window_misses_box
+from pafix.saddle import _chord, _window_misses_box, trace
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -288,6 +294,19 @@ def test_a_clip_line_needs_a_direction():
         square.clip_halfplane(p, zero)
     assert square._rebuilt(square.vertices) is square
     assert square._rebuilt(None) is None
+
+
+@pytest.mark.parametrize("poly, lo, hi", FIELDS)
+def test_a_segment_needs_two_distinct_ends(poly, lo, hi):
+    # a zero-length segment names no line; a meeting of (1, 1) with the
+    # segment from (0, 0) to (2, 0), which misses it, would be wrong
+    K = RealNumberField.create(poly, lo, hi)
+    one, origin, two = (Vec2(K.rational(x), K.rational(y))
+                        for x, y in ((1, 1), (0, 0), (2, 0)))
+    for args in ((one, one, origin, two), (origin, two, one, one),
+                 (one, one, one, one)):
+        with pytest.raises(InputError):
+            segment_intersection(*args)
 
 
 def reflected(K, verts, centre):
@@ -712,6 +731,16 @@ def test_quadratic_kernels_match_an_independent_reference(poly, lo, hi):
             want = ref_cross(r - q, w - q)
             assert orient(q, r, w) == want
             assert cross_sign(r - q, w - q) == want
+        # segments through the point of ab at t, which lies on the segment
+        # for t in [0, 1], from c, from p and along ab; meetings at ends
+        m = a + (b - a).scale(K.rational(t))
+        for q, r, w, z in ((a, b, c, m + (m - c)), (a, b, p, m + (m - p)),
+                           (a, b, m, c), (c, a, b, p), (a, c, b, m),
+                           (a, m, m, b), (a, b, m, a + (b - a).scale(2))):
+            if q == r or w == z:
+                continue
+            assert segment_intersection(q, r, w, z) == \
+                geomref.segment_intersection(q, r, w, z)
         coords = (a.x, a.y, c.x, c.y, p.x)
         pairs = [(u, v) for u in coords[:3] for v in coords]
         pairs += [(u, 0) for u in coords] + [(u, t) for u in coords]
@@ -739,10 +768,10 @@ def test_quadratic_kernels_match_an_independent_reference(poly, lo, hi):
 
 @pytest.fixture
 def filter_calls(monkeypatch):
-    """Calls of FieldElement.float_bounds and FieldElement.sign while the
-    test runs, by name."""
+    """Calls of FieldElement.float_bounds, FieldElement.sign and
+    FieldElement.inverse while the test runs, by name."""
     calls = []
-    for name in ("float_bounds", "sign"):
+    for name in ("float_bounds", "sign", "inverse"):
         def counted(self, _real=getattr(FieldElement, name), _name=name):
             calls.append(_name)
             return _real(self)
@@ -772,4 +801,34 @@ def test_quadratic_predicates_read_no_float_bounds_and_no_sign(
     for p, q in zip(points, points[1:]):
         if p != q:
             poly.clip_halfplane(p, q - p)
+    # crossing, touching, collinear and disjoint segments
+    segments = [(p, q) for p, q in zip(points, points[2:]) if p != q]
+    segments += [(p, q) for p, q in zip(verts, verts[1:])]
+    met = set()
+    for p, q in segments:
+        for r, s in segments:
+            met.add(segment_intersection(p, q, r, s)[0])
+    assert met == {"none", "point", "overlap"}
     assert filter_calls == []
+    # a walk across a parallelogram torus over K: at most one inverse
+    # per piece, and no float bound or sign
+    surface = parallelogram_torus(K)
+    start, vec = (Vec2(K.rational(Fraction(1, 2)), g / 3),
+                  Vec2(7 * g + Fraction(1, 2), 5 - g / 5))
+    del filter_calls[:]
+    res = trace(surface, 0, start, vec)
+    assert len(res.pieces) >= 10
+    assert filter_calls.count("inverse") <= len(res.pieces)
+    assert "float_bounds" not in filter_calls and "sign" not in filter_calls
+
+
+def parallelogram_torus(K):
+    """The torus of the parallelogram (0, 0), (g, 0), (g + 1/3, 1), (1/3,
+    1) over K, opposite sides glued by translations."""
+    g, third = K.gen(), K.rational(Fraction(1, 3))
+    corners = ((K.zero(), K.zero()), (g, K.zero()), (g + third, K.one()),
+               (third, K.one()))
+    gluings = {(0, 0): ((0, 2), "translation"), (0, 2): ((0, 0), "translation"),
+               (0, 1): ((0, 3), "translation"), (0, 3): ((0, 1), "translation")}
+    return FlatSurface(K, [ConvexPolygon([Vec2(x, y) for x, y in corners])],
+                       gluings, marked_corners=[(0, 0)])
