@@ -15,27 +15,30 @@ field stores once.  With g^2 = (r0 + r1*g)/t and x = (x0 + x1*g)/den:
 - a quotient a/b of a = (a0 + a1*g)/ad by b = (b0 + b1*g)/bd, given as
   integer parts in any terms, is one integer product over ad*N by
   Cramer's rule on b's 2x2 multiplication matrix, N = t*b0^2 + r1*b0*b1 -
-  r0*b1^2, brought to lowest terms by one gcd (`quad_quotient`).  1/x is
-  the quotient of 1 by x, and the geom constructions divide integer
-  numerators with it, building no element on the way;
+  r0*b1^2, brought to lowest terms by one gcd (`quad_quotient`);
 - for the minimal polynomial c0 + c1*x + c2*x^2 (c2 > 0) with
   discriminant D, 2*c2*(x0 + x1*g) = A + B*sqrt(D) with A = 2*c2*x0 -
   c1*x1 and B = x1 or -x1 as g is the larger or the smaller root, so the
   sign is exact from the signs of A and B and, when they differ, from A^2
-  against B^2*D (`quad_sign`).  The sign never touches the root bracket,
-  and the comparisons take it straight from the cross-multiplied
-  numerators of the two elements.
+  against B^2*D (`quad_sign`).  The sign never touches the root bracket.
 
 Every other degree takes the general route.  Products reduce the powers
 g^d .. g^(2d-2) with an integer table over one common denominator (1 for
-a monic polynomial), and inverses solve a linear system fraction-free on
-the integer multiplication matrix.  The sign of an element is decided by
-interval Horner evaluation on integers over the root bracket; while the
-enclosure straddles zero, the bracket is *refined* by exact bisection.
-Approximations (approx, float_bounds) refine the bracket in every
-degree.  Outside degree 2, comparisons first look at the two elements'
-cached outward-rounded float enclosures, which decide whenever they are
-disjoint; every other answer comes from exact integer arithmetic.
+a monic polynomial), and quotients solve a linear system fraction-free
+on the integer multiplication matrix.  The sign of an element is decided
+by interval Horner evaluation on integers over the root bracket; while
+the enclosure straddles zero, the bracket is *refined* by exact
+bisection.  Approximations (approx, float_bounds) refine the bracket in
+every degree.
+
+The exact predicates of geom and saddle, and the comparisons here, are
+written once on four numerator primitives of the field, methods of the
+class that `RealNumberField.create` picks by the degree: a difference of
+two elements and a cross x*w - y*z, both as integer numerators over one
+denominator not brought to lowest terms, the exact sign of such
+numerators, and the quotient of two of them as a reduced element.  A
+predicate builds no element and reads no float; a construction builds
+only its answer.
 
     >>> from pafix.exactnum import RealNumberField
     >>> K = RealNumberField.create([1, -3, 1], 2, 3)   # x^2 - 3x + 1, root ~2.618
@@ -184,16 +187,19 @@ def _enclose(num: Sequence[int], a: int, b: int, q: int) -> tuple:
     return lo, hi
 
 
-def quad_sign(quad: tuple, x0: int, x1: int) -> int:
-    """Exact sign of x0 + x1*g in the quadratic field whose closed-form
-    constants are ``quad`` (RealNumberField._quad), for integers x0, x1.
+def quad_sign(field: "RealNumberField", s: Sequence[int]) -> int:
+    """num_sign of a quadratic field: the exact sign of x0 + x1*g for the
+    integers x0, x1 that open s, a numerator tuple or a flat one (n0, n1,
+    den) whose den is not read.
 
     2*c2*(x0 + x1*g) = a + b*sqrt(D) with a = 2*c2*x0 - c1*x1 and b = x1
     or -x1 as g is the larger or the smaller root: the sign is that of b
     when a is 0 or has b's sign, and otherwise that of the larger of a^2
     and b^2*D."""
+    x0, x1 = s[0], s[1]
     if not x1:
         return (x0 > 0) - (x0 < 0)
+    quad = field._quad
     a = quad[4] * x0 - quad[3] * x1
     b = x1 * quad[5]
     if (a > 0) == (b > 0) or not a or a * a < b * b * quad[6]:
@@ -201,11 +207,12 @@ def quad_sign(quad: tuple, x0: int, x1: int) -> int:
     return 1 if a > 0 else -1
 
 
-def quad_quotient(field: "RealNumberField", a0: int, a1: int, ad: int,
-                  b0: int, b1: int, bd: int) -> "FieldElement":
-    """The element a/b of a quadratic field, for a = (a0 + a1*g)/ad and a
-    nonzero b = (b0 + b1*g)/bd with integer parts, ad and bd nonzero and
-    neither brought to lowest terms: one integer product, reduced once.
+def quad_quotient(field: "RealNumberField", a: tuple,
+                  b: tuple) -> "FieldElement":
+    """num_quotient of a quadratic field: the element a/b, for the flat
+    tuples a = (a0, a1, ad) and b = (b0, b1, bd) of (a0 + a1*g)/ad and a
+    nonzero (b0 + b1*g)/bd, ad and bd nonzero and neither brought to
+    lowest terms: one integer product, reduced once.
 
     With g^2 = (r0 + r1*g)/t, Cramer's rule on b's multiplication matrix
     gives (b0 + b1*g) * ((t*b0 + r1*b1) - t*b1*g) = N, N = t*b0^2 +
@@ -213,6 +220,8 @@ def quad_quotient(field: "RealNumberField", a0: int, a1: int, ad: int,
     nonzero b.  Multiplied by a0 + a1*g, the factor t cancels:
     a/b = bd*((t*a0*b0 + r1*a0*b1 - r0*a1*b1) + t*(a1*b0 - a0*b1)*g)
     / (ad*N)."""
+    a0, a1, ad = a
+    b0, b1, bd = b
     r0, r1, t = field._quad[:3]
     norm = t * b0 * b0 + r1 * b0 * b1 - r0 * b1 * b1
     if norm == 0:
@@ -225,6 +234,51 @@ def quad_quotient(field: "RealNumberField", a0: int, a1: int, ad: int,
         den, bd = -den, -bd
     return _reduced2(field, bd * (t * a0 * b0 + r1 * a0 * b1 - r0 * a1 * b1),
                      bd * t * (a1 * b0 - a0 * b1), den)
+
+
+def _cross2(field: "RealNumberField", x: tuple, y: tuple, z: tuple,
+            w: tuple) -> tuple:
+    """num_cross of a quadratic field: x*w - y*z for the flat tuples x =
+    (x0, x1, xd) of (x0 + x1*g)/xd and likewise y, z, w, every den
+    positive, as a flat tuple (n0, n1, den), den > 0, not brought to
+    lowest terms.
+
+    Over the denominator xd*wd*yd*zd (xd*wd alone when it equals yd*zd),
+    x*w - y*z is X*W - Y*Z with X = x's numerator times yd*zd and Y = y's
+    times xd*wd.  With g^2 = (r0 + r1*g)/t, t times that is the integer
+    pair below, over that denominator times t."""
+    x0, x1, xd = x
+    y0, y1, yd = y
+    z0, z1, zd = z
+    w0, w1, wd = w
+    dp, dq = xd * wd, yd * zd
+    if dp != dq:
+        x0, x1, y0, y1 = x0 * dq, x1 * dq, y0 * dp, y1 * dp
+        dp *= dq
+    quad = field._quad
+    r0, r1, t = quad[0], quad[1], quad[2]
+    m = x1 * w1 - y1 * z1
+    return (t * (x0 * w0 - y0 * z0) + r0 * m,
+            t * (x0 * w1 + x1 * w0 - y0 * z1 - y1 * z0) + r1 * m, dp * t)
+
+
+def _sub2(p: "FieldElement", q: "FieldElement") -> tuple:
+    """num_sub of a quadratic field: p - q as a flat tuple (n0, n1, den),
+    den > 0, not brought to lowest terms."""
+    (p0, p1), pd = p.num, p.den
+    (q0, q1), qd = q.num, q.den
+    if pd == qd:
+        return p0 - q0, p1 - q1, pd
+    return p0 * qd - q0 * pd, p1 * qd - q1 * pd, pd * qd
+
+
+def _sub(p: "FieldElement", q: "FieldElement") -> tuple:
+    """num_sub: p - q as a flat tuple (n0, .., n_(d-1), den), den > 0, not
+    brought to lowest terms."""
+    pd, qd = p.den, q.den
+    if pd == qd:
+        return (*[a - b for a, b in zip(p.num, q.num)], pd)
+    return (*[a * qd - b * pd for a, b in zip(p.num, q.num)], pd * qd)
 
 
 def _reduced(field: "RealNumberField", num: list, den: int) -> "FieldElement":
@@ -379,11 +433,29 @@ class RealNumberField:
     shrinks.  Instances with the same defining polynomial and the same root
     compare equal and interoperate; their elements can be mixed freely.
 
-    A quadratic field keeps its closed-form constants in ``_quad``: the
-    reduction row and denominator (r0, r1, t) of g^2 = (r0 + r1*g)/t, then
-    c1 and 2*c2 of the minimal polynomial, +1 or -1 as g is its larger or
-    smaller root, and its discriminant.  ``_quad`` is None in every other
-    degree, which selects the general route.
+    The numerator primitives work on flat tuples (n0, .., n_(d-1), den)
+    of sum(n_i * g^i)/den with den > 0, in any terms:
+
+    - ``num_sub(p, q)``: p - q for elements p and q, as a flat tuple;
+    - ``num_cross(x, y, z, w)``: x*w - y*z for flat tuples, as one;
+    - ``num_sign(s)``: the exact sign of the value whose numerators open
+      s, a flat tuple or an element's ``num``;
+    - ``num_quotient(a, b)``: a/b for flat tuples, b nonzero, as a reduced
+      element.
+
+    The methods below are the general forms: `_sub`, two `_mul_num`
+    products, interval Horner over the root bracket, and a fraction-free
+    solve.  `create` makes a quadratic field a `_QuadraticField`, whose
+    primitives are the closed forms `_sub2`, `_cross2`, `quad_sign` and
+    `quad_quotient` on the constants ``_quad``: the reduction row and
+    denominator (r0, r1, t) of g^2 = (r0 + r1*g)/t, then c1 and 2*c2 of
+    the minimal polynomial, +1 or -1 as g is its larger or smaller root,
+    and its discriminant.  Its sums and products read them too.  ``_quad``
+    is None in every other degree.  No module but this one reads
+    ``_quad``, so the degree picks the arithmetic here and nowhere else.
+    The primitives are methods of the class, not callables kept on the
+    field, so that a field holds no reference to itself and reference
+    counting alone frees it.
     """
 
     __slots__ = ("minpoly", "_a", "_b", "_q", "_table", "_table_den", "_quad",
@@ -408,7 +480,7 @@ class RealNumberField:
             raise NotIrreducible(
                 "polynomial %s factors over the rationals" % format_poly(coeffs, "x"))
 
-        self = object.__new__(cls)
+        self = object.__new__(_QuadraticField if len(coeffs) == 3 else cls)
         self.minpoly = coeffs
         self._equal_ids = {id(self)}
         self.declared_interval = (lo, hi)
@@ -490,6 +562,78 @@ class RealNumberField:
                     out[i] += c * r
         return out
 
+    # -- numerator primitives, general forms ----------------------------------
+
+    num_sub = staticmethod(_sub)
+
+    def num_cross(self, x: tuple, y: tuple, z: tuple, w: tuple) -> tuple:
+        """x*w - y*z over xd*wd*yd*zd*t (xd*wd*t when xd*wd =
+        yd*zd), t the table denominator, from two `_mul_num` products."""
+        dp, dq = x[-1] * w[-1], y[-1] * z[-1]
+        xn, yn = x[:-1], y[:-1]
+        if dp != dq:
+            xn, yn = [c * dq for c in xn], [c * dp for c in yn]
+            dp *= dq
+        return (*[a - b for a, b in zip(self._mul_num(xn, w[:-1]),
+                                        self._mul_num(yn, z[:-1]))],
+                dp * self._table_den)
+
+    def num_sign(self, s: Sequence[int]) -> int:
+        """The sign of sum(s[i] * g^i), i < d, by interval Horner
+        over the root bracket a/q < g < b/q.  It is decided once the
+        enclosure of q^(d-1) times the value excludes zero; otherwise the
+        bracket is bisected further, for at most _MAX_ROUNDS rounds."""
+        num = s[:len(self.minpoly) - 1]
+        if not any(num[1:]):
+            c = num[0]
+            return (c > 0) - (c < 0)
+        for _ in range(_MAX_ROUNDS):
+            lo, hi = _enclose(num, self._a, self._b, self._q)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            self._refine(_ROUND_BISECTIONS)
+        raise InternalCheckError(
+            "sign of nonzero element did not resolve within _MAX_ROUNDS = %d "
+            "rounds of %d bisections" % (_MAX_ROUNDS, _ROUND_BISECTIONS))
+
+    def num_quotient(self, a: tuple, b: tuple) -> "FieldElement":
+        """a/b for a = an/ad and b = bn/bd, fraction free.
+
+        Column j of the integer matrix M is t * bn * g^j, t the table
+        denominator, so M y = t * bd * an means y * bn = bd * an, and a/b
+        = y/ad.  Fraction-free Gauss-Jordan elimination on [M | rhs]
+        leaves the last pivot p = +-det(M) on the diagonal and p * y in
+        the last column; every division in it is exact."""
+        *an, ad = a
+        *bn, bd = b
+        if not any(bn):
+            raise DivisionByZero("zero has no inverse")
+        d, t = len(bn), self._table_den
+        cols = [self._mul_num(bn, (0,) * j + (1,) + (0,) * (d - 1 - j))
+                for j in range(d)]
+        rows = [[col[i] for col in cols] + [t * bd * an[i]] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            sel = next((r for r in range(k, d) if rows[r][k]), None)
+            if sel is None:
+                raise InternalCheckError(
+                    "multiplication matrix of a nonzero element is singular")
+            rows[k], rows[sel] = rows[sel], rows[k]
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            for i in range(d):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(p * x - f * y) // prev
+                               for x, y in zip(rows[i], pivot_row)]
+            prev = p
+        out, den = [row[d] for row in rows], prev * ad
+        if den < 0:
+            out, den = [-c for c in out], -den
+        return _reduced(self, out, den)
+
     # -- element constructors -----------------------------------------------
 
     def element(self, coeffs: Sequence[Rat]) -> "FieldElement":
@@ -562,6 +706,18 @@ class RealNumberField:
             (format_poly(self.minpoly, "x"),) + self._bracket())
 
 
+class _QuadraticField(RealNumberField):
+    """A quadratic field, whose numerator primitives are the closed forms
+    on its constants ``_quad``."""
+
+    __slots__ = ()
+
+    num_sub = staticmethod(_sub2)
+    num_cross = _cross2
+    num_sign = quad_sign
+    num_quotient = quad_quotient
+
+
 class FieldElement:
     """Immutable element of a RealNumberField: sum(num[i] * g^i) / den.
 
@@ -569,15 +725,12 @@ class FieldElement:
     with gcd(den, *num) == 1, so equality is a tuple compare.  ``coeffs``
     gives the same element as a tuple of Fractions, built on first use.
 
-    In a quadratic field, sums, products, inverses and signs use the
-    closed forms in the module docstring, and the sign is exact without
-    refinement; the comparisons read neither ``float_bounds`` nor
-    ``sign``, but apply `quad_sign` to the cross-multiplied numerators.
-    In every other degree the sign comes from interval Horner on integers
-    over the field's root bracket a/q < g < b/q: it is decided once the
-    enclosure of q^(d-1) * sum(num[i] * g^i) excludes zero, and otherwise
-    the bracket is bisected further, for at most _MAX_ROUNDS rounds; the
-    comparisons there try the cached float enclosures first.
+    ``sign`` is the field's numerator sign of ``num``, and the
+    comparisons take that sign of the cross-multiplied numerators of the
+    two elements (`RealNumberField.num_sub`), in every degree; neither
+    reads ``float_bounds`` or calls ``sign``.  Inverses are the field's
+    quotient of 1 by the element.  In a quadratic field, sums and
+    products use the closed forms in the module docstring.
     """
 
     __slots__ = ("field", "num", "den", "_coeffs", "_fb")
@@ -706,37 +859,7 @@ class FieldElement:
         if self.is_rational():
             s = 1 if num[0] > 0 else -1
             return FieldElement(field, (s * den,) + (0,) * (d - 1), s * num[0])
-        if field._quad is not None:
-            return quad_quotient(field, 1, 0, 1, *num, den)
-        # Column j of the integer matrix M is t * num * g^j, t the table
-        # denominator, so M y = t * den * e_0 means y . (1, g, ..) * self
-        # = 1.  Fraction-free Gauss-Jordan elimination on [M | rhs] leaves
-        # the last pivot p = +-det(M) on the diagonal and p * y in the
-        # last column; every division in it is exact.
-        t = field._table_den
-        cols = [field._mul_num(num, (0,) * j + (1,) + (0,) * (d - 1 - j))
-                for j in range(d)]
-        rows = [[col[i] for col in cols] + [t * den if i == 0 else 0]
-                for i in range(d)]
-        prev = 1
-        for k in range(d):
-            sel = next((r for r in range(k, d) if rows[r][k]), None)
-            if sel is None:
-                raise InternalCheckError(
-                    "multiplication matrix of a nonzero element is singular")
-            rows[k], rows[sel] = rows[sel], rows[k]
-            pivot_row = rows[k]
-            p = pivot_row[k]
-            for i in range(d):
-                if i != k:
-                    f = rows[i][k]
-                    rows[i] = [(p * x - f * y) // prev
-                               for x, y in zip(rows[i], pivot_row)]
-            prev = p
-        out = [row[d] for row in rows]
-        if prev < 0:
-            out, prev = [-c for c in out], -prev
-        return _reduced(field, out, prev)
+        return field.num_quotient((1,) + (0,) * (d - 1) + (1,), (*num, den))
 
     def __truediv__(self, other):
         o = self._pair(other)
@@ -768,23 +891,7 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
-        field = self.field
-        quad = field._quad
-        if quad is not None:
-            return quad_sign(quad, *self.num)
-        if self.is_rational():
-            c = self.num[0]
-            return (c > 0) - (c < 0)
-        for _ in range(_MAX_ROUNDS):
-            lo, hi = _enclose(self.num, field._a, field._b, field._q)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            field._refine(_ROUND_BISECTIONS)
-        raise InternalCheckError(
-            "sign of nonzero element did not resolve within _MAX_ROUNDS = %d "
-            "rounds of %d bisections" % (_MAX_ROUNDS, _ROUND_BISECTIONS))
+        return self.field.num_sign(self.num)
 
     def _enclosure(self, bits: int) -> tuple:
         """Integers (lo, hi, scale), scale > 0, with lo/scale <= self <=
@@ -810,8 +917,8 @@ class FieldElement:
     def float_bounds(self) -> tuple:
         """Cached conservative float enclosure (lo, hi), lo <= self <= hi.
 
-        The box prefilters, the comparisons and the interval filters of
-        the geom predicates read it.  Each end is an end of the 2**-40
+        Only the float box prefilters of geom and the saddle search read
+        it; no exact answer depends on it.  Each end is an end of the 2**-40
         rational enclosure, taken as a correctly rounded integer quotient
         and moved one float outward."""
         fb = self._fb
@@ -836,31 +943,16 @@ class FieldElement:
         return r if r is NotImplemented else not r
 
     def _compare(self, other):
-        """sign(self - other), or None when other is not a number.  In a
-        quadratic field the closed-form sign of the cross-multiplied
-        numerators decides.  In every other degree disjoint float bounds
-        decide; bounds that overlap, or only touch, leave it to the exact
-        sign of the difference."""
+        """sign(self - other), or None when other is not a number: the
+        field's numerator sign of the cross-multiplied numerators."""
         if other.__class__ is FieldElement and other.field is self.field:
             o = other
         else:
             o = self._pair(other)
             if o is None:
                 return None
-        quad = self.field._quad
-        if quad is not None:
-            (a0, a1), da = self.num, self.den
-            (b0, b1), db = o.num, o.den
-            if da != db:
-                a0, a1, b0, b1 = a0 * db, a1 * db, b0 * da, b1 * da
-            return quad_sign(quad, a0 - b0, a1 - b1)
-        slo, shi = self.float_bounds()
-        olo, ohi = o.float_bounds()
-        if shi < olo:
-            return -1
-        if ohi < slo:
-            return 1
-        return (self - o).sign()
+        field = self.field
+        return field.num_sign(field.num_sub(self, o))
 
     def __lt__(self, other):
         c = self._compare(other)

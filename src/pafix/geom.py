@@ -1,78 +1,42 @@
 """Exact planar geometry over a real number field.
 
-Every answer here is the exact one.  In a quadratic field (the field's
-``_quad`` set), `orient`, `cross_sign`, `side_of` (the side of a point
-against a directed line, which `ConvexPolygon.clip_halfplane` and
-`saddle.cover` read), `segment_intersection` and the `FieldElement`
-comparisons `<`, `<=`, `>` and `>=` are integer kernels: each
-cross-multiplies the coordinates' numerators by their denominators,
-forms the products with the field's reduction constants (`_cross2`, the
-one value kernel, which gives x*w - y*z as integers over one
-denominator) and takes the closed-form sign (`exactnum.quad_sign`), with
-no float enclosure and no element built.  The constructions read the
-same integer values and build only their answer, each coordinate one
-quotient reduced once (`exactnum.quad_quotient`): a clip's crossing and
-segment_intersection's point are (sb*a - sa*b)/(sb - sa) from the side
-values sa, sb of a and b against the line (`_line_crossing`), its t and
-u are sa/(sa - sb) (`_parameter2`), and `saddle.trace` compares its
-exit parameters as integer fractions and divides once, for the edge it
-leaves by.
+Every answer here is the exact one, and one kernel serves every field
+degree.  The predicates `orient`, `cross_sign` and `side_of` (the side
+of a point against a directed line, which `ConvexPolygon.clip_halfplane`
+and `saddle.cover` read) take the sign of one cross product, formed from
+the coordinates' integer numerators and denominators by the field's
+numerator primitives (see `exactnum.RealNumberField`): ``num_sub`` and
+``num_cross`` give differences and x*w - y*z as integer numerators over
+one denominator, and ``num_sign`` their exact sign.  No element is built
+and no float is read on the way.
 
-Every other predicate, and in every other degree these five too, is
-float filtered.  Floats enter only as enclosures: each coordinate's
-cached `FieldElement.float_bounds()` holds it, and every float operation
-on them rounds outward by one `math.nextafter` step, so an interval
-always holds the exact value it stands for.  A filtered predicate takes
-its answer from floats only when the interval excludes 0, and whenever it
-holds 0 the exact field arithmetic decides (Shewchuk's filtered
-predicates).  The filtered predicates are:
+`segment_intersection` is decided by four such side values, those of a
+and b against line cd and of c and d against line ab: "none" when a pair
+is strictly on one side, collinear segments when a and b are both on
+line cd, which are then ordered along b - a by the signs of dot products,
+and otherwise the point.  The constructions build only their answer,
+each coordinate one quotient of side values reduced once
+(``num_quotient``): a clip's crossing and segment_intersection's point
+are (sb*a - sa*b)/(sb - sa) from the side values sa, sb of a and b
+against the line (`_line_crossing`), and its t and u are sa/(sa - sb)
+(`_parameter`); `saddle.trace` compares its exit parameters the same way
+and divides once, for the edge it leaves by.
 
-- `orient`, `cross_sign` and `side_of` outside degree 2: the sign of a
-  cross product;
-- `segment_intersection` outside degree 2: "none" when the denominator's
-  interval excludes 0 and a parameter's interval lies outside [0, 1].
-  Collinear ends are ordered along b - a by filtered signs of dot
-  products, with no division (exact integer signs in degree 2);
-- `ConvexPolygon.overlaps`, a separating-axis test whose every step is a
-  filtered `orient`: a vertex strictly left of an edge line rules that
-  line out as a separator, and the sign it reads is the exact one, so
-  each verdict is final.  `ConvexPolygon.locate` and `contains` read the
-  same orient signs;
-- the `FieldElement` comparisons outside degree 2: disjoint float bounds
-  decide.  Bounds that overlap, or only share an end, cost a subtraction
-  and an exact sign, since `float_bounds` promises no more than
-  lo <= x <= hi.
-
-`cross_sign` and the comparisons carry the cone and wedge tests of the
-saddle search, the exit-edge tests of `trace` outside degree 2, and the
-bound tests of the spanning rectangles and the fixed-point solver.  A
-few exact paths answer without arithmetic outside degree 2: a repeated
-point makes `orient` 0, and identical segments overlap in themselves.
-The float box prefilter (`float_box` and `boxes_disjoint`, which
-`ConvexPolygon.intersect` and `overlaps` run first) serves every degree;
-it may claim "maybe" but never lies about "no".
-
-The visibility prune of `saddle._box_candidates` is float only, with no
-exact fallback: it may say "maybe" but is never wrong about "misses".
-The search crosses an edge when the edge's part inside the window of
-sight may meet the holonomy box.  It skips an edge whose float box
-misses the box's outer float box, since that part lies on the edge;
-crosses one with both endpoints strictly inside the box's inner float
-box, since the part is then inside too and never empty; and otherwise
-skips the edge only when Liang-Barsky over intervals
-(`saddle._window_misses_box`), clipping to the window's two half-planes
-and the outer float box, leaves a certainly empty range.  An edge
-crossed in vain costs nodes that hold no candidate, and every candidate
-still passes the exact box, window and walk tests.
+`ConvexPolygon.overlaps` is a separating-axis test whose every step is
+an exact `orient`, and `ConvexPolygon.locate` and `contains` read the
+same orient signs.  The float box prefilter (`float_box` and
+`boxes_disjoint`, which `ConvexPolygon.intersect` and `overlaps` run
+first) reads the cached `FieldElement.float_bounds()`; it may claim
+"maybe" but never lies about "no", and it is the only float arithmetic
+here.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, NonConvexPolygon
-from .exactnum import FieldElement, RealNumberField, quad_quotient, quad_sign
+from .exactnum import FieldElement, RealNumberField
 
 
 class Vec2:
@@ -201,171 +165,62 @@ class AffineMap:
         return "AffineMap(%r, %r)" % (self.mat, self.shift)
 
 
-_nextafter = math.nextafter
-_INF = math.inf
-
-
-def _isub(p, q):
-    """Float interval p - q, rounded outward."""
-    return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
-
-
-def _iadd(p, q):
-    """Float interval p + q, rounded outward."""
-    return (_nextafter(p[0] + q[0], -_INF), _nextafter(p[1] + q[1], _INF))
-
-
-def _imul(p, q):
-    """Float interval p * q, rounded outward."""
-    a, b = p
-    c, d = q
-    prods = (a * c, a * d, b * c, b * d)
-    return (_nextafter(min(prods), -_INF), _nextafter(max(prods), _INF))
-
-
-def _idiv(p, q):
-    """Float interval p / q, rounded outward; q must exclude 0."""
-    a, b = p
-    c, d = q
-    quots = (a / c, a / d, b / c, b / d)
-    return (_nextafter(min(quots), -_INF), _nextafter(max(quots), _INF))
-
-
-def _ivec(a: Vec2, b: Vec2):
-    """Float intervals of the coordinates of b - a."""
-    return (_isub(b.x.float_bounds(), a.x.float_bounds()),
-            _isub(b.y.float_bounds(), a.y.float_bounds()))
-
-
-def _ibox(v: Vec2):
-    """Float intervals of the coordinates of v."""
-    return (v.x.float_bounds(), v.y.float_bounds())
-
-
-def _icross(u, v):
-    """Float interval of the cross product of interval vectors u and v."""
-    return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
-
-
-def _idot(u, v):
-    """Float interval of the dot product of interval vectors u and v."""
-    return _iadd(_imul(u[0], v[0]), _imul(u[1], v[1]))
-
-
-def _filtered_sign(interval, exact) -> int:
-    """The sign of a value, given its outward-rounded float interval: from
-    the interval when it excludes 0, else from exact()."""
-    lo, hi = interval
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    return exact()
-
-
-def _sub2(p: FieldElement, q: FieldElement) -> tuple:
-    """q - p in a quadratic field as integers (n0, n1, den), den > 0, not
-    brought to lowest terms."""
-    (p0, p1), pd = p.num, p.den
-    (q0, q1), qd = q.num, q.den
-    if pd == qd:
-        return q0 - p0, q1 - p1, pd
-    return q0 * pd - p0 * qd, q1 * pd - p1 * qd, pd * qd
-
-
-def _cross2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> tuple:
-    """x*w - y*z in the quadratic field with constants quad, for x = (x0 +
-    x1*g)/xd and likewise y, z, w, every den positive, as integers (n0, n1,
-    den), den > 0, not brought to lowest terms.
-
-    Over the denominator xd*wd*yd*zd (xd*wd alone when it equals yd*zd),
-    x*w - y*z is X*W - Y*Z with X = x's numerator times yd*zd and Y = y's
-    times xd*wd.  With g^2 = (r0 + r1*g)/t, t times that is the integer
-    pair below, over that denominator times t."""
-    dp, dq = xd * wd, yd * zd
-    if dp != dq:
-        x0, x1, y0, y1 = x0 * dq, x1 * dq, y0 * dp, y1 * dp
-        dp *= dq
-    r0, r1, t = quad[0], quad[1], quad[2]
-    m = x1 * w1 - y1 * z1
-    return (t * (x0 * w0 - y0 * z0) + r0 * m,
-            t * (x0 * w1 + x1 * w0 - y0 * z1 - y1 * z0) + r1 * m, dp * t)
-
-
-def _det2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd, w0, w1, wd) -> int:
-    """Exact sign of x*w - y*z, for the arguments of _cross2."""
-    n0, n1, _ = _cross2(quad, x0, x1, xd, y0, y1, yd, z0, z1, zd,
-                        w0, w1, wd)
-    return quad_sign(quad, n0, n1)
-
-
-def _line2(quad, p: Vec2, dx: tuple, dy: tuple):
-    """v -> (v - p) x d as a _cross2 triple, in a quadratic field: the
-    side value of v against the line through p with direction d, whose
-    coordinates are given as triples (n0, n1, den), den > 0."""
-    px, py = p.x, p.y
-    return lambda v: _cross2(quad, *_sub2(px, v.x), *_sub2(py, v.y), *dx, *dy)
-
-
-def _triple(x: FieldElement) -> tuple:
+def _flat(x: FieldElement) -> tuple:
+    """x as a flat tuple (n0, .., n_(d-1), den) of the numerator
+    primitives."""
     return (*x.num, x.den)
 
 
-def _parameter2(field: RealNumberField, sa: tuple, sb: tuple) -> FieldElement:
-    """sa/(sa - sb) for the _cross2 triples sa != sb: where a linear
+def _diff(s: tuple, q: tuple) -> tuple:
+    """s - q for flat tuples, as one, not brought to lowest terms."""
+    sd, qd = s[-1], q[-1]
+    return (*[a * qd - b * sd for a, b in zip(s[:-1], q[:-1])], sd * qd)
+
+
+def _line(p: Vec2, dx: tuple, dy: tuple):
+    """v -> (v - p) x d as a flat tuple: the side value of v against the
+    line through p with direction d, whose coordinates are flat tuples."""
+    px, py = p.x, p.y
+    field = px.field
+    cross, sub = field.num_cross, field.num_sub
+    return lambda v: cross(sub(v.x, px), sub(v.y, py), dx, dy)
+
+
+def _parameter(field: RealNumberField, sa: tuple, sb: tuple) -> FieldElement:
+    """sa/(sa - sb) for the flat side values sa != sb: where a linear
     function with values sa at a and sb at b vanishes along a + t(b - a)."""
-    s0, s1, sd = sa
-    q0, q1, qd = sb
-    return quad_quotient(field, s0, s1, sd,
-                         s0 * qd - q0 * sd, s1 * qd - q1 * sd, sd * qd)
+    return field.num_quotient(sa, _diff(sa, sb))
 
 
-def _line_crossing(quad, a: Vec2, b: Vec2, sa: tuple, sb: tuple) -> Vec2:
+def _line_crossing(a: Vec2, b: Vec2, sa: tuple, sb: tuple) -> Vec2:
     """The point a + t(b - a), t = sa/(sa - sb), where segment ab crosses
-    a line, from the side values sa != sb (_cross2 triples) of a and b
-    against it: (sb*a - sa*b)/(sb - sa), each coordinate one integer
-    cross product and one quotient, reduced once."""
+    a line, from the flat side values sa != sb of a and b against it:
+    (sb*a - sa*b)/(sb - sa), each coordinate one integer cross product
+    and one quotient, reduced once."""
     field = a.x.field
-    s0, s1, sd = sa
-    q0, q1, qd = sb
-    den = (q0 * sd - s0 * qd, q1 * sd - s1 * qd, sd * qd)
-    return Vec2(
-        quad_quotient(field, *_cross2(quad, *sb, *sa, *_triple(b.x),
-                                      *_triple(a.x)), *den),
-        quad_quotient(field, *_cross2(quad, *sb, *sa, *_triple(b.y),
-                                      *_triple(a.y)), *den))
+    cross, quotient = field.num_cross, field.num_quotient
+    den = _diff(sb, sa)
+    return Vec2(quotient(cross(sb, sa, _flat(b.x), _flat(a.x)), den),
+                quotient(cross(sb, sa, _flat(b.y), _flat(a.y)), den))
 
 
 def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the signed area of triangle abc: +1 counterclockwise.
-    Exact from the numerators in a quadratic field; otherwise decided over
-    float intervals when they exclude 0, else exactly."""
+    """Sign of the signed area of triangle abc: +1 counterclockwise."""
     ax, ay = a.x, a.y
-    quad = ax.field._quad
-    if quad is not None:
-        n0, n1, _ = _cross2(quad, *_sub2(ax, b.x), *_sub2(ay, b.y),
-                            *_sub2(ax, c.x), *_sub2(ay, c.y))
-        return quad_sign(quad, n0, n1)
-
-    def exact():
-        if a == b or b == c or c == a:
-            return 0
-        return (b - a).cross(c - a).sign()
-    return _filtered_sign(_icross(_ivec(a, b), _ivec(a, c)), exact)
+    field = ax.field
+    sub = field.num_sub
+    return field.num_sign(field.num_cross(sub(b.x, ax), sub(b.y, ay),
+                                          sub(c.x, ax), sub(c.y, ay)))
 
 
 def cross_sign(u: Vec2, v: Vec2) -> int:
-    """Sign of u x v.  Exact from the numerators in a quadratic field;
-    otherwise decided over float intervals when they exclude 0, else
-    exactly."""
+    """Sign of u x v."""
     ux, uy, vx, vy = u.x, u.y, v.x, v.y
-    quad = ux.field._quad
-    if quad is not None:
-        n0, n1, _ = _cross2(quad, *ux.num, ux.den, *uy.num, uy.den,
-                            *vx.num, vx.den, *vy.num, vy.den)
-        return quad_sign(quad, n0, n1)
-    return _filtered_sign(_icross(_ibox(u), _ibox(v)),
-                          lambda: u.cross(v).sign())
+    field = ux.field
+    # the flat tuples built in place: this is the hottest predicate
+    return field.num_sign(field.num_cross(
+        (*ux.num, ux.den), (*uy.num, uy.den), (*vx.num, vx.den),
+        (*vy.num, vy.den)))
 
 
 def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
@@ -377,77 +232,34 @@ def segment_intersection(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
       ("overlap", p, q)    collinear with a shared segment [p, q] of positive length
     A zero-length segment is an InputError.
 
-    In a quadratic field the four exact sides of a and b against line cd
-    and of c and d against line ab decide it: "none" when a pair is
-    strictly on one side, collinear segments when a and b are both on
-    line cd, and otherwise the point, whose coordinates and t and u are
-    each one quotient of the side values (_line_crossing, _parameter2).
-
-    In every other degree, when float intervals show the segments are not
-    parallel and t or u lies outside [0, 1], the answer is ("none",)
-    without field arithmetic.
+    The four sides of a and b against line cd and of c and d against line
+    ab decide it: "none" when a pair is strictly on one side, collinear
+    segments when a and b are both on line cd, and otherwise the point,
+    whose coordinates and t and u are each one quotient of the side
+    values (_line_crossing, _parameter).
     """
     if a == b or c == d:
         raise InputError("a segment needs two distinct ends")
-    quad = a.x.field._quad
-    if quad is not None:
-        return _segment_intersection2(quad, a, b, c, d)
-    r_box, s_box, ca_box = _ivec(a, b), _ivec(c, d), _ivec(a, c)
-    dlo, dhi = _icross(r_box, s_box)
-    if dlo > 0 or dhi < 0:
-        # t = (ca x s) / denom and u = (ca x r) / denom; with denom > 0,
-        # t < 0 when its numerator is, and t > 1 when it exceeds denom
-        tlo, thi = _icross(ca_box, s_box)
-        ulo, uhi = _icross(ca_box, r_box)
-        if dhi < 0:
-            dhi = -dlo
-            tlo, thi = -thi, -tlo
-            ulo, uhi = -uhi, -ulo
-        if thi < 0 or tlo > dhi or uhi < 0 or ulo > dhi:
-            return ("none",)
-    if (c == a and d == b) or (c == b and d == a):
-        return ("overlap", a, b)
-    r = b - a
-    s = d - c
-    denom = r.cross(s)
-    ca = c - a
-    if denom.sign() != 0:
-        t = ca.cross(s) / denom
-        u = ca.cross(r) / denom
-        if t.sign() < 0 or (t - 1).sign() > 0 or u.sign() < 0 or (u - 1).sign() > 0:
-            return ("none",)
-        return ("point", a + r.scale(t), t, u)
-    # parallel
-    if ca.cross(r).sign() != 0:
-        return ("none",)
-
-    def along(p, q):
-        return _filtered_sign(_idot(_ivec(p, q), r_box),
-                              lambda: (q - p).dot(r).sign())
-    return _collinear_meet(a, b, c, d, along)
-
-
-def _segment_intersection2(quad, a: Vec2, b: Vec2, c: Vec2, d: Vec2):
-    """segment_intersection in a quadratic field, from exact side values."""
-    on_cd = _line2(quad, c, _sub2(c.x, d.x), _sub2(c.y, d.y))
+    field = a.x.field
+    sign, sub = field.num_sign, field.num_sub
+    on_cd = _line(c, sub(d.x, c.x), sub(d.y, c.y))
     sa, sb = on_cd(a), on_cd(b)
-    ga, gb = quad_sign(quad, sa[0], sa[1]), quad_sign(quad, sb[0], sb[1])
+    ga, gb = sign(sa), sign(sb)
     if ga == gb != 0:
         return ("none",)
-    rx, ry = _sub2(a.x, b.x), _sub2(a.y, b.y)
+    rx, ry = sub(b.x, a.x), sub(b.y, a.y)
     if ga == gb:
-        # a and b on line cd; q - p dotted with r is (q - p) x (-r.y, r.x)
-        neg_ry = (-ry[0], -ry[1], ry[2])
-        return _collinear_meet(a, b, c, d, lambda p, q: _det2(
-            quad, *_sub2(p.x, q.x), *_sub2(p.y, q.y), *neg_ry, *rx))
-    on_ab = _line2(quad, a, rx, ry)
+        # a and b on line cd; (q - p).r is (q - p).x r.x - (p - q).y r.y
+        cross = field.num_cross
+        return _collinear_meet(a, b, c, d, lambda p, q: sign(cross(
+            sub(q.x, p.x), sub(p.y, q.y), ry, rx)))
+    on_ab = _line(a, rx, ry)
     sc, sd = on_ab(c), on_ab(d)
-    if quad_sign(quad, sc[0], sc[1]) == quad_sign(quad, sd[0], sd[1]) != 0:
+    if sign(sc) == sign(sd) != 0:
         return ("none",)
     # the lines are not parallel, and meet in a point of both segments
-    field = a.x.field
-    return ("point", _line_crossing(quad, a, b, sa, sb),
-            _parameter2(field, sa, sb), _parameter2(field, sc, sd))
+    return ("point", _line_crossing(a, b, sa, sb),
+            _parameter(field, sa, sb), _parameter(field, sc, sd))
 
 
 def _collinear_meet(a: Vec2, b: Vec2, c: Vec2, d: Vec2, along):
@@ -629,25 +441,11 @@ class ConvexPolygon:
 def side_of(p: Vec2, d: Vec2):
     """The exact side function of the directed line through p with
     direction d: v -> the sign of (v - p) x d, so -1 strictly left of the
-    line, 0 on it and 1 strictly right.
-
-    It is the integer kernel in a quadratic field, with d's numerators
-    read once, and the float filter with an exact fallback in every other
-    degree.  A zero d is an InputError."""
+    line, 0 on it and 1 strictly right, with d's numerators read once.
+    A zero d is an InputError."""
     _check_direction(d)
-    px, py = p.x, p.y
-    quad = px.field._quad
-    if quad is not None:
-        dx, dy = _triple(d.x), _triple(d.y)
-
-        def side(v):
-            n0, n1, _ = _cross2(quad, *_sub2(px, v.x), *_sub2(py, v.y),
-                                *dx, *dy)
-            return quad_sign(quad, n0, n1)
-        return side
-    d_box = _ibox(d)
-    return lambda v: _filtered_sign(_icross(_ivec(p, v), d_box),
-                                    lambda: (v - p).cross(d).sign())
+    value, sign = _line(p, _flat(d.x), _flat(d.y)), p.x.field.num_sign
+    return lambda v: sign(value(v))
 
 
 def _check_direction(d: Vec2) -> None:
@@ -663,24 +461,15 @@ def _clip(vs, p: Vec2, d: Vec2):
 
     A vertex v's side is the sign of (v - p) x d, as side_of(p, d)(v)
     reads it, and v is kept when it is <= 0.  Otherwise the kept vertices
-    and the crossing points of the line, in order.  The signs are exact,
+    and the crossing points of the line, in order, each built from the
+    side values at its edge's ends (_line_crossing).  The signs are exact,
     so the line meets the interior; the clipped polygon is again strictly
     convex, with exactly two points on the line (a vertex on it, or a
     crossing strictly inside an edge), so clipping again needs no
-    collinear drop and the vertex order never changes.
-
-    In a quadratic field the sides are taken from the values of (v - p) x
-    d as integer triples, and each crossing is built from the values at
-    its edge's ends (_line_crossing), with no element on the way; in
-    every other degree it is a + t(b - a) for t = (p - a) x d / (b - a)
-    x d."""
-    quad = p.x.field._quad
-    if quad is None:
-        sides = list(map(side_of(p, d), vs))
-    else:
-        _check_direction(d)
-        values = list(map(_line2(quad, p, _triple(d.x), _triple(d.y)), vs))
-        sides = [quad_sign(quad, s[0], s[1]) for s in values]
+    collinear drop and the vertex order never changes."""
+    _check_direction(d)
+    values = list(map(_line(p, _flat(d.x), _flat(d.y)), vs))
+    sides = list(map(p.x.field.num_sign, values))
     if all(s <= 0 for s in sides):
         return vs
     if not any(s < 0 for s in sides):
@@ -692,13 +481,7 @@ def _clip(vs, p: Vec2, d: Vec2):
         if sides[i] <= 0:
             out.append(vs[i])
         if (sides[i] < 0 < sides[j]) or (sides[j] < 0 < sides[i]):
-            a, b = vs[i], vs[j]
-            if quad is None:
-                r = b - a
-                t = (p - a).cross(d) / r.cross(d)
-                out.append(a + r.scale(t))
-            else:
-                out.append(_line_crossing(quad, a, b, values[i], values[j]))
+            out.append(_line_crossing(vs[i], vs[j], values[i], values[j]))
         # vertices exactly on the line are kept once above
     return out
 
@@ -712,14 +495,3 @@ def _edge_line_separates(vs, others) -> bool:
         if all(orient(a, b, p) <= 0 for p in others):
             return True
     return False
-
-
-def convex_hull_is_quad_strict(pts) -> bool:
-    """True iff the four points form a strictly convex quadrilateral in the
-    given cyclic order."""
-    if len(pts) != 4:
-        raise InternalCheckError("expected 4 points")
-    for i in range(4):
-        if orient(pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]) <= 0:
-            return False
-    return True

@@ -20,6 +20,7 @@ the searches they cap, not in one shared module, because tests patch
 each budget on the module whose search reads it.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,21 +30,13 @@ from .errors import (
     InternalCheckError,
     OverlappingSegments,
 )
-from .exactnum import FieldElement, format_element, quad_quotient, quad_sign
+from .exactnum import FieldElement, format_element
 from .flatsurf import EdgeRef, FlatSurface, SurfacePoint
 from .geom import (
     ConvexPolygon,
     Vec2,
     _clip,
-    _cross2,
-    _det2,
-    _ibox,
-    _icross,
-    _idiv,
-    _isub,
-    _ivec,
-    _sub2,
-    _triple,
+    _flat,
     boxes_disjoint,
     cross_sign,
     float_box,
@@ -321,44 +314,32 @@ def _exit(surface: FlatSurface, chart: int, pos: Vec2, d: Vec2, left):
     u: (e, u) for the least u, the first such edge on a tie, or (-1, None)
     when no edge is hit before u reaches left.
 
-    Edge e, from vertex v with vector ev, is hit ahead when ev x d < 0,
-    at u = N_e / D_e with N_e = ev x (pos - v) and D_e = -(ev x d) > 0.
-    In a quadratic field N_e and D_e stay integer triples (geom._cross2),
-    two parameters compare by the sign of N_e D_f - N_f D_e, the winner
-    against left by that of N_e - left D_e, and u is built for the winner
-    alone, as one quotient.  In every other degree each u is an element."""
+    Edge e, from vertex v with vector ev, is hit ahead when D_e = d x ev
+    > 0, at u = N_e / D_e with N_e = ev x (pos - v).  N_e and D_e stay
+    flat tuples of the field's numerator primitives, two parameters
+    compare by the sign of N_e D_f - N_f D_e, the winner against left by
+    that of N_e - left D_e, and u is built for the winner alone, as one
+    quotient."""
     verts = surface.polygons[chart].vertices
-    edge_vectors = surface.edge_vectors[chart]
-    quad = surface.field._quad
-    if quad is None:
-        best_u, best_edge = None, -1
-        for e, ev in enumerate(edge_vectors):
-            if cross_sign(ev, d) >= 0:
-                continue
-            u = ev.cross(pos - verts[e]) / (-ev.cross(d))
-            if best_u is None or u < best_u:
-                best_u, best_edge = u, e
-        if best_u is None or best_u >= left:
-            return -1, None
-        return best_edge, best_u
-    dx, dy = _triple(d.x), _triple(d.y)
+    field = surface.field
+    cross, sub, sign = field.num_cross, field.num_sub, field.num_sign
+    dx, dy = _flat(d.x), _flat(d.y)
     px, py = pos.x, pos.y
     best = None
-    for e, ev in enumerate(edge_vectors):
-        ex, ey = _triple(ev.x), _triple(ev.y)
-        k0, k1, kd = _cross2(quad, *ex, *ey, *dx, *dy)
-        if quad_sign(quad, k0, k1) >= 0:
+    for e, ev in enumerate(surface.edge_vectors[chart]):
+        ex, ey = _flat(ev.x), _flat(ev.y)
+        den = cross(dx, dy, ex, ey)
+        if sign(den) <= 0:
             continue
         v = verts[e]
-        n = _cross2(quad, *ex, *ey, *_sub2(v.x, px), *_sub2(v.y, py))
-        den = (-k0, -k1, kd)
-        if best is None or _det2(quad, *n, *best[1], *den, *best[2]) < 0:
+        n = cross(ex, ey, sub(px, v.x), sub(py, v.y))
+        if best is None or sign(cross(n, best[1], den, best[2])) < 0:
             best = (e, n, den)
-    if best is None or _det2(quad, *best[1], *_triple(left), *best[2],
-                             1, 0, 1) >= 0:
+    if best is None or sign(cross(best[1], _flat(left), best[2],
+                                  _flat(field.one()))) >= 0:
         return -1, None
     e, n, den = best
-    return e, quad_quotient(surface.field, *n, *den)
+    return e, field.num_quotient(n, den)
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +489,13 @@ def _box_candidates(surface, corner, bx, by):
     walk verification.
 
     An edge is crossed unless floats show that its part inside the
-    window misses the box (see the geom module docstring).  A prune that
-    says "maybe" where the exact answer is "misses" loses nothing: the
-    box is convex and holds the origin, so an in-box vertex seen through
-    an edge is seen along a segment from the origin that crosses the edge
-    inside the box, within the window.  Through an edge whose windowed
-    part misses the box no in-box vertex is seen, so the extra node and
-    its children hold no candidate."""
+    window misses the box (see the note above _window_misses_box).  A
+    prune that says "maybe" where the exact answer is "misses" loses
+    nothing: the box is convex and holds the origin, so an in-box vertex
+    seen through an edge is seen along a segment from the origin that
+    crosses the edge inside the box, within the window.  Through an edge
+    whose windowed part misses the box no in-box vertex is seen, so the
+    extra node and its children hold no candidate."""
     chart, vidx = corner
     origin = surface.polygons[chart].vertices[vidx]
     out_ray, back_ray = surface.corner_rays(corner)
@@ -583,6 +564,63 @@ def _in_cone(u: Vec2, v: Vec2, x: Vec2) -> bool:
     """x inside the closed cone from ray u counterclockwise to ray v; the
     cone must span less than pi."""
     return cross_sign(u, x) >= 0 and cross_sign(x, v) >= 0
+
+
+# The visibility prune of _box_candidates is float only, with no exact
+# fallback: it may say "maybe" but is never wrong about "misses".  The
+# search crosses an edge when the edge's part inside the window of sight
+# may meet the holonomy box.  It skips an edge whose float box misses the
+# box's outer float box, since that part lies on the edge; crosses one
+# with both endpoints strictly inside the box's inner float box, since the
+# part is then inside too and never empty; and otherwise skips the edge
+# only when Liang-Barsky over intervals (_window_misses_box), clipping to
+# the window's two half-planes and the outer float box, leaves a certainly
+# empty range.  An edge crossed in vain costs nodes that hold no
+# candidate, and every candidate still passes the exact box, window and
+# walk tests.  Floats enter as each coordinate's cached
+# FieldElement.float_bounds(), and every float operation on them rounds
+# outward by one math.nextafter step, so an interval always holds the
+# exact value it stands for.
+
+_nextafter = math.nextafter
+_INF = math.inf
+
+
+def _isub(p, q):
+    """Float interval p - q, rounded outward."""
+    return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
+
+
+def _imul(p, q):
+    """Float interval p * q, rounded outward."""
+    a, b = p
+    c, d = q
+    prods = (a * c, a * d, b * c, b * d)
+    return (_nextafter(min(prods), -_INF), _nextafter(max(prods), _INF))
+
+
+def _idiv(p, q):
+    """Float interval p / q, rounded outward; q must exclude 0."""
+    a, b = p
+    c, d = q
+    quots = (a / c, a / d, b / c, b / d)
+    return (_nextafter(min(quots), -_INF), _nextafter(max(quots), _INF))
+
+
+def _ivec(a: Vec2, b: Vec2):
+    """Float intervals of the coordinates of b - a."""
+    return (_isub(b.x.float_bounds(), a.x.float_bounds()),
+            _isub(b.y.float_bounds(), a.y.float_bounds()))
+
+
+def _ibox(v: Vec2):
+    """Float intervals of the coordinates of v."""
+    return (v.x.float_bounds(), v.y.float_bounds())
+
+
+def _icross(u, v):
+    """Float interval of the cross product of interval vectors u and v."""
+    return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
 
 
 def _window_misses_box(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2, box) -> bool:

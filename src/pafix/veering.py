@@ -40,6 +40,7 @@ from .errors import (
     InputError,
     InternalCheckError,
     LambdaNotExpanding,
+    NonConvexPolygon,
     NotFilling,
     NotFlippable,
     NotNoncrossing,
@@ -49,7 +50,7 @@ from .errors import (
     WrongOrder,
 )
 from .flatsurf import FlatSurface
-from .geom import Vec2, convex_hull_is_quad_strict
+from .geom import ConvexPolygon, Vec2
 from .saddle import (
     SaddleConnection,
     _first_per_point,
@@ -549,7 +550,7 @@ def _apex_solve(H: Vec2, p: Vec2, q: Vec2, side: int) -> Vec2:
     return good[0]
 
 
-def _quad(section: Section, c: SaddleConnection):
+def _flip_frame(section: Section, c: SaddleConnection):
     """Developed quadrilateral around a section edge, in the frame of
     its canonical orientation: returns (H, apex_left, apex_right,
     left face rotated to start at c, right face rotated to start at
@@ -575,7 +576,7 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
     c = cache.canonical(edge)
     if c not in section.edge_set:
         raise InputError("flip edge is not in the section")
-    H, apex_l, apex_r, fl_rot, fr_rot = _quad(section, c)
+    H, apex_l, apex_r, fl_rot, fr_rot = _flip_frame(section, c)
     mine = abs(H.x) if up else abs(H.y)
     for other in (fl_rot[1], fl_rot[2], fr_rot[1], fr_rot[2]):
         val = abs(other.hol.x) if up else abs(other.hol.y)
@@ -585,10 +586,12 @@ def _flip(section: Section, edge: SaddleConnection, up: bool):
                 "both adjacent faces" % (H.x, H.y,
                                          "widest" if up else "tallest"))
     z = H.x.field.zero()
-    if not convex_hull_is_quad_strict([Vec2(z, z), apex_r, H, apex_l]):
+    try:
+        ConvexPolygon([Vec2(z, z), apex_r, H, apex_l])
+    except NonConvexPolygon:
         raise NotFlippable(
             "the two faces around the edge do not form a strictly convex "
-            "quadrilateral")
+            "quadrilateral") from None
     d = apex_l - apex_r
     if d.x.is_zero() or d.y.is_zero():
         raise NotFlippable("replacement diagonal is axis parallel")
@@ -963,7 +966,7 @@ def mapping_torus_layering(f, section: Optional[Section] = None) -> MappingTorus
     zero = section.surface.field.zero()
 
     for i, st in enumerate(steps):
-        H, apex_l, apex_r, fl_rot, fr_rot = _quad(st.before, st.edge)
+        H, apex_l, apex_r, fl_rot, fr_rot = _flip_frame(st.before, st.edge)
         rev_walked = cache.reverse(st.walked)
         g1 = st.after.face_of(st.walked)
         g2 = st.after.face_of(rev_walked)

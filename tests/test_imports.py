@@ -1,6 +1,8 @@
 """Every name a pafix module imports is read there or exported, and every
 private (underscore) function, class, method or module-level constant
-that pafix defines is read somewhere in pafix."""
+that pafix defines is read somewhere in pafix; and no module but
+exactnum reads the quadratic constants or imports the quadratic closed
+forms."""
 
 import ast
 import pathlib
@@ -73,3 +75,22 @@ def test_no_private_helper_is_orphaned():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted((m, n) for m, n in defined if n not in read) == []
+
+
+def test_only_exactnum_chooses_arithmetic_by_degree():
+    # the field's degree picks its numerator primitives once, in exactnum;
+    # a module that read the quadratic constants or called the quadratic
+    # closed forms itself would split a predicate into two bodies again
+    src = pathlib.Path(pafix.__file__).parent
+    leaks = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "exactnum":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_quad":
+                leaks.add((path.stem, "_quad"))
+            elif isinstance(node, ast.ImportFrom):
+                leaks |= {(path.stem, alias.name) for alias in node.names
+                          if alias.name in ("quad_sign", "quad_quotient")}
+    assert leaks == set()
