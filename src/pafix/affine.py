@@ -484,7 +484,8 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
             image_corner: EdgeRef, lambda_: FieldElement
             ) -> AffineAutomorphism:
     """The affine automorphism with derivative D taking corner's vertex to
-    image_corner's, which must own D times corner's outgoing edge.
+    image_corner's, which must own D times corner's outgoing edge; an
+    InputError says so before any cover runs.
 
     The polygons are placed around corner's chart by a breadth-first
     spanning tree of the gluings; each placed P goes to D.P in
@@ -493,6 +494,11 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
     every other P by the cover of its tree parent (_child_seeds).  A D
     outside the Veech group puts a vertex inside some D.P (NotBijective)
     or fails validation."""
+    ray = D.apply(surface.corner_rays(corner)[0])
+    if not surface.owns_ray(image_corner, ray):
+        raise InputError("image corner %s does not own the ray %r, D times "
+                         "corner %s's outgoing edge" % (image_corner, ray,
+                                                        corner))
     field = surface.field
     zero = Vec2(field.zero(), field.zero())
     chart0, v0 = corner

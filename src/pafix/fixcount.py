@@ -7,7 +7,9 @@ in at least one such rectangle, so the deduplicated union is Fix(f) minus
 the singular points, which are read off the singularity permutation.  The
 oracle counter instead clips f(t) against t for every triangle t of a
 section and solves the same equation per overlap piece, cutting each
-developed triangle into chart pieces with saddle.cover.  Both attach a
+developed triangle into chart pieces with saddle.cover.  A triangle
+develops from its three edges' walks, whose frames differ by +-I, so the
+oracle runs on halfturn surfaces as on translation ones.  Both attach a
 Lefschetz number computed homologically, from the action of f on the
 polygon edges modulo the polygon boundaries, as a third check: L equals
 the index sum.  L is independent of both counters, but not of itself:
@@ -27,13 +29,19 @@ from typing import Dict, List, Tuple
 
 from . import linalg
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
-from .exactnum import FieldElement
-from .fileio import format_element
+from .exactnum import FieldElement, format_element
 from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
-from .saddle import SaddleConnection, _place_unapply, cover
+from .saddle import (
+    SaddleConnection,
+    _place_apply,
+    _place_between,
+    _place_unapply,
+    cover,
+)
 from .veering import (
     Section,
+    _apex_solve,
     _germ_of,
     annular_avoiding_f_section,
     apply_to_edge,  # not called here; bench/tests reads fixcount.apply_to_edge
@@ -202,8 +210,7 @@ def _crossing_branches(cache, sigma, image):
     for _, _, i, j, _ in cache.crossing_records(sigma, image):
         _, ea, sa = sigma.placements[i]
         _, eb, sb = image.placements[j]
-        e = ea * eb
-        out.append((e, sa - sb if e == 1 else sa + sb))
+        out.append(_place_between(ea, sa, eb, sb))
     return out
 
 
@@ -229,8 +236,22 @@ def _vertex_branches(surface, sigma, image, s: int):
             continue
         m = ea * e * eb
         if _germ_turn(surface, gb, ga, m) or _germ_turn(surface, ga, gb, m):
-            out.append((e, pa - qb if e == 1 else pa + qb))
+            out.append(_place_between(e, pa, 1, qb))
     return out
+
+
+def _branch_fixed_point(d1, d2, p0: Vec2, q0: Vec2, e: int, c: Vec2):
+    """The fixed point of the branch w -> e*(diag(d1, d2)(w - p0) + q0) + c
+    of f, and the diagonal (l1, l2) = e*(d1, d2) of its linear part.
+
+    The lift of f along an edge with start p0, into the frame of the
+    image edge with start q0, is w -> diag(d1, d2)(w - p0) + q0; a motion
+    w -> e*w + c (saddle._place_between) carries the image frame back."""
+    one = d1.field.one()
+    l1, l2 = (d1, d2) if e == 1 else (-d1, -d2)
+    base = (q0 + c) if e == 1 else (c - q0)
+    return (Vec2((base.x - l1 * p0.x) / (one - l1),
+                 (base.y - l2 * p0.y) / (one - l2)), l1, l2)
 
 
 def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
@@ -256,22 +277,13 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     p0 = sigma.start_point().pos
     q0 = image.start_point().pos
     x0, x1, y0, y1 = rect.bounds
-    one = surface.field.one()
-    # branch g of f in sigma's frame: the lift of f along sigma is
-    # z -> diag(d1, d2)(z - p0) + q0 into the image frame, composed with a
-    # deck motion w -> e*w + c back to sigma's
     branches = (_crossing_branches(cache, sigma, image)
                 + _vertex_branches(surface, sigma, image, s))
     found: Dict[object, FixedPoint] = {}
     for e, c in branches:
-        l1 = d1 if e == 1 else -d1
-        l2 = d2 if e == 1 else -d2
-        base = (q0 + c) if e == 1 else (c - q0)
-        zx = (base.x - l1 * p0.x) / (one - l1)
-        zy = (base.y - l2 * p0.y) / (one - l2)
-        if not (x0 < zx < x1 and y0 < zy < y1):
+        z, l1, l2 = _branch_fixed_point(d1, d2, p0, q0, e, c)
+        if not (x0 < z.x < x1 and y0 < z.y < y1):
             continue
-        z = Vec2(zx, zy)
         sp = None
         for (chart, eps, shift) in rect.placements:
             local = _place_unapply(eps, shift, z)
@@ -423,30 +435,28 @@ def max_edge(T: Section, f) -> SaddleConnection:
 # ---------------------------------------------------------------------------
 # triangle development for the oracle
 
-def _transport_places(sc: SaddleConnection, t: Vec2):
-    """sc's chart placements pushed through the translation z -> z + t."""
-    return [(chart, e, sh + t) for (chart, e, sh) in sc.placements]
-
-
 def _face_development(face):
     """Develop a triangular face in its first edge's walk frame.
 
-    The face tuple traverses the boundary coherently with the interior on
-    the left, so the holonomies close up counterclockwise.  Returns the
-    developed triangle and seed placements from all three walks."""
+    The face tuple traverses the boundary with the interior on the left.
+    Walk frames differ by +-I, by -I across a halfturn, so the apex comes
+    from the three holonomies up to sign, as in a flip
+    (veering._apex_solve).  A later edge, developed from a to b, maps its
+    walk frame onto the face's by z -> s*(z - start) + a, with s = +-1 the
+    sign that runs its holonomy from a to b, and its placements go
+    through that map.  Returns the developed triangle and seed
+    placements from all three walks."""
     r0, r1, r2 = face
-    if not (r0.hol + r1.hol + r2.hol).is_zero():
-        raise InternalCheckError("face boundary does not close up")
-    if r0.hol.cross(r1.hol).sign() <= 0:
-        raise InternalCheckError("face development is not counterclockwise")
     v0 = r0.start_point().pos
     v1 = v0 + r0.hol
-    v2 = v1 + r1.hol
-    tri = ConvexPolygon([v0, v1, v2])
+    v2 = v0 + _apex_solve(r0.hol, r1.hol, r2.hol, 1)
     seeds = list(r0.placements)
-    seeds += _transport_places(r1, v1 - r1.start_point().pos)
-    seeds += _transport_places(r2, v2 - r2.start_point().pos)
-    return tri, seeds
+    for sc, a, b in ((r1, v1, v2), (r2, v2, v0)):
+        s = 1 if sc.hol == b - a else -1
+        start = sc.start_point().pos
+        seeds += [(chart, s * e, _place_apply(s, a, sh - start))
+                  for chart, e, sh in sc.placements]
+    return ConvexPolygon([v0, v1, v2]), seeds
 
 
 def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon):
@@ -464,7 +474,6 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
     surface = T.surface
     cache = T.cache
     dmat = f.derivative
-    one = surface.field.one()
     seen: Dict[str, FixedPoint] = {}
     for face in T.triangles:
         tri, seeds = _face_development(face)
@@ -485,15 +494,11 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                 overlap = piece_a.intersect(piece_b)
                 if overlap is None:
                     continue
-                # branch of f from chart to chart through the two frames:
-                # z -> eb*(J(ea*z + sa) - sb), J(w) = diag(d1,d2)(w-p0)+q0
-                l1 = ea * eb * d1
-                l2 = ea * eb * d2
-                cvec = Vec2(d1 * (sa.x - p0.x) + q0.x - sb.x,
-                            d2 * (sa.y - p0.y) + q0.y - sb.y)
-                if eb == -1:
-                    cvec = -cvec
-                z = Vec2(cvec.x / (one - l1), cvec.y / (one - l2))
+                # the branch of f in the face's frame, back from the image
+                # face's frame through the chart's two placements
+                w, l1, l2 = _branch_fixed_point(
+                    d1, d2, p0, q0, *_place_between(ea, sa, eb, sb))
+                z = _place_unapply(ea, sa, w)
                 if overlap.contains(z) == 0:
                     continue
                 sp = SurfacePoint(chart, z)

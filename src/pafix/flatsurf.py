@@ -3,10 +3,11 @@
 A surface is a finite list of strictly convex polygons with an involutive
 edge pairing.  Each pairing is a `translation` (partner edge vector is the
 negative) or a `halfturn` (partner edge vector is equal, glued by a point
-reflection).  Every polygon vertex lands in a vertex class; classes carry a
-cone angle that is an exact integer multiple of pi, counted along one line
-through the vertex: the corner wedges [out, back) tile the cone, so a cone
-of angle k*pi owns exactly k rays of any such line.
+reflection).  The vertex classes are the cycles of fan_step (below) on
+the corners; classes carry a cone angle that is an exact integer multiple
+of pi, counted along one line through the vertex: the corner wedges
+[out, back) tile the cone, so a cone of angle k*pi owns exactly k rays of
+any such line.
 
 The surface owns the vertex primitives that every other module reads a
 singularity through: corner_rays (a corner's out and back edge rays),
@@ -14,8 +15,8 @@ owns_ray (the one corner whose wedge holds a ray at a vertex), fan_step
 (the hop across a corner's back edge to the next corner of the fan),
 owning_corner (the fan walk from any corner to the owner of a ray),
 fan_position (each corner's class and place in its counterclockwise fan,
-recorded by the walk that counts the angle) and vertex_index (which vertex
-of a chart sits at a position).
+recorded by the one walk per class that counts the angle) and
+vertex_index (which vertex of a chart sits at a position).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -133,7 +134,6 @@ class FlatSurface:
         self.gluings = dict(gluings)
         self._build_transitions()
         self._build_vertex_classes()
-        self._compute_cone_angles()
         self._apply_marks(marked_corners)
         self._check_gauss_bonnet()
         # a weak reference to the surface's EdgeCache, set by
@@ -202,59 +202,30 @@ class FlatSurface:
             self.transitions[edge] = Transition(edge, partner, m, flip)
 
     def _build_vertex_classes(self):
-        corners = []
-        for p, poly in enumerate(self.polygons):
-            for v in range(len(poly)):
-                corners.append((p, v))
-        parent = {c: c for c in corners}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        def union(c1, c2):
-            r1, r2 = find(c1), find(c2)
-            if r1 != r2:
-                parent[r1] = r2
-
-        for (p, e), ((q, e2), kind) in self.gluings.items():
-            np_, nq = len(self.polygons[p]), len(self.polygons[q])
-            # start of e ~ end of partner, end of e ~ start of partner
-            union((p, e), (q, (e2 + 1) % nq))
-            union((p, (e + 1) % np_), (q, e2))
-        groups: Dict[EdgeRef, set] = {}
-        for c in corners:
-            groups.setdefault(find(c), set()).add(c)
-        classes = sorted(groups.values(), key=lambda g: sorted(g)[0])
+        """The vertex classes are the cycles of fan_step, a permutation of
+        the corners.  One walk per class, from its least corner in sorted
+        order, records each corner's class and fan position and counts
+        the rays of the start corner's out-edge line that the corners own
+        (transitions are +-I): the cone angle in units of pi."""
         self.corner_class: Dict[EdgeRef, int] = {}
-        self._class_corners: List[frozenset] = []
-        for i, g in enumerate(classes):
-            self._class_corners.append(frozenset(g))
-            for c in g:
-                self.corner_class[c] = i
-
-    def _compute_cone_angles(self):
-        """Walk each class's fan once from its least corner, recording
-        fan positions and counting the rays of the start corner's
-        out-edge line that the corners own (transitions are +-I)."""
-        self.cone_points: List[ConePoint] = []
         self.fan_position: Dict[EdgeRef, Tuple[int, int]] = {}
-        for cls, corners in enumerate(self._class_corners):
-            start = corner = min(corners)
-            d, _ = self.corner_rays(start)
+        self.cone_points: List[ConePoint] = []
+        for start in sorted(self._rays):
+            if start in self.corner_class:
+                continue
+            cls = len(self.cone_points)
+            corner, d = start, self.corner_rays(start)[0]
+            fan = []
             angle = 0
-            for pos in range(len(corners)):
-                self.fan_position[corner] = (cls, pos)
+            while not fan or corner != start:
+                self.corner_class[corner] = cls
+                self.fan_position[corner] = (cls, len(fan))
+                fan.append(corner)
                 angle += self.owns_ray(corner, d) + self.owns_ray(corner, -d)
                 tr = self.fan_step(corner)
                 corner, d = tr.target, -d if tr.flip else d
-            if corner != start or not corners <= self.fan_position.keys():
-                raise InternalCheckError(
-                    "fan walk around %s does not close after its %d corners"
-                    % (start, len(corners)))
-            self.cone_points.append(ConePoint(cls, angle, False, corners))
+            self.cone_points.append(ConePoint(cls, angle, False,
+                                              frozenset(fan)))
 
     def _apply_marks(self, marked_corners):
         marked_classes = set()
@@ -305,7 +276,7 @@ class FlatSurface:
         return total
 
     def vertex_point(self, cls: int) -> SurfacePoint:
-        p, v = sorted(self._class_corners[cls])[0]
+        p, v = min(self.cone_points[cls].corners)
         return SurfacePoint(p, self.polygons[p].vertices[v])
 
     def vertex_index(self, chart: int, pos: Vec2) -> Optional[int]:

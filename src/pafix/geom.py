@@ -83,10 +83,6 @@ class Vec2:
     def __repr__(self):
         return "(%s, %s)" % (self.x, self.y)
 
-    def key(self):
-        """Deterministic sort key (coefficient tuples, exact)."""
-        return (self.x.coeffs, self.y.coeffs)
-
 
 class Mat2:
     __slots__ = ("a", "b", "c", "d")

@@ -104,6 +104,13 @@ def _place_cross(eps: int, shift: Vec2, tr) -> Tuple[int, Vec2]:
     return em, (shift - st if em == 1 else shift + st)
 
 
+def _place_between(ea: int, sa: Vec2, eb: int, sb: Vec2) -> Tuple[int, Vec2]:
+    """The motion w -> e*w + c from the frame of placement (eb, sb) of a
+    chart to the frame of its placement (ea, sa): (ea*eb, sa - e*sb)."""
+    e = ea * eb
+    return e, (sa - sb if e == 1 else sa + sb)
+
+
 def _place_key(chart: int, eps: int, shift: Vec2):
     return (chart, eps, shift.x, shift.y)
 
@@ -350,20 +357,18 @@ class SaddleConnection:
     by its developing chain."""
 
     __slots__ = ("surface", "start_corner", "hol", "chain", "pieces",
-                 "placements", "end_corner", "flip_sign", "_key", "_rstart")
+                 "placements", "_rstart", "_key")
 
     def __init__(self, surface, start_corner, hol, chain, pieces, placements,
-                 end_corner, flip_sign):
+                 rstart):
         self.surface = surface
         self.start_corner = start_corner  # (chart, vertex index)
         self.hol = hol                    # holonomy in the start chart
         self.chain = chain                # ((p, e, q, e2), ...)
         self.pieces = pieces              # ((chart, a, b), ...)
         self.placements = placements      # ((chart, eps, shift), ...)
-        self.end_corner = end_corner
-        self.flip_sign = flip_sign        # direction transport sign
+        self._rstart = rstart             # see reverse_start
         self._key = None
-        self._rstart = None
 
     @staticmethod
     def walk(surface: FlatSurface, corner: EdgeRef,
@@ -381,11 +386,10 @@ class SaddleConnection:
         if not (res.consumed - surface.field.one()).is_zero():
             return None
         d_end = hol if res.sign == 1 else -hol
-        end_corner, _ = surface.owning_corner(res.end_chart,
-                                              res.end_vertex, -d_end)
+        rstart = surface.owning_corner(res.end_chart, res.end_vertex, -d_end)
         return SaddleConnection(surface, corner, hol, tuple(res.crossings),
                                 tuple(res.pieces), tuple(res.placements),
-                                end_corner, res.sign)
+                                rstart)
 
     @property
     def start_class(self) -> int:
@@ -404,13 +408,14 @@ class SaddleConnection:
         chart, vidx = self.start_corner
         return SurfacePoint(chart, self.surface.polygons[chart].vertices[vidx])
 
+    @property
+    def end_corner(self) -> EdgeRef:
+        return self._rstart[0]
+
     def reverse_start(self) -> tuple:
-        """(start corner, holonomy) of the reverse connection, computed
-        once and without walking it."""
-        if self._rstart is None:
-            d_end = self.hol if self.flip_sign == 1 else -self.hol
-            self._rstart = self.surface.owning_corner(
-                self.end_corner[0], self.end_corner[1], -d_end)
+        """(start corner, holonomy) of the reverse connection: the corner
+        at the end vertex that owns the way back, and that ray in its
+        chart, as the walk found them, without walking the reverse."""
         return self._rstart
 
     def reverse(self) -> "SaddleConnection":

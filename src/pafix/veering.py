@@ -90,14 +90,12 @@ _DEGREE_THRESHOLD = 16
 def section_size(surface: FlatSurface) -> int:
     """Edge count of any section: three times |chi| of the punctured
     surface (vertices removed)."""
-    e = len(surface.gluings) // 2
-    f = len(surface.polygons)
-    n = 3 * (e - f)
-    if n <= 0:
+    chi = surface.chi_punctured
+    if chi >= 0:
         raise UnsupportedSurface(
             "punctured Euler characteristic %d admits no triangulation by "
-            "saddle connections" % (f - e))
-    return n
+            "saddle connections" % chi)
+    return -3 * chi
 
 
 class EdgeCache:
@@ -517,8 +515,9 @@ def complete_to_section(surface: FlatSurface,
             return Section(surface, chosen)
         box *= 2
     raise UnsupportedSurface(
-        "no section completion within holonomy box %d; the surface may "
-        "admit no veering triangulation in these coordinates" % (box // 2))
+        "no section completion within holonomy box %d after "
+        "_BOX_DOUBLINGS = %d doublings; the surface may admit no veering "
+        "triangulation in these coordinates" % (box // 2, _BOX_DOUBLINGS))
 
 
 # ---------------------------------------------------------------------------

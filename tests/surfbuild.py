@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+from pafix.affine import develop, torus_from_matrix
 from pafix.exactnum import RealNumberField
 from pafix.flatsurf import FlatSurface, SurfacePoint
-from pafix.geom import ConvexPolygon, Vec2
+from pafix.geom import ConvexPolygon, Mat2, Vec2
 
 
 def rational_field():
@@ -75,6 +76,36 @@ def pillowcase():
         (0, 2): ((1, 2), "halfturn"), (1, 2): ((0, 2), "halfturn"),
     }
     return FlatSurface(field, [a, b], gluings, names=["A", "B"])
+
+
+def eigen_pillowcase(rows):
+    """(surface, D, f): the pillowcase of a hyperbolic integer matrix M
+    in eigen coordinates, D = diag(lambda, 1/lambda), and the map f that
+    develop builds with +D, fixing the class of corner (0, 0).
+
+    The eigen parallelogram of torus_from_matrix(rows), spanned by w1 and
+    w2, cut along w1/2 and w2/2 leaves two charts A (left) and B (right)
+    of a fundamental domain of the torus modulo -1.  As in pillowcase(),
+    the edges along w1 fold onto each other by halfturns and the edges
+    along w2 are translated.  M and -M induce the same map."""
+    torus, f = torus_from_matrix(rows)
+    o, w1, _, w2 = torus.polygons[0].vertices
+    half = torus.field.rational(Fraction(1, 2))
+    h1, h2 = w1.scale(half), w2.scale(half)
+    a = ConvexPolygon([o, h1, h1 + h2, h2])
+    b = ConvexPolygon([h1, w1, w1 + h2, h1 + h2])
+    gluings = {}
+    for e1, e2, kind in (((0, 0), (1, 0), "halfturn"),
+                         ((0, 2), (1, 2), "halfturn"),
+                         ((0, 1), (1, 3), "translation"),
+                         ((0, 3), (1, 1), "translation")):
+        gluings[e1] = (e2, kind)
+        gluings[e2] = (e1, kind)
+    surface = FlatSurface(torus.field, [a, b], gluings, names=["A", "B"])
+    lam = f.lambda_
+    d_mat = Mat2.diagonal(lam, lam.inverse())
+    image_corner, _ = surface.owning_corner(0, 0, d_mat.apply(h1))
+    return surface, d_mat, develop(surface, d_mat, (0, 0), image_corner, lam)
 
 
 def origami(right, top, names):

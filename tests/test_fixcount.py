@@ -34,6 +34,7 @@ from pafix.fixcount import (
     _comb,
     _crossing_branches,
     _edge_chain,
+    _face_development,
     count_fixed_points,
     fixed_point_index,
     fixed_points_in_rectangle,
@@ -44,6 +45,7 @@ from pafix.fixcount import (
 )
 from pafix.saddle import (
     SaddleConnection,
+    _place_apply,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -56,7 +58,8 @@ from pafix.veering import (
 )
 
 import geomref
-from surfbuild import octagon_surface, pillowcase, square_torus, vec
+from surfbuild import (eigen_pillowcase, octagon_surface, pillowcase,
+                       square_torus, vec)
 
 # 2 - tr(M^n) for M = [[2,1],[1,1]]; all traces exceed 2 so the fixed
 # point total is tr(M^n) - 2.
@@ -450,6 +453,75 @@ def test_develop_rejects_a_derivative_outside_the_veech_group():
     image_corner, _ = square.owning_corner(0, 0, d_mat.apply(vec(K, 1, 0)))
     with pytest.raises(NotBijective, match="over a vertex"):
         develop(square, d_mat, (0, 0), image_corner, K.rational(2))
+
+
+@pytest.mark.parametrize("rows, n, want", [
+    ([[2, 1], [1, 1]], 1, 3),
+    ([[2, 1], [1, 1]], 2, 7),
+    ([[3, 1], [2, 1]], 1, 4),
+    ([[3, 1], [2, 1]], 2, 14),
+])
+def test_eigen_pillowcase_counts_the_closed_form(rows, n, want):
+    # a point of the torus fixed by M^n or by -M^n lies over a fixed point
+    # of the pillowcase map, two torus points over each regular one and
+    # one over each of the four pi points: (|det(M^n - I)| +
+    # |det(M^n + I)|)/2.  The oracle develops its triangles across the
+    # halfturn gluings.  The sphere has L = 2.
+    (p, q), (r, t) = _mat_power(rows, n)
+    assert want == (abs((p - 1) * (t - 1) - q * r)
+                    + abs((p + 1) * (t + 1) - q * r)) // 2
+    _, _, f = eigen_pillowcase(rows)
+    fn = f.power(n)
+    report = count_fixed_points(fn)
+    oracle = oracle_count_fixed_points(fn, annular_avoiding_f_section(fn))
+    assert report.total == oracle.total == want
+    assert report.records() == oracle.records()
+    assert report.lefschetz == report.index_sum == 2
+    assert markov_upper_bound(fn) >= report.total
+
+
+def test_face_development_lays_every_walk_on_its_side():
+    # each seed placement carries its walk's piece onto the developed
+    # triangle's boundary; across a halfturn that takes the sign -1
+    _, _, f = eigen_pillowcase([[2, 1], [1, 1]])
+    signs = set()
+    for face in annular_avoiding_f_section(f).triangles:
+        tri, seeds = _face_development(face)
+        pieces = [piece for sc in face for piece in sc.pieces]
+        assert len(seeds) == len(pieces)
+        for (chart, e, shift), (chart2, a, b) in zip(seeds, pieces):
+            assert chart == chart2
+            assert tri.contains(_place_apply(e, shift, a)) == 1
+            assert tri.contains(_place_apply(e, shift, b)) == 1
+        signs |= {sc.hol == -(v1 - v0) for sc, (v0, v1) in
+                  zip(face, tri.edges())}
+    assert signs == {False, True}
+
+
+def _no_cover(*args):
+    raise AssertionError("develop ran a cover")
+
+
+@pytest.mark.parametrize("image_corner", [(0, 1), (0, 2), (0, 3)])
+def test_develop_rejects_an_image_corner_without_the_ray(monkeypatch,
+                                                         image_corner):
+    # every corner of the torus is at its one vertex, but only (0, 0)
+    # owns D times the outgoing edge of (0, 0)
+    surface, f = torus_from_matrix([[2, 1], [1, 1]])
+    monkeypatch.setattr(affine, "cover", _no_cover)
+    with pytest.raises(InputError, match=r"image corner \(0, %d\)"
+                       % image_corner[1]):
+        develop(surface, f.derivative, (0, 0), image_corner, f.lambda_)
+
+
+def test_develop_rejects_a_ray_owned_only_after_a_halfturn(monkeypatch):
+    # (0, 0) owns D times its outgoing edge, not -D times it: around the
+    # pi point that ray comes back to (0, 0) only across a halfturn,
+    # negated
+    surface, d_mat, f = eigen_pillowcase([[2, 1], [1, 1]])
+    monkeypatch.setattr(affine, "cover", _no_cover)
+    with pytest.raises(InputError, match=r"image corner \(0, 0\)"):
+        develop(surface, -d_mat, (0, 0), (0, 0), f.lambda_)
 
 
 def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):

@@ -38,9 +38,9 @@ from pafix.fixcount import _horizontal_germs, count_fixed_points
 
 import geomref
 from minpoly import element_minimal_polynomial
-from surfbuild import (h11_origami, l_origami, octagon_surface, pillowcase,
-                       point, rational_field, square_polygon, square_torus,
-                       vec)
+from surfbuild import (eigen_pillowcase, h11_origami, l_origami,
+                       octagon_surface, pillowcase, point, rational_field,
+                       square_polygon, square_torus, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,48 @@ def _probe_directions(surface):
 def test_fan_position_matches_the_reference_walk(make):
     s = make()
     assert s.fan_position == _reference_fan_positions(s)
+
+
+def _union_find_classes(surface):
+    """The vertex classes as lists of corners, ordered by least corner,
+    from a union-find over the gluings: the start of an edge is the end
+    of its partner."""
+    parent = {(p, v): (p, v) for p, poly in enumerate(surface.polygons)
+              for v in range(len(poly))}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for (p, e), ((q, e2), _) in surface.gluings.items():
+        n = len(surface.polygons[q])
+        parent[find((p, e))] = find((q, (e2 + 1) % n))
+    groups = {}
+    for c in sorted(parent):
+        groups.setdefault(find(c), []).append(c)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("make", [
+    square_torus, octagon_surface, pillowcase, l_origami, h11_origami,
+    lambda: torus_from_matrix([[2, 1], [1, 1]])[0],
+    lambda: eigen_pillowcase([[2, 1], [1, 1]])[0],
+], ids=["torus", "octagon", "pillowcase", "l-origami", "h11-origami",
+        "eigen-torus", "eigen-pillowcase"])
+def test_vertex_classes_match_the_gluing_union_find(make):
+    s = make()
+    classes = _union_find_classes(s)
+    assert {c: i for i, cls in enumerate(classes) for c in cls} \
+        == s.corner_class
+    assert [sorted(cp.corners) for cp in s.cone_points] == classes
+    # fan_position numbers each class 0..k-1 along fan_step
+    for i, cls in enumerate(classes):
+        corner = cls[0]
+        for pos in range(len(cls)):
+            assert s.fan_position[corner] == (i, pos)
+            corner = s.fan_step(corner).target
+        assert corner == cls[0]
 
 
 @VERTEX_SURFACES

@@ -5,6 +5,7 @@ exactnum reads the quadratic constants or imports the quadratic closed
 forms."""
 
 import ast
+import importlib
 import pathlib
 
 import pafix
@@ -94,3 +95,38 @@ def test_only_exactnum_chooses_arithmetic_by_degree():
                 leaks |= {(path.stem, alias.name) for alias in node.names
                           if alias.name in ("quad_sign", "quad_quotient")}
     assert leaks == set()
+
+
+# every search budget whose overflow raises, by the module whose search
+# reads it
+BUDGETS = [
+    ("affine", "_IMAGE_COVER_NODES"),
+    ("fixcount", "_COVER_CAP"),
+    ("saddle", "_VISIBILITY_NODES"),
+    ("saddle", "_RECT_UNFOLD_NODES"),
+    ("saddle", "_TRACE_CROSSINGS"),
+    ("veering", "_SWEEP_CAP"),
+    ("veering", "_BOX_DOUBLINGS"),
+    ("exactnum", "_MAX_ROUNDS"),
+]
+
+
+def test_every_budget_overflow_names_its_budget():
+    # an overflow error says which constant to raise: the module names the
+    # budget in a string literal other than a docstring
+    src = pathlib.Path(pafix.__file__).parent
+    unnamed = []
+    for module, budget in BUDGETS:
+        tree = ast.parse((src / (module + ".py")).read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and ast.get_docstring(node) is not None}
+        assert isinstance(getattr(importlib.import_module("pafix." + module),
+                                  budget), int)
+        if not any(isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and budget in node.value
+                   and id(node) not in docstrings
+                   for node in ast.walk(tree)):
+            unnamed.append((module, budget))
+    assert unnamed == []

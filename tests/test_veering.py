@@ -492,3 +492,23 @@ def test_axis_parallel_polygon_edge_rejects_at_once(monkeypatch, make, edge):
     monkeypatch.setattr(veering.EdgeCache, "box_candidates", no_search)
     with pytest.raises(UnsupportedSurface, match=re.escape(edge)):
         complete_to_section(make())
+
+
+def _scaled_cat_torus(k):
+    """The eigen torus of [[2, 1], [1, 1]] with its chart scaled by k."""
+    surface, _ = torus_from_matrix([[2, 1], [1, 1]])
+    s = surface.field.rational(k)
+    poly = ConvexPolygon([v.scale(s) for v in surface.polygons[0].vertices])
+    return FlatSurface(surface.field, [poly], surface.gluings,
+                       marked_corners=[(0, 0)])
+
+
+def test_box_overflow_names_its_budget(monkeypatch):
+    # scaled by 8 the torus completes only at box 8, the fourth of the
+    # default five boxes
+    surface = _scaled_cat_torus(8)
+    assert max(complete_to_section(surface).cache.boxes) == 8
+    monkeypatch.setattr(veering, "_BOX_DOUBLINGS", 2)
+    with pytest.raises(UnsupportedSurface,
+                       match="box 4 after _BOX_DOUBLINGS = 2 "):
+        complete_to_section(_scaled_cat_torus(8))
