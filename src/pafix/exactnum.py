@@ -920,10 +920,15 @@ class FieldElement:
         Only the float box prefilters of geom and the saddle search read
         it; no exact answer depends on it.  Each end is an end of the 2**-40
         rational enclosure, taken as a correctly rounded integer quotient
-        and moved one float outward."""
+        and moved one float outward; a rational's enclosure is itself, read
+        without _enclosure."""
         fb = self._fb
         if fb is None:
-            lo, hi, scale = self._enclosure(40)
+            if self.is_rational():
+                lo = hi = self.num[0]
+                scale = self.den
+            else:
+                lo, hi, scale = self._enclosure(40)
             fb = (math.nextafter(lo / scale, -math.inf),
                   math.nextafter(hi / scale, math.inf))
             self._fb = fb

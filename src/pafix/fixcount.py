@@ -629,7 +629,8 @@ def _branch_maps(rect_a, rect_b):
         for (eb, sb) in by_chart.get(chart, ()):
             e = ea * eb
             t = (sa - sb) if e == 1 else (sa + sb)
-            key = (e, t.x, t.y)
+            # reduced elements are equal exactly when num and den are
+            key = (e, t.x.num, t.x.den, t.y.num, t.y.den)
             if key not in seen:
                 seen[key] = (e, t)
     return list(seen.values())

@@ -9,9 +9,16 @@ and every placement is z -> +-z + t, so trace carries its direction
 only up to sign, and cover pulls the region back into each placed chart
 and reads its vertex, clip and chord tests from one table of the exact
 sides (geom.side_of) of the chart's vertices against the region's edge
-lines.  On top of them sit saddle connection enumeration (polygon
-unfolding pruned by a holonomy box), spanning rectangles with certified
-immersion degree, and transverse crossings and intersection numbers.
+lines.  On top of them sit saddle connection enumeration, spanning
+rectangles with certified immersion degree, and transverse crossings
+and intersection numbers.  Enumeration is a visibility search from each
+corner by polygon unfolding pruned by a holonomy box, again in each
+chart's own frame: one table of exact sides of the chart's vertices
+against the two rays of the window of sight serves the vertex and edge
+tests, each visible vertex is reported once, strictly inside its window,
+and its walk always ends at it.  In canonical mode the search leaves
+out, before their walk, the connections that it can tell are not the
+canonical orientation of their geodesic (veering.EdgeCache.canonical).
 cover also serves the oracle's triangles (fixcount._cover_region) and
 map building (affine.develop).
 
@@ -39,7 +46,6 @@ from .geom import (
     _flat,
     boxes_disjoint,
     cross_sign,
-    float_box,
     segment_intersection,
     side_of,
 )
@@ -357,7 +363,7 @@ class SaddleConnection:
     by its developing chain."""
 
     __slots__ = ("surface", "start_corner", "hol", "chain", "pieces",
-                 "placements", "_rstart", "_key")
+                 "placements", "_rstart", "_key", "_hash")
 
     def __init__(self, surface, start_corner, hol, chain, pieces, placements,
                  rstart):
@@ -369,6 +375,7 @@ class SaddleConnection:
         self.placements = placements      # ((chart, eps, shift), ...)
         self._rstart = rstart             # see reverse_start
         self._key = None
+        self._hash = None
 
     @staticmethod
     def walk(surface: FlatSurface, corner: EdgeRef,
@@ -443,7 +450,12 @@ class SaddleConnection:
                 and self.hol == other.hol and self.chain == other.chain)
 
     def __hash__(self):
-        return hash((self.start_corner, self.hol.x, self.hol.y, self.chain))
+        # immutable, and every EdgeCache lookup hashes it
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.start_corner, self.hol.x, self.hol.y,
+                                   self.chain))
+        return h
 
     def __repr__(self):
         return "SaddleConnection(start=%s, hol=(%s, %s))" % (
@@ -453,13 +465,25 @@ class SaddleConnection:
 # ---------------------------------------------------------------------------
 # enumeration by box-pruned unfolding
 
-def enumerate_saddles(surface: FlatSurface, bx, by) -> List[SaddleConnection]:
+def enumerate_saddles(surface: FlatSurface, bx, by,
+                      canonical: bool = False) -> List[SaddleConnection]:
     """All oriented saddle connections with |hol_x| <= bx and |hol_y| <= by,
     duplicate-free, sorted by (start id, holonomy).
 
-    Each geodesic appears twice, once per orientation; the start corner
-    owning the outgoing ray is unique, so per-corner candidate dedup is
-    global dedup."""
+    By default each geodesic appears twice, once per orientation.  Each
+    corner's visibility search (_box_candidates) reports every vertex it
+    sees once, within the cone [out, back) that owns_ray gives the corner,
+    and the corner owning an outgoing ray is unique, so every candidate
+    is walked once, and every walk ends at its vertex.
+
+    With canonical=True the axis-parallel connections are left out, and
+    so is every connection whose reverse sorts first under
+    veering.EdgeCache.canonical's key when the search can tell before the
+    walk: its end class is smaller than its start class, or the classes
+    agree, no gluing of the surface is a halfturn (so the reverse's
+    holonomy is exactly -hol) and hol_x > 0.  When the classes agree on a
+    surface with halfturns both orientations are kept, and the caller
+    chooses after the walk."""
     field = surface.field
     bx = field.coerce(bx)
     by = field.coerce(by)
@@ -467,108 +491,212 @@ def enumerate_saddles(surface: FlatSurface, bx, by) -> List[SaddleConnection]:
         raise InputError("holonomy box bounds must be positive")
     out = []
     for corner in sorted(surface.corner_class):
-        vecs = set()
-        for cand in _box_candidates(surface, corner, bx, by):
-            key = (cand.x, cand.y)
-            if key in vecs:
-                continue
-            vecs.add(key)
+        for cand in _box_candidates(surface, corner, bx, by, canonical):
             sc = SaddleConnection.walk(surface, corner, cand)
-            if sc is not None:
-                out.append(sc)
+            if sc is None:
+                raise InternalCheckError(
+                    "the vertex seen from corner %s at %r ends no saddle "
+                    "connection" % (corner, cand))
+            out.append(sc)
     out.sort(key=SaddleConnection.sort_key)
     return out
 
 
-def _box_candidates(surface, corner, bx, by):
-    """Candidate holonomies from one corner: placed singular vertices
-    visible from the corner within its wedge and the holonomy box.
+def _box_candidates(surface, corner, bx, by, canonical=False):
+    """The holonomies of the vertices visible from one corner within its
+    cone [out, back) and the holonomy box, each once; with canonical, only
+    those enumerate_saddles keeps in canonical mode.
 
-    The search develops the exponential map: every node is a placement
-    plus the angular window of sight rays that enter it through its entry
-    edge.  Rays stop at placed vertices, so windows only ever shrink, and
+    The search develops the exponential map: every node is a chart
+    placement plus the window of sight rays that enter it through its
+    entry edge.  Rays stop at vertices, so windows only ever shrink, and
     each crossing along a ray is strictly farther out; the box prune makes
     the tree finite on every surface, including ones whose gluing
-    translations accumulate.  Rays through a vertex are left in the
-    window; the spurious candidates behind it are discarded later by the
-    walk verification.
+    translations accumulate.
 
-    An edge is crossed unless floats show that its part inside the
-    window misses the box (see the note above _window_misses_box).  A
-    prune that says "maybe" where the exact answer is "misses" loses
-    nothing: the box is convex and holds the origin, so an in-box vertex
-    seen through an edge is seen along a segment from the origin that
-    crosses the edge inside the box, within the window.  Through an edge
-    whose windowed part misses the box no in-box vertex is seen, so the
-    extra node and its children hold no candidate."""
+    A node works in its chart's own frame.  It holds the chart, the
+    placement sign eps, the corner pulled back into the chart as o with
+    its float interval, the window rays r1, r2 times eps (_ray), and the
+    entry edge.  A crossing maps o by the transition, and on a flip
+    negates eps and the rays.  Cross signs do not depend on the frame, so
+    one side table per node serves every test: for each chart vertex v,
+    dv = v - o, s1 = sign(r1 x dv) and s2 = sign(dv x r2).  A vertex is a
+    candidate strictly inside the window, with |dv| exactly within the
+    box, and a candidate alone gets its plane holonomy eps*dv built.  At
+    the root the window is the corner's cone [out, back), as owns_ray
+    reads it.  Below the root a vertex on a window ray lies behind the
+    vertex the ray began at, a candidate where it lay inside a window, or
+    behind the far end of the corner's out edge, a candidate at the root.
+
+    An edge ab is crossed when it runs outward (sign(dv_a x dv_b) > 0)
+    and its cone meets the window.  The child's low ray is a when a lies
+    in the window and r1 when s1[a] <= 0 <= s1[b]; its high ray is b or
+    r2 likewise; and its window is empty only when a low r1 meets a high
+    b with s1[b] = 0, or a low a a high r2 with s2[a] = 0.  The edge is
+    then skipped when floats show that its part inside the window misses
+    the box (see the note above _window_misses_box).  A prune that says
+    "maybe" where the exact answer is "misses" loses nothing: the box is
+    convex and holds the origin, so an in-box vertex seen through an edge
+    is seen along a segment from the origin that crosses the edge inside
+    the box, within the window.  Through an edge whose windowed part
+    misses the box no in-box vertex is seen, so the extra node and its
+    children hold no candidate.
+
+    In canonical mode a vertex is skipped when it is axis-parallel to the
+    corner, when its class is smaller than the corner's, or, on a surface
+    without halfturns, when its class is the corner's and its plane x is
+    positive.  There a corner of the largest class keeps only x < 0, so
+    its root window is clipped to x <= 0 (_left_half)."""
+    field = surface.field
+    sub, cross, sign = field.num_sub, field.num_cross, field.num_sign
+    polys, transitions = surface.polygons, surface.transitions
+    corner_class = surface.corner_class
     chart, vidx = corner
-    origin = surface.polygons[chart].vertices[vidx]
-    out_ray, back_ray = surface.corner_rays(corner)
-    nbx, nby = -bx, -by
+    origin = polys[chart].vertices[vidx]
+    r1, r2 = map(_ray, surface.corner_rays(corner))
+    cls = corner_class[corner]
+    halfturn = canonical and any(tr.flip for tr in transitions.values())
+    if canonical and not halfturn and cls == len(surface.cone_points) - 1:
+        r1, r2 = _left_half(field, r1, r2)
+        if r1 is None:
+            return []
+    box_x, box_y = _flat(bx), _flat(by)
     bx_lo, bx_hi = bx.float_bounds()
     by_lo, by_hi = by.float_bounds()
     outer = (-bx_hi, bx_hi, -by_hi, by_hi)
-    # plane frame: this chart translated so the corner sits at zero
-    seed_place = (chart, 1, Vec2(-origin.x, -origin.y))
-    stack = [(seed_place, out_ray, back_ray, None)]
+    stack = [(chart, 1, origin,
+              (origin.x.float_bounds(), origin.y.float_bounds()), r1, r2,
+              None)]
     cands = []
     popped = 0
     while stack:
-        (p, eps, shift), w1, w2, entry = stack.pop()
+        p, eps, o, oi, r1, r2, entry = stack.pop()
         popped += 1
         if popped > _VISIBILITY_NODES:
             raise InternalCheckError(
                 "visibility search exceeded _VISIBILITY_NODES = %d nodes; the "
                 "holonomy bound is too large" % _VISIBILITY_NODES)
-        ppoly = surface.polygons[p]
-        placed = [_place_apply(eps, shift, v) for v in ppoly.vertices]
-        for w in placed:
-            if w.is_zero():
+        # the least s1 of a candidate: the root's window holds its ray r1
+        s1_min = 0 if entry is None else 1
+        verts = polys[p].vertices
+        ox, oy = o.x, o.y
+        r1x, r1y = r1[0], r1[1]
+        r2x, r2y = r2[0], r2[1]
+        dvs, s1s, s2s = [], [], []
+        for j, v in enumerate(verts):
+            dx, dy = sub(v.x, ox), sub(v.y, oy)
+            # at the root the corner itself has dv = 0 and both sides 0
+            s1 = sign(cross(r1x, r1y, dx, dy))
+            s2 = sign(cross(dx, dy, r2x, r2y))
+            dvs.append((dx, dy))
+            s1s.append(s1)
+            s2s.append(s2)
+            if s1 < s1_min or s2 <= 0 or not (
+                    _within(sign, dx, box_x) and _within(sign, dy, box_y)):
                 continue
-            if w.x < nbx or w.x > bx or w.y < nby or w.y > by:
-                continue
-            if cross_sign(w1, w) >= 0 and cross_sign(w, w2) >= 0:
-                cands.append(w)
-        m = len(ppoly)
-        for e in range(m):
+            if canonical:
+                m = corner_class[(p, j)]
+                if (not any(dx[:-1]) or not any(dy[:-1]) or m < cls
+                        or (m == cls and not halfturn
+                            and eps * sign(dx) > 0)):
+                    continue
+            cands.append(v - o if eps == 1 else o - v)
+        n = len(verts)
+        ivs = [None] * n
+        for e in range(n):
             if e == entry:
                 continue
-            a, b = placed[e], placed[(e + 1) % m]
-            if a.is_zero() or b.is_zero():
+            ia, ib = e, (e + 1) % n
+            s1a, s1b, s2a, s2b = s1s[ia], s1s[ib], s2s[ia], s2s[ib]
+            # intersect the window [r1, r2] with the cone [a, b]
+            lo_a = s1a >= 0 and s2a >= 0
+            hi_b = s1b >= 0 and s2b >= 0
+            if not (lo_a or s1a <= 0 <= s1b) or not (hi_b or s2b <= 0 <= s2a):
                 continue
-            if cross_sign(a, b) <= 0:
-                # not an outward crossing as seen from the origin
+            if (hi_b and not lo_a and s1b <= 0) \
+                    or (lo_a and not hi_b and s2a <= 0):
                 continue
-            lo = hi = None
-            # intersect the cones [w1, w2] and [a, b], both below pi
-            if _in_cone(w1, w2, a):
-                lo = a
-            elif _in_cone(a, b, w1):
-                lo = w1
-            if _in_cone(w1, w2, b):
-                hi = b
-            elif _in_cone(a, b, w2):
-                hi = w2
-            if lo is None or hi is None or cross_sign(lo, hi) <= 0:
+            a, b = dvs[ia], dvs[ib]
+            if sign(cross(a[0], a[1], b[0], b[1])) <= 0:
+                # not an outward crossing as seen from the origin, or an
+                # edge of the corner itself
                 continue
-            sx0, sx1, sy0, sy1 = seg = float_box((a, b))
+            ai = ivs[ia]
+            if ai is None:
+                ai = ivs[ia] = _ipull(verts[ia], oi)
+            bi = ivs[ib]
+            if bi is None:
+                bi = ivs[ib] = _ipull(verts[ib], oi)
+            (ax0, ax1), (ay0, ay1) = ai
+            (bx0, bx1), (by0, by1) = bi
+            seg = sx0, sx1, sy0, sy1 = (min(ax0, bx0), max(ax1, bx1),
+                                        min(ay0, by0), max(ay1, by1))
             if boxes_disjoint(seg, outer):
                 continue
+            lo = a + ai if lo_a else r1
+            hi = b + bi if hi_b else r2
             if not (-bx_lo < sx0 and sx1 < bx_lo
-                    and -by_lo < sy0 and sy1 < by_lo) \
-                    and _window_misses_box(a, b, lo, hi, outer):
-                continue
-            tr = surface.transitions[(p, e)]
-            eps2, shift2 = _place_cross(eps, shift, tr)
-            stack.append(((tr.target[0], eps2, shift2), lo, hi,
-                          tr.target[1]))
+                    and -by_lo < sy0 and sy1 < by_lo):
+                ev = surface.edge_vectors[p][e]
+                if _window_misses_box(
+                        ai, (ev.x.float_bounds(), ev.y.float_bounds()),
+                        lo[2:], hi[2:], outer):
+                    continue
+            tr = transitions[(p, e)]
+            shift = tr.map.shift
+            tx, ty = shift.x.float_bounds(), shift.y.float_bounds()
+            if tr.flip:
+                # z -> t - z turns directions around
+                c_eps, c_oi = -eps, (_isub(tx, oi[0]), _isub(ty, oi[1]))
+                lo, hi = _neg_ray(lo), _neg_ray(hi)
+            else:
+                c_eps, c_oi = eps, (_iadd(tx, oi[0]), _iadd(ty, oi[1]))
+            q, e2 = tr.target
+            stack.append((q, c_eps, tr.apply(o), c_oi, lo, hi, e2))
     return cands
 
 
-def _in_cone(u: Vec2, v: Vec2, x: Vec2) -> bool:
-    """x inside the closed cone from ray u counterclockwise to ray v; the
-    cone must span less than pi."""
-    return cross_sign(u, x) >= 0 and cross_sign(x, v) >= 0
+def _ray(d: Vec2) -> tuple:
+    """A window ray of _box_candidates: (x, y, x interval, y interval),
+    x and y flat tuples of the numerator primitives."""
+    return (_flat(d.x), _flat(d.y), d.x.float_bounds(), d.y.float_bounds())
+
+
+def _neg_ray(r: tuple) -> tuple:
+    """The opposite ray, in the frame across a halfturn."""
+    x, y, ix, iy = r
+    return ((*[-c for c in x[:-1]], x[-1]), (*[-c for c in y[:-1]], y[-1]),
+            (-ix[1], -ix[0]), (-iy[1], -iy[0]))
+
+
+def _ipull(v: Vec2, oi) -> tuple:
+    """Float intervals of the coordinates of v - o, oi those of o."""
+    return (_isub(v.x.float_bounds(), oi[0]),
+            _isub(v.y.float_bounds(), oi[1]))
+
+
+def _within(sign, t: tuple, b: tuple) -> bool:
+    """|t| <= b for flat tuples t and b, b > 0: two exact signs."""
+    td, bd = t[-1], b[-1]
+    pairs = list(zip(t[:-1], b[:-1]))
+    return (sign([x * bd - y * td for x, y in pairs]) <= 0
+            and sign([x * bd + y * td for x, y in pairs]) >= 0)
+
+
+def _left_half(field, r1: tuple, r2: tuple):
+    """The cone from ray r1 counterclockwise to ray r2 (_ray tuples, the
+    cone below pi) clipped to the closed halfplane x <= 0, the cone from
+    (0, 1) to (0, -1): its two rays, or (None, None) when the clipped cone
+    has no interior."""
+    sign = field.num_sign
+    up = _ray(Vec2(field.zero(), field.one()))
+    r1_left, r2_left = sign(r1[0]) <= 0, sign(r2[0]) <= 0
+    lo = r1 if r1_left else up if r2_left else None
+    hi = r2 if r2_left else _neg_ray(up) if r1_left else None
+    if lo is None or hi is None \
+            or sign(field.num_cross(lo[0], lo[1], hi[0], hi[1])) <= 0:
+        return None, None
+    return lo, hi
 
 
 # The visibility prune of _box_candidates is float only, with no exact
@@ -581,11 +709,16 @@ def _in_cone(u: Vec2, v: Vec2, x: Vec2) -> bool:
 # only when Liang-Barsky over intervals (_window_misses_box), clipping to
 # the window's two half-planes and the outer float box, leaves a certainly
 # empty range.  An edge crossed in vain costs nodes that hold no
-# candidate, and every candidate still passes the exact box, window and
-# walk tests.  Floats enter as each coordinate's cached
-# FieldElement.float_bounds(), and every float operation on them rounds
-# outward by one math.nextafter step, so an interval always holds the
-# exact value it stands for.
+# candidate, and every candidate still passes the exact box and window
+# tests.  All of it runs in the node's chart frame, where the box, being
+# symmetric, is unchanged.  The intervals come from cached
+# FieldElement.float_bounds() of the surface's own elements, the chart
+# vertices, the edge vectors, the corner rays and the transition shifts:
+# a node's o interval is its parent's moved by the shift, an end's is
+# the vertex's less o's, and a window ray keeps the interval of the end
+# or ray it came from.  Every float operation rounds outward by one
+# math.nextafter step, so an interval always holds the exact value it
+# stands for, and a repeated search computes no new enclosure.
 
 _nextafter = math.nextafter
 _INF = math.inf
@@ -594,6 +727,11 @@ _INF = math.inf
 def _isub(p, q):
     """Float interval p - q, rounded outward."""
     return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
+
+
+def _iadd(p, q):
+    """Float interval p + q, rounded outward."""
+    return (_nextafter(p[0] + q[0], -_INF), _nextafter(p[1] + q[1], _INF))
 
 
 def _imul(p, q):
@@ -612,41 +750,28 @@ def _idiv(p, q):
     return (_nextafter(min(quots), -_INF), _nextafter(max(quots), _INF))
 
 
-def _ivec(a: Vec2, b: Vec2):
-    """Float intervals of the coordinates of b - a."""
-    return (_isub(b.x.float_bounds(), a.x.float_bounds()),
-            _isub(b.y.float_bounds(), a.y.float_bounds()))
-
-
-def _ibox(v: Vec2):
-    """Float intervals of the coordinates of v."""
-    return (v.x.float_bounds(), v.y.float_bounds())
-
-
 def _icross(u, v):
     """Float interval of the cross product of interval vectors u and v."""
     return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
 
 
-def _window_misses_box(a: Vec2, b: Vec2, lo: Vec2, hi: Vec2, box) -> bool:
-    """True when the part of segment ab inside the closed cone from ray lo
-    counterclockwise to ray hi certainly misses the float box
-    (x0, x1, y0, y1); False means maybe.
+def _window_misses_box(pa, d, lo, hi, box) -> bool:
+    """True when the part of segment a, a + d inside the closed cone from
+    ray lo counterclockwise to ray hi certainly misses the float box
+    (x0, x1, y0, y1); False means maybe.  pa, d, lo and hi are interval
+    vectors ((x0, x1), (y0, y1)) holding a, d and the two rays.
 
     Liang-Barsky over float intervals, each rounded outward: along
-    a + t(b - a), t in [0, 1], each window half-plane and each box side
-    bounds t from one side, taken at the end of its interval that widens
-    the range.  The search's rays lie in the cone from a to b, so
-    cross(ray, b - a) > 0, and lo bounds t from below, hi from above.  A
+    a + t d, t in [0, 1], each window half-plane and each box side bounds
+    t from one side, taken at the end of its interval that widens the
+    range.  The search's rays lie in the cone from a to a + d, so
+    cross(ray, d) > 0, and lo bounds t from below, hi from above.  A
     bound is dropped when its rate interval holds 0, or, for a ray, does
     not lie above it.  The widened range holds the exact one, so when it
     is empty the part misses."""
-    pa = _ibox(a)
-    d = _ivec(a, b)
     t_lo, t_hi = 0.0, 1.0
     # cross(ray, a + t d) = 0 at t = -q
-    for ray, below in ((lo, True), (hi, False)):
-        r = _ibox(ray)
+    for r, below in ((lo, True), (hi, False)):
         rate = _icross(r, d)
         if rate[0] <= 0:
             continue
@@ -727,13 +852,14 @@ def is_veering_edge(sc: SaddleConnection) -> Optional[SpanningRectangle]:
                              bounds, [(c, e, t) for c, e, t, _ in pieces])
 
 
-def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
-    """Largest number of the convex regions sharing an interior point."""
-    best = 1 if regions else 0
+def _max_depth(regions: Sequence[ConvexPolygon], boxes, pairs) -> int:
+    """Largest number of the convex regions sharing an interior point,
+    from their float boxes and pairs, the (j, intersection) of every pair
+    i < j of regions whose interiors meet."""
+    best = 2 if pairs else 1
     n = len(regions)
-    boxes = [r.float_bbox() for r in regions]
     # (intersection of a run of regions, its box, next index, run length)
-    stack = [(regions[i], boxes[i], i + 1, 1) for i in range(n)]
+    stack = [(nxt, nxt.float_bbox(), j + 1, 2) for j, nxt in pairs]
     while stack:
         cur, cur_box, idx, depth = stack.pop()
         if depth > best:
@@ -750,27 +876,33 @@ def _max_depth(regions: Sequence[ConvexPolygon]) -> int:
 def _rect_degree(pieces, width, height):
     """Immersion degree of a rectangle from its cover: same-chart overlaps
     of the pieces, which are in chart coordinates, are genuine
-    multiplicity over surface points."""
+    multiplicity over surface points.  One pass over the pairs of a
+    chart's pieces gives both the deck translations, in (i, j) order, and
+    the runs of two that _max_depth extends."""
     by_chart: Dict[int, list] = {}
     for (chart, eps, shift, region) in pieces:
         by_chart.setdefault(chart, []).append((eps, shift, region))
     deg = 1
     translations = []
     for chart, entries in by_chart.items():
-        d = _max_depth([r for (_, _, r) in entries])
-        if d > deg:
-            deg = d
-        for i in range(len(entries)):
+        regions = [r for (_, _, r) in entries]
+        boxes = [r.float_bbox() for r in regions]
+        pairs = []
+        for i, (e1, s1, region) in enumerate(entries):
             for j in range(i + 1, len(entries)):
-                if not entries[i][2].overlaps(entries[j][2]):
+                if boxes_disjoint(boxes[i], boxes[j]):
                     continue
-                e1, s1 = entries[i][0], entries[i][1]
+                nxt = region.intersect(regions[j])
+                if nxt is None:
+                    continue
                 e2, s2 = entries[j][0], entries[j][1]
                 if e1 != e2:
                     raise InternalCheckError(
                         "flipped self-overlap of a spanning rectangle; the "
                         "surface would contain an immersed Mobius band")
                 translations.append(s2 - s1 if e1 == 1 else s1 - s2)
+                pairs.append((j, nxt))
+        deg = max(deg, _max_depth(regions, boxes, pairs))
     if deg == 1:
         return 1, False, None
     gen = translations[0]

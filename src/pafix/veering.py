@@ -130,14 +130,21 @@ class EdgeCache:
     def box_candidates(self, box: int):
         """Canonical non-axis saddle connections with |holonomy| in the
         box, sorted; memoized because completions re-scan the same
-        boxes."""
+        boxes.
+
+        The search runs in canonical mode (saddle.enumerate_saddles), so
+        it neither finds nor walks an axis-parallel connection, nor one
+        it can tell before the walk has a reverse that sorts first.  On
+        a surface without halfturns every connection it returns is
+        canonical, and canonical() walks no reverse.  With halfturns a
+        connection between corners of one class comes in both
+        orientations, and canonical() picks after the walk."""
         got = self.boxes.get(box)
         if got is None:
             seen = set()
             out = []
-            for sc in enumerate_saddles(self.surface, box, box):
-                if sc.is_horizontal() or sc.is_vertical():
-                    continue
+            for sc in enumerate_saddles(self.surface, box, box,
+                                        canonical=True):
                 c = self.canonical(sc)
                 if c not in seen:
                     seen.add(c)

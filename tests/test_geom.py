@@ -37,7 +37,8 @@ every spanning rectangle, are checked against the exact reference, one
 clip and then a second across it.  A zero direction, and a zero-length
 segment, are rejected.
 `saddle._window_misses_box`, the float-only prune of the saddle search,
-is checked one-sided: whenever it says "misses",
+is checked one-sided on the float intervals of its segment and rays:
+whenever it says "misses",
 `geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
 
 import math
@@ -233,6 +234,11 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
     check()
 
 
+def ibox(v):
+    """The cached float intervals of the coordinates of v."""
+    return (v.x.float_bounds(), v.y.float_bounds())
+
+
 @pytest.mark.parametrize("poly, lo, hi", FIELDS)
 def test_visibility_prune_misses_only_what_the_exact_clip_misses(poly, lo, hi):
     # the float prune of the saddle search may say "maybe" for a window
@@ -260,7 +266,8 @@ def test_visibility_prune_misses_only_what_the_exact_clip_misses(poly, lo, hi):
             for hi_ray in rays:
                 if cross_sign(lo_ray, hi_ray) <= 0:
                     continue
-                if not _window_misses_box(a, b, lo_ray, hi_ray, outer):
+                if not _window_misses_box(ibox(a), ibox(b - a), ibox(lo_ray),
+                                          ibox(hi_ray), outer):
                     continue
                 misses.append(1)
                 ca, cb = geomref.clip_to_cone(a, b, lo_ray, hi_ray)

@@ -23,6 +23,7 @@ from pafix.errors import (
     InputError,
     OverlappingSegments,
 )
+from pafix.exactnum import FieldElement
 from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.geom import ConvexPolygon, Mat2, Vec2
 from pafix.saddle import (
@@ -313,6 +314,38 @@ def test_pillowcase_enumeration_pairs_up():
     # monotone in the box
     bigger = enumerate_saddles(p, 1, 1)
     assert len(bigger) > len(saddles)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: torus_from_matrix([[2, 1], [1, 1]])[0], pillowcase,
+], ids=["cat_torus", "pillowcase"])
+def test_a_repeated_search_computes_no_enclosure(monkeypatch, make):
+    # the search reads the cached float intervals of the surface's own
+    # elements and moves them by interval arithmetic, so once the first
+    # search has cached them no element of a second one computes its
+    # float bounds; the box bound is passed as an element, so that it is
+    # not built afresh either
+    surface = make()
+    two = surface.field.rational(2)
+    first = enumerate_saddles(surface, two, two)
+    calls = Counter()
+    real_bounds, real_enclosure = (FieldElement.float_bounds,
+                                   FieldElement._enclosure)
+
+    def bounds(self):
+        calls["fresh float_bounds"] += self._fb is None
+        return real_bounds(self)
+
+    def enclosure(self, bits):
+        calls["_enclosure"] += 1
+        return real_enclosure(self, bits)
+    monkeypatch.setattr(FieldElement, "float_bounds", bounds)
+    monkeypatch.setattr(FieldElement, "_enclosure", enclosure)
+    assert enumerate_saddles(surface, two, two) == first
+    assert calls["fresh float_bounds"] == calls["_enclosure"] == 0
+    # an int bound is coerced afresh, and a rational reads its own bounds
+    assert enumerate_saddles(surface, 2, 2) == first
+    assert calls["fresh float_bounds"] == 2 and calls["_enclosure"] == 0
 
 
 def test_walk_blocked_by_intermediate_singularity():

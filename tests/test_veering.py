@@ -22,6 +22,7 @@ from pafix.flatsurf import FlatSurface
 from pafix.geom import ConvexPolygon, Vec2
 from pafix.saddle import SaddleConnection, is_veering_edge
 from pafix.veering import (
+    EdgeCache,
     Section,
     annular_avoiding_f_section,
     apply_to_edge,
@@ -38,7 +39,15 @@ from pafix.veering import (
     section_size,
 )
 
-from surfbuild import octagon_surface, pillowcase, square_torus, vec
+from surfbuild import (
+    eigen_pillowcase,
+    h11_origami,
+    l_origami,
+    octagon_surface,
+    pillowcase,
+    square_torus,
+    vec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -512,3 +521,95 @@ def test_box_overflow_names_its_budget(monkeypatch):
     with pytest.raises(UnsupportedSurface,
                        match="box 4 after _BOX_DOUBLINGS = 2 "):
         complete_to_section(_scaled_cat_torus(8))
+
+
+# ---------------------------------------------------------------------------
+# the canonical box search
+
+CANONICAL_MATRICES = [[[2, 1], [1, 1]], [[3, 1], [2, 1]],
+                      [[-2, -1], [-1, -1]], [[-3, -1], [-2, -1]],
+                      [[5, 2], [2, 1]]]
+# (name, surface builder, boxes); box 4 on the eigen pillowcase of
+# [[5, 2], [2, 1]] alone takes about 10 s, so it is searched to box 2
+CANONICAL_SURFACES = [
+    (make.__name__, make, (1, 2, 4))
+    for make in (square_torus, pillowcase, octagon_surface, l_origami,
+                 h11_origami)
+] + [
+    ("torus%s" % m, lambda m=m: torus_from_matrix(m)[0], (1, 2, 4))
+    for m in CANONICAL_MATRICES
+] + [
+    ("eigen_pillowcase%s" % m, lambda m=m: eigen_pillowcase(m)[0],
+     (1, 2) if m == [[5, 2], [2, 1]] else (1, 2, 4))
+    for m in CANONICAL_MATRICES
+]
+
+
+def canonical_reference(surface, box):
+    """The canonical non-axis representatives of the all-oriented
+    enumerate_saddles(surface, box, box), sorted: of each connection and
+    its reverse, found in the same list, the one with the smaller
+    sort_key."""
+    found = saddle.enumerate_saddles(surface, box, box)
+    by_start = {(sc.start_corner, sc.hol): sc for sc in found}
+    reps = {min(sc, by_start[sc.reverse_start()],
+                key=SaddleConnection.sort_key)
+            for sc in found if not (sc.is_horizontal() or sc.is_vertical())}
+    return sorted(reps, key=SaddleConnection.sort_key)
+
+
+@pytest.mark.parametrize("make, boxes",
+                         [s[1:] for s in CANONICAL_SURFACES],
+                         ids=[s[0] for s in CANONICAL_SURFACES])
+def test_canonical_box_search_matches_the_oriented_reference(
+        monkeypatch, make, boxes):
+    # box_candidates runs the canonical search, which leaves connections
+    # out before their walk; it keeps every canonical representative of
+    # the all-oriented search, which the pinned records fix, and without
+    # halfturns nothing else; EdgeCache.canonical picks among what it
+    # keeps.  A smaller box's representatives are those of the largest
+    # inside it.
+    surface = make()
+    halfturn = any(tr.flip for tr in surface.transitions.values())
+    ref = canonical_reference(surface, max(boxes))
+    searches = []
+
+    def recorded(*args, **kwargs):
+        searches.append((args, kwargs, saddle.enumerate_saddles(*args,
+                                                                **kwargs)))
+        return searches[-1][2]
+    monkeypatch.setattr(veering, "enumerate_saddles", recorded)
+    cache = EdgeCache(surface)
+    for box in boxes:
+        b = surface.field.rational(box)
+        want = tuple(sc for sc in ref
+                     if abs(sc.hol.x) <= b and abs(sc.hol.y) <= b)
+        assert want and cache.box_candidates(box) == want, box
+        args, kwargs, kept = searches[-1]
+        assert args == (surface, box, box) and kwargs == {"canonical": True}
+        assert set(want) <= set(kept), box
+        assert halfturn or tuple(kept) == want, box
+
+
+@pytest.mark.parametrize("make", [
+    lambda: torus_from_matrix([[2, 1], [1, 1]])[0],
+    lambda: torus_from_matrix([[5, 2], [2, 1]])[0],
+    octagon_surface, l_origami, h11_origami,
+], ids=["cat_torus", "torus[[5,2],[2,1]]", "octagon", "l_origami",
+        "h11_origami"])
+@pytest.mark.parametrize("box", [1, 2])
+def test_canonical_box_search_walks_each_connection_once(
+        monkeypatch, make, box):
+    # on a surface without halfturns the search keeps one orientation of
+    # each connection and sees each vertex once, so every walk it makes
+    # is a box candidate, and canonical() walks no reverse
+    surface = make()
+    walks = []
+    real = SaddleConnection.walk
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+    monkeypatch.setattr(SaddleConnection, "walk", staticmethod(counted))
+    got = EdgeCache(surface).box_candidates(box)
+    assert got and len(walks) == len(got)
