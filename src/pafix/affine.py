@@ -387,9 +387,6 @@ class AffineAutomorphism(PiecewiseAffineMap):
             return self
         return PowerAutomorphism(self, n)
 
-    def compose(self, other: "PiecewiseAffineMap") -> PiecewiseAffineMap:
-        return self.compose_with(other)
-
     def __repr__(self):
         return "AffineAutomorphism(%d pieces, lambda = %s)" % (
             len(self.pieces), self.lambda_)

@@ -917,8 +917,9 @@ class FieldElement:
     def float_bounds(self) -> tuple:
         """Cached conservative float enclosure (lo, hi), lo <= self <= hi.
 
-        Only the float box prefilters of geom and the saddle search read
-        it; no exact answer depends on it.  Each end is an end of the 2**-40
+        Only geom.float_box, the float box prefilter, and the float seed
+        of saddle._floor_ratio, which exact signs then correct, read it;
+        no exact answer depends on it.  Each end is an end of the 2**-40
         rational enclosure, taken as a correctly rounded integer quotient
         and moved one float outward; a rational's enclosure is itself, read
         without _enclosure."""

@@ -410,12 +410,12 @@ def count_fixed_points(f) -> FixReport:
     raises LambdaNotExpanding.  Fix(f^-1) = Fix(f), so count f instead."""
     section = annular_avoiding_f_section(f)
     per_edge = {}
-    seen: Dict[str, FixedPoint] = {}
+    seen: Dict[tuple, FixedPoint] = {}
     for e in section.edges:
         pts = fixed_points_in_rectangle(f, e)
         per_edge[e] = tuple(pts)
         for fp in pts:
-            seen.setdefault(repr(fp.key), fp)
+            seen.setdefault(fp.key, fp)
     points = list(seen.values()) + _singular_fixed_points(f)
     return FixReport(points, per_edge, lefschetz_number(f), "fundamental")
 
@@ -474,7 +474,7 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
     surface = T.surface
     cache = T.cache
     dmat = f.derivative
-    seen: Dict[str, FixedPoint] = {}
+    seen: Dict[tuple, FixedPoint] = {}
     for face in T.triangles:
         tri, seeds = _face_development(face)
         cut = _cover_region(surface, seeds, tri)
@@ -507,8 +507,8 @@ def oracle_count_fixed_points(f, T: Section) -> FixReport:
                 kind, key, rep = surface.canonical_point(sp)
                 if kind == "vertex":
                     continue
-                if repr(key) not in seen:
-                    seen[repr(key)] = FixedPoint(
+                if key not in seen:
+                    seen[key] = FixedPoint(
                         rep.chart, rep.pos, "regular",
                         _regular_index(l1, l2), key)
     points = list(seen.values()) + _singular_fixed_points(f)

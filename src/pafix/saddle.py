@@ -16,7 +16,11 @@ corner by polygon unfolding pruned by a holonomy box, again in each
 chart's own frame: one table of exact sides of the chart's vertices
 against the two rays of the window of sight serves the vertex and edge
 tests, each visible vertex is reported once, strictly inside its window,
-and its walk always ends at it.  In canonical mode the search leaves
+and its walk always ends at it.  The box prune is exact too, an outcode
+reject as in Cohen-Sutherland clipping: an edge is skipped when both
+its ends lie beyond one side of the box, so the edge, lying in that
+half-plane, misses the box and no in-box vertex is seen through it.
+The search reads no float.  In canonical mode the search leaves
 out, before their walk, the connections that it can tell are not the
 canonical orientation of their geodesic (veering.EdgeCache.canonical).
 cover also serves the oracle's triangles (fixcount._cover_region) and
@@ -27,8 +31,6 @@ the searches they cap, not in one shared module, because tests patch
 each budget on the module whose search reads it.
 """
 
-import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -62,10 +64,6 @@ _TRACE_CROSSINGS = 200000
 # ---------------------------------------------------------------------------
 # exact integer parts of field-element ratios
 
-def _r_int(field, k: int) -> FieldElement:
-    return field.rational(Fraction(k))
-
-
 def _floor_ratio(num: FieldElement, den: FieldElement) -> int:
     """floor(num / den) for den > 0, exact."""
     if den.sign() <= 0:
@@ -74,9 +72,9 @@ def _floor_ratio(num: FieldElement, den: FieldElement) -> int:
     lo, _ = r.float_bounds()
     k = int(lo // 1)
     # float seed, exact correction
-    while (r - _r_int(r.field, k)).sign() < 0:
+    while (r - r.field.rational(k)).sign() < 0:
         k -= 1
-    while (r - _r_int(r.field, k + 1)).sign() >= 0:
+    while (r - r.field.rational(k + 1)).sign() >= 0:
         k += 1
     return k
 
@@ -84,7 +82,7 @@ def _floor_ratio(num: FieldElement, den: FieldElement) -> int:
 def _strict_floor(num: FieldElement, den: FieldElement) -> int:
     """Largest m with m * den < num (den > 0)."""
     q = _floor_ratio(num, den)
-    if (den * _r_int(den.field, q) - num).is_zero():
+    if (den * den.field.rational(q) - num).is_zero():
         return q - 1
     return q
 
@@ -510,37 +508,44 @@ def _box_candidates(surface, corner, bx, by, canonical=False):
     The search develops the exponential map: every node is a chart
     placement plus the window of sight rays that enter it through its
     entry edge.  Rays stop at vertices, so windows only ever shrink, and
-    each crossing along a ray is strictly farther out; the box prune makes
-    the tree finite on every surface, including ones whose gluing
-    translations accumulate.
+    each crossing along a ray is strictly farther out.
 
     A node works in its chart's own frame.  It holds the chart, the
-    placement sign eps, the corner pulled back into the chart as o with
-    its float interval, the window rays r1, r2 times eps (_ray), and the
-    entry edge.  A crossing maps o by the transition, and on a flip
-    negates eps and the rays.  Cross signs do not depend on the frame, so
-    one side table per node serves every test: for each chart vertex v,
-    dv = v - o, s1 = sign(r1 x dv) and s2 = sign(dv x r2).  A vertex is a
-    candidate strictly inside the window, with |dv| exactly within the
-    box, and a candidate alone gets its plane holonomy eps*dv built.  At
-    the root the window is the corner's cone [out, back), as owns_ray
-    reads it.  Below the root a vertex on a window ray lies behind the
-    vertex the ray began at, a candidate where it lay inside a window, or
-    behind the far end of the corner's out edge, a candidate at the root.
+    placement sign eps, the corner pulled back into the chart as o, the
+    window rays r1, r2 times eps (_ray), the entry edge and the outcodes
+    of its two ends.  A crossing
+    maps o by the transition, and on a flip negates eps and the rays.
+    Cross signs do not depend on the frame, and the box, being symmetric,
+    is the same in every frame, so one side table per node serves every
+    test: for each chart vertex v, dv = v - o, s1 = sign(r1 x dv) and
+    s2 = sign(dv x r2).  A vertex is a candidate strictly inside the
+    window with outcode 0 (_outcode: the box sides it lies beyond), and a
+    candidate alone gets its plane holonomy eps*dv built.  At the root the
+    window is the corner's cone [out, back), as owns_ray reads it.  Below
+    the root a vertex on a window ray lies behind the vertex the ray began
+    at, a candidate where it lay inside a window, or behind the far end of
+    the corner's out edge, a candidate at the root.
 
-    An edge ab is crossed when it runs outward (sign(dv_a x dv_b) > 0)
-    and its cone meets the window.  The child's low ray is a when a lies
-    in the window and r1 when s1[a] <= 0 <= s1[b]; its high ray is b or
-    r2 likewise; and its window is empty only when a low r1 meets a high
-    b with s1[b] = 0, or a low a a high r2 with s2[a] = 0.  The edge is
-    then skipped when floats show that its part inside the window misses
-    the box (see the note above _window_misses_box).  A prune that says
-    "maybe" where the exact answer is "misses" loses nothing: the box is
-    convex and holds the origin, so an in-box vertex seen through an edge
-    is seen along a segment from the origin that crosses the edge inside
-    the box, within the window.  Through an edge whose windowed part
-    misses the box no in-box vertex is seen, so the extra node and its
-    children hold no candidate.
+    An edge ab is crossed when it runs outward (sign(dv_a x dv_b) > 0),
+    its cone meets the window, and the outcodes of its ends share no side.
+    The child's low ray is a when a lies in the window and r1 when
+    s1[a] <= 0 <= s1[b]; its high ray is b or r2 likewise; and its window
+    is empty only when a low r1 meets a high b with s1[b] = 0, or a low a
+    a high r2 with s2[a] = 0.  Outcodes are exact and computed lazily,
+    at most once per vertex per node: for the vertices inside the window,
+    and for an edge's end b only when its end a lies outside the box,
+    since an end in the box shares no side.  A child takes the codes of
+    its entry edge's ends from its parent, mirrored (_mirror) across a
+    halfturn, where dv turns into -dv.  The reject is sound: a
+    half-plane is convex, so an edge with both ends beyond one side lies
+    wholly beyond it and misses the box, while an in-box vertex seen
+    through an edge is seen along a segment from the origin, which
+    crosses the edge inside the box, since the box is convex and holds
+    the origin.  The tree is finite on every surface, including ones
+    whose gluing translations accumulate: the bounding box of every
+    crossed edge meets the box, so every node's chart lies within the box
+    grown by the largest chart diameter, and a sight segment of bounded
+    length crosses boundedly many edges.
 
     In canonical mode a vertex is skipped when it is axis-parallel to the
     corner, when its class is smaller than the corner's, or, on a surface
@@ -560,17 +565,12 @@ def _box_candidates(surface, corner, bx, by, canonical=False):
         r1, r2 = _left_half(field, r1, r2)
         if r1 is None:
             return []
-    box_x, box_y = _flat(bx), _flat(by)
-    bx_lo, bx_hi = bx.float_bounds()
-    by_lo, by_hi = by.float_bounds()
-    outer = (-bx_hi, bx_hi, -by_hi, by_hi)
-    stack = [(chart, 1, origin,
-              (origin.x.float_bounds(), origin.y.float_bounds()), r1, r2,
-              None)]
+    box = ((bx.num, bx.den), (by.num, by.den))
+    stack = [(chart, 1, origin, r1, r2, None, None)]
     cands = []
     popped = 0
     while stack:
-        p, eps, o, oi, r1, r2, entry = stack.pop()
+        p, eps, o, r1, r2, entry, ends = stack.pop()
         popped += 1
         if popped > _VISIBILITY_NODES:
             raise InternalCheckError(
@@ -579,20 +579,26 @@ def _box_candidates(surface, corner, bx, by, canonical=False):
         # the least s1 of a candidate: the root's window holds its ray r1
         s1_min = 0 if entry is None else 1
         verts = polys[p].vertices
+        n = len(verts)
         ox, oy = o.x, o.y
-        r1x, r1y = r1[0], r1[1]
-        r2x, r2y = r2[0], r2[1]
+        r1x, r1y = r1
+        r2x, r2y = r2
         dvs, s1s, s2s = [], [], []
+        codes = [None] * n
+        if entry is not None:
+            codes[entry], codes[(entry + 1) % n] = ends
         for j, v in enumerate(verts):
-            dx, dy = sub(v.x, ox), sub(v.y, oy)
+            dv = dx, dy = sub(v.x, ox), sub(v.y, oy)
             # at the root the corner itself has dv = 0 and both sides 0
             s1 = sign(cross(r1x, r1y, dx, dy))
             s2 = sign(cross(dx, dy, r2x, r2y))
-            dvs.append((dx, dy))
+            dvs.append(dv)
             s1s.append(s1)
             s2s.append(s2)
-            if s1 < s1_min or s2 <= 0 or not (
-                    _within(sign, dx, box_x) and _within(sign, dy, box_y)):
+            if s1 < s1_min or s2 <= 0:
+                continue
+            code = codes[j] = _outcode(sign, dv, box)
+            if code:
                 continue
             if canonical:
                 m = corner_class[(p, j)]
@@ -601,8 +607,6 @@ def _box_candidates(surface, corner, bx, by, canonical=False):
                             and eps * sign(dx) > 0)):
                     continue
             cands.append(v - o if eps == 1 else o - v)
-        n = len(verts)
-        ivs = [None] * n
         for e in range(n):
             if e == entry:
                 continue
@@ -621,66 +625,63 @@ def _box_candidates(surface, corner, bx, by, canonical=False):
                 # not an outward crossing as seen from the origin, or an
                 # edge of the corner itself
                 continue
-            ai = ivs[ia]
-            if ai is None:
-                ai = ivs[ia] = _ipull(verts[ia], oi)
-            bi = ivs[ib]
-            if bi is None:
-                bi = ivs[ib] = _ipull(verts[ib], oi)
-            (ax0, ax1), (ay0, ay1) = ai
-            (bx0, bx1), (by0, by1) = bi
-            seg = sx0, sx1, sy0, sy1 = (min(ax0, bx0), max(ax1, bx1),
-                                        min(ay0, by0), max(ay1, by1))
-            if boxes_disjoint(seg, outer):
-                continue
-            lo = a + ai if lo_a else r1
-            hi = b + bi if hi_b else r2
-            if not (-bx_lo < sx0 and sx1 < bx_lo
-                    and -by_lo < sy0 and sy1 < by_lo):
-                ev = surface.edge_vectors[p][e]
-                if _window_misses_box(
-                        ai, (ev.x.float_bounds(), ev.y.float_bounds()),
-                        lo[2:], hi[2:], outer):
+            ca = codes[ia]
+            if ca is None:
+                ca = codes[ia] = _outcode(sign, a, box)
+            if ca:
+                cb = codes[ib]
+                if cb is None:
+                    cb = codes[ib] = _outcode(sign, b, box)
+                if ca & cb:
                     continue
+            lo = a if lo_a else r1
+            hi = b if hi_b else r2
             tr = transitions[(p, e)]
-            shift = tr.map.shift
-            tx, ty = shift.x.float_bounds(), shift.y.float_bounds()
+            # the child's entry edge runs from b to a
+            ends = codes[ib], codes[ia]
             if tr.flip:
                 # z -> t - z turns directions around
-                c_eps, c_oi = -eps, (_isub(tx, oi[0]), _isub(ty, oi[1]))
-                lo, hi = _neg_ray(lo), _neg_ray(hi)
+                c_eps, lo, hi = -eps, _neg_ray(lo), _neg_ray(hi)
+                ends = tuple(map(_mirror, ends))
             else:
-                c_eps, c_oi = eps, (_iadd(tx, oi[0]), _iadd(ty, oi[1]))
+                c_eps = eps
             q, e2 = tr.target
-            stack.append((q, c_eps, tr.apply(o), c_oi, lo, hi, e2))
+            stack.append((q, c_eps, tr.apply(o), lo, hi, e2, ends))
     return cands
 
 
 def _ray(d: Vec2) -> tuple:
-    """A window ray of _box_candidates: (x, y, x interval, y interval),
-    x and y flat tuples of the numerator primitives."""
-    return (_flat(d.x), _flat(d.y), d.x.float_bounds(), d.y.float_bounds())
+    """A window ray of _box_candidates: (x, y), flat tuples of the
+    numerator primitives."""
+    return _flat(d.x), _flat(d.y)
 
 
 def _neg_ray(r: tuple) -> tuple:
     """The opposite ray, in the frame across a halfturn."""
-    x, y, ix, iy = r
-    return ((*[-c for c in x[:-1]], x[-1]), (*[-c for c in y[:-1]], y[-1]),
-            (-ix[1], -ix[0]), (-iy[1], -iy[0]))
+    x, y = r
+    return (*[-c for c in x[:-1]], x[-1]), (*[-c for c in y[:-1]], y[-1])
 
 
-def _ipull(v: Vec2, oi) -> tuple:
-    """Float intervals of the coordinates of v - o, oi those of o."""
-    return (_isub(v.x.float_bounds(), oi[0]),
-            _isub(v.y.float_bounds(), oi[1]))
+def _outcode(sign, dv: tuple, box: tuple) -> int:
+    """The sides of the box |x| <= bx, |y| <= by that the point dv = (x,
+    y) lies beyond, as bits: 1 for x > bx, 2 for x < -bx, 4 for y > by and
+    8 for y < -by; 0 exactly when dv is in the closed box.  x and y are
+    flat tuples, box is ((numerators, den) of bx, of by), bx, by > 0, and
+    each bit is the exact sign of a difference or sum over the positive
+    common denominator."""
+    code = 0
+    for t, (bn, bd), bit in zip(dv, box, (1, 4)):
+        td = t[-1]
+        if sign([c * bd - b * td for c, b in zip(t, bn)]) > 0:
+            code |= bit
+        elif sign([c * bd + b * td for c, b in zip(t, bn)]) < 0:
+            code |= bit << 1
+    return code
 
 
-def _within(sign, t: tuple, b: tuple) -> bool:
-    """|t| <= b for flat tuples t and b, b > 0: two exact signs."""
-    td, bd = t[-1], b[-1]
-    pairs = list(zip(t[:-1], b[:-1]))
-    return (sign([x * bd - y * td for x, y in pairs]) <= 0
-            and sign([x * bd + y * td for x, y in pairs]) >= 0)
+def _mirror(code):
+    """The outcode of -dv from that of dv, or None for None."""
+    return None if code is None else (code & 5) << 1 | (code >> 1) & 5
 
 
 def _left_half(field, r1: tuple, r2: tuple):
@@ -697,100 +698,6 @@ def _left_half(field, r1: tuple, r2: tuple):
             or sign(field.num_cross(lo[0], lo[1], hi[0], hi[1])) <= 0:
         return None, None
     return lo, hi
-
-
-# The visibility prune of _box_candidates is float only, with no exact
-# fallback: it may say "maybe" but is never wrong about "misses".  The
-# search crosses an edge when the edge's part inside the window of sight
-# may meet the holonomy box.  It skips an edge whose float box misses the
-# box's outer float box, since that part lies on the edge; crosses one
-# with both endpoints strictly inside the box's inner float box, since the
-# part is then inside too and never empty; and otherwise skips the edge
-# only when Liang-Barsky over intervals (_window_misses_box), clipping to
-# the window's two half-planes and the outer float box, leaves a certainly
-# empty range.  An edge crossed in vain costs nodes that hold no
-# candidate, and every candidate still passes the exact box and window
-# tests.  All of it runs in the node's chart frame, where the box, being
-# symmetric, is unchanged.  The intervals come from cached
-# FieldElement.float_bounds() of the surface's own elements, the chart
-# vertices, the edge vectors, the corner rays and the transition shifts:
-# a node's o interval is its parent's moved by the shift, an end's is
-# the vertex's less o's, and a window ray keeps the interval of the end
-# or ray it came from.  Every float operation rounds outward by one
-# math.nextafter step, so an interval always holds the exact value it
-# stands for, and a repeated search computes no new enclosure.
-
-_nextafter = math.nextafter
-_INF = math.inf
-
-
-def _isub(p, q):
-    """Float interval p - q, rounded outward."""
-    return (_nextafter(p[0] - q[1], -_INF), _nextafter(p[1] - q[0], _INF))
-
-
-def _iadd(p, q):
-    """Float interval p + q, rounded outward."""
-    return (_nextafter(p[0] + q[0], -_INF), _nextafter(p[1] + q[1], _INF))
-
-
-def _imul(p, q):
-    """Float interval p * q, rounded outward."""
-    a, b = p
-    c, d = q
-    prods = (a * c, a * d, b * c, b * d)
-    return (_nextafter(min(prods), -_INF), _nextafter(max(prods), _INF))
-
-
-def _idiv(p, q):
-    """Float interval p / q, rounded outward; q must exclude 0."""
-    a, b = p
-    c, d = q
-    quots = (a / c, a / d, b / c, b / d)
-    return (_nextafter(min(quots), -_INF), _nextafter(max(quots), _INF))
-
-
-def _icross(u, v):
-    """Float interval of the cross product of interval vectors u and v."""
-    return _isub(_imul(u[0], v[1]), _imul(u[1], v[0]))
-
-
-def _window_misses_box(pa, d, lo, hi, box) -> bool:
-    """True when the part of segment a, a + d inside the closed cone from
-    ray lo counterclockwise to ray hi certainly misses the float box
-    (x0, x1, y0, y1); False means maybe.  pa, d, lo and hi are interval
-    vectors ((x0, x1), (y0, y1)) holding a, d and the two rays.
-
-    Liang-Barsky over float intervals, each rounded outward: along
-    a + t d, t in [0, 1], each window half-plane and each box side bounds
-    t from one side, taken at the end of its interval that widens the
-    range.  The search's rays lie in the cone from a to a + d, so
-    cross(ray, d) > 0, and lo bounds t from below, hi from above.  A
-    bound is dropped when its rate interval holds 0, or, for a ray, does
-    not lie above it.  The widened range holds the exact one, so when it
-    is empty the part misses."""
-    t_lo, t_hi = 0.0, 1.0
-    # cross(ray, a + t d) = 0 at t = -q
-    for r, below in ((lo, True), (hi, False)):
-        rate = _icross(r, d)
-        if rate[0] <= 0:
-            continue
-        q = _idiv(_icross(r, pa), rate)
-        if below:
-            t_lo = max(t_lo, -q[1])
-        else:
-            t_hi = min(t_hi, -q[0])
-    for pv, dv, blo, bhi in ((pa[0], d[0], box[0], box[1]),
-                             (pa[1], d[1], box[2], box[3])):
-        if dv[0] <= 0 <= dv[1]:
-            continue
-        ta = _idiv(_isub((blo, blo), pv), dv)
-        tb = _idiv(_isub((bhi, bhi), pv), dv)
-        if dv[1] < 0:
-            ta, tb = tb, ta
-        t_lo = max(t_lo, ta[0])
-        t_hi = min(t_hi, tb[1])
-    return t_hi < t_lo
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +822,7 @@ def _rect_degree(pieces, width, height):
             ambiguous = True
             break
         k = _floor_ratio(v.dot(gen), gen.dot(gen))
-        if not (gen.scale(_r_int(width.field, k)) - v).is_zero():
+        if not (gen.scale(width.field.rational(k)) - v).is_zero():
             ambiguous = True
             break
     if not ambiguous:

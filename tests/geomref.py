@@ -6,9 +6,7 @@ ConvexPolygon.clip_halfplane as they were before the float interval
 filters: every sign is an exact FieldElement.sign of a difference or a
 cross product, and contains re-checks a point on an edge line against the
 edge spans with on_segment.  seg_meets_box is the exact Liang-Barsky
-test of a segment against an axis box, open or closed.  clip_to_cone,
-followed by seg_meets_box with closed=True, is the exact edge test that
-pafix.saddle's visibility search ran before its float prune.
+test of a segment against an axis box, open or closed.
 chord_in_region is a clipping test of a segment against a convex
 region, closed or open; its open form is the interior test that
 pafix.saddle._chord decides from exact sides.  rect_placements is the
@@ -230,32 +228,6 @@ def rect_placements(sc):
                              closed=False):
                 tr = surface.transitions[(chart, e)]
                 fresh.append((tr.target[0], *_place_cross(eps, shift, tr)))
-
-
-def clip_to_cone(a, b, lo, hi):
-    """Segment ab clipped to the closed cone between rays lo and hi (CCW,
-    angle below pi), as (a', b'), or (None, None) when nothing is left."""
-    field = a.x.field
-    t0 = field.zero()
-    t1 = field.one()
-    d = b - a
-    for ray, side in ((lo, 1), (hi, -1)):
-        # keep cross(ray, x) * side >= 0
-        fa = ray.cross(a) * field.rational(side)
-        fd = ray.cross(d) * field.rational(side)
-        if fd.sign() == 0:
-            if fa.sign() < 0:
-                return None, None
-            continue
-        t = -fa / fd
-        if fd.sign() > 0:
-            if (t - t0).sign() > 0:
-                t0 = t
-        elif (t - t1).sign() < 0:
-            t1 = t
-    if (t1 - t0).sign() < 0:
-        return None, None
-    return a + d.scale(t0), a + d.scale(t1)
 
 
 def canonical_point(surface, sp):

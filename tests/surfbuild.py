@@ -80,8 +80,11 @@ def pillowcase():
 
 def eigen_pillowcase(rows):
     """(surface, D, f): the pillowcase of a hyperbolic integer matrix M
-    in eigen coordinates, D = diag(lambda, 1/lambda), and the map f that
-    develop builds with +D, fixing the class of corner (0, 0).
+    in eigen coordinates, D = diag(lambda, 1/lambda) or its negative, and
+    the map f that develop builds with D, fixing the class of corner
+    (0, 0).  The sign is the one that owning_corner carries D h1 with:
+    where the corner owning diag(lambda, 1/lambda) h1 lies across a
+    halfturn, the ray there is its negative, so -D is the derivative.
 
     The eigen parallelogram of torus_from_matrix(rows), spanned by w1 and
     w2, cut along w1/2 and w2/2 leaves two charts A (left) and B (right)
@@ -104,7 +107,10 @@ def eigen_pillowcase(rows):
     surface = FlatSurface(torus.field, [a, b], gluings, names=["A", "B"])
     lam = f.lambda_
     d_mat = Mat2.diagonal(lam, lam.inverse())
-    image_corner, _ = surface.owning_corner(0, 0, d_mat.apply(h1))
+    ray = d_mat.apply(h1)
+    image_corner, carried = surface.owning_corner(0, 0, ray)
+    if carried != ray:
+        d_mat = -d_mat
     return surface, d_mat, develop(surface, d_mat, (0, 0), image_corner, lam)
 
 

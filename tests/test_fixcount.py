@@ -460,6 +460,10 @@ def test_develop_rejects_a_derivative_outside_the_veech_group():
     ([[2, 1], [1, 1]], 2, 7),
     ([[3, 1], [2, 1]], 1, 4),
     ([[3, 1], [2, 1]], 2, 14),
+    ([[2, -1], [-1, 1]], 1, 3),
+    ([[2, -1], [-1, 1]], 2, 7),
+    ([[3, -1], [-2, 1]], 1, 4),
+    ([[3, -1], [-2, 1]], 2, 14),
 ])
 def test_eigen_pillowcase_counts_the_closed_form(rows, n, want):
     # a point of the torus fixed by M^n or by -M^n lies over a fixed point

@@ -986,7 +986,7 @@ mark A.0
         # loads reads back affine automorphisms only, so dumps refuses the
         # inverse (derivative diag(1/lambda, lambda)) and a composition
         surf, f = torus_from_matrix([[2, 1], [1, 1]])
-        for g in (f.inverse(), f.compose(f)):
+        for g in (f.inverse(), f.compose_with(f)):
             with pytest.raises(InputError):
                 fileio.dumps(surf, g)
         _, loaded = fileio.loads(fileio.dumps(surf, f.power(2)))

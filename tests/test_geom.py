@@ -36,10 +36,11 @@ cover.
 every spanning rectangle, are checked against the exact reference, one
 clip and then a second across it.  A zero direction, and a zero-length
 segment, are rejected.
-`saddle._window_misses_box`, the float-only prune of the saddle search,
-is checked one-sided on the float intervals of its segment and rays:
-whenever it says "misses",
-`geomref.clip_to_cone` and the closed `geomref.seg_meets_box` agree."""
+`saddle._outcode`, the exact box reject of the saddle search, is checked
+one-sided: whenever the outcodes of a segment's ends share a side of a
+box, the closed `geomref.seg_meets_box` says the segment misses it; a
+code is 0 exactly in the closed box, and `saddle._mirror` of it is the
+code of the opposite point."""
 
 import math
 from fractions import Fraction
@@ -58,12 +59,13 @@ from pafix.geom import (
     ConvexPolygon,
     Vec2,
     _clip,
+    _flat,
     cross_sign,
     orient,
     segment_intersection,
     side_of,
 )
-from pafix.saddle import _chord, _window_misses_box, trace
+from pafix.saddle import _chord, _mirror, _outcode, trace
 
 # (ascending minpoly, root bracket)
 FIELDS = [
@@ -234,48 +236,42 @@ def test_box_and_halfplane_clips_match_the_exact_reference(poly, lo, hi):
     check()
 
 
-def ibox(v):
-    """The cached float intervals of the coordinates of v."""
-    return (v.x.float_bounds(), v.y.float_bounds())
-
-
 @pytest.mark.parametrize("poly, lo, hi", FIELDS)
-def test_visibility_prune_misses_only_what_the_exact_clip_misses(poly, lo, hi):
-    # the float prune of the saddle search may say "maybe" for a window
-    # that misses the box, but never "misses" for one that meets it; the
-    # rays are random, through a, b, a point of line ab and the box
-    # corners, and within |tiny| of the ray through a
+def test_outcode_rejects_only_segments_that_miss_the_box(poly, lo, hi):
+    # the saddle search skips an edge whose ends lie beyond one side of
+    # the box |x| <= bx, |y| <= by; here that box is the one with diagonal
+    # cd, moved to the origin by its centre, so the box kinds put ab along
+    # its sides and through its corners
     K = RealNumberField.create(poly, lo, hi)
-    misses = []
+    half = K.rational(Fraction(1, 2))
+    rejected = []
 
     @settings(max_examples=100, deadline=None)
-    @given(configurations(K), coefficients(4 * K.degree))
-    def check(args, cs):
+    @given(configurations(K))
+    def check(args):
         a, b, c, d = configuration(K, *args)
         if a == b or c == d:
             return
         bounds = x0, x1, y0, y1 = box_of(c, d)
-        outer = (x0.float_bounds()[0], x1.float_bounds()[1],
-                 y0.float_bounds()[0], y1.float_bounds()[1])
-        r = b - a
-        near = a + Vec2(-r.y, r.x).scale(tiny(K, args[4], args[5]))
-        rays = [point(K, cs[:2 * K.degree]), point(K, cs[2 * K.degree:]),
-                a, b, a + r.scale(K.rational(args[2])), near,
-                Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1)]
-        for lo_ray in rays:
-            for hi_ray in rays:
-                if cross_sign(lo_ray, hi_ray) <= 0:
-                    continue
-                if not _window_misses_box(ibox(a), ibox(b - a), ibox(lo_ray),
-                                          ibox(hi_ray), outer):
-                    continue
-                misses.append(1)
-                ca, cb = geomref.clip_to_cone(a, b, lo_ray, hi_ray)
-                assert ca is None or \
-                    not geomref.seg_meets_box(ca, cb, bounds, closed=True)
+        if x0 == x1 or y0 == y1:
+            return
+        centre = Vec2((x0 + x1) * half, (y0 + y1) * half)
+        box = tuple((h.num, h.den) for h in ((x1 - x0) * half,
+                                             (y1 - y0) * half))
+
+        def code(p):
+            return _outcode(K.num_sign, (_flat(p.x), _flat(p.y)), box)
+        ca, cb = code(a - centre), code(b - centre)
+        for p, got in ((a, ca), (b, cb)):
+            assert (got == 0) == (x0 <= p.x <= x1 and y0 <= p.y <= y1)
+            # across a halfturn the search mirrors a code for -dv
+            assert _mirror(got) == code(centre - p)
+        if ca & cb:
+            rejected.append(1)
+            assert not geomref.seg_meets_box(a, b, bounds, closed=True)
 
     check()
-    assert misses
+    assert rejected
 
 
 def test_a_rebuilt_clip_that_is_not_strictly_convex_is_an_internal_fault():

@@ -1,8 +1,9 @@
 """Every name a pafix module imports is read there or exported, and every
 private (underscore) function, class, method or module-level constant
-that pafix defines is read somewhere in pafix; and no module but
-exactnum reads the quadratic constants or imports the quadratic closed
-forms."""
+that pafix defines is read somewhere in pafix; no module but exactnum
+reads the quadratic constants or imports the quadratic closed forms; and
+no function but geom.float_box and saddle._floor_ratio reads
+FieldElement.float_bounds."""
 
 import ast
 import importlib
@@ -95,6 +96,27 @@ def test_only_exactnum_chooses_arithmetic_by_degree():
                 leaks |= {(path.stem, alias.name) for alias in node.names
                           if alias.name in ("quad_sign", "quad_quotient")}
     assert leaks == set()
+
+
+def test_only_the_box_prefilter_and_the_floor_seed_read_float_bounds():
+    # every exact path decides by exact signs; a float prune that read the
+    # cached float bounds again would bring back a second arithmetic, so
+    # only geom.float_box and saddle._floor_ratio's seed may read them
+    src = pathlib.Path(pafix.__file__).parent
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the innermost function around each node: ast.walk reaches an
+        # outer function before the functions nested in it
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        readers |= {(path.stem, owner.get(id(node)))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "float_bounds"}
+    assert readers == {("geom", "float_box"), ("saddle", "_floor_ratio")}
 
 
 # every search budget whose overflow raises, by the module whose search

@@ -231,7 +231,7 @@ def thin_torus():
 
 # (surface, box) -> (number of records, sha256 of repr of the records) of
 # enumerate_saddles(surface, box, box), taken while the visibility search
-# still clipped each edge exactly; its float prune must not change them.
+# still clipped each edge exactly; its box prune must not change them.
 # On the thin torus, unlike the others, pruning every edge that reaches
 # outside the box loses connections.
 ENUMERATED = {
@@ -319,21 +319,17 @@ def test_pillowcase_enumeration_pairs_up():
 @pytest.mark.parametrize("make", [
     lambda: torus_from_matrix([[2, 1], [1, 1]])[0], pillowcase,
 ], ids=["cat_torus", "pillowcase"])
-def test_a_repeated_search_computes_no_enclosure(monkeypatch, make):
-    # the search reads the cached float intervals of the surface's own
-    # elements and moves them by interval arithmetic, so once the first
-    # search has cached them no element of a second one computes its
-    # float bounds; the box bound is passed as an element, so that it is
-    # not built afresh either
-    surface = make()
-    two = surface.field.rational(2)
-    first = enumerate_saddles(surface, two, two)
+def test_the_search_reads_no_float(monkeypatch, make):
+    # the box prune is an exact outcode reject, so a search on a fresh
+    # surface, whose elements have no cached float bounds, neither reads
+    # a float bound nor computes an enclosure, for an element box bound
+    # or an int one
     calls = Counter()
     real_bounds, real_enclosure = (FieldElement.float_bounds,
                                    FieldElement._enclosure)
 
     def bounds(self):
-        calls["fresh float_bounds"] += self._fb is None
+        calls["float_bounds"] += 1
         return real_bounds(self)
 
     def enclosure(self, bits):
@@ -341,11 +337,12 @@ def test_a_repeated_search_computes_no_enclosure(monkeypatch, make):
         return real_enclosure(self, bits)
     monkeypatch.setattr(FieldElement, "float_bounds", bounds)
     monkeypatch.setattr(FieldElement, "_enclosure", enclosure)
-    assert enumerate_saddles(surface, two, two) == first
-    assert calls["fresh float_bounds"] == calls["_enclosure"] == 0
-    # an int bound is coerced afresh, and a rational reads its own bounds
-    assert enumerate_saddles(surface, 2, 2) == first
-    assert calls["fresh float_bounds"] == 2 and calls["_enclosure"] == 0
+    for as_element in (True, False):
+        surface = make()
+        box = surface.field.rational(2) if as_element else 2
+        calls.clear()
+        assert enumerate_saddles(surface, box, box)
+        assert calls["float_bounds"] == calls["_enclosure"] == 0
 
 
 def test_walk_blocked_by_intermediate_singularity():
