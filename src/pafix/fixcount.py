@@ -34,6 +34,7 @@ from .flatsurf import FlatSurface, SurfacePoint
 from .geom import ConvexPolygon, Vec2, cross_sign
 from .saddle import (
     SaddleConnection,
+    _motion_key,
     _place_apply,
     _place_between,
     _place_unapply,
@@ -92,7 +93,7 @@ class FixedPoint:
         return isinstance(other, FixedPoint) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.kind, repr(self.key)))
+        return hash(self.key)
 
     def __repr__(self):
         return "FixedPoint(%s, chart %d, (%s, %s), index %d)" % (
@@ -127,7 +128,7 @@ class FixReport:
         return sum(p.index for p in self.points)
 
     def point_keys(self) -> frozenset:
-        return frozenset(repr(p.key) for p in self.points)
+        return frozenset(p.key for p in self.points)
 
     def summary(self):
         return (self.total, self.regular_count, self.singular_count,
@@ -194,24 +195,11 @@ def _germ_turn(surface: FlatSurface, a, b, m: int) -> bool:
 def _ends(sc: SaddleConnection):
     """sc's start and end as (germ into sc, point in sc's walk frame,
     sign of the germ chart's placement there).  The end germ is the
-    reverse connection's start, read off sc without walking it."""
+    reverse connection's start, and its sign that of sc.reverse_motion,
+    both read off sc without walking the reverse."""
     p0 = sc.start_point().pos
-    r_corner, r_hol = sc.reverse_start()
     return ((_germ_of(sc), p0, 1),
-            ((r_corner, r_hol), p0 + sc.hol, 1 if r_hol == -sc.hol else -1))
-
-
-def _crossing_branches(cache, sigma, image):
-    """The branches through the interior crossings of sigma with its
-    image, one per crossing record, as deck motions (e, c), w -> e*w + c
-    from image's walk frame to sigma's, read off the placements of the
-    chart that holds the crossing in the two walks."""
-    out = []
-    for _, _, i, j, _ in cache.crossing_records(sigma, image):
-        _, ea, sa = sigma.placements[i]
-        _, eb, sb = image.placements[j]
-        out.append(_place_between(ea, sa, eb, sb))
-    return out
+            (sc.reverse_start(), p0 + sc.hol, sc.reverse_motion()[0]))
 
 
 def _vertex_branches(surface, sigma, image, s: int):
@@ -259,9 +247,12 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
 
     Every crossing of sigma with f(sigma), and every meeting of an end of
     sigma with the opposite end of f(sigma) at a vertex, selects one
-    affine branch of f over the rectangle; the branch's unique fixed point
-    is kept when it lands in the open rectangle and survives an exact
-    f(p) = p check.  Points are deduplicated by canonical coordinates."""
+    affine branch of f over the rectangle, a deck motion from the image's
+    walk frame to sigma's: the crossings' from the surface's crossing
+    memo (EdgeCache.motions), the vertex meetings' from
+    _vertex_branches.  The branch's unique fixed point is kept when it
+    lands in the open rectangle and survives an exact f(p) = p check.
+    Points are deduplicated by canonical coordinates."""
     surface = sigma.surface
     cache = edge_cache(surface)
     rect = cache.rect(sigma)
@@ -277,8 +268,8 @@ def fixed_points_in_rectangle(f, sigma: SaddleConnection) -> List[FixedPoint]:
     p0 = sigma.start_point().pos
     q0 = image.start_point().pos
     x0, x1, y0, y1 = rect.bounds
-    branches = (_crossing_branches(cache, sigma, image)
-                + _vertex_branches(surface, sigma, image, s))
+    branches = (cache.motions(sigma, image)
+                + tuple(_vertex_branches(surface, sigma, image, s)))
     found: Dict[object, FixedPoint] = {}
     for e, c in branches:
         z, l1, l2 = _branch_fixed_point(d1, d2, p0, q0, e, c)
@@ -387,7 +378,7 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
         kind = "marked" if cone.is_marked else "cone"
         idx = _singular_index(f, surface, cone)
         out.append(FixedPoint(sp.chart, sp.pos, kind, idx,
-                              ("vertex", cone.id)))
+                              surface.canonical_point(sp)[1]))
     return out
 
 
@@ -627,12 +618,8 @@ def _branch_maps(rect_a, rect_b):
     seen = {}
     for (chart, ea, sa) in rect_a.placements:
         for (eb, sb) in by_chart.get(chart, ()):
-            e = ea * eb
-            t = (sa - sb) if e == 1 else (sa + sb)
-            # reduced elements are equal exactly when num and den are
-            key = (e, t.x.num, t.x.den, t.y.num, t.y.den)
-            if key not in seen:
-                seen[key] = (e, t)
+            m = _place_between(ea, sa, eb, sb)
+            seen.setdefault(_motion_key(*m), m)
     return list(seen.values())
 
 

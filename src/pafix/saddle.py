@@ -10,8 +10,9 @@ only up to sign, and cover pulls the region back into each placed chart
 and reads its vertex, clip and chord tests from one table of the exact
 sides (geom.side_of) of the chart's vertices against the region's edge
 lines.  On top of them sit saddle connection enumeration, spanning
-rectangles with certified immersion degree, and transverse crossings
-and intersection numbers.  Enumeration is a visibility search from each
+rectangles with certified immersion degree, and transverse crossings,
+each as the deck motion between the two walk frames that it selects
+(crossing_motions).  Enumeration is a visibility search from each
 corner by polygon unfolding pruned by a holonomy box, again in each
 chart's own frame: one table of exact sides of the chart's vertices
 against the two rays of the window of sight serves the vertex and edge
@@ -47,7 +48,6 @@ from .geom import (
     _clip,
     _flat,
     boxes_disjoint,
-    cross_sign,
     segment_intersection,
     side_of,
 )
@@ -113,6 +113,25 @@ def _place_between(ea: int, sa: Vec2, eb: int, sb: Vec2) -> Tuple[int, Vec2]:
     chart to the frame of its placement (ea, sa): (ea*eb, sa - e*sb)."""
     e = ea * eb
     return e, (sa - sb if e == 1 else sa + sb)
+
+
+def _invert_motion(m: Tuple[int, Vec2]) -> Tuple[int, Vec2]:
+    """The inverse of the motion w -> e*w + c: (e, -e*c)."""
+    e, c = m
+    return e, (-c if e == 1 else c)
+
+
+def _compose_motions(m1: Tuple[int, Vec2],
+                     m2: Tuple[int, Vec2]) -> Tuple[int, Vec2]:
+    """The motion m1 after m2: (e1*e2, c1 + e1*c2)."""
+    (e1, c1), (e2, c2) = m1, m2
+    return e1 * e2, (c1 + c2 if e1 == 1 else c1 - c2)
+
+
+def _motion_key(e: int, c: Vec2):
+    """A hashable key of the motion w -> e*w + c; reduced elements are
+    equal exactly when their numerators and denominators are."""
+    return (e, c.x.num, c.x.den, c.y.num, c.y.den)
 
 
 def _place_key(chart: int, eps: int, shift: Vec2):
@@ -422,6 +441,17 @@ class SaddleConnection:
         at the end vertex that owns the way back, and that ray in its
         chart, as the walk found them, without walking the reverse."""
         return self._rstart
+
+    def reverse_motion(self) -> Tuple[int, Vec2]:
+        """The motion w -> e*(w - r0) + (p0 + hol) from the reverse's walk
+        frame to this one's, with r0 the reverse's start and e = 1 exactly
+        when its holonomy is -hol; read off reverse_start, no walk."""
+        (chart, vidx), r_hol = self._rstart
+        r0 = self.surface.polygons[chart].vertices[vidx]
+        end = self.start_point().pos + self.hol
+        if r_hol == -self.hol:
+            return 1, end - r0
+        return -1, end + r0
 
     def reverse(self) -> "SaddleConnection":
         corner, r = self.reverse_start()
@@ -840,28 +870,31 @@ def _rect_degree(pieces, width, height):
 
 
 # ---------------------------------------------------------------------------
-# intersection numbers
+# crossings as deck motions
 
-def _meetings(s1: SaddleConnection, s2: SaddleConnection):
-    """Transverse meetings of a piece i of s1 with a piece j of s2 away
-    from the singular points, in (i, j) order: (key, chart, pos, i, j,
-    side) with key the surface point's canonical key, pos in chart
-    coordinates and side the sign of cross(dir1, dir2).  A point on a
-    polygon edge is met once in each chart along the edge, so its key can
-    occur twice.  A collinear overlap of positive length raises
-    OverlappingSegments.
+def crossing_motions(s1: SaddleConnection, s2: SaddleConnection) -> tuple:
+    """The transverse interior crossings of two saddle connections, each
+    as the deck motion (e, c), w -> e*w + c from s2's walk frame to s1's
+    that it selects, in the order first met over piece pairs (i, j).
 
-    Inside a convex chart a piece meets the chart's boundary only at its
-    ends, unless the whole piece runs along a polygon edge.  A meeting
-    point equal to none of the two pieces' ends a, b, c, d therefore lies
-    inside the chart, and its key is (chart, coefficients), what
-    canonical_point would return.  That holds also when one piece runs
-    along a polygon edge: the other piece stays in the chart, so it can
-    reach that edge transversally only at one of its own ends.  Only
-    meetings at piece ends go through canonical_point."""
+    A piece i of s1 and a piece j of s2 in one chart that meet in one
+    point give _place_between of their two placements.  Meetings at
+    vertices (the ends of the connections and any cone or marked point)
+    are skipped; inside a convex chart a piece meets the boundary only at
+    its ends, so only a meeting at a piece end can be at a vertex.  A
+    collinear overlap of positive length raises OverlappingSegments.
+
+    One motion per crossing: a point on a polygon edge is met once from
+    each chart along the edge, and the two charts' placements differ by
+    the same gluing in both walks, so both give one motion.  Two distinct
+    crossings give two distinct motions, because a motion carries s2's
+    developed segment onto a straight segment, which meets s1's developed
+    segment at most once unless the two overlap.  So the motions,
+    deduplicated by _motion_key, count the crossings."""
     if s1.surface is not s2.surface:
         raise InputError("connections live on different surfaces")
     surface = s1.surface
+    seen = {}
     for i, (c1, a, b) in enumerate(s1.pieces):
         for j, (c2, c, d) in enumerate(s2.pieces):
             if c1 != c2:
@@ -874,46 +907,16 @@ def _meetings(s1: SaddleConnection, s2: SaddleConnection):
                     continue
                 raise OverlappingSegments(
                     "connections share a parallel subsegment")
-            side = cross_sign(b - a, d - c)
-            if side == 0:
-                # collinear endpoint touch; a genuine geodesic overlap
-                # surfaces as "overlap" in this or an adjacent chart pair
-                continue
             p = r[1]
-            if p == a or p == b or p == c or p == d:
-                kind, key, _ = surface.canonical_point(SurfacePoint(c1, p))
-                if kind == "vertex":
-                    continue
-            else:
-                key = (c1, p.x.coeffs, p.y.coeffs)
-            yield key, c1, p, i, j, side
-
-
-def _first_per_point(meetings) -> tuple:
-    """The crossing records (chart, pos, i, j, side) of the first meeting
-    at each surface point, in the meetings' order."""
-    seen = set()
-    out = []
-    for key, chart, pos, i, j, side in meetings:
-        if key not in seen:
-            seen.add(key)
-            out.append((chart, pos, i, j, side))
-    return tuple(out)
-
-
-def crossings(s1: SaddleConnection, s2: SaddleConnection) -> tuple:
-    """Transverse interior crossings of two saddle connections, one per
-    surface point: records (chart, pos, i, j, side) with pos in chart
-    coordinates on piece i of s1 and piece j of s2, and side the sign of
-    cross(dir1, dir2); at a point on a polygon edge, the record of the
-    first piece pair in (i, j) order.
-
-    Meetings at endpoints or cone points are skipped; a collinear overlap
-    of positive length raises OverlappingSegments."""
-    return _first_per_point(_meetings(s1, s2))
+            if ((p == a or p == b or p == c or p == d)
+                    and surface.vertex_index(c1, p) is not None):
+                continue
+            m = _place_between(*s1.placements[i][1:], *s2.placements[j][1:])
+            seen.setdefault(_motion_key(*m), m)
+    return tuple(seen.values())
 
 
 def intersection_number(s1: SaddleConnection, s2: SaddleConnection) -> int:
     """Number of transverse interior intersections of two saddle
-    connections; see crossings."""
-    return len(crossings(s1, s2))
+    connections: len(crossing_motions(s1, s2))."""
+    return len(crossing_motions(s1, s2))

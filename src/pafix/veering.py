@@ -10,17 +10,17 @@ mapping torus into ideal tetrahedra, one per flip.
 
 All geometry is exact.  Each memo has one owner.  The surface has one
 EdgeCache (edge_cache(surface)), which memoises reverses, canonical
-representatives, crossing records, spanning rectangles and candidate
-boxes: data of the flat surface alone, shared by every section and
-every map on it.  The maps and sections on the surface own the cache
-and the surface points at it weakly, so a surface's geometry is freed
-by reference counting when its last map and section go.  The crossing
-records of a pair (saddle.crossings) are kept, not only their number,
-so the sweeps here and the rectangle solver of fixcount cross each pair
-once.  A map owns what depends on it: its edge images and the section
-that annular_avoiding_f_section keeps, so every counter run on one map
-shares one section, and every power of one map shares its base's.  No
-routine takes a cache.
+representatives, crossings, spanning rectangles and candidate boxes:
+data of the flat surface alone, shared by every section and every map
+on it.  The maps and sections on the surface own the cache and the
+surface points at it weakly, so a surface's geometry is freed by
+reference counting when its last map and section go.  A crossing is
+kept as the deck motion it selects (saddle.crossing_motions), not only
+counted, so the sweeps here and the rectangle solver of fixcount cross
+each unordered pair of geodesics once.  A map owns what depends on it:
+its edge images and the section that annular_avoiding_f_section keeps,
+so every counter run on one map shares one section, and every power of
+one map shares its base's.  No routine takes a cache.
 
 A map acts on edges through its own germ primitive: f.carry takes an
 edge's start germ (corner and holonomy) to the image germ, exactly, and
@@ -53,8 +53,9 @@ from .flatsurf import FlatSurface
 from .geom import ConvexPolygon, Vec2
 from .saddle import (
     SaddleConnection,
-    _first_per_point,
-    _meetings,
+    _compose_motions,
+    _invert_motion,
+    crossing_motions,
     enumerate_saddles,
     is_veering_edge,
 )
@@ -100,21 +101,23 @@ def section_size(surface: FlatSurface) -> int:
 
 class EdgeCache:
     """One surface's memo for reverses, canonical representatives,
-    crossing records, spanning rectangles and candidate boxes.
+    crossings, spanning rectangles and candidate boxes.
 
     Get it with edge_cache(surface); every section, flip, order test
     and rectangle solve on the surface shares it.
     Crossings are the expensive primitive, and every sweep in this
-    module hits the same pairs repeatedly.  The crossing memo holds, per
-    pair of oriented connections, the records of saddle.crossings; a
-    crossing number is the number of records of the two canonical
-    representatives.  Rectangles are keyed by the oriented edge, because
-    a rectangle's bounds and placements live in that orientation's walk
-    frame.  Nothing here depends on a map: edge images live on the map
-    (image() reads f._images), so the surface never keeps a map
-    alive.  The maps and sections on the surface own the cache, and the
-    surface points at it weakly (see edge_cache), so no reference cycle
-    keeps it, or the surface, alive after the last of them."""
+    module hits the same pairs repeatedly.  The crossing memo, crossed,
+    holds saddle.crossing_motions once per unordered pair of geodesics,
+    for their canonical representatives in sort_key order; motions()
+    serves every orientation and argument order from it, and a crossing
+    number is the number of motions.  Rectangles are keyed by the
+    oriented edge, because a rectangle's bounds and placements live in
+    that orientation's walk frame.  Nothing here depends on a map: edge
+    images live on the map (image() reads f._images), so the surface
+    never keeps a map alive.  The maps and sections on the surface own
+    the cache, and the surface points at it weakly (see edge_cache), so
+    no reference cycle keeps it, or the surface, alive after the last of
+    them."""
 
     def __init__(self, surface: FlatSurface):
         self.surface = surface
@@ -183,32 +186,27 @@ class EdgeCache:
                 self.canon[r] = c
         return c
 
-    def _crossed(self, a: SaddleConnection, b: SaddleConnection) -> tuple:
-        """(records, meetings) of the pair a, b with a before b in
-        sort_key order, computed once."""
-        got = self.crossed.get((a, b))
+    def motions(self, a: SaddleConnection, b: SaddleConnection) -> tuple:
+        """saddle.crossing_motions(a, b) as a set, from the memo: per
+        crossing, the deck motion (e, c), w -> e*w + c from b's walk frame
+        to a's, for oriented connections in either argument order.
+
+        The memo holds the canonical pair's motions in sort_key order.
+        The swapped order inverts each motion, and an orientation that is
+        not canonical composes with its canonical's reverse_motion."""
+        ca, cb = self.canonical(a), self.canonical(b)
+        if cb.sort_key() < ca.sort_key():
+            return tuple(_invert_motion(m) for m in self.motions(b, a))
+        got = self.crossed.get((ca, cb))
         if got is None:
-            meetings = tuple(_meetings(a, b))
-            got = self.crossed[(a, b)] = (_first_per_point(meetings), meetings)
+            got = self.crossed[(ca, cb)] = crossing_motions(ca, cb)
+        if a != ca:
+            back = _invert_motion(ca.reverse_motion())
+            got = tuple(_compose_motions(back, m) for m in got)
+        if b != cb:
+            ahead = cb.reverse_motion()
+            got = tuple(_compose_motions(m, ahead) for m in got)
         return got
-
-    def crossing_records(self, a: SaddleConnection,
-                         b: SaddleConnection) -> tuple:
-        """saddle.crossings(a, b) for oriented connections, from the memo.
-
-        A pair is stored in sort_key order.  A swapped query swaps i and
-        j and negates side in every meeting, then keeps the first meeting
-        per point in its own (i, j) order, as saddle.crossings would.  A
-        reversed orientation is a different key: its walk runs through
-        other pieces (a piece along a polygon edge starts in the glued
-        chart), so it is crossed on its own."""
-        if b.sort_key() < a.sort_key():
-            meetings = self._crossed(b, a)[1]
-            return _first_per_point(sorted(
-                ((key, chart, pos, j, i, -side)
-                 for key, chart, pos, i, j, side in meetings),
-                key=lambda m: (m[3], m[4])))
-        return self._crossed(a, b)[0]
 
     def crossings(self, a: SaddleConnection, b: SaddleConnection) -> int:
         """Crossing number of the unoriented connections."""
@@ -217,7 +215,7 @@ class EdgeCache:
             return 0
         if cb.sort_key() < ca.sort_key():
             ca, cb = cb, ca
-        return len(self._crossed(ca, cb)[0])
+        return len(self.motions(ca, cb))
 
     def rect(self, sc: SaddleConnection):
         """is_veering_edge(sc): the spanning rectangle in sc's own walk

@@ -32,7 +32,6 @@ from pafix.geom import ConvexPolygon, Mat2
 from pafix.fixcount import (
     FixedPoint,
     _comb,
-    _crossing_branches,
     _edge_chain,
     _face_development,
     count_fixed_points,
@@ -223,8 +222,7 @@ def test_crossing_data_matches_intersection_number(torus):
     section = annular_avoiding_f_section(g)
     for e in section.edges:
         image = apply_to_edge(g, e)
-        assert len(_crossing_branches(cache, e, image)) \
-            == intersection_number(e, image)
+        assert len(cache.motions(e, image)) == intersection_number(e, image)
 
 
 def test_non_veering_edge_rejected(torus):
@@ -265,12 +263,15 @@ def _mat_power(m, n):
     return p
 
 
-# hyperbolic SL(2, Z) matrices with entries in [-3, 3], both trace signs
-_SMALL_HYPERBOLIC = [
-    ((a, b), (c, d))
-    for a in range(-3, 4) for b in range(-3, 4)
-    for c in range(-3, 4) for d in range(-3, 4)
-    if a * d - b * c == 1 and abs(a + d) > 2]
+def _hyperbolic(k):
+    """The hyperbolic SL(2, Z) matrices with entries in [-k, k], both
+    trace signs."""
+    r = range(-k, k + 1)
+    return [((a, b), (c, d)) for a in r for b in r for c in r for d in r
+            if a * d - b * c == 1 and abs(a + d) > 2]
+
+
+_SMALL_HYPERBOLIC = _hyperbolic(3)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -484,6 +485,29 @@ def test_eigen_pillowcase_counts_the_closed_form(rows, n, want):
     assert markov_upper_bound(fn) >= report.total
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(_hyperbolic(5)), st.integers(1, 2), st.booleans())
+def test_small_matrices_count_the_closed_form(m, n, pillow):
+    # any of the 168 matrices with entries up to 5, on its eigen torus,
+    # |det(M^n - I)|, or on its eigen pillowcase, (|det(M^n - I)| +
+    # |det(M^n + I)|)/2: count and oracle agree with the closed form,
+    # the indices add up to L and the Markov bound holds
+    (p, q), (r, s) = _mat_power(m, n)
+    minus = abs((p - 1) * (s - 1) - q * r)
+    plus = abs((p + 1) * (s + 1) - q * r)
+    rows = [list(row) for row in m]
+    if pillow:
+        f, want = eigen_pillowcase(rows)[2], (minus + plus) // 2
+    else:
+        f, want = torus_from_matrix(rows)[1], minus
+    g = f if n == 1 else f.power(n)
+    rep = count_fixed_points(g)
+    oracle = oracle_count_fixed_points(g, annular_avoiding_f_section(g))
+    assert rep.total == oracle.total == want
+    assert rep.index_sum == rep.lefschetz
+    assert markov_upper_bound(g) >= rep.total
+
+
 def test_face_development_lays_every_walk_on_its_side():
     # each seed placement carries its walk's piece onto the developed
     # triangle's boundary; across a halfturn that takes the sign -1
@@ -535,7 +559,7 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     traced = []
     real_complete = veering.complete_to_section
     real_apply = veering.apply_to_edge
-    real_meetings = veering._meetings
+    real_motions = veering.crossing_motions
     real_trace = linalg.quotient_trace
 
     def complete(*args, **kwargs):
@@ -546,10 +570,11 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         images[(f, sc)] += 1
         return real_apply(f, sc)
 
-    def meetings(a, b):
+    def motions(a, b):
         cache = edge_cache(a.surface)
-        crossed[frozenset((cache.canonical(a), cache.canonical(b)))] += 1
-        return real_meetings(a, b)
+        crossed[(a.surface,
+                 frozenset((cache.canonical(a), cache.canonical(b))))] += 1
+        return real_motions(a, b)
 
     def quotient_trace(*args):
         traced.append(args)
@@ -557,10 +582,14 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
 
     monkeypatch.setattr(veering, "complete_to_section", complete)
     monkeypatch.setattr(veering, "apply_to_edge", apply)
-    monkeypatch.setattr(veering, "_meetings", meetings)
+    monkeypatch.setattr(veering, "crossing_motions", motions)
     monkeypatch.setattr(linalg, "quotient_trace", quotient_trace)
-    surface, f = torus_from_matrix([[2, 1], [1, 1]])
-    maps = (f, f.power(2))
+    # the cat torus, a negative-trace torus, whose edge images are not
+    # canonical, and a pillowcase, whose walks cross halfturns
+    bases = (torus_from_matrix([[2, 1], [1, 1]])[1],
+             torus_from_matrix([[-3, -1], [-2, -1]])[1],
+             eigen_pillowcase([[2, 1], [1, 1]])[2])
+    maps = [g for f in bases for g in (f, f.power(2))]
     for g in maps:
         rep = count_fixed_points(g)
         section = annular_avoiding_f_section(g)
@@ -572,12 +601,13 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
         oriented = {sc for face in section.triangles for sc in face}
         assert oriented <= {sc for (h, sc) in images if h is g}
     # f^2 counts on f's section, so one section is built for both maps
-    assert len(built) == 1
+    assert len(built) == len(bases)
     assert set(images.values()) == {1}
-    # one surface: each unordered pair of connections is crossed once,
+    # on each surface each unordered pair of geodesics is crossed once,
     # whichever map, counter or orientation asks; the Lefschetz trace is
     # taken once per map, and the oracle reuses its L
-    assert crossed and set(crossed.values()) == {1}
+    assert {surface for surface, _ in crossed} == {f.surface for f in bases}
+    assert set(crossed.values()) == {1}
     assert len(traced) == len(maps)
 
 

@@ -1,9 +1,10 @@
 """Every name a pafix module imports is read there or exported, and every
 private (underscore) function, class, method or module-level constant
 that pafix defines is read somewhere in pafix; no module but exactnum
-reads the quadratic constants or imports the quadratic closed forms; and
-no function but geom.float_box and saddle._floor_ratio reads
-FieldElement.float_bounds."""
+reads the quadratic constants or imports the quadratic closed forms; no
+function but geom.float_box and saddle._floor_ratio reads
+FieldElement.float_bounds; and every crossing goes through the one
+crossing memo, EdgeCache.motions."""
 
 import ast
 import importlib
@@ -117,6 +118,34 @@ def test_only_the_box_prefilter_and_the_floor_seed_read_float_bounds():
                     if isinstance(node, ast.Attribute)
                     and node.attr == "float_bounds"}
     assert readers == {("geom", "float_box"), ("saddle", "_floor_ratio")}
+
+
+def test_every_crossing_goes_through_the_crossing_memo():
+    # each unordered pair of geodesics is crossed once per surface only
+    # if nothing in pafix crosses a pair beside the memo: EdgeCache.motions
+    # alone calls saddle.crossing_motions, and intersection_number, which
+    # calls it too, is called by nothing
+    src = pathlib.Path(pafix.__file__).parent
+    calls = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, owner):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                owner = owner + (node.name,)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name in ("crossing_motions", "intersection_number"):
+                    calls.add((path.stem, ".".join(owner), name))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+        visit(tree, ())
+    assert calls == {("veering", "EdgeCache.motions", "crossing_motions"),
+                     ("saddle", "intersection_number", "crossing_motions")}
 
 
 # every search budget whose overflow raises, by the module whose search

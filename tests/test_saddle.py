@@ -7,6 +7,7 @@ reduce to lattice counting.  The octagon and pillowcase exercise cone
 angles above and below 2 pi."""
 
 import hashlib
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -30,10 +31,10 @@ from pafix.saddle import (
     _RECT_UNFOLD_NODES,
     SaddleConnection,
     _box_candidates,
-    _meetings,
     _place_apply,
     _rect_degree,
     cover,
+    crossing_motions,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -571,20 +572,30 @@ def test_intersection_symmetry_on_enumerated_pairs():
 
 @pytest.mark.parametrize("make, box", [(pillowcase, 1), (octagon_surface, 2)])
 def test_meeting_keys_are_canonical_point_keys(make, box):
-    # a meeting away from the pieces' ends is keyed without
-    # canonical_point; the key must be the one canonical_point gives
+    # crossing_motions keys each crossing by its motion, not its point:
+    # the reference counts the distinct canonical_point keys of the
+    # pieces' meeting points that are not vertices, and a point on a
+    # polygon edge, met from both charts, is one key and one motion
     s = make()
     saddles = enumerate_saddles(s, box, box)
     met = 0
     for i, a in enumerate(saddles):
         for b in saddles[i + 1:]:
             try:
-                meetings = list(_meetings(a, b))
+                motions = crossing_motions(a, b)
             except OverlappingSegments:
                 continue
-            for key, chart, pos, _, _, _ in meetings:
-                met += 1
-                assert key == s.canonical_point(SurfacePoint(chart, pos))[1]
+            keys = set()
+            for (c1, p, q), (c2, u, v) in itertools.product(a.pieces,
+                                                            b.pieces):
+                r = pafix.geom.segment_intersection(p, q, u, v)
+                if c1 != c2 or r[0] != "point":
+                    continue
+                kind, key, _ = s.canonical_point(SurfacePoint(c1, r[1]))
+                if kind != "vertex":
+                    keys.add(key)
+            assert len(motions) == len(keys), (a, b)
+            met += len(keys)
     assert met
 
 

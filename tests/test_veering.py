@@ -19,7 +19,7 @@ from pafix.errors import (
 )
 from pafix.exactnum import RealNumberField
 from pafix.flatsurf import FlatSurface
-from pafix.geom import ConvexPolygon, Vec2
+from pafix.geom import ConvexPolygon, Vec2, segment_intersection
 from pafix.saddle import SaddleConnection, is_veering_edge
 from pafix.veering import (
     EdgeCache,
@@ -390,21 +390,27 @@ def test_edge_cache_images_are_per_map(torus):
 
 
 def test_crossing_memo_matches_direct_crossings_in_every_order():
-    # negative trace: the images are not canonical, so the rectangle
-    # solver and the Lefschetz chains ask for oriented, non-canonical
-    # pairs, in both argument orders
-    surface, f = torus_from_matrix([[-3, -1], [-2, -1]])
-    section = annular_avoiding_f_section(f)
-    cache = section.cache
-    images = [cache.image(f, e) for e in section.edges]
-    assert any(cache.canonical(im) != im for im in images)
-    for c in section.edges:
-        for im in images:
-            for a, b in ((c, im), (im, c), (c, cache.reverse(im)),
-                         (cache.reverse(im), c)):
-                direct = saddle.crossings(a, b)
-                assert cache.crossing_records(a, b) == direct
-                assert cache.crossings(a, b) == len(direct)
+    # on a negative-trace torus and on a pillowcase, whose walks cross
+    # halfturns, some edge images that cross their edges are not
+    # canonical, so the rectangle solver asks for oriented, non-canonical
+    # pairs; one memo entry per pair serves both argument orders and
+    # both orientations of each connection, inverted or composed with a
+    # reverse_motion
+    for f in (torus_from_matrix([[-3, -1], [-2, -1]])[1],
+              eigen_pillowcase([[2, -1], [-1, 1]])[2].power(2)):
+        section = annular_avoiding_f_section(f)
+        cache = section.cache
+        images = [cache.image(f, e) for e in section.edges]
+        assert any(cache.canonical(im) != im and cache.crossings(e, im)
+                   for e, im in zip(section.edges, images))
+        for c in section.edges:
+            for im in images:
+                for x in (c, cache.reverse(c)):
+                    for y in (im, cache.reverse(im)):
+                        for a, b in ((x, y), (y, x)):
+                            direct = saddle.crossing_motions(a, b)
+                            assert set(cache.motions(a, b)) == set(direct)
+                            assert cache.crossings(a, b) == len(direct)
 
 
 def torus_conn(surface, x, y):
@@ -419,19 +425,21 @@ def torus_conn(surface, x, y):
 def test_crossing_memo_swaps_a_pair_met_at_an_edge_point():
     # on the unit square torus (2, 1) and (-2, 1) cross three times, once
     # at the glued point (1, 1/2) ~ (0, 1/2), where they pass the vertical
-    # edge in opposite senses: each argument order keeps the chart
-    # position met first in its own piece order, so relabelling one
-    # order's records does not give the other's
+    # edge in opposite senses: the pieces meet there from both sides of
+    # the edge, four meetings for three crossings, and both sides give
+    # one motion
     surface = square_torus()
     cache = edge_cache(surface)
     a, b = (torus_conn(surface, x, 1) for x in (2, -2))
-    ab, ba = saddle.crossings(a, b), saddle.crossings(b, a)
-    relabelled = sorted(((chart, pos, j, i, -side)
-                         for chart, pos, i, j, side in ab),
-                        key=lambda r: (r[2], r[3]))
-    assert len(ab) == 3 and tuple(relabelled) != ba
-    for x, y in ((a, b), (b, a), (b, a), (a, b)):
-        assert cache.crossing_records(x, y) == saddle.crossings(x, y)
+    meetings = sum(
+        segment_intersection(p, q, u, v)[0] == "point"
+        for (_, p, q) in a.pieces for (_, u, v) in b.pieces)
+    assert meetings == 4 and len(saddle.crossing_motions(a, b)) == 3
+    for x in (a, cache.reverse(a)):
+        for y in (b, cache.reverse(b)):
+            for p, q in ((x, y), (y, x)):
+                assert (set(cache.motions(p, q))
+                        == set(saddle.crossing_motions(p, q)))
     assert len(cache.crossed) == 1
     assert cache.crossings(a, b) == 3
 
