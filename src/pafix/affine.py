@@ -80,11 +80,13 @@ class PiecewiseAffineMap:
         # the surface's EdgeCache, which the surface refers to only weakly:
         # the maps and sections on a surface keep its geometry alive
         self._cache = edge_cache(surface)
-        # filled by veering.annular_avoiding_f_section, EdgeCache.image
-        # and fixcount.lefschetz_number (L of the map)
+        # filled by veering.annular_avoiding_f_section, EdgeCache.image,
+        # fixcount.lefschetz_number (L of the map) and
+        # fixcount._singular_fixed_points
         self._section = None
         self._images: dict = {}
         self._lefschetz = None
+        self._singular = None
         self._by_chart: List[list] = [[] for _ in surface.polygons]
         for piece in self.pieces:
             if not 0 <= piece.chart < len(surface.polygons):
@@ -426,6 +428,7 @@ class PowerAutomorphism(AffineAutomorphism):
         self._section = None
         self._images: dict = {}
         self._lefschetz = None
+        self._singular = None
         perm = {k: k for k in base.singularity_permutation}
         for _ in range(n):
             perm = {k: base.singularity_permutation[v] for k, v in perm.items()}

@@ -5,17 +5,17 @@ edge of an f-section, the affine fixed point equation of each branch of f
 over the edge's spanning rectangle; every regular fixed point of f lies
 in at least one such rectangle, so the deduplicated union is Fix(f) minus
 the singular points, which are read off the singularity permutation.  The
-oracle counter instead clips f(t) against t for every triangle t of a
-section and solves the same equation per overlap piece, cutting each
-developed triangle into chart pieces with saddle.cover.  A triangle
-develops from its three edges' walks, whose frames differ by +-I, so the
-oracle runs on halfturn surfaces as on translation ones.  Both attach a
+oracle counter is a brute force over the pieces of f instead: it solves
+the fixed point equation once per piece and per identification of the
+piece's chart with its target chart, the identity or a gluing
+transition z -> +-z + s, so it needs no section, walk or cover and runs
+on halfturn surfaces as on translation ones.  Both attach a
 Lefschetz number computed homologically, from the action of f on the
 polygon edges modulo the polygon boundaries, as a third check: L equals
 the index sum.  L is independent of both counters, but not of itself:
-it is computed once per map and kept on it, so the oracle, whatever
-section it runs on, reuses the count's L (the same deterministic code on
-the same input would only repeat it).
+it is computed once per map and kept on it, as are the fixed singular
+points, so the oracle reuses the count's L and singular points (the same
+deterministic code on the same input would only repeat them).
 
 Coordinates, indices and counts are exact; no step rounds.
 
@@ -31,18 +31,15 @@ from . import linalg
 from .errors import InputError, InternalCheckError, NotFixed, NotVeering
 from .exactnum import FieldElement, format_element
 from .flatsurf import FlatSurface, SurfacePoint
-from .geom import ConvexPolygon, Vec2, cross_sign
+from .geom import Vec2, cross_sign
 from .saddle import (
     SaddleConnection,
     _motion_key,
-    _place_apply,
     _place_between,
     _place_unapply,
-    cover,
 )
 from .veering import (
     Section,
-    _apex_solve,
     _germ_of,
     annular_avoiding_f_section,
     apply_to_edge,  # not called here; bench/tests reads fixcount.apply_to_edge
@@ -63,8 +60,6 @@ __all__ = [
     "oracle_count_fixed_points",
 ]
 
-# Placements expanded while covering one developed triangle.
-_COVER_CAP = 200000
 # Largest rectangle-pair work (placements x image placements) for which
 # markov_upper_bound builds the full crossing matrix.
 _PAIR_BUDGET = 200000
@@ -365,6 +360,10 @@ def fixed_point_index(p: FixedPoint, f) -> int:
 
 
 def _singular_fixed_points(f) -> List[FixedPoint]:
+    """The fixed cone and marked points of f with their indices, found
+    once per map and kept on it (f._singular)."""
+    if f._singular is not None:
+        return f._singular
     surface = f.surface
     out = []
     for cone in surface.cone_points:
@@ -379,6 +378,7 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
         idx = _singular_index(f, surface, cone)
         out.append(FixedPoint(sp.chart, sp.pos, kind, idx,
                               surface.canonical_point(sp)[1]))
+    f._singular = out
     return out
 
 
@@ -388,8 +388,8 @@ def _singular_fixed_points(f) -> List[FixedPoint]:
 def count_fixed_points(f) -> FixReport:
     """Exact Fix(f): rectangle solves over an annular-avoiding f-section,
     deduplicated, plus the fixed singular and marked points.  The
-    section and the edge images are kept on the map and shared with the
-    oracle and the Markov bound for the same map; rectangles and
+    section and the edge images are kept on the map and shared with
+    lefschetz_number and the Markov bound for the same map; rectangles and
     crossing numbers come from the surface's edge_cache.
 
     A power f = b^n counts over b's section T: b(T) <= T, both +-D keep
@@ -424,84 +424,53 @@ def max_edge(T: Section, f) -> SaddleConnection:
 
 
 # ---------------------------------------------------------------------------
-# triangle development for the oracle
-
-def _face_development(face):
-    """Develop a triangular face in its first edge's walk frame.
-
-    The face tuple traverses the boundary with the interior on the left.
-    Walk frames differ by +-I, by -I across a halfturn, so the apex comes
-    from the three holonomies up to sign, as in a flip
-    (veering._apex_solve).  A later edge, developed from a to b, maps its
-    walk frame onto the face's by z -> s*(z - start) + a, with s = +-1 the
-    sign that runs its holonomy from a to b, and its placements go
-    through that map.  Returns the developed triangle and seed
-    placements from all three walks."""
-    r0, r1, r2 = face
-    v0 = r0.start_point().pos
-    v1 = v0 + r0.hol
-    v2 = v0 + _apex_solve(r0.hol, r1.hol, r2.hol, 1)
-    seeds = list(r0.placements)
-    for sc, a, b in ((r1, v1, v2), (r2, v2, v0)):
-        s = 1 if sc.hol == b - a else -1
-        start = sc.start_point().pos
-        seeds += [(chart, s * e, _place_apply(s, a, sh - start))
-                  for chart, e, sh in sc.placements]
-    return ConvexPolygon([v0, v1, v2]), seeds
-
-
-def _cover_region(surface: FlatSurface, seeds, region: ConvexPolygon):
-    """saddle.cover of a developed convex region."""
-    out = cover(surface, seeds, region, ("_COVER_CAP", _COVER_CAP))
-    if out is None:
-        raise InternalCheckError("developed region covers a singular point")
-    return out
-
+# the brute force oracle
 
 def oracle_count_fixed_points(f, T: Section) -> FixReport:
-    """Brute force counter: clip every triangle of T against its f-image
-    across charts and solve the branch fixed point equation per overlap
-    piece.  Independent of the rectangle route; totals must agree."""
-    surface = T.surface
-    cache = T.cache
-    dmat = f.derivative
+    """Brute force counter over the pieces of f, for checking the
+    rectangle route: it reads f.pieces (a power's composed pieces), the
+    surface's transitions and the exact point primitives, and no section,
+    walk, edge image, crossing or cover.  T is not read.
+
+    A piece P in chart c maps z -> A z + b into chart t, with A =
+    +-diag(lambda, 1/lambda), so A - I and A + I are invertible.  Its
+    cases are t = c, with the equation A z + b = z, and each glued edge e
+    of c whose partner chart is t, with A z + b = T_e(z), T_e: z -> +-z +
+    s the transition.  Each case has one solution z, kept when P's
+    closed region holds it, f fixes it exactly, it is not a vertex and
+    its canonical key is new.
+
+    Complete: a regular fixed point z of chart c lies in some piece P
+    of c, and P's image of z is a representative of z, z itself (t = c)
+    or T_e(z) for the glued edge e holding z, so that case's equation
+    holds.  The index is right: conversely, where a case's equation
+    holds at a point z of P's region, P maps into chart t's polygon, so
+    a T_e case's z lies on e, and the case's linear part, A, or -A across
+    a halfturn, is Df read in chart c.  So the index is intrinsic,
+    whichever piece or case finds z first."""
+    surface = f.surface
+    zero = surface.field.zero()
     seen: Dict[tuple, FixedPoint] = {}
-    for face in T.triangles:
-        tri, seeds = _face_development(face)
-        cut = _cover_region(surface, seeds, tri)
-        images = tuple(cache.image(f, r) for r in face)
-        itri, iseeds = _face_development(images)
-        icut = _cover_region(surface, iseeds, itri)
-        s = _image_sign(f, face[0], images[0])
-        d1 = dmat.a if s == 1 else -dmat.a
-        d2 = dmat.d if s == 1 else -dmat.d
-        p0 = face[0].start_point().pos
-        q0 = images[0].start_point().pos
-        by_chart: Dict[int, list] = {}
-        for (chart, eps, shift, piece) in icut:
-            by_chart.setdefault(chart, []).append((eps, shift, piece))
-        for (chart, ea, sa, piece_a) in cut:
-            for (eb, sb, piece_b) in by_chart.get(chart, ()):
-                overlap = piece_a.intersect(piece_b)
-                if overlap is None:
-                    continue
-                # the branch of f in the face's frame, back from the image
-                # face's frame through the chart's two placements
-                w, l1, l2 = _branch_fixed_point(
-                    d1, d2, p0, q0, *_place_between(ea, sa, eb, sb))
-                z = _place_unapply(ea, sa, w)
-                if overlap.contains(z) == 0:
-                    continue
-                sp = SurfacePoint(chart, z)
-                if not surface.same_point(f.apply(sp), sp):
-                    continue
-                kind, key, rep = surface.canonical_point(sp)
-                if kind == "vertex":
-                    continue
-                if key not in seen:
-                    seen[key] = FixedPoint(
-                        rep.chart, rep.pos, "regular",
-                        _regular_index(l1, l2), key)
+    for piece in f.pieces:
+        mat, b = piece.map.mat, piece.map.shift
+        cases = [(1, Vec2(zero, zero))] if piece.target == piece.chart else []
+        for k in range(len(surface.polygons[piece.chart])):
+            tr = surface.transitions[(piece.chart, k)]
+            if tr.target[0] == piece.target:
+                cases.append((-1 if tr.flip else 1, tr.map.shift))
+        for e, s in cases:
+            z = Vec2((s.x - b.x) / (mat.a - e), (s.y - b.y) / (mat.d - e))
+            if piece.region.contains(z) == 0:
+                continue
+            sp = SurfacePoint(piece.chart, z)
+            if not surface.same_point(f.apply(sp), sp):
+                continue
+            kind, key, rep = surface.canonical_point(sp)
+            if kind == "vertex" or key in seen:
+                continue
+            l1, l2 = (mat.a, mat.d) if e == 1 else (-mat.a, -mat.d)
+            seen[key] = FixedPoint(rep.chart, rep.pos, "regular",
+                                   _regular_index(l1, l2), key)
     points = list(seen.values()) + _singular_fixed_points(f)
     return FixReport(points, {}, lefschetz_number(f), "oracle")
 

@@ -24,8 +24,7 @@ half-plane, misses the box and no in-box vertex is seen through it.
 The search reads no float.  In canonical mode the search leaves
 out, before their walk, the connections that it can tell are not the
 canonical orientation of their geodesic (veering.EdgeCache.canonical).
-cover also serves the oracle's triangles (fixcount._cover_region) and
-map building (affine.develop).
+cover serves the spanning rectangles and map building (affine.develop).
 
 Its search budgets (the module's _UPPER_CASE constants) stay beside
 the searches they cap, not in one shared module, because tests patch
@@ -91,10 +90,6 @@ def _strict_floor(num: FieldElement, den: FieldElement) -> int:
 # plane placements of charts: maps x -> eps*x + shift with eps = +-1,
 # always realized by a composition of gluing transitions
 
-def _place_apply(eps: int, shift: Vec2, v: Vec2) -> Vec2:
-    return (v + shift) if eps == 1 else (shift - v)
-
-
 def _place_unapply(eps: int, shift: Vec2, v: Vec2) -> Vec2:
     return (v - shift) if eps == 1 else (shift - v)
 
@@ -139,7 +134,8 @@ def _place_key(chart: int, eps: int, shift: Vec2):
 
 
 def cover(surface: FlatSurface, seeds, region: ConvexPolygon, budget):
-    """Cut the developed convex region into chart pieces.
+    """Cut the developed convex region into chart pieces: a spanning
+    rectangle (is_veering_edge) or a polygon's image (affine.develop).
 
     Develops chart placements (chart, eps, shift) from the seed
     placements, deduplicated by _place_key, depth first with the last

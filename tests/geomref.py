@@ -41,11 +41,14 @@ from pafix.geom import (
 )
 from pafix.saddle import (
     TraceResult,
-    _place_apply,
     _place_cross,
     _place_key,
     _place_unapply,
 )
+
+
+def _place_apply(eps, shift, v):
+    return (v + shift) if eps == 1 else (shift - v)
 
 
 def orient(a, b, c):

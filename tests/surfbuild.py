@@ -1,8 +1,10 @@
 """Shared test fixtures: small surfaces built by hand."""
 
+import math
 from fractions import Fraction
 
 from pafix.affine import develop, torus_from_matrix
+from pafix.errors import InputError
 from pafix.exactnum import RealNumberField
 from pafix.flatsurf import FlatSurface, SurfacePoint
 from pafix.geom import ConvexPolygon, Mat2, Vec2
@@ -114,18 +116,64 @@ def eigen_pillowcase(rows):
     return surface, d_mat, develop(surface, d_mat, (0, 0), image_corner, lam)
 
 
-def origami(right, top, names):
-    """Unit squares glued by translations: the right side of square i to
-    the left side of square right[i], its top to the bottom of top[i]."""
-    field = rational_field()
+def _square_gluings(right, top):
     gluings = {}
     for i, (r, u) in enumerate(zip(right, top)):
         gluings[(i, 1)] = ((r, 3), "translation")
         gluings[(r, 3)] = ((i, 1), "translation")
         gluings[(i, 2)] = ((u, 0), "translation")
         gluings[(u, 0)] = ((i, 2), "translation")
+    return gluings
+
+
+def origami(right, top, names):
+    """Unit squares glued by translations: the right side of square i to
+    the left side of square right[i], its top to the bottom of top[i]."""
+    field = rational_field()
     return FlatSurface(field, [square_polygon(field) for _ in right],
-                       gluings, names=names)
+                       _square_gluings(right, top), names=names)
+
+
+def _cycle_lcm(perm):
+    """The lcm of the cycle lengths of a permutation of range(len(perm))."""
+    out, seen = 1, set()
+    for i in range(len(perm)):
+        k = 0
+        while i not in seen:
+            seen.add(i)
+            i, k = perm[i], k + 1
+        if k:
+            out = math.lcm(out, k)
+    return out
+
+
+def eigen_origami(right, top, sign):
+    """Every map that develop builds on the origami of right and top in
+    eigen coordinates with the derivative sign*diag(lambda, 1/lambda),
+    taking corner (0, 0) to each corner in sorted order, where it
+    validates.
+
+    With a and b the lcm of the cycle lengths of right and top, M =
+    [[1 + ab, a], [b, 1]] is the product of the horizontal and vertical
+    multitwists (Thurston-Veech).  Each unit square becomes the eigen
+    parallelogram of torus_from_matrix(M), in lambda's field, glued as
+    origami() glues the squares."""
+    a, b = _cycle_lcm(right), _cycle_lcm(top)
+    torus, f = torus_from_matrix([[1 + a * b, a], [b, 1]])
+    poly = torus.polygons[0]
+    surface = FlatSurface(torus.field, [poly for _ in right],
+                          _square_gluings(right, top))
+    lam = f.lambda_
+    d_mat = Mat2.diagonal(lam, lam.inverse())
+    if sign < 0:
+        d_mat = -d_mat
+    maps = []
+    for corner in sorted(surface.corner_class):
+        try:
+            maps.append(develop(surface, d_mat, (0, 0), corner, lam))
+        except InputError:
+            continue
+    return maps
 
 
 def l_origami():

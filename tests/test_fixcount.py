@@ -1,5 +1,5 @@
 """Exact fixed point counts on the eigen-coordinate torus of [[2,1],[1,1]]:
-the rectangle counter against the clip-everything oracle, Lefschetz numbers
+the rectangle counter against the brute-force oracle, Lefschetz numbers
 against 2 - tr(M^n), sandwich inequalities, and the Markov bound."""
 
 import gc
@@ -33,7 +33,6 @@ from pafix.fixcount import (
     FixedPoint,
     _comb,
     _edge_chain,
-    _face_development,
     count_fixed_points,
     fixed_point_index,
     fixed_points_in_rectangle,
@@ -44,7 +43,6 @@ from pafix.fixcount import (
 )
 from pafix.saddle import (
     SaddleConnection,
-    _place_apply,
     enumerate_saddles,
     intersection_number,
     is_veering_edge,
@@ -57,8 +55,8 @@ from pafix.veering import (
 )
 
 import geomref
-from surfbuild import (eigen_pillowcase, octagon_surface, pillowcase,
-                       square_torus, vec)
+from surfbuild import (eigen_origami, eigen_pillowcase, octagon_surface,
+                       pillowcase, square_torus, vec)
 
 # 2 - tr(M^n) for M = [[2,1],[1,1]]; all traces exceed 2 so the fixed
 # point total is tr(M^n) - 2.
@@ -161,6 +159,7 @@ def test_oracle_agrees_on_exact_point_sets(torus):
         assert oracle.method == "oracle"
         assert oracle.point_keys() == rep.point_keys()
         assert oracle.summary()[:4] == rep.summary()[:4]
+        assert oracle.records() == rep.records()
 
 
 def test_disjoint_image_gives_empty_rectangle_count(torus):
@@ -348,11 +347,9 @@ def test_markov_crossing_trace_fallback_dominates_total(monkeypatch, rows,
 
 @pytest.mark.parametrize("module, budget", [
     (saddle, "_RECT_UNFOLD_NODES"),
-    (fixcount, "_COVER_CAP"),
 ])
 def test_unfolding_overflow_names_its_budget(monkeypatch, module, budget):
-    # the rectangle budget trips while the section is built, the cover
-    # budget in the oracle's triangle covers
+    # the rectangle budget trips while the section is built
     monkeypatch.setattr(module, budget, 1)
     surface, f = torus_from_matrix([[2, 1], [1, 1]])
     with pytest.raises(InternalCheckError, match="%s = 1 " % budget):
@@ -470,8 +467,8 @@ def test_eigen_pillowcase_counts_the_closed_form(rows, n, want):
     # a point of the torus fixed by M^n or by -M^n lies over a fixed point
     # of the pillowcase map, two torus points over each regular one and
     # one over each of the four pi points: (|det(M^n - I)| +
-    # |det(M^n + I)|)/2.  The oracle develops its triangles across the
-    # halfturn gluings.  The sphere has L = 2.
+    # |det(M^n + I)|)/2.  The oracle solves across the halfturn gluings.
+    # The sphere has L = 2.
     (p, q), (r, t) = _mat_power(rows, n)
     assert want == (abs((p - 1) * (t - 1) - q * r)
                     + abs((p + 1) * (t + 1) - q * r)) // 2
@@ -504,26 +501,9 @@ def test_small_matrices_count_the_closed_form(m, n, pillow):
     rep = count_fixed_points(g)
     oracle = oracle_count_fixed_points(g, annular_avoiding_f_section(g))
     assert rep.total == oracle.total == want
+    assert oracle.records() == rep.records()
     assert rep.index_sum == rep.lefschetz
     assert markov_upper_bound(g) >= rep.total
-
-
-def test_face_development_lays_every_walk_on_its_side():
-    # each seed placement carries its walk's piece onto the developed
-    # triangle's boundary; across a halfturn that takes the sign -1
-    _, _, f = eigen_pillowcase([[2, 1], [1, 1]])
-    signs = set()
-    for face in annular_avoiding_f_section(f).triangles:
-        tri, seeds = _face_development(face)
-        pieces = [piece for sc in face for piece in sc.pieces]
-        assert len(seeds) == len(pieces)
-        for (chart, e, shift), (chart2, a, b) in zip(seeds, pieces):
-            assert chart == chart2
-            assert tri.contains(_place_apply(e, shift, a)) == 1
-            assert tri.contains(_place_apply(e, shift, b)) == 1
-        signs |= {sc.hol == -(v1 - v0) for sc, (v0, v1) in
-                  zip(face, tri.edges())}
-    assert signs == {False, True}
 
 
 def _no_cover(*args):
@@ -592,14 +572,11 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     maps = [g for f in bases for g in (f, f.power(2))]
     for g in maps:
         rep = count_fixed_points(g)
-        section = annular_avoiding_f_section(g)
-        oracle = oracle_count_fixed_points(g, section)
+        oracle = oracle_count_fixed_points(g, annular_avoiding_f_section(g))
         bound = markov_upper_bound(g)
         assert oracle.point_keys() == rep.point_keys()
         assert oracle.lefschetz == rep.lefschetz == g._lefschetz
         assert bound >= rep.total
-        oriented = {sc for face in section.triangles for sc in face}
-        assert oriented <= {sc for (h, sc) in images if h is g}
     # f^2 counts on f's section, so one section is built for both maps
     assert len(built) == len(bases)
     assert set(images.values()) == {1}
@@ -609,6 +586,89 @@ def test_count_oracle_and_bound_build_each_map_geometry_once(monkeypatch):
     assert {surface for surface, _ in crossed} == {f.surface for f in bases}
     assert set(crossed.values()) == {1}
     assert len(traced) == len(maps)
+
+
+def test_singular_points_are_found_once_per_map(monkeypatch):
+    # count and oracle share the map's fixed cone points, so each one's
+    # prongs are carried once per map
+    calls = Counter()
+    real = fixcount._singular_index
+
+    def index(f, surface, cone):
+        calls[f] += 1
+        return real(f, surface, cone)
+
+    monkeypatch.setattr(fixcount, "_singular_index", index)
+    for f in (torus_from_matrix([[2, 1], [1, 1]])[1],
+              eigen_pillowcase([[2, 1], [1, 1]])[2]):
+        rep = count_fixed_points(f)
+        oracle_count_fixed_points(f, annular_avoiding_f_section(f))
+        markov_upper_bound(f)
+        assert rep.singular_count > 0
+        assert calls.pop(f) == rep.singular_count
+    assert not calls
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle ran the rectangle route's machinery")
+
+
+def test_oracle_needs_no_section_walk_cover_or_crossing(monkeypatch):
+    # once the count has kept L on the map, the oracle reads only the
+    # map's pieces and the surface: every cover, walk, edge image,
+    # crossing and section sweep refuses to run
+    bases = (torus_from_matrix([[2, 1], [1, 1]])[1],
+             torus_from_matrix([[-3, -1], [-2, -1]])[1],
+             eigen_pillowcase([[2, 1], [1, 1]])[2])
+    maps = [g for f in bases for g in (f, f.power(2))]
+    counted = [(g, annular_avoiding_f_section(g), count_fixed_points(g))
+               for g in maps]
+    for owner, name in ((saddle, "cover"), (affine, "cover"),
+                        (veering, "apply_to_edge"),
+                        (fixcount, "apply_to_edge"),
+                        (SaddleConnection, "walk"),
+                        (saddle, "crossing_motions"),
+                        (veering, "crossing_motions"),
+                        (veering, "annular_avoiding_f_section"),
+                        (fixcount, "annular_avoiding_f_section")):
+        monkeypatch.setattr(owner, name, _refuse)
+    for g, section, rep in counted:
+        oracle = oracle_count_fixed_points(g, section)
+        assert oracle.records() == rep.records()
+        assert oracle.lefschetz == rep.lefschetz
+
+
+# (right, top, sign, [((total, L) at n = 1, (total, L) at n = 2) per map,
+# in eigen_origami's order])
+EIGEN_ORIGAMIS = [
+    ([1, 0, 2], [2, 1, 0], 1, [((3, -7), (35, -39))]),
+    ([1, 0, 2], [2, 1, 0], -1, [((11, 11), (35, -39))]),
+    ([0, 1, 3, 2], [2, 3, 0, 1], 1,
+     [((4, -8), (42, -46)), ((4, 0), (42, -46))]),
+    ([0, 1, 3, 2], [2, 3, 0, 1], -1,
+     [((12, 12), (42, -46)), ((4, 4), (42, -46))]),
+]
+
+
+@pytest.mark.parametrize("right, top, sign, want", EIGEN_ORIGAMIS,
+                         ids=["L+", "L-", "H11+", "H11-"])
+def test_eigen_origamis_count_like_the_oracle(right, top, sign, want):
+    # several charts and cone points above 2 pi: the L origami's one 6 pi
+    # point, the H(1,1) origami's two 4 pi points, which one map fixes and
+    # the other swaps
+    got = []
+    for f in eigen_origami(right, top, sign):
+        row = []
+        for n in (1, 2):
+            g = f.power(n)
+            rep = count_fixed_points(g)
+            oracle = oracle_count_fixed_points(
+                g, annular_avoiding_f_section(g))
+            assert oracle.records() == rep.records()
+            assert rep.index_sum == rep.lefschetz
+            row.append((rep.total, rep.lefschetz))
+        got.append(tuple(row))
+    assert got == want
 
 
 def test_quadratic_fields_never_import_sympy():

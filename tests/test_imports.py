@@ -152,7 +152,6 @@ def test_every_crossing_goes_through_the_crossing_memo():
 # reads it
 BUDGETS = [
     ("affine", "_IMAGE_COVER_NODES"),
-    ("fixcount", "_COVER_CAP"),
     ("saddle", "_VISIBILITY_NODES"),
     ("saddle", "_RECT_UNFOLD_NODES"),
     ("saddle", "_TRACE_CROSSINGS"),

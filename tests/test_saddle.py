@@ -17,7 +17,6 @@ import pytest
 import geomref
 import pafix.geom
 import pafix.saddle
-from pafix import fixcount
 from pafix.affine import torus_from_matrix
 from pafix.errors import (
     HorizontalOrVertical,
@@ -31,7 +30,6 @@ from pafix.saddle import (
     _RECT_UNFOLD_NODES,
     SaddleConnection,
     _box_candidates,
-    _place_apply,
     _rect_degree,
     cover,
     crossing_motions,
@@ -40,7 +38,6 @@ from pafix.saddle import (
     is_veering_edge,
     trace,
 )
-from pafix.veering import annular_avoiding_f_section
 
 from surfbuild import (
     h11_origami,
@@ -491,28 +488,11 @@ def test_every_rectangle_placement_adds_a_piece(make, monkeypatch):
     assert rects
 
 
-@pytest.mark.parametrize("m", [[[2, 1], [1, 1]], [[-3, -1], [-2, -1]]])
-def test_oracle_triangle_covers_match_the_region_frame_reference(m):
-    # the triangles of the section and their images, developed as the
-    # oracle develops them
-    surface, f = torus_from_matrix(m)
-    section = annular_avoiding_f_section(f)
-    budget = ("_COVER_CAP", fixcount._COVER_CAP)
-    for face in section.triangles:
-        images = tuple(section.cache.image(f, r) for r in face)
-        for edges in (face, images):
-            tri, seeds = fixcount._face_development(edges)
-            got = cover(surface, seeds, tri, budget)
-            assert got
-            assert cover_pieces(got) == cover_pieces(
-                geomref.cover(surface, seeds, tri, budget))
-
-
 def test_rectangle_cover_places_no_polygon_and_clips_in_the_chart(
         monkeypatch):
-    # the cover pulls each of the pillowcase's rectangles back instead of
-    # placing the chart, builds no placed polygon to intersect, and takes
-    # its sides from one table
+    # the cover pulls each of the pillowcase's rectangles back into the
+    # chart, builds no placed polygon to intersect, and takes its sides
+    # from one table
     surface = pillowcase()
     rects = [(sc.placements, rectangle_box(sc))
              for sc in enumerate_saddles(surface, 3, 3)
@@ -524,12 +504,11 @@ def test_rectangle_cover_places_no_polygon_and_clips_in_the_chart(
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(owner, name, counted)
-    count(pafix.saddle, "_place_apply", _place_apply)
     count(ConvexPolygon, "intersect", ConvexPolygon.intersect)
     count(pafix.geom, "orient", pafix.geom.orient)
     for seeds, box in rects:
         cover(surface, seeds, box, RECT_BUDGET)
-    assert calls["_place_apply"] == 0 and calls["intersect"] == 0
+    assert calls["intersect"] == 0
     new_orients = calls["orient"]
     calls.clear()
     for seeds, box in rects:
