@@ -6,7 +6,11 @@ source region inside one polygon chart, an affine map, and a target chart.
 Validation checks that the regions tile the surface, that every piece maps
 into its target chart, that the map is continuous across piece boundaries
 and across gluings, and (for automorphisms) that the image regions tile as
-well, so the map is bijective.  Continuity is checked once per vertex
+well, so the map is bijective.  For the images an area check suffices:
+the piece areas sent to each chart must add up to its area, and a degree
+argument (see _validate_image_tiling) shows that images of a continuous,
+orientation-preserving map of determinant-1 pieces that pass it cannot
+overlap.  Continuity is checked once per vertex
 star, a piece vertex with every piece holding it: the ends of every
 segment two pieces share, in a chart or across a glued edge, are piece
 vertices, so agreement at the stars is agreement everywhere.
@@ -16,8 +20,8 @@ diag(lambda, 1/lambda) up to an overall sign per piece (the sign is the
 half-translation chart ambiguity), with lambda > 1 exact.
 
 develop is the map builder: it cuts D times each polygon into chart
-pieces with saddle.cover; torus_from_matrix develops the eigen torus of
-an integer matrix.
+pieces with saddle.cover, and pulls each piece back by D^-1, inverted
+once; torus_from_matrix develops the eigen torus of an integer matrix.
 """
 
 from __future__ import annotations
@@ -99,47 +103,58 @@ class PiecewiseAffineMap:
 
     # -- validation -----------------------------------------------------------
 
-    def _validate(self) -> dict:
-        """Run every check; returns each piece's vertex images."""
-        self._validate_source_tiling()
-        return self._validate_continuity()
+    def _validate(self) -> list:
+        """Run every check; returns each chart's piece areas (area2), in
+        the order of its pieces."""
+        areas = self._validate_source_tiling()
+        self._validate_continuity()
+        return areas
 
-    def _validate_source_tiling(self):
+    def _validate_source_tiling(self) -> list:
+        """Every region vertex lies in its chart, each distinct vertex of a
+        chart tested once, and the regions tile it (_check_tiling);
+        returns the areas _check_tiling computed."""
+        areas = []
         for chart, poly in enumerate(self.surface.polygons):
             regions = [piece.region for piece in self._by_chart[chart]]
+            seen = set()
             for region in regions:
                 for v in region.vertices:
+                    if v in seen:
+                        continue
+                    seen.add(v)
                     if poly.contains(v) == 0:
                         raise InputError(
                             "piece region vertex %r outside its chart %d" % (v, chart))
-            self._check_tiling("piece", chart, regions)
+            areas.append(self._check_tiling(chart, regions))
+        return areas
 
-    def _check_tiling(self, what: str, chart: int, regions):
+    def _check_tiling(self, chart: int, regions) -> list:
         """The regions, all in one chart, must cover its area and have
-        pairwise disjoint interiors; what names them in the errors."""
+        pairwise disjoint interiors; returns their areas (area2)."""
         area = self.surface.polygons[chart].area2()
-        total = self.surface.field.zero()
-        for region in regions:
-            total = total + region.area2()
+        areas = [region.area2() for region in regions]
+        total = sum(areas, self.surface.field.zero())
         if total != area:
-            raise NotBijective("%s regions of chart %d cover area %s of %s"
-                               % (what, chart, total, area))
+            raise NotBijective("piece regions of chart %d cover area %s of %s"
+                               % (chart, total, area))
         for i in range(len(regions)):
             for j in range(i + 1, len(regions)):
                 if regions[i].overlaps(regions[j]):
                     raise NotBijective(
-                        "%s regions overlap in chart %d" % (what, chart))
+                        "piece regions overlap in chart %d" % chart)
+        return areas
 
-    def _validate_continuity(self) -> dict:
+    def _validate_continuity(self) -> None:
         """The map must agree wherever two piece regions touch, including
         touching across a glued edge, and must map every piece into its
         target chart.  Affine on segments: agreement at the two ends of a
-        shared sub-segment is agreement along it.  Returns the vertex
-        images of each piece, in its region's vertex order.
+        shared sub-segment is agreement along it.
 
         Every vertex image of every piece is computed and checked inside
-        its target chart first (NotBijective), before any comparison can
-        raise Discontinuous.  Then one pass over vertex stars: a star is a
+        its target chart first (NotBijective), each distinct (target,
+        image) pair tested once, before any comparison can raise
+        Discontinuous.  Then one pass over vertex stars: a star is a
         distinct piece vertex of a chart together with every piece whose
         closed region holds it.  The first such piece, in chart order,
         maps the star; each other piece must map it to the same surface
@@ -161,13 +176,17 @@ class PiecewiseAffineMap:
         polygons = surface.polygons
         canonical = surface.canonical_point
         images = {}
+        inside = set()
         for piece in self.pieces:
-            target_poly = polygons[piece.target]
+            target = piece.target
             ws = [piece.map.apply(v) for v in piece.region.vertices]
             for w in ws:
-                if target_poly.contains(w) == 0:
+                if (target, w) in inside:
+                    continue
+                if polygons[target].contains(w) == 0:
                     raise NotBijective(
-                        "piece image leaves its target chart %d" % piece.target)
+                        "piece image leaves its target chart %d" % target)
+                inside.add((target, w))
             images[piece] = ws
 
         # a star is [image, canonical key or None, float box of the vertex]
@@ -218,18 +237,34 @@ class PiecewiseAffineMap:
                 if crossed[0] != star[0] and key(crossed) != key(star):
                     raise Discontinuous(
                         "pieces disagree across edge %s at %r" % (edge, v))
-        return images
 
-    def _validate_image_tiling(self, images: dict):
-        """The image regions, built from the vertex images that
-        _validate_continuity computed, must tile every chart.  Every
-        derivative is +-diag(lambda, 1/lambda), of determinant 1, so the
-        images keep the counterclockwise order and need no reversal."""
-        by_target: List[list] = [[] for _ in self.surface.polygons]
-        for piece in self.pieces:
-            by_target[piece.target].append(ConvexPolygon(images[piece]))
-        for chart, regions in enumerate(by_target):
-            self._check_tiling("image", chart, regions)
+    def _validate_image_tiling(self, areas: list):
+        """The image regions must tile every chart.  It is enough that the
+        images targeting each chart cover its area, summed from the piece
+        areas that the source check computed: every derivative has
+        determinant 1 (AffineAutomorphism checks it first), so an image
+        has its region's area exactly.
+
+        No pair of images can overlap once this holds, by a degree
+        argument.  The checks before this one (source tiling; continuity,
+        which also puts every image in its target chart; derivatives
+        +-diag(lambda, 1/lambda); gluings by +-I) make f continuous and
+        orientation preserving, and a local homeomorphism except at
+        finitely many piece vertices.  So on each component C' of the
+        surface, the number N of preimages of a point is constant off a
+        finite set, and the integral of N over C' is the summed image
+        area of the charts of C', which this check makes area(C').  So
+        N = 1: the images tile."""
+        field = self.surface.field
+        totals = [field.zero() for _ in self.surface.polygons]
+        for pieces, chart_areas in zip(self._by_chart, areas):
+            for piece, area in zip(pieces, chart_areas):
+                totals[piece.target] = totals[piece.target] + area
+        for chart, total in enumerate(totals):
+            area = self.surface.polygons[chart].area2()
+            if total != area:
+                raise NotBijective("image regions of chart %d cover area %s of %s"
+                                   % (chart, total, area))
 
     # -- evaluation -------------------------------------------------------------
 
@@ -346,10 +381,10 @@ class AffineAutomorphism(PiecewiseAffineMap):
         super().__init__(surface, pieces)
         self.singularity_permutation = self._compute_singularity_permutation()
 
-    def _validate(self) -> dict:
-        images = super()._validate()
-        self._validate_image_tiling(images)
-        return images
+    def _validate(self) -> list:
+        areas = super()._validate()
+        self._validate_image_tiling(areas)
+        return areas
 
     def _compute_singularity_permutation(self):
         surface = self.surface
@@ -506,6 +541,9 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
     v = surface.polygons[chart0].vertices[v0]
     w = surface.polygons[target0].vertices[w0]
     budget = ("_IMAGE_COVER_NODES", _IMAGE_COVER_NODES)
+    # a piece map z -> +-D z + s has the inverse z -> +-D^-1 (z - s)
+    d_inv = D.inverse()
+    inverses = {1: d_inv, -1: -d_inv}
     # chart -> (placement eps, shift, seed placements of its image cover)
     tree = {chart0: (1, zero, [(target0, 1, zero)])}
     order = [chart0]
@@ -524,8 +562,9 @@ def develop(surface: FlatSurface, D: Mat2, corner: EdgeRef,
         for target, e, t, piece in cut:
             # then into the target chart, y -> e (y - t)
             m = AffineMap(lin, c - t) if e == 1 else AffineMap(-lin, t - c)
-            pieces.append(Piece(chart, piece.transform(m.inverse()), m,
-                                target))
+            inv = inverses[e * eps]
+            pieces.append(Piece(chart, piece.transform(
+                AffineMap(inv, -inv.apply(m.shift))), m, target))
         child_seeds = None
         for k in range(len(surface.polygons[chart])):
             tr = surface.transitions[(chart, k)]

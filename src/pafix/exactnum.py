@@ -22,6 +22,14 @@ field stores once.  With g^2 = (r0 + r1*g)/t and x = (x0 + x1*g)/den:
   sign is exact from the signs of A and B and, when they differ, from A^2
   against B^2*D (`quad_sign`).  The sign never touches the root bracket.
 
+Creating a quadratic field needs no Sturm chain and no bisection.  Its
+roots in the declared (lo, hi) are counted from the signs of the
+polynomial at lo and hi and the place of its vertex -c1/(2*c2)
+(`_quadratic_root_count`), and the bracket that 64 bisections would
+reach is computed directly, one math.isqrt of D times the square of the
+final denominator (`_quadratic_bracket`).  In every degree an element
+keeps its hash once it is first asked for.
+
 Every other degree takes the general route.  Products reduce the powers
 g^d .. g^(2d-2) with an integer table over one common denominator (1 for
 a monic polynomial), and quotients solve a linear system fraction-free
@@ -406,6 +414,55 @@ def _has_rational_root(c: Sequence[int]) -> bool:
     return False
 
 
+def _quadratic_root_count(coeffs: tuple, lo: Fraction, hi: Fraction) -> tuple:
+    """count_real_roots for an irreducible c0 + c1*x + c2*x^2, c2 > 0,
+    from its signs at lo and hi, neither a root: (n, larger), n roots in
+    (lo, hi) and larger true when p(lo) < 0.
+
+    p is negative exactly between its two roots, which exist when the
+    discriminant D > 0 (it is never 0 here).  Opposite signs at the ends
+    bracket one root, the larger when lo lies between the roots.  With
+    equal signs the ends are both between the roots (none inside), or
+    both outside, where they hold two roots exactly when the vertex
+    -c1/(2*c2), between the roots, lies in (lo, hi)."""
+    c0, c1, c2 = coeffs
+    if c1 * c1 - 4 * c0 * c2 < 0:
+        return 0, False
+
+    def positive(x: Fraction) -> bool:
+        n, d = x.numerator, x.denominator
+        return c0 * d * d + c1 * n * d + c2 * n * n > 0
+
+    at_lo, at_hi = positive(lo), positive(hi)
+    if at_lo != at_hi:
+        return 1, not at_lo
+    return (2 if at_lo and lo < Fraction(-c1, 2 * c2) < hi else 0), False
+
+
+def _quadratic_bracket(coeffs: tuple, larger: bool, a: int, b: int,
+                       q: int) -> tuple:
+    """The bracket (a', b', q') that _refine(_CREATE_BISECTIONS) reaches
+    from a/q < g < b/q, g the larger or smaller root of the irreducible
+    c0 + c1*x + c2*x^2, c2 > 0, with one math.isqrt in place of the
+    bisections.
+
+    Bisection keeps the width b - a over a doubling denominator, so it
+    ends on q' = q*2^64 and a' = a*2^64 + k*(b - a), b' = a' + (b - a),
+    where k is the cell of the grid that holds the irrational g:
+    k = floor((g*q' - a*2^64)/(b - a)), in which g*q' may be replaced by
+    its floor.  That floor is ((-c1*q' +- s)/(2*c2)) floored, with s =
+    isqrt(D*q'^2) = floor(q'*sqrt(D)) and the sign of g's root, since
+    q'*sqrt(D) is irrational: -floor(x) - 1 = floor(-x) for it."""
+    c0, c1, c2 = coeffs
+    shift = a << _CREATE_BISECTIONS
+    big_q = q << _CREATE_BISECTIONS
+    s = math.isqrt((c1 * c1 - 4 * c0 * c2) * big_q * big_q)
+    top = -c1 * big_q + (s if larger else -s - 1)
+    width = b - a
+    lo = shift + (top // (2 * c2) - shift) // width * width
+    return lo, lo + width, big_q
+
+
 def _reduction_table(coeffs: tuple) -> tuple:
     """Integer rows T and a denominator t with g^(d+j) = T[j] . (1, g, ..,
     g^(d-1)) / t for j = 0 .. d-2, in lowest terms over the whole table."""
@@ -495,7 +552,11 @@ class RealNumberField:
         else:
             # irreducible of degree >= 2 has no rational roots, so rational
             # endpoints are never roots and open/closed does not matter
-            n = count_real_roots(coeffs, lo, hi)
+            quadratic = len(coeffs) == 3
+            if quadratic:
+                n, larger = _quadratic_root_count(coeffs, lo, hi)
+            else:
+                n = count_real_roots(coeffs, lo, hi)
             if n == 0:
                 raise NoRootInInterval(
                     "no root of %s in (%s, %s)" % (format_poly(coeffs, "x"), lo, hi))
@@ -504,17 +565,19 @@ class RealNumberField:
                     "%d roots of %s in (%s, %s)"
                     % (n, format_poly(coeffs, "x"), lo, hi))
             q = math.lcm(lo.denominator, hi.denominator)
-            self._a, self._b, self._q = int(lo * q), int(hi * q), q
-            self._refine(_CREATE_BISECTIONS)
+            a, b = int(lo * q), int(hi * q)
+            if quadratic:
+                self._a, self._b, self._q = _quadratic_bracket(
+                    coeffs, larger, a, b, q)
+            else:
+                self._a, self._b, self._q = a, b, q
+                self._refine(_CREATE_BISECTIONS)
 
         self._table, self._table_den = _reduction_table(coeffs)
         self._quad = None
         if len(coeffs) == 3:
             c0, c1, c2 = coeffs
             (r0, r1), = self._table
-            # c2 > 0, so the polynomial is negative between its roots: the
-            # bracket's lower end lies there exactly when g is the larger
-            larger = _enclose(coeffs, self._a, self._a, self._q)[0] < 0
             self._quad = (r0, r1, self._table_den, c1, 2 * c2,
                           1 if larger else -1, c1 * c1 - 4 * c0 * c2)
         return self
@@ -733,7 +796,7 @@ class FieldElement:
     products use the closed forms in the module docstring.
     """
 
-    __slots__ = ("field", "num", "den", "_coeffs", "_fb")
+    __slots__ = ("field", "num", "den", "_coeffs", "_fb", "_hash")
 
     def __init__(self, field: RealNumberField, num: tuple, den: int):
         self.field = field
@@ -741,6 +804,7 @@ class FieldElement:
         self.den = den
         self._coeffs = None
         self._fb = None
+        self._hash = None
 
     @property
     def coeffs(self) -> tuple:
@@ -983,7 +1047,10 @@ class FieldElement:
         # The hash of (minpoly, coeffs), without building Fractions:
         # Fraction(n, den) hashes like the int n * den^-1 mod the hash
         # modulus whenever den has that inverse (a Fraction with
-        # denominator 1 hashes like its int).
+        # denominator 1 hashes like its int).  Kept in _hash once found.
+        h = self._hash
+        if h is not None:
+            return h
         den = self.den
         if den == 1:
             key = self.num
@@ -994,7 +1061,8 @@ class FieldElement:
                 key = self.coeffs
             else:
                 key = tuple([n * dinv for n in self.num])
-        return hash((self.field.minpoly, key))
+        self._hash = h = hash((self.field.minpoly, key))
+        return h
 
     def __repr__(self):
         return format_element(self)

@@ -100,6 +100,10 @@ class Mat2:
         return cls(lam, z, z, mu)
 
     def apply(self, v: Vec2) -> Vec2:
+        # every piece map is +-diag(lambda, 1/lambda): a product by a zero
+        # entry adds nothing to the exact, reduced sum, so skip it
+        if self.b.is_zero() and self.c.is_zero():
+            return Vec2(self.a * v.x, self.d * v.y)
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     def __mul__(self, o: "Mat2") -> "Mat2":

@@ -17,7 +17,10 @@ one-pass classifier: contains first, then a search of the edges with
 on_segment.  validate_continuity is PiecewiseAffineMap's
 continuity check as it was before the vertex stars: every pair of piece
 sides, and every piece side against every glued polygon edge, compared
-at the ends of their shared segment.  cover and trace are
+at the ends of their shared segment.  validate_image_tiling is
+AffineAutomorphism's image check as it was before the degree argument:
+the image polygons built, their areas summed per target chart, and every
+pair of them in one chart tested with overlaps.  cover and trace are
 pafix.saddle's cover and trace as they were before they worked in the
 chart's own frame: cover places each chart in the region's frame, tests
 its vertices with contains, intersects the placed polygon with the
@@ -31,7 +34,8 @@ check against them.
 """
 
 from pafix import geom
-from pafix.errors import Discontinuous, InputError, NonConvexPolygon
+from pafix.errors import (Discontinuous, InputError, NonConvexPolygon,
+                          NotBijective)
 from pafix.flatsurf import SurfacePoint
 from pafix.geom import (
     ConvexPolygon,
@@ -340,6 +344,30 @@ def validate_continuity(m):
                         raise Discontinuous(
                             "pieces disagree across edge %s at %r"
                             % (edge, pt))
+
+
+def validate_image_tiling(m):
+    """Raise NotBijective unless the images of the pieces of m, a map of
+    determinant-1 pieces that maps each into its target chart, tile every
+    chart: their areas sum to the chart's and no two overlap."""
+    surface = m.surface
+    by_target = [[] for _ in surface.polygons]
+    for piece in m.pieces:
+        by_target[piece.target].append(ConvexPolygon(
+            [piece.map.apply(v) for v in piece.region.vertices]))
+    for chart, images in enumerate(by_target):
+        area = surface.polygons[chart].area2()
+        total = surface.field.zero()
+        for image in images:
+            total = total + image.area2()
+        if total != area:
+            raise NotBijective("image regions of chart %d cover area %s of %s"
+                               % (chart, total, area))
+        for i in range(len(images)):
+            for j in range(i + 1, len(images)):
+                if images[i].overlaps(images[j]):
+                    raise NotBijective(
+                        "image regions overlap in chart %d" % chart)
 
 
 def region_chord(region, a, b):

@@ -503,6 +503,77 @@ def test_quadratic_sign_far_below_the_root_bracket():
     assert sympy.sign(exact.evalf(30, maxn=25000)) == near.sign()
 
 
+@st.composite
+def quadratic_brackets(draw):
+    """An integer quadratic with non-square discriminant, either sign of
+    its leading coefficient, and a rational bracket about one of its
+    roots or its vertex, wide enough at times to hold both roots."""
+    c2 = draw(st.integers(1, 12))
+    c1, c0 = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    disc = c1 * c1 - 4 * c0 * c2
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    near = [-c1 / (2 * c2)]
+    if disc > 0:
+        near += [(-c1 + s * math.sqrt(disc)) / (2 * c2) for s in (-1, 1)]
+    den = draw(st.integers(1, 64))
+    centre = math.floor(draw(st.sampled_from(near)) * den)
+    reach = draw(st.sampled_from((1, 4, 40))) * den
+    lo = Fraction(centre - draw(st.integers(0, reach)), den)
+    hi = Fraction(centre + 1 + draw(st.integers(0, reach)), den)
+    sign = draw(st.sampled_from((1, -1)))
+    return [sign * c0, sign * c1, sign * c2], lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_brackets())
+def test_quadratic_fields_are_created_in_closed_form(case):
+    # create counts the roots and finds the bracket without Sturm chain
+    # or bisection: the bracket is the one 64 bisections reach, the root
+    # side the one the bracket's lower end shows, and a bracket holding
+    # no root or two raises as the Sturm count says
+    coeffs, lo, hi = case
+    n = count_real_roots(coeffs, lo, hi)
+    if n != 1:
+        error = NoRootInInterval if n == 0 else MultipleRootsInInterval
+        poly = format_poly(exactnum._normalize_minpoly(coeffs), "x")
+        want = ("no root of %s in (%s, %s)" if n == 0
+                else "2 roots of %s in (%s, %s)") % (poly, lo, hi)
+        with pytest.raises(error) as exc:
+            RealNumberField.create(coeffs, lo, hi)
+        assert str(exc.value) == want
+        return
+    K = RealNumberField.create(coeffs, lo, hi)
+    ref = object.__new__(RealNumberField)
+    ref.minpoly = K.minpoly
+    q = math.lcm(lo.denominator, hi.denominator)
+    ref._a, ref._b, ref._q = int(lo * q), int(hi * q), q
+    RealNumberField._refine(ref, exactnum._CREATE_BISECTIONS)
+    assert (K._a, K._b, K._q) == (ref._a, ref._b, ref._q)
+    larger = exactnum._enclose(K.minpoly, K._a, K._a, K._q)[0] < 0
+    assert K._quad[5] == (1 if larger else -1)
+
+
+@pytest.mark.parametrize("poly, lo, hi", REFERENCE_FIELDS)
+def test_an_element_keeps_its_hash(poly, lo, hi):
+    # a second hash is the first, which is fracref's; equal elements of
+    # two instances of one field hash alike whichever is hashed first,
+    # also over a den with no inverse modulo the hash modulus
+    d = len(poly) - 1
+    ref = RefField(poly, lo, hi)
+    K = RealNumberField.create(poly, lo, hi)
+    # a second instance of the field, its root bracketed anew
+    other = RealNumberField.create(poly, *(K._bracket() if d > 1 else (lo, hi)))
+    for vec in ([Fraction(3, 7), Fraction(-5, 2), 4][:d],
+                [Fraction(1, exactnum._HASH_MODULUS)] + [1] * (d - 1)):
+        want = ref.hash(ref.vec(vec))
+        for first, second in ((K, other), (other, K)):
+            a, b = first.element(vec), second.element(vec)
+            assert a == b
+            h = hash(a)
+            assert h == want and hash(b) == h
+            assert hash(a) == h and hash(b) == h
+
+
 def test_docstrings():
     failures, _ = doctest.testmod(exactnum)
     assert failures == 0

@@ -120,6 +120,26 @@ class TestGeom:
         # touching along an edge has no interior overlap
         assert a.intersect(moved(1, 0)) is None
 
+    def test_a_diagonal_applies_with_two_products(self, monkeypatch):
+        # every piece map is diagonal: its products by zero are skipped,
+        # and the vector is the one all four products give
+        K = RealNumberField.create([1, -3, 1], 2, 3)
+        lam = K.gen()
+        m = Mat2.diagonal(lam, 3 - lam)
+        v = Vec2(lam / 7, K.rational(Fraction(-5, 3)) + lam)
+        full = Vec2(m.a * v.x + m.b * v.y, m.c * v.x + m.d * v.y)
+        calls = Counter()
+        real_mul = FieldElement.__mul__
+
+        def mul(a, b):
+            calls["mul"] += 1
+            return real_mul(a, b)
+        monkeypatch.setattr(FieldElement, "__mul__", mul)
+        w = m.apply(v)
+        assert calls["mul"] == 2
+        assert (w.x.num, w.x.den, w.y.num, w.y.den) == \
+            (full.x.num, full.x.den, full.y.num, full.y.den)
+
     def test_affine_map_compose_inverse(self):
         m = AffineMap(Mat2(self.f.rational(2), self.f.one(),
                            self.f.one(), self.f.one()), self.v(3, -1))
@@ -760,8 +780,28 @@ class TestMapValidation:
             monkeypatch.setattr(owner, name, counted, raising=False)
         count(FieldElement, "inverse", FieldElement.inverse)
         count(ConvexPolygon, "intersect", ConvexPolygon.intersect)
+        # the images are tiled by their areas: no polygon is built, and
+        # overlaps compares only source regions, each pair of a chart once
+        count(ConvexPolygon, "__init__", ConvexPolygon.__init__)
+        compared = []
+        real_overlaps = ConvexPolygon.overlaps
+
+        def overlaps(a, b):
+            compared.append((a, b))
+            return real_overlaps(a, b)
+        monkeypatch.setattr(ConvexPolygon, "overlaps", overlaps)
         for g in (cat, other, loaded):
             AffineAutomorphism(g.surface, g.pieces, g.lambda_)
+            chart_of = {id(p.region): p.chart for p in g.pieces}
+            pairs = Counter()
+            for a, b in compared:
+                assert a is not b and id(a) in chart_of
+                assert chart_of.get(id(b)) == chart_of[id(a)]
+                pairs[chart_of[id(a)]] += 1
+            sizes = Counter(p.chart for p in g.pieces)
+            for chart, n in pairs.items():
+                assert n <= sizes[chart] * (sizes[chart] - 1) // 2
+            compared.clear()
         assert len(loaded.pieces) == 16
         assert calls == Counter()
         # the vertex stars compare no pair of sides, and on these maps
@@ -778,21 +818,12 @@ class TestMapValidation:
         # two copies of the cat torus, each glued to itself with its
         # vertex marked, and two copies of the cat map: sending both onto
         # chart 0 is continuous, but chart 0 is covered twice
-        surf, cat = torus_from_matrix([[2, 1], [1, 1]])
-        poly = surf.polygons[0]
-        gluings = {(c, e): ((c, (e + 2) % 4), "translation")
-                   for c in (0, 1) for e in range(4)}
-        tori = FlatSurface(surf.field, [poly, poly], gluings,
-                           marked_corners=[(0, 0), (1, 0)])
-
-        def pieces(target_of_1):
-            return [Piece(c, p.region, p.map, target_of_1 if c else 0)
-                    for c in (0, 1) for p in cat.pieces]
+        maps = _two_tori_maps()
         with pytest.raises(NotBijective) as exc:
-            AffineAutomorphism(tori, pieces(0), cat.lambda_)
+            AffineAutomorphism(*maps[0, 0])
         assert str(exc.value) == (
             "image regions of chart 0 cover area 8/5*g - 12/5 of 4/5*g - 6/5")
-        f = AffineAutomorphism(tori, pieces(1), cat.lambda_)
+        f = AffineAutomorphism(*maps[0, 1])
         assert f.singularity_permutation == {0: 0, 1: 1}
 
     def test_source_not_tiled(self):
@@ -851,7 +882,9 @@ def _verdict(check, m):
     return "accept"
 
 
-def test_star_continuity_check_agrees_with_the_pairwise_reference():
+def _star_maps():
+    """The maps the star continuity check is compared on: five tori, f
+    and f^2 of each, and the loaded cat^2 text."""
     maps = []
     for rows in ([[2, 1], [1, 1]], [[3, 1], [2, 1]], [[-3, -1], [-2, -1]],
                  [[-2, -1], [-1, -1]], [[4, 1], [3, 1]]):
@@ -859,6 +892,27 @@ def test_star_continuity_check_agrees_with_the_pairwise_reference():
         maps += [f, f.power(2)]
     surf, cat = torus_from_matrix([[2, 1], [1, 1]])
     maps.append(fileio.loads(fileio.dumps(surf, cat.power(2)))[1])
+    return maps
+
+
+def _two_tori_maps():
+    """Two copies of the cat torus, each glued to itself with its vertex
+    marked, and the cat map on each: (surface, pieces, lambda) for every
+    pair (t0, t1) of target charts of the two charts' pieces."""
+    surf, cat = torus_from_matrix([[2, 1], [1, 1]])
+    poly = surf.polygons[0]
+    gluings = {(c, e): ((c, (e + 2) % 4), "translation")
+               for c in (0, 1) for e in range(4)}
+    tori = FlatSurface(surf.field, [poly, poly], gluings,
+                       marked_corners=[(0, 0), (1, 0)])
+    return {targets: (tori, [Piece(c, p.region, p.map, targets[c])
+                             for c in (0, 1) for p in cat.pieces],
+                      cat.lambda_)
+            for targets in ((0, 0), (0, 1), (1, 0), (1, 1))}
+
+
+def test_star_continuity_check_agrees_with_the_pairwise_reference():
+    maps = _star_maps()
     cases = [(g.surface, list(g.pieces)) for g in maps]
     # every second perturbation, which keeps the test near 1.5 s
     cases += [case for g in maps for case in _perturbed(g)][::2]
@@ -869,6 +923,35 @@ def test_star_continuity_check_agrees_with_the_pairwise_reference():
         assert _verdict(PiecewiseAffineMap._validate_continuity, m) == want
         verdicts[want] += 1
     assert verdicts["accept"] > len(maps) and verdicts["discontinuous"] > 100
+
+
+def _raised(build):
+    try:
+        build()
+    except InputError as exc:
+        return type(exc)
+    return None
+
+
+def test_image_tiling_by_degree_agrees_with_the_pairwise_reference():
+    # AffineAutomorphism checks only the image areas per chart; the
+    # reference chain ends with the pairwise overlap test of the images
+    maps = _star_maps()
+    cases = [(g.surface, list(g.pieces), g.lambda_) for g in maps]
+    cases += [(*case, g.lambda_) for g in maps for case in _perturbed(g)]
+    cases += list(_two_tori_maps().values())
+
+    def reference(surface, pieces):
+        geomref.validate_image_tiling(PiecewiseAffineMap(surface, pieces))
+
+    verdicts = Counter()
+    for surface, pieces, lam in cases:
+        want = _raised(lambda: reference(surface, pieces))
+        assert _raised(
+            lambda: AffineAutomorphism(surface, pieces, lam)) is want
+        verdicts[want] += 1
+    assert verdicts[None] > len(maps) and verdicts[NotBijective] >= 2
+    assert verdicts[Discontinuous] > 100
 
 
 @pytest.mark.parametrize("rows", [
